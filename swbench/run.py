@@ -20,8 +20,11 @@ runs each, traced and untraced):
     python3 swbench/run.py compare parent.jsonl change.jsonl
 
 prints, per workload, each end-to-end metric's medians and verdict against
-its bound in BENCHMARK.json, and beside it the per-layer deltas that
-explain it.
+its bound in BENCHMARK.json, and beside it the same figure as measured
+(raw) and the per-layer deltas that explain it. The end-to-end
+throughput and latencies are taken from each input's fastest repeat in
+the run, which holds steady on a shared host; a cost that shows on only
+some repeats moves the raw figure, not the gated one.
 
     python3 swbench/run.py summarize reports.jsonl
 
@@ -210,6 +213,9 @@ def run(args):
     for name, unit in REPORT_ONLY.items():
         value = report["end_to_end"][name]
         print(f"  {name:32s} {value:16.6g} {unit} (report only)")
+    for name, value in report["raw"].items():
+        unit = {**END_TO_END, **REPORT_ONLY}[name]
+        print(f"  {name:32s} {value:16.6g} {unit} (raw, report only)")
     for message in report["messages"]:
         print(f"  FAILED: {message}")
 
@@ -228,8 +234,8 @@ def load_reports(path):
         return [json.loads(line) for line in lines if line.strip()]
 
 
-def medians(reports, workload, traced):
-    key = "per_layer" if traced else "end_to_end"
+def medians(reports, workload, key):
+    traced = key == "per_layer"
     values = {}
     for report in reports:
         if report["workload"] == workload and report["trace"] == traced:
@@ -250,8 +256,9 @@ def compare(args):
     regressions = 0
     for workload in workloads:
         print(f"== {workload}")
-        p_e2e, c_e2e = medians(parent, workload, False), medians(change, workload, False)
-        p_layer, c_layer = medians(parent, workload, True), medians(change, workload, True)
+        p_e2e, c_e2e = medians(parent, workload, "end_to_end"), medians(change, workload, "end_to_end")
+        p_raw, c_raw = medians(parent, workload, "raw"), medians(change, workload, "raw")
+        p_layer, c_layer = medians(parent, workload, "per_layer"), medians(change, workload, "per_layer")
         for name in [*END_TO_END, *REPORT_ONLY]:
             if name not in p_e2e or name not in c_e2e:
                 continue
@@ -264,6 +271,11 @@ def compare(args):
             regressions += verdict == "REGRESSION"
             print(f"  {name:18s} parent {p:12.6g} (n={pn})  change {c:12.6g} "
                   f"(n={cn})  {delta:+7.1%}  bound {bound:.0%}  {verdict}")
+            if name in p_raw and name in c_raw:
+                rp, rc = p_raw[name][0], c_raw[name][0]
+                raw_delta = (rc - rp) / rp if rp else 0.0
+                print(f"      {'raw (as measured)':30s} {rp:12.6g} -> {rc:12.6g} "
+                      f"{'':9s} {raw_delta:+7.1%}")
             rows = []
             for layer, (unit, targets) in PER_LAYER.items():
                 if name not in targets or layer not in p_layer or layer not in c_layer:
@@ -284,7 +296,8 @@ def summarize(args):
                "workloads": {}}
     for workload in sorted({r["workload"] for r in reports}):
         entry = {}
-        for traced, key in ((False, "end_to_end"), (True, "per_layer")):
+        for traced, key in ((False, "end_to_end"), (False, "raw"),
+                            (True, "per_layer")):
             runs = [r for r in reports
                     if r["workload"] == workload and r["trace"] == traced]
             if not runs:

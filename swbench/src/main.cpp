@@ -105,9 +105,13 @@ Phase RunPhase(Workload* workload, double seconds, Tracer* tracer,
 
 // Each operation's latency replaced by the fastest repeat of the same
 // input within the phase. Co-tenants of a shared host slow the whole
-// machine by up to a fifth for seconds at a time; the fastest repeat of
-// an input is what its computation costs, and it is steady from run to
-// run where the raw latencies are not.
+// machine by up to a fifth for seconds at a time (on a shared 4-vCPU
+// host, one workload's answers per second moved 17% between runs of the
+// same work); the fastest
+// repeat of an input is what its computation costs, and it is steady
+// from run to run where the raw latencies are not. A cost that shows on
+// only some repeats is invisible here; the raw figures, reported beside
+// these, show it.
 std::vector<double> FastestRepeats(const Phase& phase) {
   std::map<std::size_t, double> fastest;
   for (std::size_t i = 0; i < phase.keys.size(); ++i) {
@@ -296,11 +300,11 @@ std::string NumberMap(const std::map<std::string, double>& values) {
 int Main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
   // Set up at least kMinSetups times, and until the set-ups have taken
-  // kMinSetupSeconds together, so a set-up of a fraction of a millisecond
-  // is still a median of many samples; the last one is used.
+  // kMinSetupSeconds together, so a set-up of a few microseconds is
+  // still a median of many samples; the last one is used.
   constexpr int kMinSetups = 3;
   constexpr double kMinSetupSeconds = 0.2;
-  constexpr int kMaxSetups = 1000;
+  constexpr int kMaxSetups = 20000;
   std::unique_ptr<Workload> workload;
   std::vector<double> setup_s;
   double setup_total_s = 0;
@@ -322,6 +326,8 @@ int Main(int argc, char** argv) {
       RunPhase(workload.get(), untraced_seconds, nullptr, &cycle, &op_id);
   const double peak_rss_mb = PeakRssMb();
 
+  // Throughput and latencies from each input's fastest repeat: the
+  // answers over the summed fastest repeats of the operations run.
   std::vector<double> fastest = FastestRepeats(phase);
   double busy_ms = 0;
   for (double ms : fastest) busy_ms += ms;
@@ -332,7 +338,8 @@ int Main(int argc, char** argv) {
   e2e["latency_p90_ms"] = Quantile(fastest, 0.9);
   e2e["latency_p99_ms"] = Quantile(fastest, 0.99);
   e2e["peak_rss_mb"] = peak_rss_mb;
-  // The same figures from the raw latencies, for the report only.
+  // The same figures as measured: answers per second of the timed phase
+  // and quantiles of every operation's own latency.
   std::map<std::string, double> raw;
   raw["answers_per_s"] = static_cast<double>(phase.answers) / phase.wall_s;
   raw["latency_p50_ms"] = Quantile(phase.latencies_ms, 0.5);

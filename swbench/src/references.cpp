@@ -174,6 +174,51 @@ bool ReferenceTables::PinnedTotalsHold() const {
   return true;
 }
 
+BigRational SymmetricWFOMC(int n, const BigRational& w,
+                           const BigRational& wbar) {
+  return BigRational::Pow(w + wbar, n) *
+         BigRational::Pow(w * w + wbar * wbar, n * (n - 1) / 2);
+}
+
+BigRational SmokersWFOMC(int n, const BigRational& ws,
+                         const BigRational& wbar_s, const BigRational& wf,
+                         const BigRational& wbar_f) {
+  BigRational total(0);
+  for (int k = 0; k <= n; ++k) {
+    int cut = k * (n - k);
+    total += BigRational(Binomial(n, k)) * BigRational::Pow(ws, k) *
+             BigRational::Pow(wbar_s, n - k) * BigRational::Pow(wbar_f, cut) *
+             BigRational::Pow(wf + wbar_f, n * n - cut);
+  }
+  return total;
+}
+
+BigRational MutualWFOMC(int n, const BigRational& w, const BigRational& wbar) {
+  const BigRational t = w + wbar;
+  const BigRational unpaired = t * t - w * w;
+  BigRational total(0);
+  for (int j = 0; j <= n; ++j) {
+    const int m = n - j;
+    BigRational term = BigRational(Binomial(n, j)) * BigRational::Pow(wbar, j) *
+                       BigRational::Pow(unpaired, j * (j - 1) / 2 + j * m) *
+                       BigRational::Pow(t, m * m);
+    if (j % 2 == 0) {
+      total += term;
+    } else {
+      total -= term;
+    }
+  }
+  return total;
+}
+
+BigRational CoveredWFOMC(int n, const BigRational& wu,
+                         const BigRational& wbar_u, const BigRational& wr,
+                         const BigRational& wbar_r) {
+  const BigRational row = BigRational::Pow(wr + wbar_r, n);
+  return BigRational::Pow(
+      wu * row + wbar_u * (row - BigRational::Pow(wbar_r, n)), n);
+}
+
 // Pinned once by swbench/pin_references.py, a brute-force enumeration
 // sharing no code with this file or with swfomc.
 BigInt PinnedTriangleFOMC(int n) {

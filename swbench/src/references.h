@@ -8,6 +8,10 @@
 // polynomial in the weights read off that table. The unweighted totals
 // at the largest sizes are pinned constants, so the enumerators are
 // themselves checked against numbers computed once, independently.
+//
+// The liftable FO² sentences the serve workloads send get closed forms,
+// also written here, so that no reference shares the lifted compiler's
+// or the cell algorithm's code.
 #ifndef SWBENCH_REFERENCES_H_
 #define SWBENCH_REFERENCES_H_
 
@@ -79,6 +83,34 @@ class ReferenceTables {
   std::map<std::pair<int, int>, ClosedWalkTable> walks_;
   std::map<int, TypedTriangleTable> typed_;
 };
+
+/// ∀x∀y (R(x,y) ⇒ R(y,x)) on [n]: loops are free and each pair {a, b}
+/// has both tuples or neither, so T^n (w² + w̄²)^C(n,2) with T = w + w̄.
+numeric::BigRational SymmetricWFOMC(int n, const numeric::BigRational& w,
+                                    const numeric::BigRational& wbar);
+
+/// ∀x∀y ((Sm(x) ∧ F(x,y)) ⇒ Sm(y)) on [n]: with k smokers, the k(n-k)
+/// F-tuples from a smoker to a non-smoker are false and the rest free:
+/// Σ_k C(n,k) w_Sm^k w̄_Sm^(n-k) w̄_F^(k(n-k)) (w_F + w̄_F)^(n²-k(n-k)).
+numeric::BigRational SmokersWFOMC(int n, const numeric::BigRational& ws,
+                                  const numeric::BigRational& wbar_s,
+                                  const numeric::BigRational& wf,
+                                  const numeric::BigRational& wbar_f);
+
+/// ∀x∃y (R(x,y) ∧ R(y,x)) on [n]: every element needs a true loop or a
+/// pair with both tuples true. Inclusion–exclusion over the set J of
+/// elements that have neither (|J| = j, m = n - j, T = w + w̄):
+/// Σ_j (-1)^j C(n,j) w̄^j (T² - w²)^(C(j,2) + jm) T^(m²).
+numeric::BigRational MutualWFOMC(int n, const numeric::BigRational& w,
+                                 const numeric::BigRational& wbar);
+
+/// ∀x∃y (R(x,y) ∨ U(x)) on [n]: elements are independent, each in U or
+/// with some true R-tuple out of it:
+/// (w_U T_R^n + w̄_U (T_R^n - w̄_R^n))^n with T_R = w_R + w̄_R.
+numeric::BigRational CoveredWFOMC(int n, const numeric::BigRational& wu,
+                                  const numeric::BigRational& wbar_u,
+                                  const numeric::BigRational& wr,
+                                  const numeric::BigRational& wbar_r);
 
 /// Unweighted totals pinned once (see references.cpp for provenance);
 /// the enumerators must reproduce them before any answer is checked.

@@ -2,6 +2,7 @@
 // one closed-loop caller. serve_warm answers every request from circuits
 // compiled in set-up; serve_cold cycles through more distinct circuit keys
 // than the cache holds, so every request compiles, inserts and evicts.
+// Both send one request per circuit key per cycle, in a seeded order.
 //
 // The traced operation sends the line to the server as usual (span
 // "serve.request") and then replays the request as the public calls the
@@ -15,7 +16,6 @@
 
 #include "api/engine.h"
 #include "closedforms/closed_forms.h"
-#include "fo2/cell_algorithm.h"
 #include "grounding/grounded_wfomc.h"
 #include "grounding/lineage.h"
 #include "grounding/tuple_index.h"
@@ -37,7 +37,7 @@ namespace {
 using numeric::BigRational;
 
 enum class ServeRef { kClosedWalk, kTypedTriangle, kForallExists, kTable1,
-                      kCell };
+                      kSymmetric, kSmokers, kMutual, kCovered };
 
 struct ServeSpec {
   const char* sentence;
@@ -45,7 +45,6 @@ struct ServeSpec {
   std::uint64_t n_hi;
   ServeRef reference;
   int walk_length;  // kClosedWalk only
-  int per_cycle;    // requests per cycle of the schedule
 };
 
 // Liftable FO² sentences: one domain-parametric circuit per sentence.
@@ -58,61 +57,55 @@ const char* const kCovered = "forall x exists y (R(x,y) | U(x))";
 
 // Hot set: grounded circuits at n=4 (a few thousand nodes) and the
 // triangle at n=5 (about 10^5 nodes, too big for the CPU caches), and
-// lifted circuits evaluated at n=8..24. The per-cycle counts put the
-// median inside the triangle n=4 block, the 90th percentile inside the
-// 4-cycle block and the 99th inside the triangle n=5 block.
+// lifted circuits evaluated at n=8..24.
 const ServeSpec kWarmSpecs[] = {
-    {kTriangle, 4, 4, ServeRef::kClosedWalk, 3, 14},
-    {kFourCycle, 4, 4, ServeRef::kClosedWalk, 4, 6},
-    {kTriangle, 5, 5, ServeRef::kClosedWalk, 3, 1},
-    {kForallExists, 8, 24, ServeRef::kForallExists, 0, 1},
-    {kMutual, 8, 16, ServeRef::kCell, 0, 1},
-    {kSymmetric, 8, 24, ServeRef::kCell, 0, 1},
-    {kSmokers, 8, 12, ServeRef::kCell, 0, 1},
+    {kTriangle, 4, 4, ServeRef::kClosedWalk, 3},
+    {kFourCycle, 4, 4, ServeRef::kClosedWalk, 4},
+    {kTriangle, 5, 5, ServeRef::kClosedWalk, 3},
+    {kForallExists, 8, 24, ServeRef::kForallExists, 0},
+    {kMutual, 8, 16, ServeRef::kMutual, 0},
+    {kSymmetric, 8, 24, ServeRef::kSymmetric, 0},
+    {kSmokers, 8, 12, ServeRef::kSmokers, 0},
 };
 
-// Thirteen distinct circuit keys against a four-entry cache.
+// Thirteen distinct circuit keys against a four-entry cache: every key
+// comes back only after the twelve others, so it has always been evicted.
 const ServeSpec kColdSpecs[] = {
-    {kTriangle, 4, 4, ServeRef::kClosedWalk, 3, 3},
-    {kTriangle, 2, 2, ServeRef::kClosedWalk, 3, 1},
-    {kTriangle, 3, 3, ServeRef::kClosedWalk, 3, 1},
-    {kFourCycle, 2, 2, ServeRef::kClosedWalk, 4, 1},
-    {kFourCycle, 3, 3, ServeRef::kClosedWalk, 4, 1},
-    {kFourCycle, 4, 4, ServeRef::kClosedWalk, 4, 1},
-    {kTypedTriangle, 2, 2, ServeRef::kTypedTriangle, 0, 1},
-    {kForallExists, 8, 16, ServeRef::kForallExists, 0, 1},
-    {kTable1, 6, 8, ServeRef::kTable1, 0, 1},
-    {kSmokers, 8, 12, ServeRef::kCell, 0, 1},
-    {kMutual, 8, 16, ServeRef::kCell, 0, 1},
-    {kSymmetric, 8, 16, ServeRef::kCell, 0, 1},
-    {kCovered, 8, 12, ServeRef::kCell, 0, 1},
+    {kTriangle, 4, 4, ServeRef::kClosedWalk, 3},
+    {kTriangle, 2, 2, ServeRef::kClosedWalk, 3},
+    {kTriangle, 3, 3, ServeRef::kClosedWalk, 3},
+    {kFourCycle, 2, 2, ServeRef::kClosedWalk, 4},
+    {kFourCycle, 3, 3, ServeRef::kClosedWalk, 4},
+    {kFourCycle, 4, 4, ServeRef::kClosedWalk, 4},
+    {kTypedTriangle, 2, 2, ServeRef::kTypedTriangle, 0},
+    {kForallExists, 8, 16, ServeRef::kForallExists, 0},
+    {kTable1, 6, 8, ServeRef::kTable1, 0},
+    {kSmokers, 8, 12, ServeRef::kSmokers, 0},
+    {kMutual, 8, 16, ServeRef::kMutual, 0},
+    {kSymmetric, 8, 16, ServeRef::kSymmetric, 0},
+    {kCovered, 8, 12, ServeRef::kCovered, 0},
 };
-// The cold cycle, as indices into kColdSpecs. Triangle n=4 comes back
-// every fifth request, after four other keys, so it is always evicted
-// before it returns; the 4-cycle at n=4 is the p99 block. The seed
-// rotates this order, which keeps every reuse distance.
-const std::size_t kColdOrder[] = {0, 7, 1, 8, 4, 0, 9, 6, 10, 5,
-                                  0, 11, 2, 12, 3};
 
 struct ServeConfig {
   const ServeSpec* specs;
   std::size_t spec_count;
-  const std::size_t* order;  // fixed cycle order (null: seeded shuffle)
-  std::size_t order_length;
   std::size_t batch;           // weight vectors per request
   std::size_t lines_per_spec;  // distinct request lines per spec
   std::size_t max_circuits;    // the server's LRU entry bound
   bool warm;
 };
 
-const ServeConfig kWarmConfig = {kWarmSpecs, std::size(kWarmSpecs), nullptr, 0,
-                                 4, 8, 64, true};
-const ServeConfig kColdConfig = {kColdSpecs, std::size(kColdSpecs), kColdOrder,
-                                 std::size(kColdOrder), 2, 8, 4, false};
+const ServeConfig kWarmConfig = {kWarmSpecs, std::size(kWarmSpecs), 4, 8, 64,
+                                 true};
+const ServeConfig kColdConfig = {kColdSpecs, std::size(kColdSpecs), 2, 8, 4,
+                                 false};
 
 // Request lines (sentences, domain sizes, weights) come from this seed;
 // the run's seed orders them.
 constexpr std::uint64_t kCatalogSeed = 2015;
+// Seeded cycle orders serve_warm rotates through; prime, so a line (sent
+// every lines_per_spec-th cycle) meets every order in turn.
+constexpr std::size_t kWarmOrders = 61;
 
 class ServeWorkload final : public Workload {
  public:
@@ -128,7 +121,6 @@ class ServeWorkload final : public Workload {
     options.max_circuits = config_.max_circuits;
     server_ = std::make_unique<serve::Server>(options);
     lines_.clear();
-    schedule_.clear();
     compiled_.clear();
     for (std::size_t s = 0; s < config_.spec_count; ++s) {
       const ServeSpec& spec = config_.specs[s];
@@ -155,20 +147,15 @@ class ServeWorkload final : public Workload {
         lines_.push_back(std::move(line));
       }
     }
-    if (config_.order != nullptr) {
-      std::vector<std::size_t> seen(config_.spec_count, 0);
-      std::size_t rotation = rng() % config_.order_length;
-      for (std::size_t i = 0; i < config_.order_length; ++i) {
-        std::size_t s = config_.order[(i + rotation) % config_.order_length];
-        schedule_.push_back({s, seen[s]++});
-      }
-    } else {
-      for (std::size_t s = 0; s < config_.spec_count; ++s) {
-        for (int k = 0; k < config_.specs[s].per_cycle; ++k) {
-          schedule_.push_back({s, static_cast<std::size_t>(k)});
-        }
-      }
-      std::shuffle(schedule_.begin(), schedule_.end(), rng);
+    // serve_cold keeps one order, so every key's reuse distance is the
+    // cycle length. serve_warm cycles through many orders, so no request
+    // always runs right after the same one (after the 10^5-node triangle
+    // circuit, say, with the CPU caches full of its nodes).
+    orders_.assign(config_.warm ? kWarmOrders : 1, {});
+    for (std::vector<std::size_t>& order : orders_) {
+      order.resize(config_.spec_count);
+      for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
+      std::shuffle(order.begin(), order.end(), rng);
     }
     if (config_.warm) {
       // Prime the cache with every key of the hot set.
@@ -182,24 +169,19 @@ class ServeWorkload final : public Workload {
       }
     }
     baseline_ = server_->Stats();
-    BuildReferenceTables();
   }
 
-  std::size_t CycleLength() const override { return schedule_.size(); }
+  std::size_t CycleLength() const override { return config_.spec_count; }
   std::size_t CyclesPerRound() const override {
     return config_.lines_per_spec;
   }
 
   Done Run(std::size_t index, std::size_t cycle, Tracer* tracer) override {
-    // Over a round of lines_per_spec cycles, occurrence j of cycle c takes
-    // line (c * per_cycle + j + offset) mod lines_per_spec: every line of
-    // the spec is used per_cycle times per round, whatever the offset.
-    auto [spec, occurrence] = schedule_[index];
-    const std::size_t per_cycle =
-        static_cast<std::size_t>(config_.specs[spec].per_cycle);
-    std::size_t line_index =
-        spec * config_.lines_per_spec +
-        (cycle * per_cycle + occurrence + offset_) % config_.lines_per_spec;
+    // Cycle c sends each spec's line (c + offset) mod lines_per_spec, so a
+    // round of lines_per_spec cycles sends every line once.
+    const std::vector<std::size_t>& order = orders_[cycle % orders_.size()];
+    std::size_t line_index = order[index] * config_.lines_per_spec +
+                             (cycle + offset_) % config_.lines_per_spec;
     const Line& line = lines_[line_index];
     try {
       std::vector<std::string> answers =
@@ -213,13 +195,25 @@ class ServeWorkload final : public Workload {
 
   CheckResult Verify() override {
     CheckResult check = log_.Start();
-    if (!tables_.PinnedTotalsHold()) {
+    // The enumerated count tables the FO³ references are read from; built
+    // here, after timing, so that set-up is only the library's share.
+    ReferenceTables tables;
+    for (std::size_t s = 0; s < config_.spec_count; ++s) {
+      const ServeSpec& spec = config_.specs[s];
+      int n = static_cast<int>(spec.n_lo);
+      if (spec.reference == ServeRef::kClosedWalk) {
+        tables.AddClosedWalk(n, spec.walk_length);
+      } else if (spec.reference == ServeRef::kTypedTriangle) {
+        tables.AddTypedTriangle(n);
+      }
+    }
+    if (!tables.PinnedTotalsHold()) {
       Fail(&check, "reference enumerator disagrees with its pinned total");
     }
     for (const auto& [line_index, answers] : log_.first()) {
       const Line& line = lines_[line_index];
       try {
-        if (answers != References(line)) {
+        if (answers != References(line, tables)) {
           log_.FailKey(&check, line_index,
                        line.text + ": answers differ from the reference");
         }
@@ -524,44 +518,31 @@ class ServeWorkload final : public Workload {
     return values;
   }
 
-  void BuildReferenceTables() {
-    tables_ = ReferenceTables();
-    for (std::size_t s = 0; s < config_.spec_count; ++s) {
-      const ServeSpec& spec = config_.specs[s];
-      int n = static_cast<int>(spec.n_lo);
-      if (spec.reference == ServeRef::kClosedWalk) {
-        tables_.AddClosedWalk(n, spec.walk_length);
-      } else if (spec.reference == ServeRef::kTypedTriangle) {
-        tables_.AddTypedTriangle(n);
-      }
-    }
-  }
-
-  std::vector<std::string> References(const Line& line) const {
+  // Each answer from a computation that shares no code with the server's
+  // path: enumerated count tables for the FO³ queries, closed forms for
+  // the FO² sentences.
+  std::vector<std::string> References(const Line& line,
+                                      const ReferenceTables& tables) const {
     const ServeSpec& spec = config_.specs[line.spec];
     std::vector<std::string> expected;
     for (const WeightVector& weights : line.weights) {
       BigRational value;
       int n = static_cast<int>(line.n);
+      const NamedWeights& r = Find(weights, "R");
       switch (spec.reference) {
-        case ServeRef::kClosedWalk: {
-          const NamedWeights& r = Find(weights, "R");
-          value = tables_.closed_walk(n, spec.walk_length).WFOMC(r.w, r.wbar);
+        case ServeRef::kClosedWalk:
+          value = tables.closed_walk(n, spec.walk_length).WFOMC(r.w, r.wbar);
           break;
-        }
         case ServeRef::kTypedTriangle: {
-          const NamedWeights& r = Find(weights, "R");
           const NamedWeights& s = Find(weights, "S");
           const NamedWeights& t = Find(weights, "T");
-          value = tables_.typed_triangle(n).WFOMC(r.w, r.wbar, s.w, s.wbar,
-                                                  t.w, t.wbar);
+          value = tables.typed_triangle(n).WFOMC(r.w, r.wbar, s.w, s.wbar,
+                                                 t.w, t.wbar);
           break;
         }
-        case ServeRef::kForallExists: {
-          const NamedWeights& r = Find(weights, "R");
+        case ServeRef::kForallExists:
           value = closedforms::ForallExistsWFOMC(line.n, r.w, r.wbar);
           break;
-        }
         case ServeRef::kTable1: {
           const NamedWeights& u = Find(weights, "U");
           const NamedWeights& s = Find(weights, "S");
@@ -570,11 +551,21 @@ class ServeWorkload final : public Workload {
                                            t.w, t.wbar);
           break;
         }
-        case ServeRef::kCell: {
-          logic::Vocabulary vocabulary;
-          logic::Formula sentence = logic::Parse(spec.sentence, &vocabulary);
-          vocabulary = Reweighted(std::move(vocabulary), weights);
-          value = fo2::LiftedWFOMC(sentence, vocabulary, line.n);
+        case ServeRef::kSymmetric:
+          value = SymmetricWFOMC(n, r.w, r.wbar);
+          break;
+        case ServeRef::kSmokers: {
+          const NamedWeights& sm = Find(weights, "Sm");
+          const NamedWeights& f = Find(weights, "F");
+          value = SmokersWFOMC(n, sm.w, sm.wbar, f.w, f.wbar);
+          break;
+        }
+        case ServeRef::kMutual:
+          value = MutualWFOMC(n, r.w, r.wbar);
+          break;
+        case ServeRef::kCovered: {
+          const NamedWeights& u = Find(weights, "U");
+          value = CoveredWFOMC(n, u.w, u.wbar, r.w, r.wbar);
           break;
         }
       }
@@ -589,11 +580,10 @@ class ServeWorkload final : public Workload {
   std::unique_ptr<Server> server_;
   serve::ServerStats baseline_;
   std::vector<Line> lines_;
-  // Cycle slots: (spec, occurrence within the cycle).
-  std::vector<std::pair<std::size_t, std::size_t>> schedule_;
+  // Spec orders of the cycles: cycle c uses orders_[c mod size].
+  std::vector<std::vector<std::size_t>> orders_;
   std::map<std::string, api::CompiledQuery> compiled_;
   nnf::Circuit::EvalArena arena_;
-  ReferenceTables tables_;
   AnswerLog<std::string> log_;
 };
 
