@@ -16,6 +16,7 @@
 
 #include "grounding/grounded_wfomc.h"
 #include "logic/parser.h"
+#include "numeric/rational.h"
 #include "wmc/dpll_counter.h"
 
 namespace {
@@ -72,9 +73,16 @@ void PrintTable() {
 }
 
 void RunConfig(benchmark::State& state, const DpllCounter::Options& options,
-               const char* sentence, std::uint64_t n) {
+               const char* sentence, std::uint64_t n,
+               bool rational_weights = false) {
   swfomc::logic::Vocabulary vocab;
   swfomc::logic::Formula phi = swfomc::logic::Parse(sentence, &vocab);
+  if (rational_weights) {
+    for (swfomc::logic::RelationId id = 0; id < vocab.size(); ++id) {
+      vocab.SetWeights(id, swfomc::numeric::BigRational::Fraction(4, 7),
+                       swfomc::numeric::BigRational::Fraction(5, 6));
+    }
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         swfomc::grounding::GroundedWFOMC(phi, vocab, n, options));
@@ -115,6 +123,21 @@ void BM_Ablation_Full_Triangle(benchmark::State& state) {
 }
 BENCHMARK(BM_Ablation_Full_Triangle)
     ->Arg(3)
+    ->Arg(4)
+    ->Arg(5)
+    ->Unit(benchmark::kMillisecond);
+
+// The headline instance on rational weights (w = 4/7, w̄ = 5/6), the
+// regime tuple-independent probabilities p/(1 − p) produce. Every other
+// row runs unit weights, so these are the rows that see the counter's
+// weight arithmetic: denominators cleared once per count, one division at
+// the root.
+void BM_Ablation_Full_Triangle_Rational(benchmark::State& state) {
+  RunConfig(state, kConfigs[0].options, kWorkloads[2].sentence,
+            static_cast<std::uint64_t>(state.range(0)),
+            /*rational_weights=*/true);
+}
+BENCHMARK(BM_Ablation_Full_Triangle_Rational)
     ->Arg(4)
     ->Arg(5)
     ->Unit(benchmark::kMillisecond);

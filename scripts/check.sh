@@ -3,7 +3,7 @@
 #
 # Usage: scripts/check.sh [build-dir]
 #   CXX=clang++ scripts/check.sh        # pick a compiler
-#   CHECK_LABELS="tier1|slow|example" scripts/check.sh   # widen the ctest run
+#   CHECK_LABELS="tier1|example" scripts/check.sh   # add the example smoke tests
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -151,8 +151,8 @@ numeric::BigRational Circuit::Evaluate(const wmc::WeightMap& weights,
 numeric::BigRational Circuit::EvaluateScaled(const wmc::WeightMap& weights,
                                              EvalArena* arena) const {
   using numeric::BigInt;
-  // Clear denominators per covered variable: scale both phases of v by
-  // d_v = lcm(den(w_v), den(w̄_v)). Each root product term picks exactly
+  // Clear denominators per covered variable (wmc::ClearDenominators scales
+  // both phases of v by d_v). Each root product term picks exactly
   // one literal per covered variable (that is what scalable_ certifies),
   // so the root total is scaled by exactly Π d_v — divide once at the
   // end. The pass itself is pure BigInt arithmetic: no per-node gcd.
@@ -171,15 +171,10 @@ numeric::BigRational Circuit::EvaluateScaled(const wmc::WeightMap& weights,
       scaled_negative[v] = BigInt(0);
       continue;
     }
-    const wmc::VariableWeights& weight = weights.Get(v);
-    const BigInt& positive_den = weight.positive.denominator();
-    const BigInt& negative_den = weight.negative.denominator();
-    BigInt lcm =
-        positive_den * (negative_den / BigInt::Gcd(positive_den,
-                                                   negative_den));
-    scaled_positive[v] = weight.positive.numerator() * (lcm / positive_den);
-    scaled_negative[v] = weight.negative.numerator() * (lcm / negative_den);
-    denominator *= lcm;
+    wmc::ScaledWeights scaled = wmc::ClearDenominators(weights.Get(v));
+    scaled_positive[v] = std::move(scaled.positive);
+    scaled_negative[v] = std::move(scaled.negative);
+    denominator *= scaled.scale;
   }
   std::vector<BigInt>& value = arena->integer_values;
   value.resize(nodes_.size());

@@ -146,6 +146,17 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
                  : options.max_cache_bytes),
       local_cache_(cache_.LocalShard()) {
   weights_.EnsureSize(cnf_.variable_count);
+  // Clear denominators once: every term the search sums carries exactly
+  // one weight factor per counted variable (a decision or implied
+  // literal, a free (w + w̄), the single-clause closed form, or the
+  // [0, Π(w + w̄)] bracket), so the scaled search totals weight_scale_ ×
+  // the count and runs without a gcd per node. Entries past
+  // variable_count are never read and stay out of the scale.
+  for (VarId v = 0; v < cnf_.variable_count; ++v) {
+    ScaledWeights scaled = ClearDenominators(weights_.Get(v));
+    weights_.Set(v, std::move(scaled.positive), std::move(scaled.negative));
+    weight_scale_ *= scaled.scale;
+  }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* r = options_.metrics;
     live_.decisions = r->GetCounter("swfomc_dpll_decisions_total",
@@ -310,6 +321,11 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     return result.Finish();
   }();
   pool_.reset();
+  // The one division undoing the constructor's scaling; a positive scale
+  // keeps the bounds ordered.
+  const BigRational scale(weight_scale_);
+  result.value /= scale;
+  result.upper /= scale;
   MergeContextStats(root.stats);
   if (observed_) FlushLiveStats(&root);
   FinalizeStats();

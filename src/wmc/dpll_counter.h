@@ -47,7 +47,11 @@ namespace swfomc::wmc {
 ///
 /// Counts are over *all* variables in [0, cnf.variable_count): a variable
 /// not constrained by any clause contributes a factor (w + w̄). Negative
-/// and zero weights are handled exactly.
+/// and zero weights are handled exactly. Rational weights have their
+/// denominators cleared once, at construction: the search, its cache and
+/// its brackets work on integer-valued weights, and the count is divided
+/// exactly once at the root (the same scaling as
+/// nnf::Circuit::Evaluate's integer path).
 ///
 /// The search can be resource-governed (`Options::budget` / `cancel` /
 /// `fault`): every worker checks for a stop once per decision and, on
@@ -345,7 +349,11 @@ class DpllCounter {
   bool tracing() const { return options_.trace_sink != nullptr; }
 
   prop::CnfFormula cnf_;
+  // Integer-valued after construction (see the constructor): every value
+  // the search computes or caches is weight_scale_ = Π d_v times its
+  // true count.
   WeightMap weights_;
+  numeric::BigInt weight_scale_{1};
   Options options_;
   unsigned effective_threads_;
   // True when any of budget/cancel/fault is set; the sole per-decision

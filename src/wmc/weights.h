@@ -20,6 +20,22 @@ struct VariableWeights {
   numeric::BigRational Total() const { return positive + negative; }
 };
 
+/// A weight pair with its denominators cleared: `positive` = w·d and
+/// `negative` = w̄·d, where d = lcm(den w, den w̄) > 0 is `scale`. Both
+/// scaled weights are integers carrying the signs of w and w̄.
+struct ScaledWeights {
+  numeric::BigInt positive;
+  numeric::BigInt negative;
+  numeric::BigInt scale;
+};
+
+/// The per-variable step of integer-scaled counting. A sum whose every
+/// product term picks exactly one literal weight of each variable v is
+/// scaled by exactly Π d_v when each pair is replaced by its cleared
+/// form, so the sum runs in integer arithmetic (no gcd per operation)
+/// and one exact division by Π d_v recovers it. Integer pairs get d = 1.
+ScaledWeights ClearDenominators(const VariableWeights& weights);
+
 /// Weight table indexed by VarId.
 class WeightMap {
  public:

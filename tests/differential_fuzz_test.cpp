@@ -10,7 +10,7 @@
 // the test XML so failures replay exactly.
 //
 // This suite is tier-1: instance counts and domain sizes are chosen to
-// keep it in the low seconds. The `slow` cross_engine_test sweep covers
+// keep it in the low seconds. The cross_engine_test sweep covers
 // the same FO² family against exhaustive enumeration and Skolemization.
 
 #include <gtest/gtest.h>

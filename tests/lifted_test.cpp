@@ -164,7 +164,7 @@ TEST(LiftedCompile, LiftedCompileAgreesWithCellAlgorithmAndGroundedCompile) {
 
 // Seeded random FO² sentences at small n — the same generator and sizes
 // as the tier-1 differential_fuzz suite (cell counts can be large, so
-// big n belongs to the slow cross_engine sweep).
+// big n belongs to the cross_engine sweep).
 TEST(LiftedCompile, RandomFO2SentencesAgreeAcrossAllLegs) {
   std::uint64_t base = BaseSeed();
   ::testing::Test::RecordProperty("fuzz_base_seed",

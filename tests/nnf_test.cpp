@@ -71,6 +71,32 @@ Circuit TraceCnf(const prop::CnfFormula& cnf, const WeightMap& weights,
   return builder.Finish();
 }
 
+// The same circuit with a dangling AND(x0, x0) appended outside the
+// root's cone: the root polynomial is unchanged, but the AND is not
+// decomposable, so Evaluate takes the plain rational pass instead of the
+// integer-scaled one. Comparing the two pins the scaled pass.
+Circuit WithRationalEvaluation(const Circuit& circuit) {
+  std::vector<Circuit::Node> nodes;
+  std::vector<Circuit::NodeId> edges;
+  for (Circuit::NodeId id = 0; id < circuit.node_count(); ++id) {
+    Circuit::Node node = circuit.node(id);
+    node.children_begin = static_cast<std::uint32_t>(edges.size());
+    for (Circuit::NodeId child : circuit.Children(id)) edges.push_back(child);
+    node.children_end = static_cast<std::uint32_t>(edges.size());
+    nodes.push_back(node);
+  }
+  auto literal_id = static_cast<Circuit::NodeId>(nodes.size());
+  nodes.push_back(
+      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(0, true)});
+  auto begin = static_cast<std::uint32_t>(edges.size());
+  edges.insert(edges.end(), {literal_id, literal_id});
+  nodes.push_back({.kind = NodeKind::kAnd,
+                   .children_begin = begin,
+                   .children_end = begin + 2});
+  return Circuit(circuit.variable_count(), std::move(nodes), std::move(edges),
+                 circuit.root());
+}
+
 // The per-relation weight regimes every golden entry is re-evaluated
 // under: unit (FOMC), fractional, negative (Skolemization's regime), and
 // zero — the last one only works if tracing disabled zero pruning.
@@ -199,17 +225,26 @@ TEST(Compile, RandomCnfDifferential) {
     std::string violation;
     ASSERT_TRUE(circuit.Validate(&violation)) << violation;
 
-    // Three fresh weight maps, one with forced zeros.
-    for (int regime = 0; regime < 3; ++regime) {
+    // Four fresh weight maps: one with forced zeros, one whose phases
+    // share a denominator factor (1/4 and −5/6: lcm 12, product 24).
+    Circuit rational = WithRationalEvaluation(circuit);
+    for (int regime = 0; regime < 4; ++regime) {
       WeightMap weights =
           RandomWeights(&rng, variables, /*allow_negative=*/regime != 0);
       if (regime == 2) {
         weights.Set(0, BigRational(0), BigRational(1));
         weights.Set(variables - 1, BigRational(2), BigRational(0));
       }
+      if (regime == 3) {
+        weights.Set(0, BigRational::Fraction(1, 4),
+                    BigRational::Fraction(-5, 6));
+        weights.Set(variables - 1, BigRational::Fraction(-3, 8),
+                    BigRational::Fraction(7, 12));
+      }
       DpllCounter recount(cnf, weights);
-      EXPECT_EQ(circuit.Evaluate(weights), recount.Count())
-          << "regime " << regime;
+      BigRational value = circuit.Evaluate(weights);
+      EXPECT_EQ(value, recount.Count()) << "regime " << regime;
+      EXPECT_EQ(value, rational.Evaluate(weights)) << "regime " << regime;
     }
   }
 }

@@ -1,13 +1,16 @@
 #include "wmc/dpll_counter.h"
 
+#include <iterator>
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "grounding/grounded_wfomc.h"
 #include "logic/parser.h"
+#include "nnf/circuit_builder.h"
 #include "prop/compact_cnf.h"
 #include "prop/tseitin.h"
+#include "runtime/budget.h"
 #include "test_util.h"
 #include "wmc/brute_force.h"
 #include "wmc/component_cache.h"
@@ -15,6 +18,7 @@
 namespace swfomc::wmc {
 namespace {
 
+using numeric::BigInt;
 using numeric::BigRational;
 using prop::CnfFormula;
 using prop::Literal;
@@ -290,6 +294,205 @@ TEST(DpllCounterTest, RepeatedCountReportsPerInvocationStats) {
   EXPECT_LT(second.cache_lookups, first.cache_lookups);
   EXPECT_EQ(second.cache_insertions, 0u);  // warm cache: nothing recomputed
   EXPECT_LE(second.cache_hits, second.cache_lookups);
+}
+
+// --- Denominator clearing ------------------------------------------------
+
+TEST(ClearDenominatorsTest, ScalesByTheLcmNotTheProduct) {
+  // lcm(4, 6) = 12, not 24: 1/4 → 3 and −5/6 → −10.
+  ScaledWeights scaled = ClearDenominators(
+      {BigRational::Fraction(1, 4), BigRational::Fraction(-5, 6)});
+  EXPECT_EQ(scaled.scale, BigInt(12));
+  EXPECT_EQ(scaled.positive, BigInt(3));
+  EXPECT_EQ(scaled.negative, BigInt(-10));
+}
+
+TEST(ClearDenominatorsTest, ZeroWeightContributesDenominatorOne) {
+  ScaledWeights zero_and_integer =
+      ClearDenominators({BigRational(0), BigRational(7)});
+  EXPECT_EQ(zero_and_integer.scale, BigInt(1));
+  EXPECT_EQ(zero_and_integer.positive, BigInt(0));
+  EXPECT_EQ(zero_and_integer.negative, BigInt(7));
+
+  ScaledWeights zero_and_fraction =
+      ClearDenominators({BigRational::Fraction(3, 5), BigRational(0)});
+  EXPECT_EQ(zero_and_fraction.scale, BigInt(5));
+  EXPECT_EQ(zero_and_fraction.positive, BigInt(3));
+  EXPECT_EQ(zero_and_fraction.negative, BigInt(0));
+}
+
+TEST(ClearDenominatorsTest, NegativeNumeratorsKeepTheirSign) {
+  ScaledWeights scaled = ClearDenominators(
+      {BigRational::Fraction(-2, 3), BigRational::Fraction(-1, 6)});
+  EXPECT_EQ(scaled.scale, BigInt(6));
+  EXPECT_EQ(scaled.positive, BigInt(-4));
+  EXPECT_EQ(scaled.negative, BigInt(-1));
+
+  ScaledWeights integers = ClearDenominators({BigRational(-3), BigRational(2)});
+  EXPECT_EQ(integers.scale, BigInt(1));
+  EXPECT_EQ(integers.positive, BigInt(-3));
+  EXPECT_EQ(integers.negative, BigInt(2));
+}
+
+// Weights with pairwise non-coprime denominators (so per-variable lcms
+// differ from products), mixed with zeros, negatives and integers.
+WeightMap NonCoprimeWeights(std::mt19937_64* rng, std::uint32_t variables,
+                            bool allow_negative) {
+  static const std::int64_t kPalette[][2] = {
+      {1, 4}, {-5, 6}, {0, 1}, {-3, 8}, {7, 12}, {2, 1},
+      {-1, 1}, {5, 6}, {3, 10}, {-9, 4}, {1, 15}, {4, 9}};
+  WeightMap weights(variables);
+  auto pick = [&]() {
+    while (true) {
+      const std::int64_t* w = kPalette[(*rng)() % std::size(kPalette)];
+      if (allow_negative || w[0] >= 0) return BigRational::Fraction(w[0], w[1]);
+    }
+  };
+  for (VarId v = 0; v < variables; ++v) {
+    BigRational positive = pick();
+    weights.Set(v, std::move(positive), pick());
+  }
+  return weights;
+}
+
+// Checks the count of `cnf` against brute force sequentially and on four
+// workers, untraced and traced (the traced circuit re-evaluated as well).
+void ExpectScaledCountsMatchBruteForce(const CnfFormula& cnf,
+                                       const WeightMap& weights) {
+  BigRational expected = BruteForceWMC(cnf, weights);
+  for (unsigned threads : {1u, 4u}) {
+    for (bool traced : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " traced=" + std::to_string(traced));
+      nnf::CircuitBuilder builder(cnf.variable_count);
+      DpllCounter::Options options;
+      options.num_threads = threads;
+      options.parallel_min_component_vars = 2;
+      if (traced) options.trace_sink = &builder;
+      DpllCounter counter(cnf, weights, options);
+      EXPECT_EQ(counter.Count(), expected) << cnf.ToString();
+      if (traced) {
+        EXPECT_EQ(builder.Finish().Evaluate(weights), expected);
+      }
+    }
+  }
+}
+
+TEST(DpllCounterTest, NonCoprimeDenominatorsWithZeroAndNegativeWeights) {
+  std::mt19937_64 rng(48);
+  for (int trial = 0; trial < 40; ++trial) {
+    CnfFormula cnf = RandomCnf(&rng, 9, 4 + rng() % 12, 1 + rng() % 3);
+    ExpectScaledCountsMatchBruteForce(
+        cnf, NonCoprimeWeights(&rng, 9, /*allow_negative=*/true));
+  }
+}
+
+TEST(DpllCounterTest, WeightsPastVariableCountStayOutOfTheScale) {
+  // The map covers 9 variables but the CNF only 6: the rational extras
+  // must neither count nor leak their denominators into the division.
+  std::mt19937_64 rng(49);
+  for (int trial = 0; trial < 20; ++trial) {
+    CnfFormula cnf = RandomCnf(&rng, 6, 3 + rng() % 8, 1 + rng() % 3);
+    WeightMap weights = NonCoprimeWeights(&rng, 6, /*allow_negative=*/true);
+    weights.EnsureSize(9);
+    weights.Set(6, BigRational::Fraction(1, 7), BigRational::Fraction(-2, 9));
+    weights.Set(7, BigRational::Fraction(5, 11), BigRational(0));
+    weights.Set(8, BigRational(3), BigRational::Fraction(1, 13));
+    ExpectScaledCountsMatchBruteForce(cnf, weights);
+  }
+}
+
+TEST(DpllCounterTest, RepeatedCountOnRationalWeightsIsStable) {
+  // The cache persists across Count() calls and holds scaled payloads; a
+  // second count served from it must divide back to the same value.
+  CnfFormula cnf;
+  cnf.variable_count = 16;
+  for (VarId v = 0; v + 1 < 16; ++v) {
+    cnf.clauses.push_back({Literal{v, true}, Literal{VarId(v + 1), true}});
+  }
+  std::mt19937_64 rng(50);
+  WeightMap weights = NonCoprimeWeights(&rng, 16, /*allow_negative=*/true);
+  BigRational expected = BruteForceWMC(cnf, weights);
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DpllCounter::Options options;
+    options.num_threads = threads;
+    options.parallel_min_component_vars = 2;
+    DpllCounter counter(cnf, weights, options);
+    EXPECT_EQ(counter.Count(), expected);
+    EXPECT_EQ(counter.Count(), expected);
+    EXPECT_GT(counter.stats().cache_hits, 0u);
+  }
+}
+
+TEST(DpllCounterTest, GovernedRationalBoundsBracketTheExactCount) {
+  // The bracket [0, Π(w + w̄)] is scaled with everything else, so after
+  // the root division the bounds still sandwich the exact count.
+  // Pinned exactly first: a connected two-clause CNF stopped before its
+  // first decision brackets the count by [0, Π(w + w̄)].
+  CnfFormula chain;
+  chain.variable_count = 3;
+  chain.clauses = {{Literal{0, true}, Literal{1, true}},
+                   {Literal{1, true}, Literal{2, true}}};
+  WeightMap chain_weights(3);
+  chain_weights.Set(0, BigRational::Fraction(1, 4), BigRational::Fraction(5, 6));
+  chain_weights.Set(1, BigRational::Fraction(3, 8), BigRational(2));
+  chain_weights.Set(2, BigRational(0), BigRational::Fraction(7, 12));
+  runtime::Budget stop_at_once;
+  stop_at_once.SetMaxDecisions(0);
+  DpllCounter::Options governed;
+  governed.budget = &stop_at_once;
+  DpllCounter::CountResult stopped =
+      DpllCounter(chain, chain_weights, governed).CountBounded();
+  EXPECT_EQ(stopped.outcome, DpllCounter::CountOutcome::kBounds);
+  EXPECT_EQ(stopped.value, BigRational(0));
+  EXPECT_EQ(stopped.upper, chain_weights.Get(0).Total() *
+                               chain_weights.Get(1).Total() *
+                               chain_weights.Get(2).Total());
+
+  std::mt19937_64 rng(51);
+  int bounded = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    CnfFormula cnf = RandomCnf(&rng, 14, 18 + rng() % 8, 3);
+    WeightMap weights = NonCoprimeWeights(&rng, 14, /*allow_negative=*/false);
+    BigRational exact = BruteForceWMC(cnf, weights);
+    for (std::uint64_t cap : {0u, 1u, 3u, 8u}) {
+      for (unsigned threads : {1u, 4u}) {
+        for (bool traced : {false, true}) {
+          SCOPED_TRACE("cap=" + std::to_string(cap) +
+                       " threads=" + std::to_string(threads) +
+                       " traced=" + std::to_string(traced));
+          runtime::Budget budget;
+          budget.SetMaxDecisions(cap);
+          nnf::CircuitBuilder builder(cnf.variable_count);
+          DpllCounter::Options options;
+          options.budget = &budget;
+          options.num_threads = threads;
+          options.parallel_min_component_vars = 2;
+          if (traced) options.trace_sink = &builder;
+          DpllCounter counter(cnf, weights, options);
+          DpllCounter::CountResult result = counter.CountBounded();
+          switch (result.outcome) {
+            case DpllCounter::CountOutcome::kExact:
+              EXPECT_EQ(result.value, exact);
+              EXPECT_EQ(result.upper, exact);
+              break;
+            case DpllCounter::CountOutcome::kBounds:
+              ++bounded;
+              EXPECT_FALSE(traced);
+              EXPECT_LE(result.value, exact);
+              EXPECT_LE(exact, result.upper);
+              break;
+            case DpllCounter::CountOutcome::kAborted:
+              // Only a stopped trace may abort on non-negative weights.
+              EXPECT_TRUE(traced);
+              break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(bounded, 0);  // the caps really cut searches short
 }
 
 TEST(ComponentCacheTest, LookupInsertAndCollisionHandling) {
