@@ -16,7 +16,9 @@
 // The acceptance bar for the daemon is WarmQuery >= 10x below
 // ColdProcess; BENCH_wmc.json records all three so the gap is audited
 // by every PR. A fourth row measures batching: eight weight vectors
-// answered by one request, reported as vectors/second.
+// answered by one request, reported as vectors/second, evaluated in
+// turn (WarmBatch) and fanned out over a 4-thread pool (WarmBatch
+// Pooled, the library's one use of threads).
 
 #include <benchmark/benchmark.h>
 
@@ -127,8 +129,10 @@ BENCHMARK(BM_Serve_ColdProcess_Run_Triangle)->Unit(benchmark::kMillisecond);
 
 // Batch amortization: eight reweightings of one hot circuit in a single
 // request. vectors_per_second is the number a sweep client sees.
-void BM_Serve_WarmBatch_Triangle(benchmark::State& state) {
-  Server server;
+void RunWarmBatch(benchmark::State& state, unsigned num_threads) {
+  ServerOptions options;
+  options.num_threads = num_threads;
+  Server server(options);
   server.HandleLine(kTriangleBatch);  // prime the cache
   for (auto _ : state) {
     Server::Reply reply = server.HandleLine(kTriangleBatch);
@@ -138,7 +142,20 @@ void BM_Serve_WarmBatch_Triangle(benchmark::State& state) {
       static_cast<double>(state.iterations()) * 8.0,
       benchmark::Counter::kIsRate);
 }
+
+void BM_Serve_WarmBatch_Triangle(benchmark::State& state) {
+  RunWarmBatch(state, 1);
+}
 BENCHMARK(BM_Serve_WarmBatch_Triangle)->Unit(benchmark::kMicrosecond);
+
+// The same batch over a fixed 4-thread pool; wall-clock, since the
+// evaluation runs on the workers as well as the calling thread.
+void BM_Serve_WarmBatch_Triangle_Pooled(benchmark::State& state) {
+  RunWarmBatch(state, 4);
+}
+BENCHMARK(BM_Serve_WarmBatch_Triangle_Pooled)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -1,21 +1,13 @@
 // Domain-size sweep benchmarks — the workload of the paper's experiments
 // (evaluate one sentence at every n in a range) and the motivation for
-// Engine::WFOMCSweep. Two comparisons:
+// Engine::WFOMCSweep:
 //
 //   * sweep vs. point-by-point loop on the lifted path: the sweep builds
 //     the Scott/Skolem universal form once and shares one binomial table
 //     across all points, the loop redoes both per point;
-//   * sweep thread scaling on the grounded path: sweep points are
-//     independent grounded counts and run concurrently on the pool
-//     (threads > 1 only helps on multi-core hardware; results are
-//     bit-identical everywhere).
-//
-// SWFOMC_BENCH_THREADS overrides the parallel rows' thread count
-// (default 4) — scripts/bench.sh plumbs it through.
+//   * the grounded sweep, one DPLL count per point.
 
 #include <benchmark/benchmark.h>
-
-#include <cstdlib>
 
 #include "api/engine.h"
 #include "logic/parser.h"
@@ -25,16 +17,6 @@ namespace {
 
 using swfomc::api::Engine;
 using swfomc::api::Method;
-
-unsigned BenchThreads() {
-  static unsigned threads = [] {
-    const char* env = std::getenv("SWFOMC_BENCH_THREADS");
-    if (env == nullptr || *env == '\0') return 4u;
-    unsigned value = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    return value == 0 ? 4u : value;
-  }();
-  return threads;
-}
 
 // Few 1-types, so the composition sum stays tractable up to n ≈ 48 (the
 // Table 1 sentence's extra unary predicates cap it at n ≈ 16).
@@ -73,30 +55,17 @@ BENCHMARK(BM_Sweep_Lifted_Batched)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-void RunGroundedSweep(benchmark::State& state, unsigned threads) {
+void BM_Sweep_Grounded_Sequential(benchmark::State& state) {
   std::uint64_t n_hi = static_cast<std::uint64_t>(state.range(0));
   swfomc::logic::Vocabulary vocab;
-  Engine engine(vocab, Engine::Options{threads});
+  Engine engine(vocab);
   swfomc::logic::Formula phi = engine.Parse(kGroundedSentence);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         engine.WFOMCSweep(phi, 1, n_hi, Method::kGrounded));
   }
 }
-
-void BM_Sweep_Grounded_Sequential(benchmark::State& state) {
-  RunGroundedSweep(state, 1);
-}
 BENCHMARK(BM_Sweep_Grounded_Sequential)
-    ->Arg(4)
-    ->Arg(5)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_Sweep_Grounded_Pooled(benchmark::State& state) {
-  RunGroundedSweep(state, BenchThreads());
-}
-BENCHMARK(BM_Sweep_Grounded_Pooled)
     ->Arg(4)
     ->Arg(5)
     ->Unit(benchmark::kMillisecond)

@@ -151,28 +151,6 @@ BENCHMARK(BM_Ablation_Full_Table1Large)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Thread ablation on the headline instance: num_threads is the second
-// range argument (1 = the sequential counter, no pool). Counts are
-// bit-identical across rows by construction; only wall-clock moves, and
-// it only moves on multi-core runners — on a single hardware thread the
-// parallel rows measure the pool's overhead (which the fork thresholds
-// keep small).
-void BM_Ablation_Full_Triangle_Threads(benchmark::State& state) {
-  DpllCounter::Options options = kConfigs[0].options;
-  options.num_threads = static_cast<unsigned>(state.range(1));
-  RunConfig(state, options, kWorkloads[2].sentence,
-            static_cast<std::uint64_t>(state.range(0)));
-}
-BENCHMARK(BM_Ablation_Full_Triangle_Threads)
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Args({5, 1})
-    ->Args({5, 2})
-    ->Args({5, 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();  // wall-clock, not summed per-thread CPU time
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -6,19 +6,12 @@
 # Usage: scripts/bench.sh [build-dir]
 #   BENCH_MIN_TIME=0.01 scripts/bench.sh       # CI smoke: one iteration each
 #   BENCH_OUT=/tmp/b.json scripts/bench.sh     # write elsewhere
-#   SWFOMC_BENCH_THREADS=8 scripts/bench.sh    # thread count for
-#                                              # bench_sweep's pooled rows
-#                                              # (default 4; the ablation's
-#                                              # thread rows are fixed at
-#                                              # 1/2/4; speedups need
-#                                              # multi-core hardware)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 MIN_TIME="${BENCH_MIN_TIME:-0.5}"
 OUT="${BENCH_OUT:-BENCH_wmc.json}"
-export SWFOMC_BENCH_THREADS="${SWFOMC_BENCH_THREADS:-4}"
 
 BENCHES=(bench_wmc_ablation bench_table1 bench_sweep bench_nnf
          bench_lifted_nnf bench_numeric bench_budget bench_serve
@@ -38,7 +31,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 for bench in "${BENCHES[@]}"; do
-  echo "running $bench (min_time=${MIN_TIME}s, threads=${SWFOMC_BENCH_THREADS})..."
+  echo "running $bench (min_time=${MIN_TIME}s)..."
   "$BUILD_DIR/bench/$bench" \
     --benchmark_min_time="$MIN_TIME" \
     --benchmark_out="$tmp/$bench.json" \

@@ -18,7 +18,7 @@ Rules:
     with num_cpus > 1 compares its multi-threaded rows normally. A row
     is multi-threaded when its counter/pool thread count (the trailing
     benchmark argument in `..._Threads/N/T/...` rows, or any `_Pooled`
-    sweep row) is > 1.
+    row, such as bench_serve's pooled batch) is > 1.
   * Comparison is on real_time, normalized per iteration by the
     benchmark library already; the threshold is a ratio (1.25 = +25%).
 

@@ -47,6 +47,8 @@ expect 64 "$bin" eval --out-dir d x.nnf
 expect 64 "$bin" eval --method grounded x.nnf         # the circuit kind is
 expect 64 "$bin" compile --threads 4 x.model          # fixed; thread counts
 expect 64 "$bin" eval --threads 2 x.nnf               # would be ignored
+expect 64 "$bin" run --threads 4 x.model              # counting is
+expect 64 "$bin" cnf --threads 4 x.cnf                # sequential too
 expect 64 "$bin" run --domain 3 x.model               # --domain is eval-only
 expect 64 "$bin" compile --domain 3 x.model
 expect 64 "$bin" eval --domain abc x.nnf

@@ -16,7 +16,6 @@
 #include "numeric/combinatorics.h"
 #include "prop/tseitin.h"
 #include "reductions/spectrum.h"
-#include "runtime/thread_pool.h"
 
 namespace swfomc::api {
 
@@ -335,7 +334,6 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
       }
       case Method::kGrounded: {
         wmc::DpllCounter::Options counter_options;
-        counter_options.num_threads = options_.num_threads;
         counter_options.budget = governance.budget;
         counter_options.cancel = governance.cancel;
         counter_options.fault = governance.fault;
@@ -427,18 +425,10 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
       return sweep;
     }
     case Method::kGrounded: {
-      // Sweep points are independent grounded counts, so they run
-      // concurrently on the pool (each point's counter stays sequential —
-      // cross-point parallelism already saturates the workers, and one
-      // pool level keeps the schedule simple). Exact counts are
-      // bit-identical to the sequential loop; a shared budget is charged
-      // by all points together, so which points degrade to bounds can
-      // vary with the schedule (the bracket guarantee holds per point
-      // regardless).
-      auto count_point = [this, &sentence, &governance, &scope](
-                             SweepPoint* point, unsigned point_threads) {
+      // A shared budget keeps draining across points, so later points
+      // degrade to bounds first (the bracket guarantee holds per point).
+      for (SweepPoint& point : sweep.points) {
         wmc::DpllCounter::Options counter_options;
-        counter_options.num_threads = point_threads;
         counter_options.budget = governance.budget;
         counter_options.cancel = governance.cancel;
         counter_options.fault = governance.fault;
@@ -447,36 +437,16 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
         counter_options.trace_query_id = scope.query_id;
         wmc::DpllCounter::CountResult counted =
             grounding::GroundedWFOMCBounded(sentence, vocabulary_,
-                                            point->domain_size,
+                                            point.domain_size,
                                             counter_options);
-        point->outcome = FromCounterOutcome(counted.outcome);
-        point->stop_reason = counted.stop_reason;
-        if (point->outcome == Outcome::kBounds) {
-          point->bounds =
-              BoundsResult{counted.value, std::move(counted.upper)};
-          point->value = std::move(counted.value);
-        } else if (point->outcome == Outcome::kExact) {
-          point->value = std::move(counted.value);
+        point.outcome = FromCounterOutcome(counted.outcome);
+        point.stop_reason = counted.stop_reason;
+        if (point.outcome == Outcome::kBounds) {
+          point.bounds = BoundsResult{counted.value, std::move(counted.upper)};
+          point.value = std::move(counted.value);
+        } else if (point.outcome == Outcome::kExact) {
+          point.value = std::move(counted.value);
         }
-      };
-      unsigned threads =
-          runtime::ThreadPool::ResolveThreadCount(options_.num_threads);
-      if (threads <= 1 || sweep.points.size() == 1) {
-        // Sequential across points — but forward num_threads so a
-        // single-point sweep still parallelizes *inside* the counter,
-        // exactly like the equivalent WFOMC call.
-        for (SweepPoint& point : sweep.points) {
-          count_point(&point, options_.num_threads);
-        }
-      } else {
-        runtime::ThreadPool pool(
-            threads, runtime::ThreadPool::Metrics::FromRegistry(
-                         options_.metrics));
-        runtime::TaskGroup group(&pool);
-        for (SweepPoint& point : sweep.points) {
-          group.Submit([&count_point, &point] { count_point(&point, 1); });
-        }
-        group.Wait();
       }
       for (const SweepPoint& point : sweep.points) {
         if (point.outcome == Outcome::kAborted ||

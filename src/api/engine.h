@@ -234,16 +234,10 @@ struct CompileResult {
 ///   * existentially-quantified conjunctions of distinct positive atoms
 ///     whose hypergraph is γ-acyclic to the Theorem 3.6 evaluator,
 ///   * everything else to the grounded DPLL engine.
-/// Routing never changes the answer, only the complexity — and neither
-/// does threading: every parallel configuration returns counts
-/// bit-identical to the sequential ones.
+/// Routing never changes the answer, only the complexity.
 class Engine {
  public:
   struct Options {
-    /// Worker threads for the grounded path (independent-component
-    /// solving inside the DPLL counter) and for WFOMCSweep's concurrent
-    /// sweep points. 1 = fully sequential; 0 = one per hardware thread.
-    unsigned num_threads = 1;
     /// Resource envelope for grounded searches (not owned; shared by
     /// every query — and every sweep point — issued while set). On
     /// exhaustion WFOMC/WFOMCSweep report Outcome::kBounds (or kAborted)
@@ -255,9 +249,9 @@ class Engine {
     runtime::FaultPoint* fault = nullptr;
     /// Live observability (not owned; null = disabled). The registry
     /// receives per-method route counters and is forwarded into the
-    /// DPLL counter and its pool; the trace log gets one span per
-    /// WFOMC/WFOMCSweep/Compile call (with a fresh query id) plus the
-    /// counter's progress events. Neither changes any result bit.
+    /// DPLL counter; the trace log gets one span per WFOMC/WFOMCSweep/
+    /// Compile call (with a fresh query id) plus the counter's progress
+    /// events. Neither changes any result bit.
     obs::MetricsRegistry* metrics = nullptr;
     obs::TraceLog* trace = nullptr;
   };
@@ -326,11 +320,9 @@ class Engine {
   ///     constructed once and one binomial table serves every point;
   ///   * γ-acyclic: the conjunctive query and its weight map are
   ///     extracted once;
-  ///   * grounded: sweep points are independent and run concurrently on
-  ///     the thread pool when Options::num_threads != 1.
-  /// Results are bit-identical to calling WFOMC per point, in every
-  /// threading configuration. Throws std::invalid_argument when
-  /// n_lo > n_hi.
+  ///   * grounded: one DPLL count per point, in ascending n.
+  /// Results are bit-identical to calling WFOMC per point. Throws
+  /// std::invalid_argument when n_lo > n_hi.
   SweepResult WFOMCSweep(const logic::Formula& sentence, std::uint64_t n_lo,
                          std::uint64_t n_hi, Method method = Method::kAuto);
   /// Same, with per-call resource governance (see QueryOptions).

@@ -88,7 +88,6 @@ ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
   report.domain_hi = spec.domain_hi;
 
   api::Engine::Options engine_options;
-  engine_options.num_threads = options.num_threads;
   engine_options.metrics = options.metrics;
   engine_options.trace = options.trace;
   api::Engine engine(spec.vocabulary, engine_options);
@@ -153,7 +152,6 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
   report.clauses = instance.cnf.clauses.size();
 
   wmc::DpllCounter::Options counter_options;
-  counter_options.num_threads = options.num_threads;
   counter_options.metrics = options.metrics;
   counter_options.trace = options.trace;
   runtime::Budget budget;
@@ -338,7 +336,6 @@ JsonValue ToJson(const wmc::DpllCounter::Stats& stats) {
   json.Add("unit_propagations",
            JsonValue::MakeNumber(stats.unit_propagations));
   json.Add("component_splits", JsonValue::MakeNumber(stats.component_splits));
-  json.Add("parallel_forks", JsonValue::MakeNumber(stats.parallel_forks));
   json.Add("cache_lookups", JsonValue::MakeNumber(stats.cache_lookups));
   json.Add("cache_hits", JsonValue::MakeNumber(stats.cache_hits));
   json.Add("cache_entries", JsonValue::MakeNumber(stats.cache_entries));

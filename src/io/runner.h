@@ -24,8 +24,6 @@ namespace swfomc::io {
 
 /// Execution knobs shared by every CLI subcommand.
 struct RunOptions {
-  /// Engine::Options::num_threads (1 = sequential, 0 = hardware).
-  unsigned num_threads = 1;
   /// Overrides the model's `method` directive when set (the CLI's
   /// --method flag).
   std::optional<api::Method> method_override;

@@ -24,9 +24,9 @@ namespace swfomc::obs {
 namespace internal {
 
 // Shard count for striped instruments. A power of two sized to cover
-// the pool widths this codebase uses (ThreadPool caps out well below
-// this on the target machines); more threads than shards only means
-// sharing, never incorrectness.
+// the writers this codebase runs (serve's batch-evaluation pool plus the
+// calling threads); more threads than shards only means sharing, never
+// incorrectness.
 inline constexpr std::size_t kShards = 16;
 
 // Stable per-thread shard slot, assigned round-robin on first use.

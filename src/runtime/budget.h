@@ -48,9 +48,8 @@ class CancelToken {
 /// Resource envelope for one governed computation: a wall-clock deadline,
 /// a decision-count cap, and a byte-accounted memory ceiling. All three
 /// default to unlimited; set only what should bind. The usage counters are
-/// atomic so one Budget can be shared by every worker of a parallel
-/// search (and by every point of a sweep — the envelope covers the whole
-/// query, not each subproblem).
+/// atomic so one Budget can be shared across threads and by every point of
+/// a sweep (the envelope covers the whole query, not each subproblem).
 ///
 /// The budget does not enforce anything by itself: governed code charges
 /// usage through ChargeDecisions/TryChargeBytes and polls CheckDeadline,
@@ -140,12 +139,10 @@ class Budget {
 /// computation), an action to simulate, and the 1-based ordinal of the
 /// event at which to fire. The computation calls Count(site) once per
 /// event; the call returns true exactly once, on the `fire_at`-th event
-/// at the matching site. The ordinal counter is atomic, so under a
-/// parallel search the fault still fires exactly once — at a
-/// schedule-dependent but always-valid point — which is what the TSan
-/// concurrent-cancellation tests rely on. Sequential runs fire at a fully
-/// deterministic point, which is what the differential bound tests rely
-/// on.
+/// at the matching site. The ordinal counter is atomic, so a FaultPoint
+/// shared across threads still fires exactly once. A DPLL search is
+/// sequential, so it fires at a fully deterministic point, which is what
+/// the differential bound tests rely on.
 class FaultPoint {
  public:
   enum class Site : std::uint8_t {

@@ -21,15 +21,12 @@ class TaskGroup;
 /// a caller that participates in the work instead of blocking, and no
 /// task ever dropped. The pool makes no ordering promises — callers that
 /// need determinism must combine results in a schedule-independent way
-/// (the WMC use case multiplies exact per-component counts, so any
-/// schedule yields bit-identical answers).
+/// (serve, the one user, writes each weight vector's value into its own
+/// slot of the response, so any schedule yields the same bytes).
 ///
-/// The deques share one mutex: forks in this codebase happen at coarse
-/// granularity (large residual components near the root of a DPLL search,
-/// whole sweep points), so queue traffic is a few hundred operations per
-/// second and lock contention is unmeasurable. The stealing *structure*
-/// still matters: owners resume their most recent fork (cache-warm),
-/// thieves take the oldest (largest) subproblem.
+/// The deques share one mutex: tasks in this codebase are coarse (one
+/// weight vector evaluated over a compiled circuit), so queue traffic is
+/// a few operations per vector and lock contention is unmeasurable.
 class ThreadPool {
  public:
   /// Spawns `thread_count - 1` workers; the thread calling

@@ -123,8 +123,7 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
                        std::uint64_t domain_size,
                        const std::vector<api::RelationWeights>& reweights,
                        api::Method method, const RequestBudget& envelope,
-                       unsigned num_threads, obs::MetricsRegistry* metrics,
-                       obs::TraceLog* trace) {
+                       obs::MetricsRegistry* metrics, obs::TraceLog* trace) {
   logic::Vocabulary vocabulary = base_vocabulary;
   for (const api::RelationWeights& weights : reweights) {
     // Parsing validated the names; Find cannot miss here.
@@ -132,7 +131,6 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
                           weights.positive, weights.negative);
   }
   api::Engine::Options engine_options;
-  engine_options.num_threads = num_threads;
   engine_options.metrics = metrics;
   engine_options.trace = trace;
   api::Engine engine(std::move(vocabulary), engine_options);
@@ -248,12 +246,12 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
   m_.batch_size = registry_.GetHistogram(
       "swfomc_serve_batch_size", "Weight vectors per query request");
 
-  unsigned threads = runtime::ThreadPool::ResolveThreadCount(
-      options_.num_threads == 0 ? 0 : options_.num_threads);
-  options_.num_threads = threads;
-  if (threads > 1) {
+  options_.num_threads =
+      runtime::ThreadPool::ResolveThreadCount(options_.num_threads);
+  if (options_.num_threads > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(
-        threads, runtime::ThreadPool::Metrics::FromRegistry(&registry_));
+        options_.num_threads,
+        runtime::ThreadPool::Metrics::FromRegistry(&registry_));
   }
 }
 
@@ -513,8 +511,7 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
       try {
         results[i] =
             DirectResult(vocabulary, sentence, *domain, vectors[i].reweights,
-                         method, envelope, options_.num_threads, &registry_,
-                         options_.trace);
+                         method, envelope, &registry_, options_.trace);
       } catch (const std::exception& error) {
         results[i] = MakeError(nullptr, error.what());
       }

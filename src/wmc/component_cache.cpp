@@ -53,10 +53,10 @@ void ComponentCache::Insert(ComponentKey key, std::uint64_t hash,
   ++insertions_;
   auto it = entries_.find(hash);
   if (it != entries_.end()) {
-    // Hash collision with a different key (Lookup missed), or a second
-    // worker racing us to the same key: keep the fresh entry. Same-key
-    // replacement stores the identical value — counts are determined by
-    // their keys — so this is benign either way. The refresh re-enqueues
+    // Hash collision with a different key (Lookup missed), or a repeat
+    // insert of the same key: keep the fresh entry. Same-key replacement
+    // stores the identical value — counts are determined by their keys —
+    // so this is benign either way. The refresh re-enqueues
     // the entry at the back of the eviction order: it is the newest entry
     // now, and the overflow loop below must victimize the *oldest* ones,
     // never the entry this very call just paid to store.
@@ -79,60 +79,5 @@ void ComponentCache::Insert(ComponentKey key, std::uint64_t hash,
                    Entry{std::move(key), std::move(value), entry_bytes, token});
   bytes_ += entry_bytes;
 }
-
-namespace {
-
-std::size_t RoundUpPowerOfTwo(std::size_t value) {
-  std::size_t result = 1;
-  while (result < value) result <<= 1;
-  return result;
-}
-
-}  // namespace
-
-ShardedComponentCache::ShardedComponentCache(std::size_t max_entries,
-                                             std::size_t shard_count,
-                                             bool synchronized,
-                                             std::size_t max_bytes)
-    : synchronized_(synchronized) {
-  std::size_t shards = RoundUpPowerOfTwo(shard_count == 0 ? 1 : shard_count);
-  // max_entries is a *global* bound: with fewer entries than requested
-  // shards, drop the shard count (more stripes than entries buys nothing)
-  // rather than rounding every shard up to 1 and overshooting the bound.
-  while (shards > 1 && max_entries / shards == 0) shards /= 2;
-  shard_mask_ = shards - 1;
-  std::size_t per_shard = max_entries / shards;
-  // The byte bound splits the same way; hashing spreads entries evenly
-  // enough that a per-shard slice enforces the global ceiling.
-  std::size_t bytes_per_shard = max_bytes == ComponentCache::kUnboundedBytes
-                                    ? ComponentCache::kUnboundedBytes
-                                    : max_bytes / shards;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(per_shard, bytes_per_shard));
-  }
-}
-
-#define SWFOMC_CACHE_AGGREGATE(method, type)                       \
-  type ShardedComponentCache::method() const {                     \
-    type total = 0;                                                \
-    for (const std::unique_ptr<Shard>& shard : shards_) {          \
-      std::unique_lock<std::mutex> lock(shard->mutex,              \
-                                        std::defer_lock);          \
-      if (synchronized_) lock.lock();                              \
-      total += shard->cache.method();                              \
-    }                                                              \
-    return total;                                                  \
-  }
-
-SWFOMC_CACHE_AGGREGATE(size, std::size_t)
-SWFOMC_CACHE_AGGREGATE(bytes, std::size_t)
-SWFOMC_CACHE_AGGREGATE(lookups, std::uint64_t)
-SWFOMC_CACHE_AGGREGATE(hits, std::uint64_t)
-SWFOMC_CACHE_AGGREGATE(collisions, std::uint64_t)
-SWFOMC_CACHE_AGGREGATE(insertions, std::uint64_t)
-SWFOMC_CACHE_AGGREGATE(evictions, std::uint64_t)
-
-#undef SWFOMC_CACHE_AGGREGATE
 
 }  // namespace swfomc::wmc

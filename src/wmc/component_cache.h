@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -16,10 +14,7 @@ namespace swfomc::wmc {
 /// compact literals of each active clause, clauses in ascending id order,
 /// each clause terminated by kComponentKeySeparator. Literals use global
 /// variable ids, so equal keys imply equal residual formulas *and* equal
-/// weight vectors — a key determines its weighted count. That key-determines-
-/// value property is also what makes sharing the cache between threads
-/// sound: whichever thread computes a key first, every later reader gets
-/// the same exact count.
+/// weight vectors — a key determines its weighted count.
 using ComponentKey = std::vector<std::uint32_t>;
 
 inline constexpr std::uint32_t kComponentKeySeparator = 0xFFFFFFFFu;
@@ -52,9 +47,7 @@ std::uint64_t HashComponentKey(const ComponentKey& key);
 /// entries (FIFO over *insertion or refresh* time: an entry replaced in
 /// place counts as fresh and moves to the back of the eviction queue, so
 /// a just-refreshed entry can never be evicted by its own insertion's
-/// overflow handling). Unsynchronized; this is one shard of a
-/// ShardedComponentCache (or the whole cache in the single-threaded
-/// counter).
+/// overflow handling). Unsynchronized: each DpllCounter owns one.
 ///
 /// Byte accounting covers what the cache actually owns per entry: the
 /// packed key's word buffer, the BigRational payload's limb buffers, and
@@ -81,10 +74,8 @@ class ComponentCache {
 
   /// Returns the cached count for `key`, or nullptr on a miss. A hash
   /// match with a different stored key counts as a collision and a miss.
-  /// The pointer is valid until the next Insert — fine single-threaded;
-  /// the synchronized sharded front copies it out under the shard lock
-  /// instead of exposing it. Defined inline: this is the hottest call in
-  /// the whole counter (~1 probe per search node).
+  /// The pointer is valid until the next Insert. Defined inline: this is
+  /// the hottest call in the whole counter (~1 probe per search node).
   const numeric::BigRational* Lookup(const ComponentKey& key,
                                      std::uint64_t hash) {
     ++lookups_;
@@ -149,83 +140,6 @@ class ComponentCache {
   std::uint64_t collisions_ = 0;
   std::uint64_t insertions_ = 0;
   std::uint64_t evictions_ = 0;
-};
-
-/// Mutex-striped sharded front for ComponentCache: the hash's top bits
-/// pick a shard, and each shard pairs its own mutex with its own bounded
-/// table, so concurrent workers contend only when they touch the same
-/// stripe. Constructed unsynchronized for the single-threaded counter, in
-/// which case the locks are skipped entirely and shard 0 behaves exactly
-/// like the PR-2 cache.
-class ShardedComponentCache {
- public:
-  /// `max_entries` and `max_bytes` are global bounds, split evenly across
-  /// shards. `shard_count` is rounded up to a power of two (so shard
-  /// selection is a mask); `synchronized` false elides all locking.
-  ShardedComponentCache(std::size_t max_entries, std::size_t shard_count,
-                        bool synchronized,
-                        std::size_t max_bytes = ComponentCache::kUnboundedBytes);
-
-  /// Copies the cached count into `*value` (reusing its capacity) and
-  /// returns true on a hit. Works in both configurations; under
-  /// synchronization the copy happens inside the shard lock, which is
-  /// what makes concurrent eviction safe.
-  bool Lookup(const ComponentKey& key, std::uint64_t hash,
-              numeric::BigRational* value) {
-    Shard& shard = ShardFor(hash);
-    std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-    if (synchronized_) lock.lock();
-    const numeric::BigRational* hit = shard.cache.Lookup(key, hash);
-    if (hit == nullptr) return false;
-    *value = *hit;  // copied inside the lock; eviction can't invalidate it
-    return true;
-  }
-  void Insert(ComponentKey key, std::uint64_t hash,
-              numeric::BigRational value) {
-    Shard& shard = ShardFor(hash);
-    std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-    if (synchronized_) lock.lock();
-    shard.cache.Insert(std::move(key), hash, std::move(value));
-  }
-
-  bool synchronized() const { return synchronized_; }
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// The underlying table when there is exactly one unsynchronized shard
-  /// (the sequential counter's configuration), else nullptr. Lets the hot
-  /// probe loop skip the shard-selection indirection entirely.
-  ComponentCache* LocalShard() {
-    if (synchronized_ || shards_.size() != 1) return nullptr;
-    return &shards_.front()->cache;
-  }
-
-  /// Aggregated counters (sums over shards). Safe to call concurrently
-  /// with Lookup/Insert only in the synchronized configuration.
-  std::size_t size() const;
-  std::size_t bytes() const;
-  std::uint64_t lookups() const;
-  std::uint64_t hits() const;
-  std::uint64_t collisions() const;
-  std::uint64_t insertions() const;
-  std::uint64_t evictions() const;
-
- private:
-  struct Shard {
-    Shard(std::size_t max_entries, std::size_t max_bytes)
-        : cache(max_entries, max_bytes) {}
-    mutable std::mutex mutex;
-    ComponentCache cache;
-  };
-
-  Shard& ShardFor(std::uint64_t hash) {
-    // Top bits: the unordered_map inside the shard consumes the low bits,
-    // so shard selection and bucket selection stay independent.
-    return *shards_[(hash >> 48) & shard_mask_];
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t shard_mask_;
-  bool synchronized_;
 };
 
 }  // namespace swfomc::wmc

@@ -19,29 +19,11 @@ using prop::MakeLit;
 using prop::NegateLit;
 using prop::VarId;
 
-// Cache stripes in parallel mode: enough that workers rarely collide on a
-// mutex, few enough that the per-shard FIFO bound stays meaningful.
-constexpr std::size_t kParallelCacheShards = 16;
-
-// Fork budget per Count() as a multiple of the worker count: bounds the
-// total trail-snapshot/scratch cost while leaving plenty of tasks to
-// steal. Once spent, the search continues sequentially in every branch.
-constexpr std::uint64_t kForksPerThread = 32;
-
 // Live-metrics flush cadence in decisions (must be a power of two): a
 // relaxed fetch_add per counter every this many decisions, so the
 // enabled-mode amortized cost stays far below one increment per
 // decision.
 constexpr std::uint64_t kLiveFlushInterval = 4096;
-
-// Adds the search-side counters (cache counters come from the cache).
-void AddSearchStats(DpllCounter::Stats* into, const DpllCounter::Stats& from) {
-  into->decisions += from.decisions;
-  into->unit_propagations += from.unit_propagations;
-  into->component_splits += from.component_splits;
-  into->parallel_forks += from.parallel_forks;
-  into->aborted_subtrees += from.aborted_subtrees;
-}
 
 }  // namespace
 
@@ -124,27 +106,16 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
     : cnf_(std::move(cnf)),
       weights_(std::move(weights)),
       options_(options),
-      // Parallelism forks independent components, so it needs
-      // decomposition on; without it the counter stays sequential. A
-      // trace sink also forces sequential: circuit nodes are emitted in
-      // construction order and the trace memo is unsynchronized.
-      effective_threads_(
-          options.use_components && options.trace_sink == nullptr
-              ? runtime::ThreadPool::ResolveThreadCount(options.num_threads)
-              : 1),
       governed_(options.budget != nullptr || options.cancel != nullptr ||
                 options.fault != nullptr),
       observed_(options.metrics != nullptr || options.trace != nullptr),
       // A budget's memory ceiling caps the cache bytes too (the cache is
       // the dominant allocation); the tighter of the two bounds wins.
       cache_(options.max_cache_entries,
-             effective_threads_ > 1 ? kParallelCacheShards : 1,
-             /*synchronized=*/effective_threads_ > 1,
              options.budget != nullptr
                  ? std::min<std::size_t>(options.max_cache_bytes,
                                          options.budget->max_memory_bytes())
-                 : options.max_cache_bytes),
-      local_cache_(cache_.LocalShard()) {
+                 : options.max_cache_bytes) {
   weights_.EnsureSize(cnf_.variable_count);
   // Clear denominators once: every term the search sums carries exactly
   // one weight factor per counted variable (a decision or implied
@@ -166,8 +137,6 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
     live_.component_splits = r->GetCounter(
         "swfomc_dpll_component_splits_total",
         "Residuals that split into >1 component");
-    live_.parallel_forks = r->GetCounter("swfomc_dpll_parallel_forks_total",
-                                         "Components forked to the pool");
     live_.cache_lookups = r->GetCounter("swfomc_dpll_cache_lookups_total",
                                         "Component-cache probes");
     live_.cache_hits = r->GetCounter("swfomc_dpll_cache_hits_total",
@@ -186,7 +155,6 @@ void DpllCounter::FlushLiveStats(SearchContext* ctx) {
     live_.decisions->Add(now.decisions - last.decisions);
     live_.propagations->Add(now.unit_propagations - last.unit_propagations);
     live_.component_splits->Add(now.component_splits - last.component_splits);
-    live_.parallel_forks->Add(now.parallel_forks - last.parallel_forks);
   }
   last = now;
   if (options_.trace != nullptr &&
@@ -239,8 +207,7 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
   SnapshotCacheBaseline();
   trace_cache_.clear();
   trace_cache_stats_ = Stats{};
-  forks_spawned_.store(0, std::memory_order_relaxed);
-  stop_.store(runtime::StopReason::kNone, std::memory_order_relaxed);
+  stop_ = runtime::StopReason::kNone;
   bounds_sound_ = true;
   if (governed_) {
     // The [0, mass] bracket needs every weight non-negative; scanned once
@@ -270,13 +237,6 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     total_weight_.reserve(cnf_.variable_count);
     for (VarId v = 0; v < cnf_.variable_count; ++v) {
       total_weight_.push_back(weights_.Get(v).Total());
-    }
-    if (effective_threads_ > 1) {
-      pool_ = std::make_unique<runtime::ThreadPool>(
-          effective_threads_,
-          runtime::ThreadPool::Metrics::FromRegistry(options_.metrics));
-      fork_budget_ = static_cast<std::uint64_t>(effective_threads_) *
-                     kForksPerThread;
     }
     InitContext(&root);
     root.trail.emplace(&compact_);
@@ -320,19 +280,18 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     if (sink != nullptr) trace_root = sink->And(children);
     return result.Finish();
   }();
-  pool_.reset();
   // The one division undoing the constructor's scaling; a positive scale
   // keeps the bounds ordered.
   const BigRational scale(weight_scale_);
   result.value /= scale;
   result.upper /= scale;
-  MergeContextStats(root.stats);
+  stats_ = root.stats;  // search counters; FinalizeStats adds the cache's
   if (observed_) FlushLiveStats(&root);
   FinalizeStats();
   if (sink != nullptr) sink->Root(trace_root);
 
   CountResult out;
-  out.stop_reason = stop_.load(std::memory_order_relaxed);
+  out.stop_reason = stop_;
   if (out.stop_reason == runtime::StopReason::kNone) {
     // Never stopped — exact even if governed. (A stop that fired after
     // the last decision still unwound through brackets, so result.exact
@@ -361,10 +320,6 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
   out.value = std::move(result.value);
   out.upper = std::move(result.upper);
   return out;
-}
-
-void DpllCounter::MergeContextStats(const Stats& stats) {
-  AddSearchStats(&stats_, stats);
 }
 
 void DpllCounter::SnapshotCacheBaseline() {
@@ -457,7 +412,7 @@ DpllCounter::NodeResult DpllCounter::CountResidual(
       if (trace_children != nullptr) trace_children->push_back(node);
     } else {
       if (components.size() > 1) ++ctx->stats.component_splits;
-      result.Multiply(CountComponents(ctx, &components, trace_children));
+      result.Multiply(CountComponents(ctx, components, trace_children));
     }
   }
   // Recycle the id-span buffers for later search nodes.
@@ -471,87 +426,24 @@ DpllCounter::NodeResult DpllCounter::CountResidual(
   return result.Finish();
 }
 
-bool DpllCounter::ShouldFork(const Component& component) {
-  if (pool_ == nullptr) return false;
-  if (component.variables.size() < options_.parallel_min_component_vars) {
-    return false;
-  }
-  // Claim a fork slot; on overshoot give it back — the budget is a soft
-  // bound on snapshot overhead, not a correctness constraint.
-  if (forks_spawned_.fetch_add(1, std::memory_order_relaxed) >=
-      fork_budget_) {
-    forks_spawned_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 DpllCounter::NodeResult DpllCounter::CountComponents(
-    SearchContext* ctx, std::vector<Component>* components,
+    SearchContext* ctx, const std::vector<Component>& components,
     std::vector<TraceSink::NodeId>* trace_children) {
-  if (pool_ == nullptr || components->size() < 2) {
-    // Tracing always lands here (a trace sink forces one thread, so
-    // pool_ is null) and must visit every component even after a zero
-    // factor — the AND node needs all its children.
-    BoundsAccumulator result;
-    result.SetOne();
-    for (const Component& component : *components) {
-      TraceSink::NodeId node = TraceSink::kNoNode;
-      result.Multiply(CountComponentCached(
-          ctx, component, trace_children != nullptr ? &node : nullptr));
-      if (trace_children != nullptr) {
-        trace_children->push_back(node);
-      } else if (result.IsZero()) {
-        break;
-      }
-    }
-    return result.Finish();
-  }
-  // Fork the large components, solve the rest inline while the workers
-  // run, and multiply everything in component order afterwards. Each fork
-  // captures a snapshot of the trail *now* — the inline solving below
-  // pushes and pops decisions on ctx->trail, so a later copy would see a
-  // mid-branch assignment.
-  std::size_t count = components->size();
-  std::vector<NodeResult> values(count);
-  std::vector<Stats> fork_stats(count);
-  std::vector<char> is_forked(count, 0);
-  runtime::TaskGroup group(pool_.get());
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!ShouldFork((*components)[i])) continue;
-    is_forked[i] = 1;
-    ++ctx->stats.parallel_forks;
-    group.Submit([this, i, components, &values, &fork_stats,
-                  snapshot = *ctx->trail]() mutable {
-      SearchContext child;
-      InitContext(&child);
-      child.trail.emplace(std::move(snapshot));
-      values[i] = CountComponentCached(&child, (*components)[i], nullptr);
-      fork_stats[i] = child.stats;
-      if (observed_) FlushLiveStats(&child);
-    });
-  }
-  // Forked tasks observe the shared stop flag (they run on `this`, and
-  // every decision checks it), so a governed stop winds them down within
-  // one check interval. The inline work can additionally short-circuit:
-  // after one exactly-zero factor the product is zero no matter what the
-  // siblings count.
-  bool zero_seen = false;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!is_forked[i] && !zero_seen) {
-      values[i] = CountComponentCached(ctx, (*components)[i], nullptr);
-      zero_seen = values[i].exact && values[i].value.IsZero();
-    }
-  }
-  group.Wait();
+  // Tracing must visit every component even after a zero factor — the
+  // AND node needs all its children.
   BoundsAccumulator result;
   result.SetOne();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (is_forked[i]) AddSearchStats(&ctx->stats, fork_stats[i]);
-    if (zero_seen) continue;  // skipped inline slots hold no real count
-    result.Multiply(values[i]);
+  for (const Component& component : components) {
+    TraceSink::NodeId node = TraceSink::kNoNode;
+    result.Multiply(CountComponentCached(
+        ctx, component, trace_children != nullptr ? &node : nullptr));
+    if (trace_children != nullptr) {
+      trace_children->push_back(node);
+    } else if (result.IsZero()) {
+      break;
+    }
   }
-  return zero_seen ? NodeResult{} : result.Finish();
+  return result.Finish();
 }
 
 DpllCounter::NodeResult DpllCounter::CountComponentCached(
@@ -612,17 +504,8 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
   }
   if (!options_.use_cache) return BranchOnComponent(ctx, component, nullptr);
   std::uint64_t hash = PackKey(ctx, component);
-  if (local_cache_ != nullptr) {
-    // Sequential configuration: probe the single shard directly, exactly
-    // the pre-sharding fast path (one hashtable find, zero copies).
-    if (const BigRational* hit = local_cache_->Lookup(ctx->key_scratch,
-                                                      hash)) {
-      return NodeResult{*hit, BigRational(), true};
-    }
-  } else if (cache_.Lookup(ctx->key_scratch, hash, &ctx->cached_value)) {
-    // Copy-out under the shard lock (another worker may evict the entry),
-    // into per-context scratch so a miss costs no allocation.
-    return NodeResult{ctx->cached_value, BigRational(), true};
+  if (const BigRational* hit = cache_.Lookup(ctx->key_scratch, hash)) {
+    return NodeResult{*hit, BigRational(), true};
   }
   // Copy the scratch key out before recursing (nested lookups reuse it).
   ComponentKey key = ctx->key_scratch;
@@ -635,8 +518,6 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
       // Simulated allocation failure on this insertion: skip the insert
       // and stop the search; the already-computed value is still exact.
       RequestStop(options_.fault->reason());
-    } else if (local_cache_ != nullptr) {
-      local_cache_->Insert(std::move(key), hash, result.value);
     } else {
       cache_.Insert(std::move(key), hash, result.value);
     }
@@ -645,16 +526,15 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
 }
 
 runtime::StopReason DpllCounter::CheckStop(SearchContext* ctx) {
-  runtime::StopReason stopped = stop_.load(std::memory_order_relaxed);
-  if (stopped != runtime::StopReason::kNone) return stopped;
+  if (stop_ != runtime::StopReason::kNone) return stop_;
   if (options_.fault != nullptr &&
       options_.fault->Count(runtime::FaultPoint::Site::kDecision)) {
     RequestStop(options_.fault->reason());
-    return stop_.load(std::memory_order_relaxed);
+    return stop_;
   }
   if (options_.cancel != nullptr && options_.cancel->IsCancelled()) {
     RequestStop(runtime::StopReason::kCancelled);
-    return stop_.load(std::memory_order_relaxed);
+    return stop_;
   }
   if (options_.budget != nullptr) {
     // The decision cap is charged exactly (a cap of K permits exactly K
@@ -668,15 +548,14 @@ runtime::StopReason DpllCounter::CheckStop(SearchContext* ctx) {
     }
     if (reason != runtime::StopReason::kNone) {
       RequestStop(reason);
-      return stop_.load(std::memory_order_relaxed);
+      return stop_;
     }
   }
   return runtime::StopReason::kNone;
 }
 
 void DpllCounter::RequestStop(runtime::StopReason reason) {
-  runtime::StopReason expected = runtime::StopReason::kNone;
-  stop_.compare_exchange_strong(expected, reason, std::memory_order_relaxed);
+  if (stop_ == runtime::StopReason::kNone) stop_ = reason;
 }
 
 DpllCounter::NodeResult DpllCounter::BracketComponent(
@@ -696,8 +575,8 @@ DpllCounter::NodeResult DpllCounter::BracketComponent(
 DpllCounter::NodeResult DpllCounter::BranchOnComponent(
     SearchContext* ctx, const Component& component,
     TraceSink::NodeId* trace_node) {
-  // The per-decision governance checkpoint: once a stop is requested (by
-  // this worker or any other), the whole remaining subtree collapses to
+  // The per-decision governance checkpoint: once a stop is requested, the
+  // whole remaining subtree collapses to
   // its bracket and the recursion unwinds without further decisions.
   if (governed_ && CheckStop(ctx) != runtime::StopReason::kNone) {
     return BracketComponent(ctx, component);

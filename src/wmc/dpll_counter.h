@@ -1,7 +1,6 @@
 #ifndef SWFOMC_WMC_DPLL_COUNTER_H_
 #define SWFOMC_WMC_DPLL_COUNTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "prop/cnf.h"
 #include "prop/compact_cnf.h"
 #include "runtime/budget.h"
-#include "runtime/thread_pool.h"
 #include "wmc/component_cache.h"
 #include "wmc/trace.h"
 #include "wmc/trail.h"
@@ -35,15 +33,12 @@ namespace swfomc::wmc {
 /// discovered by DFS over the occurrence lists restricted to unassigned
 /// variables and memoized in a bounded hashed component cache.
 ///
-/// With `Options::num_threads > 1` the counter solves independent
-/// components in parallel on a work-stealing pool: components found at a
-/// decision node are variable-disjoint subproblems whose counts multiply,
-/// so large ones are forked to other workers (each with its own trail and
-/// scratch state, seeded from a snapshot of the parent's assignment) while
-/// the cache is shared through a mutex-striped sharded table. Because
-/// every cached value is the exact count determined by its key, the
-/// result is bit-identical to the sequential count on every schedule —
-/// parallelism changes wall-clock and Stats, never the answer.
+/// The search is strictly sequential, like Cachet and sharpSAT: one
+/// trail, one scratch context and one unsynchronized cache per counter,
+/// so the count, the Stats and a traced circuit are deterministic
+/// functions of the CNF, the weights, the options and the cache's state.
+/// Components found at a decision node are variable-disjoint subproblems
+/// whose counts multiply; they are counted one after another.
 ///
 /// Counts are over *all* variables in [0, cnf.variable_count): a variable
 /// not constrained by any clause contributes a factor (w + w̄). Negative
@@ -54,7 +49,7 @@ namespace swfomc::wmc {
 /// nnf::Circuit::Evaluate's integer path).
 ///
 /// The search can be resource-governed (`Options::budget` / `cancel` /
-/// `fault`): every worker checks for a stop once per decision and, on
+/// `fault`): the search checks for a stop once per decision and, on
 /// exhaustion, winds down cooperatively — explored branches keep their
 /// exact mass, abandoned subtrees are bracketed, and CountBounded()
 /// returns certified anytime bounds instead of an answer-or-hang.
@@ -68,22 +63,13 @@ class DpllCounter {
     bool use_cache = true;
     /// Cache entry bound; the oldest entries are evicted past it.
     std::size_t max_cache_entries = std::size_t{1} << 20;
-    /// Worker threads for independent-component solving. 1 = fully
-    /// sequential (no pool, no locking); 0 = one per hardware thread.
-    /// Requires use_components (without decomposition there is nothing
-    /// independent to fork); ignored otherwise.
-    unsigned num_threads = 1;
-    /// A component is forked to the pool only when it still has at least
-    /// this many unassigned variables; smaller ones are solved inline,
-    /// since a fork costs a trail snapshot plus fresh scratch state.
-    std::uint32_t parallel_min_component_vars = 16;
     /// When set, Count() emits its search DAG into the sink as a d-DNNF
-    /// circuit (see wmc/trace.h). Tracing forces the search sequential,
-    /// replaces the bounded component cache with an unbounded trace memo
-    /// (cache hits must stay resolvable to circuit nodes), skips the
-    /// single-clause closed form, and disables every zero-weight pruning
-    /// shortcut so the circuit is valid for all weight vectors — the
-    /// returned count is still bit-identical to an untraced Count().
+    /// circuit (see wmc/trace.h). Tracing replaces the bounded component
+    /// cache with an unbounded trace memo (cache hits must stay
+    /// resolvable to circuit nodes), skips the single-clause closed form,
+    /// and disables every zero-weight pruning shortcut so the circuit is
+    /// valid for all weight vectors — the returned count is still
+    /// bit-identical to an untraced Count().
     TraceSink* trace_sink = nullptr;
     /// Byte bound on the component cache's resident size (keys + rational
     /// payloads + per-entry overhead); eviction is driven by whichever of
@@ -95,16 +81,16 @@ class DpllCounter {
     /// cooperatively and CountBounded() reports bounds or an abort
     /// instead of spinning. null = ungoverned.
     runtime::Budget* budget = nullptr;
-    /// Cooperative cancellation (not owned). Polled once per decision by
-    /// every worker, including pool-forked component tasks.
+    /// Cooperative cancellation (not owned). Polled once per decision;
+    /// safe to cancel from another thread.
     runtime::CancelToken* cancel = nullptr;
     /// Deterministic fault injection for tests (not owned): fires
     /// cancellation or a simulated allocation failure at the K-th
     /// decision / cache insertion. null in production.
     runtime::FaultPoint* fault = nullptr;
     /// Live metrics registry (not owned; null = disabled). Counters are
-    /// bridged from Stats without changing counting semantics: each
-    /// worker flushes its deltas every 4096 decisions and once at the
+    /// bridged from Stats without changing counting semantics: the
+    /// search flushes its deltas every 4096 decisions and once at the
     /// end of every Count(); cache counters publish per invocation at
     /// finalization. Disabled cost is one predictable branch per
     /// decision.
@@ -122,7 +108,6 @@ class DpllCounter {
     std::uint64_t decisions = 0;
     std::uint64_t unit_propagations = 0;
     std::uint64_t component_splits = 0;
-    std::uint64_t parallel_forks = 0;
     /// Subtrees replaced by a [0, mass] bracket after the search stopped.
     std::uint64_t aborted_subtrees = 0;
     std::uint64_t cache_lookups = 0;
@@ -162,10 +147,9 @@ class DpllCounter {
   DpllCounter(prop::CnfFormula cnf, WeightMap weights);
   DpllCounter(prop::CnfFormula cnf, WeightMap weights, Options options);
 
-  /// Weighted model count; deterministic and exact — bit-identical across
-  /// every num_threads setting and schedule. Throws std::runtime_error if
-  /// a governed run stops before the count is exact (use CountBounded()
-  /// to consume anytime results).
+  /// Weighted model count; deterministic and exact. Throws
+  /// std::runtime_error if a governed run stops before the count is exact
+  /// (use CountBounded() to consume anytime results).
   numeric::BigRational Count();
 
   /// Weighted model count under the Options resource envelope; never
@@ -177,9 +161,8 @@ class DpllCounter {
   CountResult CountBounded();
 
   /// Search and cache counters, finalized on every return path of
-  /// Count(). Counts (decisions, propagations, splits) vary with the
-  /// schedule in parallel runs — shared cache hits change which subtrees
-  /// are explored — but always satisfy the invariants
+  /// Count(). Deterministic: the same CNF, weights, options and cache
+  /// state give the same counters on every run. They satisfy
   /// cache_hits <= cache_lookups and cache_evictions <= cache_insertions.
   const Stats& stats() const { return stats_; }
 
@@ -225,18 +208,15 @@ class DpllCounter {
     bool exact = true;
   };
 
-  /// Everything one worker needs to run the search: its own trail, its
-  /// own epoch-stamped scratch, and its own counters. The sequential
-  /// counter uses exactly one of these; every parallel fork builds a
-  /// fresh one seeded with a snapshot of the forking trail, so workers
-  /// share only the read-only CompactCnf/weights and the striped cache.
+  /// The search state of one Count(): its trail, its epoch-stamped
+  /// scratch, and its counters, rebuilt at every Count().
   struct SearchContext {
     std::optional<Trail> trail;
     Stats stats;
     // Search counters already pushed to the live metrics registry;
     // FlushLiveStats publishes stats - flushed and advances this.
     Stats flushed;
-    // Per-worker tick counter amortizing the deadline check (the clock is
+    // Tick counter amortizing the deadline check (the clock is
     // read every 64 decisions, starting with the first).
     std::uint64_t governance_ticks = 0;
 
@@ -250,12 +230,10 @@ class DpllCounter {
     std::vector<std::uint32_t> score_stamp;
     std::vector<std::uint64_t> score;
 
-    // Buffer pools: component id-spans, cache keys, and the synchronized
-    // lookup's copy target are recycled across search nodes instead of
-    // reallocated (a fresh BigRational per probe is a malloc per probe).
+    // Buffer pools: component id-spans and cache keys are recycled
+    // across search nodes instead of reallocated.
     std::vector<Component> component_pool;
     ComponentKey key_scratch;
-    numeric::BigRational cached_value;
 
     // Depth-indexed node scratch (AcquireScratch/ReleaseScratch) and the
     // component-DFS work stack, both reused across all search nodes.
@@ -278,7 +256,7 @@ class DpllCounter {
   // variables) and `parent_clauses` (sorted ids of the clauses that could
   // still be active), assuming unit propagation has reached fixpoint:
   // splits into components, counts free variables as (w + w̄), and
-  // multiplies the per-component counts (possibly in parallel).
+  // multiplies the per-component counts.
   //
   // The trace_* out-parameters are non-null exactly when tracing: the
   // residual/component entry points append the circuit nodes of their
@@ -288,11 +266,9 @@ class DpllCounter {
       SearchContext* ctx, const std::vector<prop::VarId>& candidates,
       const std::vector<std::uint32_t>& parent_clauses,
       std::vector<TraceSink::NodeId>* trace_children);
-  // Multiplies the component counts, forking large components onto the
-  // pool; `ctx`'s trail is snapshotted per fork before any inline solving
-  // mutates it.
+  // Multiplies the component counts, in component order.
   NodeResult CountComponents(
-      SearchContext* ctx, std::vector<Component>* components,
+      SearchContext* ctx, const std::vector<Component>& components,
       std::vector<TraceSink::NodeId>* trace_children);
   NodeResult CountComponentCached(SearchContext* ctx,
                                   const Component& component,
@@ -306,7 +282,7 @@ class DpllCounter {
   // charges the budget (decision cap exactly; deadline every 64 ticks).
   // kNone means keep searching. Only called when governed_.
   runtime::StopReason CheckStop(SearchContext* ctx);
-  // Publishes a stop reason to every worker; the first reason wins.
+  // Records a stop reason for the rest of the search; the first wins.
   void RequestStop(runtime::StopReason reason);
   // The [0, Π unassigned (w + w̄)] bracket standing in for `component`'s
   // abandoned subtree.
@@ -328,11 +304,6 @@ class DpllCounter {
   // 64-bit hash.
   std::uint64_t PackKey(SearchContext* ctx, const Component& component);
 
-  // True when `component` should be handed to the pool rather than solved
-  // inline (pool available, component large enough, spawn budget left).
-  bool ShouldFork(const Component& component);
-  // Folds a finished context's search counters into stats_.
-  void MergeContextStats(const Stats& stats);
   // Publishes cache counters into stats_; called on every Count() return.
   // The cache itself persists across Count() calls, so counters are
   // reported relative to the baseline snapshotted at Count() entry —
@@ -340,9 +311,9 @@ class DpllCounter {
   void SnapshotCacheBaseline();
   void FinalizeStats();
 
-  // Publishes a worker's search-counter deltas to the live registry and
-  // emits one progress trace event (when sampled). Called every 4096
-  // decisions and once per context at the end of the search; never
+  // Publishes the search-counter deltas to the live registry and emits
+  // one progress trace event (when sampled). Called every 4096 decisions
+  // and once at the end of the search; never
   // called when observability is off (observed_ == false).
   void FlushLiveStats(SearchContext* ctx);
 
@@ -355,7 +326,6 @@ class DpllCounter {
   WeightMap weights_;
   numeric::BigInt weight_scale_{1};
   Options options_;
-  unsigned effective_threads_;
   // True when any of budget/cancel/fault is set; the sole per-decision
   // cost on ungoverned runs is this one predictable branch.
   bool governed_;
@@ -368,7 +338,6 @@ class DpllCounter {
     obs::Counter* decisions = nullptr;
     obs::Counter* propagations = nullptr;
     obs::Counter* component_splits = nullptr;
-    obs::Counter* parallel_forks = nullptr;
     obs::Counter* cache_lookups = nullptr;
     obs::Counter* cache_hits = nullptr;
     obs::Counter* cache_insertions = nullptr;
@@ -379,22 +348,12 @@ class DpllCounter {
   // once per governed Count(). With negative weights a stop degrades to
   // kAborted.
   bool bounds_sound_ = true;
-  // The stop requested for the current Count(), observed by every worker
-  // (including pool forks, which share `this`). kNone while running.
-  std::atomic<runtime::StopReason> stop_{runtime::StopReason::kNone};
+  // The stop requested for the current Count(); kNone while running.
+  runtime::StopReason stop_ = runtime::StopReason::kNone;
   Stats stats_;
-  ShardedComponentCache cache_;
-  // cache_'s single shard in the sequential configuration (nullptr when
-  // parallel): the hot probe path skips shard selection through it.
-  ComponentCache* local_cache_;
+  ComponentCache cache_;
   // Cache counter values at Count() entry (see FinalizeStats).
   Stats cache_baseline_;
-
-  // Parallel execution state; pool_ exists only while a parallel Count()
-  // is running.
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  std::atomic<std::uint64_t> forks_spawned_{0};
-  std::uint64_t fork_budget_ = 0;
 
   // Search state, rebuilt by Count().
   prop::CompactCnf compact_;

@@ -4,7 +4,7 @@
 // explored prefix's exact mass plus the [0, free-mass] brackets of the
 // abandoned subtrees must produce certified lower <= exact <= upper —
 // and a budget generous enough to finish must reproduce the ungoverned
-// count bit for bit, in every threading configuration.
+// count bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -182,7 +182,8 @@ TEST(BudgetBounds, BracketExactForEveryInjectedCutoff) {
   for (int round = 0; round < 6; ++round) {
     Instance instance = MakeInstance(base + round, 13, 22);
     BigRational exact = ExactCount(instance);
-    for (std::uint64_t cutoff : {0u, 1u, 2u, 3u, 5u, 8u, 13u, 21u, 64u}) {
+    for (std::uint64_t cutoff :
+         {0u, 1u, 2u, 3u, 4u, 5u, 8u, 13u, 16u, 21u, 64u}) {
       Budget budget;
       budget.SetMaxDecisions(cutoff);
       DpllCounter::Options options;
@@ -199,7 +200,7 @@ TEST(BudgetBounds, FaultInjectedCancellationBracketsExact) {
   for (int round = 0; round < 4; ++round) {
     Instance instance = MakeInstance(base + round, 12, 20);
     BigRational exact = ExactCount(instance);
-    for (std::uint64_t fire_at : {1u, 2u, 4u, 7u}) {
+    for (std::uint64_t fire_at : {1u, 2u, 4u, 7u, 8u}) {
       FaultPoint fault(FaultPoint::Site::kDecision,
                        FaultPoint::Action::kCancel, fire_at);
       DpllCounter::Options options;
@@ -257,66 +258,17 @@ TEST(BudgetBounds, GenerousBudgetIsBitIdenticalToUngoverned) {
   for (int round = 0; round < 4; ++round) {
     Instance instance = MakeInstance(base + round, 13, 22);
     BigRational exact = ExactCount(instance);
-    for (unsigned threads : {1u, 4u}) {
-      Budget budget;
-      budget.SetMaxDecisions(std::uint64_t{1} << 40);
-      budget.SetWallClockMs(600'000);
-      DpllCounter::Options options;
-      options.budget = &budget;
-      options.num_threads = threads;
-      options.parallel_min_component_vars = 2;
-      CountResult result = CountWithOptions(instance, options);
-      ASSERT_EQ(result.outcome, CountOutcome::kExact)
-          << "threads=" << threads;
-      EXPECT_EQ(result.value, exact);
-      // Bit-identical, not just numerically equal.
-      EXPECT_EQ(result.value.ToString(), exact.ToString());
-      EXPECT_EQ(result.stop_reason, StopReason::kNone);
-    }
-  }
-}
-
-TEST(BudgetBounds, ParallelStopsStillBracketExact) {
-  const std::uint64_t base = testutil::FuzzBaseSeed(7106);
-  for (int round = 0; round < 3; ++round) {
-    Instance instance = MakeInstance(base + round, 14, 24);
-    BigRational exact = ExactCount(instance);
-    for (std::uint64_t cutoff : {1u, 4u, 16u}) {
-      // With workers racing, the stop lands at a schedule-dependent
-      // point — the bracket must hold wherever it lands.
-      Budget budget;
-      budget.SetMaxDecisions(cutoff);
-      DpllCounter::Options options;
-      options.budget = &budget;
-      options.num_threads = 4;
-      options.parallel_min_component_vars = 2;
-      ExpectBrackets(CountWithOptions(instance, options), exact,
-                     "seed=" + std::to_string(base + round) +
-                         " cutoff=" + std::to_string(cutoff));
-    }
-  }
-}
-
-TEST(BudgetBounds, ParallelFaultInjectionBracketsExact) {
-  // The fault's event counter is shared by all four workers, so which
-  // worker trips it — and which subtrees end up bracketed — is a data
-  // race by design; the bracket must hold on every schedule. This is the
-  // TSan canary for concurrent cancellation.
-  const std::uint64_t base = testutil::FuzzBaseSeed(7112);
-  for (int round = 0; round < 3; ++round) {
-    Instance instance = MakeInstance(base + round, 14, 24);
-    BigRational exact = ExactCount(instance);
-    for (std::uint64_t fire_at : {1u, 8u}) {
-      FaultPoint fault(FaultPoint::Site::kDecision,
-                       FaultPoint::Action::kCancel, fire_at);
-      DpllCounter::Options options;
-      options.fault = &fault;
-      options.num_threads = 4;
-      options.parallel_min_component_vars = 2;
-      ExpectBrackets(CountWithOptions(instance, options), exact,
-                     "seed=" + std::to_string(base + round) +
-                         " fire_at=" + std::to_string(fire_at));
-    }
+    Budget budget;
+    budget.SetMaxDecisions(std::uint64_t{1} << 40);
+    budget.SetWallClockMs(600'000);
+    DpllCounter::Options options;
+    options.budget = &budget;
+    CountResult result = CountWithOptions(instance, options);
+    ASSERT_EQ(result.outcome, CountOutcome::kExact);
+    EXPECT_EQ(result.value, exact);
+    // Bit-identical, not just numerically equal.
+    EXPECT_EQ(result.value.ToString(), exact.ToString());
+    EXPECT_EQ(result.stop_reason, StopReason::kNone);
   }
 }
 
@@ -369,9 +321,9 @@ TEST(BudgetBounds, MemoryFaultOnCacheInsertYieldsBounds) {
 }
 
 // ---------------------------------------------------------------------
-// Cooperative cancellation across the thread pool.
+// Cooperative cancellation from another thread.
 
-TEST(BudgetCancellation, FourThreadSearchStopsPromptlyOnCancel) {
+TEST(BudgetCancellation, SearchStopsPromptlyOnCancelFromAnotherThread) {
   // A grounded instance big enough that nobody finishes it honestly
   // before the token fires (triangle blow-up at n=6).
   logic::Vocabulary vocab;
@@ -381,9 +333,8 @@ TEST(BudgetCancellation, FourThreadSearchStopsPromptlyOnCancel) {
   CancelToken token;
   DpllCounter::Options options;
   options.cancel = &token;
-  options.num_threads = 4;
-  options.parallel_min_component_vars = 2;
 
+  // The count runs on its own thread; this thread cancels it.
   DpllCounter::CountResult result;
   std::thread worker([&] {
     result = grounding::GroundedWFOMCBounded(phi, vocab, 6, options);
@@ -397,9 +348,9 @@ TEST(BudgetCancellation, FourThreadSearchStopsPromptlyOnCancel) {
                                     cancelled_at)
           .count();
 
-  // Forked component tasks observe the shared stop flag at every
-  // decision, so wind-down is bounded by one check interval per worker —
-  // generous slack here for sanitizer builds and loaded CI machines.
+  // The search polls the token at every decision, so wind-down is
+  // bounded by one decision plus the unwind — generous slack here for
+  // sanitizer builds and loaded CI machines.
   EXPECT_LT(latency_seconds, 10.0);
   EXPECT_EQ(result.outcome, CountOutcome::kBounds);
   EXPECT_EQ(result.stop_reason, StopReason::kCancelled);

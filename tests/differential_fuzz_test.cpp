@@ -111,9 +111,8 @@ TEST(DifferentialFuzz, BoundaryWeightsAgreeAcrossCounterAndCircuit) {
   // BigInt inline/heap seam and every reduced sum land back inside it —
   // the regime where a promote/demote or deferred-gcd bug would show as
   // a cross-engine disagreement. Oracle: brute-force enumeration; under
-  // test: the DPLL counter (sequential and 4-thread) and the traced
-  // d-DNNF circuit evaluated under the same weights. All four values
-  // must be bit-identical.
+  // test: the DPLL counter and the traced d-DNNF circuit evaluated under
+  // the same weights. Every value must be bit-identical.
   std::uint64_t base = BaseSeed();
   std::mt19937_64 rng(base ^ 0xb0a2d2e1ull);
   for (int trial = 0; trial < 10; ++trial) {
@@ -134,13 +133,8 @@ TEST(DifferentialFuzz, BoundaryWeightsAgreeAcrossCounterAndCircuit) {
     EXPECT_EQ(circuit.Evaluate(weights, &arena), oracle);
     EXPECT_EQ(circuit.Evaluate(weights, &arena), oracle);
 
-    for (unsigned threads : {1u, 4u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      wmc::DpllCounter::Options options;
-      options.num_threads = threads;
-      wmc::DpllCounter counter(cnf, weights, options);
-      EXPECT_EQ(counter.Count(), oracle);
-    }
+    wmc::DpllCounter counter(cnf, weights);
+    EXPECT_EQ(counter.Count(), oracle);
   }
 }
 
@@ -164,8 +158,7 @@ TEST(DifferentialFuzz, SweepCoversDomainSizeZero) {
 
 TEST(DifferentialFuzz, SweepMatchesPointQueriesOnAllRoutes) {
   // WFOMCSweep must be a pure batching of WFOMC: same values, same
-  // routing, for each of the three engines — including the grounded path
-  // both sequential and parallel.
+  // routing, for each of the three engines.
   std::uint64_t base = BaseSeed();
   for (std::uint64_t offset = 0; offset < 4; ++offset) {
     std::uint64_t seed = base + offset;
@@ -182,19 +175,17 @@ TEST(DifferentialFuzz, SweepMatchesPointQueriesOnAllRoutes) {
     };
     for (const Case& c : cases) {
       SCOPED_TRACE(api::ToString(c.method));
-      for (unsigned threads : {1u, 4u}) {
-        Engine engine(c.instance->vocabulary, Engine::Options{threads});
-        Engine::SweepResult sweep =
-            engine.WFOMCSweep(c.instance->sentence, 1, 3, c.method);
-        ASSERT_EQ(sweep.points.size(), 3u);
-        EXPECT_EQ(sweep.method, c.method);
-        for (const Engine::SweepPoint& point : sweep.points) {
-          SCOPED_TRACE("n=" + std::to_string(point.domain_size));
-          Engine::Result reference =
-              engine.WFOMC(c.instance->sentence, point.domain_size, c.method);
-          EXPECT_EQ(point.value, reference.value)
-              << logic::ToString(c.instance->sentence, c.instance->vocabulary);
-        }
+      Engine engine(c.instance->vocabulary);
+      Engine::SweepResult sweep =
+          engine.WFOMCSweep(c.instance->sentence, 1, 3, c.method);
+      ASSERT_EQ(sweep.points.size(), 3u);
+      EXPECT_EQ(sweep.method, c.method);
+      for (const Engine::SweepPoint& point : sweep.points) {
+        SCOPED_TRACE("n=" + std::to_string(point.domain_size));
+        Engine::Result reference =
+            engine.WFOMC(c.instance->sentence, point.domain_size, c.method);
+        EXPECT_EQ(point.value, reference.value)
+            << logic::ToString(c.instance->sentence, c.instance->vocabulary);
       }
     }
   }

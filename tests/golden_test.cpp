@@ -1,9 +1,8 @@
 // Golden-value regression corpus: tests/golden/wfomc_golden.json pins
 // exact WFOMC values (paper Table 1/2 family entries, closed forms, and
 // exhaustively-verified small instances). Every case is replayed through
-// Engine::WFOMC under each method the corpus declares applicable, and
-// the grounded path additionally under num_threads ∈ {1, 4} — golden
-// values are the cheapest way to catch a regression that breaks all
+// Engine::WFOMC under each method the corpus declares applicable —
+// golden values are the cheapest way to catch a regression that breaks all
 // engines the same way (which the differential suites, by construction,
 // cannot see).
 //
@@ -87,30 +86,21 @@ const std::vector<GoldenCase>& Corpus() {
 
 class GoldenCorpus : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(GoldenCorpus, ReplaysUnderEveryApplicableMethodAndThreadCount) {
+TEST_P(GoldenCorpus, ReplaysUnderEveryApplicableMethod) {
   const GoldenCase& golden = Corpus()[GetParam()];
   SCOPED_TRACE(golden.name);
   for (Method method : golden.methods) {
     SCOPED_TRACE(api::ToString(method));
-    // The grounded engine additionally runs parallel; the lifted and
-    // γ-acyclic evaluators ignore num_threads, so one pass suffices.
-    std::vector<unsigned> thread_counts =
-        method == Method::kGrounded ? std::vector<unsigned>{1, 4}
-                                    : std::vector<unsigned>{1};
-    for (unsigned threads : thread_counts) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      Engine engine(logic::Vocabulary{}, Engine::Options{threads});
-      logic::Formula sentence = engine.Parse(golden.sentence);
-      for (const auto& [relation, weights] : golden.weights) {
-        engine.mutable_vocabulary()->SetWeights(
-            engine.vocabulary().Require(relation), weights.first,
-            weights.second);
-      }
-      Engine::Result result =
-          engine.WFOMC(sentence, golden.domain_size, method);
-      EXPECT_EQ(result.value, golden.wfomc);
-      EXPECT_EQ(result.method, method);
+    Engine engine((logic::Vocabulary()));
+    logic::Formula sentence = engine.Parse(golden.sentence);
+    for (const auto& [relation, weights] : golden.weights) {
+      engine.mutable_vocabulary()->SetWeights(
+          engine.vocabulary().Require(relation), weights.first,
+          weights.second);
     }
+    Engine::Result result = engine.WFOMC(sentence, golden.domain_size, method);
+    EXPECT_EQ(result.value, golden.wfomc);
+    EXPECT_EQ(result.method, method);
   }
 }
 

@@ -107,19 +107,13 @@ TEST(LiftedCompile, LiftedCompileAgreesWithCellAlgorithmAndGroundedCompile) {
           << "n=" << n;
     }
 
-    // Leg 2: WFOMCSweep, sequential and with 4 worker threads — the
-    // compiled circuit must match every point of both configurations.
-    for (unsigned threads : {1u, 4u}) {
-      Engine::Options options;
-      options.num_threads = threads;
-      Engine sweeper(engine.vocabulary(), options);
-      Engine::SweepResult sweep =
-          sweeper.WFOMCSweep(sentence, 1, 32, Method::kLiftedFO2);
-      ASSERT_EQ(sweep.points.size(), 32u);
-      for (const Engine::SweepPoint& point : sweep.points) {
-        EXPECT_EQ(query.Evaluate(point.domain_size, {}), point.value)
-            << "threads=" << threads << " n=" << point.domain_size;
-      }
+    // Leg 2: WFOMCSweep — the compiled circuit must match every point.
+    Engine::SweepResult sweep =
+        engine.WFOMCSweep(sentence, 1, 32, Method::kLiftedFO2);
+    ASSERT_EQ(sweep.points.size(), 32u);
+    for (const Engine::SweepPoint& point : sweep.points) {
+      EXPECT_EQ(query.Evaluate(point.domain_size, {}), point.value)
+          << "n=" << point.domain_size;
     }
 
     // Leg 3: reweighting. Replace the binary relation's weights per

@@ -177,7 +177,6 @@ TEST(Compile, SharesCacheHitSubcircuits) {
   EXPECT_GT(compiled.compile_stats().cache_hits, 0u);
   EXPECT_EQ(compiled.compile_stats().cache_entries,
             compiled.compile_stats().cache_insertions);
-  EXPECT_EQ(compiled.compile_stats().parallel_forks, 0u);
   // Every insertion is a distinct component; the node count is bounded
   // by a constant multiple of the distinct-component set plus literals.
   EXPECT_LT(compiled.circuit().node_count(),
@@ -185,7 +184,7 @@ TEST(Compile, SharesCacheHitSubcircuits) {
                 2 * compiled.circuit().variable_count());
 }
 
-TEST(Compile, TracingForcesSequentialSearch) {
+TEST(Compile, TracedCountMatchesUntracedOnLargeCnf) {
   prop::CnfFormula cnf;
   cnf.variable_count = 40;
   std::mt19937_64 rng(7);
@@ -193,11 +192,9 @@ TEST(Compile, TracingForcesSequentialSearch) {
   WeightMap weights(cnf.variable_count);
   CircuitBuilder builder(cnf.variable_count);
   DpllCounter::Options options;
-  options.num_threads = 4;  // must be ignored under tracing
   options.trace_sink = &builder;
   DpllCounter counter(cnf, weights, options);
   BigRational traced = counter.Count();
-  EXPECT_EQ(counter.stats().parallel_forks, 0u);
   EXPECT_EQ(traced, DpllCounter(cnf, weights).Count());
   Circuit circuit = builder.Finish();
   EXPECT_EQ(circuit.Evaluate(weights), traced);

@@ -233,6 +233,59 @@ TEST(Serve, PerVectorProblemsDoNotFailTheRequest) {
   EXPECT_EQ(response.At("results").array[2].At("wfomc").string, "1/4");
 }
 
+TEST(Serve, PooledBatchEvaluationMatchesSequentialByteForByte) {
+  // The batch-evaluation pool is the one place the library runs threads:
+  // eight weight vectors (one naming an unknown relation) fanned out over
+  // one read-only circuit must come back in request order, byte-identical
+  // to a single-threaded server — on a grounded circuit and a lifted one,
+  // cold (compiled by this request) and warm (served from the cache).
+  const std::string weights =
+      R"js("weights": [{}, {"S": ["2", "1"]}, {"S": ["1/2", "3"]},
+                      {"Q": ["1", "1"]}, {"S": ["-1", "2"]},
+                      {"S": ["0", "1"]}, {"S": ["5/7", "-3/4"]},
+                      {"S": ["3", "3"]}]})js";
+  const struct {
+    std::string line;
+    std::string kind;
+  } cases[] = {
+      {R"js({"sentence": "exists x exists y exists z )js"
+       R"js((S(x,y) & S(y,z) & S(z,x))", "domain": 3, )js" +
+           weights,
+       "grounded"},
+      {R"js({"sentence": "forall x exists y S(x,y)", "domain": 4, )js" +
+           weights,
+       "lifted"},
+  };
+  ServerOptions pooled_options;
+  pooled_options.num_threads = 4;
+  Server sequential;
+  Server pooled(pooled_options);
+  ASSERT_EQ(pooled.options().num_threads, 4u);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.kind);
+    for (bool warm : {false, true}) {
+      SCOPED_TRACE(warm ? "warm" : "cold");
+      JsonValue expected = Query(&sequential, c.line);
+      JsonValue actual = Query(&pooled, c.line);
+      ASSERT_EQ(expected.At("status").string, "ok");
+      ASSERT_EQ(actual.At("status").string, "ok");
+      EXPECT_EQ(actual.At("kind").string, c.kind);
+      EXPECT_EQ(actual.At("cached").boolean, warm);
+      const JsonValue& results = actual.At("results");
+      ASSERT_EQ(results.array.size(), 8u);
+      EXPECT_NE(results.array[3].At("error").string.find(
+                    "unknown relation 'Q'"),
+                std::string::npos);
+      for (std::size_t i = 0; i < results.array.size(); ++i) {
+        if (i != 3) {
+          EXPECT_TRUE(results.array[i].Has("wfomc")) << i;
+        }
+      }
+      EXPECT_EQ(results.Dump(-1), expected.At("results").Dump(-1));
+    }
+  }
+}
+
 TEST(Serve, OversizedRequestLineIsRejectedPerRequest) {
   ServerOptions options;
   options.max_request_bytes = 64;

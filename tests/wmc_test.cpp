@@ -355,25 +355,20 @@ WeightMap NonCoprimeWeights(std::mt19937_64* rng, std::uint32_t variables,
   return weights;
 }
 
-// Checks the count of `cnf` against brute force sequentially and on four
-// workers, untraced and traced (the traced circuit re-evaluated as well).
+// Checks the count of `cnf` against brute force, untraced and traced (the
+// traced circuit re-evaluated as well).
 void ExpectScaledCountsMatchBruteForce(const CnfFormula& cnf,
                                        const WeightMap& weights) {
   BigRational expected = BruteForceWMC(cnf, weights);
-  for (unsigned threads : {1u, 4u}) {
-    for (bool traced : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " traced=" + std::to_string(traced));
-      nnf::CircuitBuilder builder(cnf.variable_count);
-      DpllCounter::Options options;
-      options.num_threads = threads;
-      options.parallel_min_component_vars = 2;
-      if (traced) options.trace_sink = &builder;
-      DpllCounter counter(cnf, weights, options);
-      EXPECT_EQ(counter.Count(), expected) << cnf.ToString();
-      if (traced) {
-        EXPECT_EQ(builder.Finish().Evaluate(weights), expected);
-      }
+  for (bool traced : {false, true}) {
+    SCOPED_TRACE("traced=" + std::to_string(traced));
+    nnf::CircuitBuilder builder(cnf.variable_count);
+    DpllCounter::Options options;
+    if (traced) options.trace_sink = &builder;
+    DpllCounter counter(cnf, weights, options);
+    EXPECT_EQ(counter.Count(), expected) << cnf.ToString();
+    if (traced) {
+      EXPECT_EQ(builder.Finish().Evaluate(weights), expected);
     }
   }
 }
@@ -413,16 +408,10 @@ TEST(DpllCounterTest, RepeatedCountOnRationalWeightsIsStable) {
   std::mt19937_64 rng(50);
   WeightMap weights = NonCoprimeWeights(&rng, 16, /*allow_negative=*/true);
   BigRational expected = BruteForceWMC(cnf, weights);
-  for (unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    DpllCounter::Options options;
-    options.num_threads = threads;
-    options.parallel_min_component_vars = 2;
-    DpllCounter counter(cnf, weights, options);
-    EXPECT_EQ(counter.Count(), expected);
-    EXPECT_EQ(counter.Count(), expected);
-    EXPECT_GT(counter.stats().cache_hits, 0u);
-  }
+  DpllCounter counter(cnf, weights);
+  EXPECT_EQ(counter.Count(), expected);
+  EXPECT_EQ(counter.Count(), expected);
+  EXPECT_GT(counter.stats().cache_hits, 0u);
 }
 
 TEST(DpllCounterTest, GovernedRationalBoundsBracketTheExactCount) {
@@ -457,37 +446,32 @@ TEST(DpllCounterTest, GovernedRationalBoundsBracketTheExactCount) {
     WeightMap weights = NonCoprimeWeights(&rng, 14, /*allow_negative=*/false);
     BigRational exact = BruteForceWMC(cnf, weights);
     for (std::uint64_t cap : {0u, 1u, 3u, 8u}) {
-      for (unsigned threads : {1u, 4u}) {
-        for (bool traced : {false, true}) {
-          SCOPED_TRACE("cap=" + std::to_string(cap) +
-                       " threads=" + std::to_string(threads) +
-                       " traced=" + std::to_string(traced));
-          runtime::Budget budget;
-          budget.SetMaxDecisions(cap);
-          nnf::CircuitBuilder builder(cnf.variable_count);
-          DpllCounter::Options options;
-          options.budget = &budget;
-          options.num_threads = threads;
-          options.parallel_min_component_vars = 2;
-          if (traced) options.trace_sink = &builder;
-          DpllCounter counter(cnf, weights, options);
-          DpllCounter::CountResult result = counter.CountBounded();
-          switch (result.outcome) {
-            case DpllCounter::CountOutcome::kExact:
-              EXPECT_EQ(result.value, exact);
-              EXPECT_EQ(result.upper, exact);
-              break;
-            case DpllCounter::CountOutcome::kBounds:
-              ++bounded;
-              EXPECT_FALSE(traced);
-              EXPECT_LE(result.value, exact);
-              EXPECT_LE(exact, result.upper);
-              break;
-            case DpllCounter::CountOutcome::kAborted:
-              // Only a stopped trace may abort on non-negative weights.
-              EXPECT_TRUE(traced);
-              break;
-          }
+      for (bool traced : {false, true}) {
+        SCOPED_TRACE("cap=" + std::to_string(cap) +
+                     " traced=" + std::to_string(traced));
+        runtime::Budget budget;
+        budget.SetMaxDecisions(cap);
+        nnf::CircuitBuilder builder(cnf.variable_count);
+        DpllCounter::Options options;
+        options.budget = &budget;
+        if (traced) options.trace_sink = &builder;
+        DpllCounter counter(cnf, weights, options);
+        DpllCounter::CountResult result = counter.CountBounded();
+        switch (result.outcome) {
+          case DpllCounter::CountOutcome::kExact:
+            EXPECT_EQ(result.value, exact);
+            EXPECT_EQ(result.upper, exact);
+            break;
+          case DpllCounter::CountOutcome::kBounds:
+            ++bounded;
+            EXPECT_FALSE(traced);
+            EXPECT_LE(result.value, exact);
+            EXPECT_LE(exact, result.upper);
+            break;
+          case DpllCounter::CountOutcome::kAborted:
+            // Only a stopped trace may abort on non-negative weights.
+            EXPECT_TRUE(traced);
+            break;
         }
       }
     }
@@ -597,56 +581,6 @@ TEST(ComponentCacheTest, ByteOverflowAfterRefreshEvictsOthersNotItself) {
   ASSERT_NE(cache.Lookup(a, hash_a), nullptr);
   EXPECT_EQ(*cache.Lookup(a, hash_a), big);
   EXPECT_LE(cache.bytes(), max_bytes);
-}
-
-TEST(ShardedComponentCacheTest, ShardsRouteByHashAndAggregateCounters) {
-  ShardedComponentCache cache(/*max_entries=*/64, /*shard_count=*/4,
-                              /*synchronized=*/true);
-  EXPECT_EQ(cache.shard_count(), 4u);
-  BigRational value;
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    ComponentKey key{i, kComponentKeySeparator};
-    std::uint64_t hash = HashComponentKey(key);
-    EXPECT_FALSE(cache.Lookup(key, hash, &value));
-    cache.Insert(key, hash, BigRational(static_cast<std::int64_t>(i)));
-  }
-  for (std::uint32_t i = 0; i < 32; ++i) {
-    ComponentKey key{i, kComponentKeySeparator};
-    ASSERT_TRUE(cache.Lookup(key, HashComponentKey(key), &value));
-    EXPECT_EQ(value, BigRational(static_cast<std::int64_t>(i)));
-  }
-  EXPECT_EQ(cache.size(), 32u);
-  EXPECT_EQ(cache.lookups(), 64u);
-  EXPECT_EQ(cache.hits(), 32u);
-  EXPECT_EQ(cache.insertions(), 32u);
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(ShardedComponentCacheTest, SplitsEntryBoundAcrossShards) {
-  // Global bound 8 over 4 shards = 2 entries per shard; flooding one
-  // stripe cannot grow the cache past the global bound.
-  ShardedComponentCache cache(/*max_entries=*/8, /*shard_count=*/4,
-                              /*synchronized=*/false);
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    ComponentKey key{i, kComponentKeySeparator};
-    cache.Insert(key, HashComponentKey(key), BigRational(1));
-  }
-  EXPECT_LE(cache.size(), 8u);
-  EXPECT_EQ(cache.insertions(), 64u);
-  EXPECT_GE(cache.evictions(), 64u - 8u);
-}
-
-TEST(ShardedComponentCacheTest, TinyGlobalBoundCollapsesShards) {
-  // A global bound below the requested shard count must drop shards, not
-  // round every shard up to one entry and overshoot the bound.
-  ShardedComponentCache cache(/*max_entries=*/3, /*shard_count=*/16,
-                              /*synchronized=*/true);
-  EXPECT_LE(cache.shard_count(), 2u);
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    ComponentKey key{i, kComponentKeySeparator};
-    cache.Insert(key, HashComponentKey(key), BigRational(1));
-  }
-  EXPECT_LE(cache.size(), 3u);
 }
 
 TEST(CompactCnfTest, LiteralEncodingRoundTrip) {

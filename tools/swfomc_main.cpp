@@ -12,7 +12,6 @@
 //   swfomc serve [options]                   long-lived JSONL inference daemon
 //
 // Options:
-//   --threads N    worker threads (1 = sequential, 0 = hardware), default 1
 //   --method M     force auto | lifted-fo2 | gamma-acyclic | grounded
 //   --check        exit 1 when an `expect`/`e` value doesn't match
 //   --compact      single-line JSON output
@@ -23,6 +22,7 @@
 //   --max-decisions N  decision budget per input
 //   --max-memory N     memory ceiling, k/m/g suffixes (component cache)
 //   --on-budget M      bounds (report anytime bounds; default) | error
+//   --threads N        serve: batch-evaluation threads (0 = hardware)
 //
 // Exit codes: 0 success, 1 a check failed, 2 unreadable or malformed
 // input, 3 a budget was exhausted under --on-budget=error, 64 usage
@@ -87,9 +87,6 @@ commands:
            queries skip compilation (see the README's Serving section)
 
 options:
-  --threads N    worker threads (1 = sequential, 0 = one per hardware
-                 thread); applies to the grounded path and sweeps of
-                 run/cnf (compile and eval are sequential and reject it)
   --method M     force a method: auto | lifted-fo2 | gamma-acyclic |
                  grounded (run and compile; gamma-acyclic has no
                  circuit form and is rejected by compile)
@@ -116,6 +113,10 @@ options:
                      through its `metrics` protocol command instead)
   --trace-out FILE   write a structured JSONL span/event trace to FILE
                      (run/cnf/compile/eval/serve)
+  --threads N             serve only: threads that evaluate a request's
+                          weight vectors over its circuit (default 1,
+                          0 = one per hardware thread); counting and
+                          compiling are sequential everywhere
   --listen PORT           serve only: accept TCP connections on 127.0.0.1
                           instead of stdin/stdout (0 = ephemeral port,
                           reported on stderr)
@@ -154,6 +155,7 @@ struct CliOptions {
   std::optional<std::uint64_t> domain;
   std::vector<std::string> files;
   /// serve-only knobs.
+  std::optional<unsigned> threads;
   std::optional<std::uint16_t> listen_port;
   std::optional<std::uint64_t> max_circuits;
   std::optional<std::uint64_t> max_circuit_bytes;
@@ -163,7 +165,8 @@ struct CliOptions {
   std::string trace_out;
 
   bool serve_flags_used() const {
-    return listen_port.has_value() || max_circuits.has_value() ||
+    return threads.has_value() || listen_port.has_value() ||
+           max_circuits.has_value() ||
            max_circuit_bytes.has_value() || max_request_bytes.has_value();
   }
 
@@ -262,9 +265,9 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
       options.compact = true;
     } else if (arg == "--threads") {
       if (++i >= argc) throw UsageError("--threads needs a value");
-      options.run.num_threads = ParseThreadCount(argv[i]);
+      options.threads = ParseThreadCount(argv[i]);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.run.num_threads = ParseThreadCount(arg.substr(10));
+      options.threads = ParseThreadCount(arg.substr(10));
     } else if (arg == "--out") {
       if (++i >= argc) throw UsageError("--out needs a value");
       options.out_file = argv[i];
@@ -416,10 +419,12 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
     }
     return options;
   }
+  // Counting and compiling are sequential and eval is a linear circuit
+  // pass; accepting a thread count there would silently do nothing.
   if (options.serve_flags_used()) {
     throw UsageError(
-        "--listen/--max-circuits/--max-circuit-bytes/--max-request-bytes "
-        "only apply to the serve command");
+        "--threads/--listen/--max-circuits/--max-circuit-bytes/"
+        "--max-request-bytes only apply to the serve command");
   }
   if (options.files.empty()) {
     throw UsageError("no input files");
@@ -436,15 +441,7 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
   if (!options.out_file.empty() && options.files.size() != 1) {
     throw UsageError("--out takes exactly one input file (use --out-dir)");
   }
-  // Compilation is sequential and eval is a linear circuit pass;
-  // accepting a thread count there would silently do nothing. Eval has
-  // nothing to route, so a forced method is meaningless too.
-  if (options.command == "compile" || options.command == "eval") {
-    if (options.run.num_threads != 1) {
-      throw UsageError("--threads does not apply to the " + options.command +
-                       " command (tracing and evaluation are sequential)");
-    }
-  }
+  // Eval has nothing to route, so a forced method is meaningless.
   if (options.command == "eval" && options.run.method_override.has_value()) {
     throw UsageError("--method does not apply to the eval command "
                      "(the circuit kind was fixed at compile time)");
@@ -501,7 +498,7 @@ void AddObsBlock(JsonValue* document, const CliOptions& options) {
 
 int RunServe(const CliOptions& options) {
   swfomc::serve::ServerOptions server_options;
-  server_options.num_threads = options.run.num_threads;
+  server_options.num_threads = options.threads.value_or(1);
   if (options.max_circuits.has_value()) {
     server_options.max_circuits =
         static_cast<std::size_t>(*options.max_circuits);
