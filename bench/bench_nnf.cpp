@@ -49,6 +49,15 @@ struct TriangleFixture {
 
   TriangleFixture()
       : sentence(swfomc::logic::Parse(kTriangle, &vocabulary)) {}
+
+  // The grounded d-DNNF at domain size n.
+  CompiledQuery Compile(std::uint64_t n) const {
+    Engine engine(vocabulary);
+    return *engine
+                .Compile(sentence,
+                         {.domain_size = n, .method = Method::kGrounded})
+                .compiled;
+  }
 };
 
 void BM_Nnf_Recount(benchmark::State& state) {
@@ -78,10 +87,10 @@ void BM_Nnf_CompileEval(benchmark::State& state) {
   std::int64_t vectors = state.range(1);
   swfomc::nnf::Circuit::EvalArena arena;
   for (auto _ : state) {
-    Engine engine(fixture.vocabulary);
-    CompiledQuery compiled = engine.Compile(fixture.sentence, n);
+    CompiledQuery compiled = fixture.Compile(n);
     for (std::int64_t k = 0; k < vectors; ++k) {
-      benchmark::DoNotOptimize(compiled.Evaluate({WeightVector(k)}, &arena));
+      benchmark::DoNotOptimize(
+          compiled.Evaluate(n, {WeightVector(k)}, &arena));
     }
   }
 }
@@ -95,15 +104,13 @@ BENCHMARK(BM_Nnf_CompileEval)
 // form: one EvalArena reused across calls, as a real serving loop would.
 void BM_Nnf_EvaluateOnly(benchmark::State& state) {
   TriangleFixture fixture;
-  Engine engine(fixture.vocabulary);
-  CompiledQuery compiled =
-      engine.Compile(fixture.sentence,
-                     static_cast<std::uint64_t>(state.range(0)));
+  std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
+  CompiledQuery compiled = fixture.Compile(n);
   swfomc::nnf::Circuit::EvalArena arena;
   std::int64_t k = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        compiled.Evaluate({WeightVector(k++ % 100)}, &arena));
+        compiled.Evaluate(n, {WeightVector(k++ % 100)}, &arena));
   }
 }
 BENCHMARK(BM_Nnf_EvaluateOnly)
@@ -118,11 +125,9 @@ void PrintTable() {
   std::printf("%4s %10s %10s %10s %8s %12s %12s\n", "n", "vars", "nodes",
               "edges", "depth", "cache hits", "wfomc check");
   for (std::uint64_t n = 2; n <= 5; ++n) {
-    TriangleFixture fixture;
-    Engine engine(fixture.vocabulary);
-    CompiledQuery compiled = engine.Compile(fixture.sentence, n);
+    CompiledQuery compiled = TriangleFixture().Compile(n);
     auto stats = compiled.circuit().ComputeStats();
-    bool check = compiled.Evaluate() == compiled.compile_count();
+    bool check = compiled.Evaluate(n, {}) == compiled.compile_count();
     std::printf("%4llu %10u %10llu %10llu %8llu %12llu %12s\n",
                 static_cast<unsigned long long>(n),
                 compiled.circuit().variable_count(),

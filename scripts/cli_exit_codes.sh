@@ -141,6 +141,8 @@ expect 2 "$bin" compile "$workdir/unliftable.model"   # grounded needs a domain
 printf 'sentence forall x R(x)\ndomain 2\n' > "$workdir/g.model"
 expect 0 "$bin" compile --method grounded --out-dir "$workdir/gnnf" "$workdir/g.model"
 expect 64 "$bin" eval --domain 2 "$workdir/gnnf/g.nnf" # grounded circuits fix n
+printf 'sentence forall x R(x)\ndomain 0\n' > "$workdir/d0.model"
+expect 0 "$bin" compile "$workdir/d0.model"           # n = 0 compiles grounded
 
 # 0: the same checks, satisfied. Also exercises compile -> eval chaining.
 printf 'sentence forall x R(x)\ndomain 1\nexpect 1\n' > "$workdir/right.model"

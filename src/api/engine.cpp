@@ -120,24 +120,19 @@ Outcome FromCounterOutcome(wmc::DpllCounter::CountOutcome outcome) {
   return Outcome::kAborted;
 }
 
-// The governance pointers one query runs under: each per-call override,
-// when non-null, shadows the engine-level option. Resolution happens once
-// at the query boundary so shared engine state is never mutated.
-struct Governance {
-  runtime::Budget* budget = nullptr;
-  runtime::CancelToken* cancel = nullptr;
-  runtime::FaultPoint* fault = nullptr;
-};
-
-Governance ResolveGovernance(const Engine::Options& engine_options,
-                             const QueryOptions& query_options) {
-  return Governance{
-      query_options.budget != nullptr ? query_options.budget
-                                      : engine_options.budget,
-      query_options.cancel != nullptr ? query_options.cancel
-                                      : engine_options.cancel,
-      query_options.fault != nullptr ? query_options.fault
-                                     : engine_options.fault};
+// Moves one grounded count into an Engine::Result or SweepPoint: the
+// outcome and stop reason, the value (exact, or the certified lower
+// bound; left zero when aborted) and, for kBounds, the bracket.
+template <typename Answer>
+void AssignCount(wmc::DpllCounter::CountResult counted, Answer* answer) {
+  answer->outcome = FromCounterOutcome(counted.outcome);
+  answer->stop_reason = counted.stop_reason;
+  if (answer->outcome == Outcome::kBounds) {
+    answer->bounds = BoundsResult{counted.value, std::move(counted.upper)};
+  }
+  if (answer->outcome != Outcome::kAborted) {
+    answer->value = std::move(counted.value);
+  }
 }
 
 // Method names as metric-name fragments ('-' is not a valid metric
@@ -180,6 +175,21 @@ struct QueryScope {
     }
   }
 };
+
+// The DPLL counter options one grounded search runs under: the call's
+// governance plus the engine's observability, tagged with the query id.
+wmc::DpllCounter::Options CounterOptions(const QueryOptions& query,
+                                         const Engine::Options& engine,
+                                         const QueryScope& scope) {
+  wmc::DpllCounter::Options options;
+  options.budget = query.budget;
+  options.cancel = query.cancel;
+  options.fault = query.fault;
+  options.metrics = engine.metrics;
+  options.trace = engine.trace;
+  options.trace_query_id = scope.query_id;
+  return options;
+}
 
 // Resident bytes of a vocabulary snapshot: the relation records, both
 // copies of every name (the record and the by-name index key), the weight
@@ -308,14 +318,8 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
 }
 
 Engine::Result Engine::WFOMC(const logic::Formula& sentence,
-                             std::uint64_t domain_size, Method method) {
-  return WFOMC(sentence, domain_size, method, QueryOptions{});
-}
-
-Engine::Result Engine::WFOMC(const logic::Formula& sentence,
                              std::uint64_t domain_size, Method method,
-                             const QueryOptions& query_options) {
-  Governance governance = ResolveGovernance(options_, query_options);
+                             const QueryOptions& query) {
   if (method == Method::kAuto) method = Route(sentence);
   QueryScope scope(options_, "wfomc", method);
   scope.span.Num("n", domain_size);
@@ -333,28 +337,12 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
         return result;
       }
       case Method::kGrounded: {
-        wmc::DpllCounter::Options counter_options;
-        counter_options.budget = governance.budget;
-        counter_options.cancel = governance.cancel;
-        counter_options.fault = governance.fault;
-        counter_options.metrics = options_.metrics;
-        counter_options.trace = options_.trace;
-        counter_options.trace_query_id = scope.query_id;
         wmc::DpllCounter::Stats stats;
-        wmc::DpllCounter::CountResult counted =
-            grounding::GroundedWFOMCBounded(sentence, vocabulary_,
-                                            domain_size, counter_options,
-                                            &stats);
+        AssignCount(grounding::GroundedWFOMCBounded(
+                        sentence, vocabulary_, domain_size,
+                        CounterOptions(query, options_, scope), &stats),
+                    &result);
         result.grounded_stats = stats;
-        result.outcome = FromCounterOutcome(counted.outcome);
-        result.stop_reason = counted.stop_reason;
-        if (result.outcome == Outcome::kBounds) {
-          result.bounds =
-              BoundsResult{counted.value, std::move(counted.upper)};
-          result.value = std::move(counted.value);
-        } else if (result.outcome == Outcome::kExact) {
-          result.value = std::move(counted.value);
-        }
         return result;
       }
       case Method::kAuto:
@@ -368,15 +356,8 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
 
 Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
                                        std::uint64_t n_lo, std::uint64_t n_hi,
-                                       Method method) {
-  return WFOMCSweep(sentence, n_lo, n_hi, method, QueryOptions{});
-}
-
-Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
-                                       std::uint64_t n_lo, std::uint64_t n_hi,
                                        Method method,
-                                       const QueryOptions& query_options) {
-  Governance governance = ResolveGovernance(options_, query_options);
+                                       const QueryOptions& query) {
   if (n_lo > n_hi) {
     throw std::invalid_argument("Engine::WFOMCSweep: n_lo > n_hi");
   }
@@ -427,26 +408,13 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
     case Method::kGrounded: {
       // A shared budget keeps draining across points, so later points
       // degrade to bounds first (the bracket guarantee holds per point).
+      wmc::DpllCounter::Options counter_options =
+          CounterOptions(query, options_, scope);
       for (SweepPoint& point : sweep.points) {
-        wmc::DpllCounter::Options counter_options;
-        counter_options.budget = governance.budget;
-        counter_options.cancel = governance.cancel;
-        counter_options.fault = governance.fault;
-        counter_options.metrics = options_.metrics;
-        counter_options.trace = options_.trace;
-        counter_options.trace_query_id = scope.query_id;
-        wmc::DpllCounter::CountResult counted =
-            grounding::GroundedWFOMCBounded(sentence, vocabulary_,
-                                            point.domain_size,
-                                            counter_options);
-        point.outcome = FromCounterOutcome(counted.outcome);
-        point.stop_reason = counted.stop_reason;
-        if (point.outcome == Outcome::kBounds) {
-          point.bounds = BoundsResult{counted.value, std::move(counted.upper)};
-          point.value = std::move(counted.value);
-        } else if (point.outcome == Outcome::kExact) {
-          point.value = std::move(counted.value);
-        }
+        AssignCount(grounding::GroundedWFOMCBounded(sentence, vocabulary_,
+                                                    point.domain_size,
+                                                    counter_options),
+                    &point);
       }
       for (const SweepPoint& point : sweep.points) {
         if (point.outcome == Outcome::kAborted ||
@@ -466,89 +434,97 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
   throw std::logic_error("Engine::WFOMCSweep: unreachable");
 }
 
-void CompiledQuery::RequireKind(Kind kind, const char* who) const {
-  if (kind_ == kind) return;
-  if (kind == Kind::kGrounded) {
-    throw std::invalid_argument(
-        std::string(who) +
-        ": this circuit is lifted (domain-parametric); pass a domain size "
-        "via Evaluate(n, reweights)");
+const CompiledQuery::Grounded& CompiledQuery::grounded(
+    const char* who) const {
+  if (const Grounded* payload = std::get_if<Grounded>(&payload_)) {
+    return *payload;
+  }
+  throw std::invalid_argument(std::string(who) +
+                              ": this circuit is lifted, not grounded");
+}
+
+const CompiledQuery::Lifted& CompiledQuery::lifted(const char* who) const {
+  if (const Lifted* payload = std::get_if<Lifted>(&payload_)) {
+    return *payload;
   }
   throw std::invalid_argument(std::string(who) +
                               ": this circuit is grounded, not lifted");
 }
 
+const nnf::Circuit& CompiledQuery::circuit() const {
+  return grounded("CompiledQuery::circuit").circuit;
+}
+
+const nnf::LiftedCircuit& CompiledQuery::lifted_circuit() const {
+  return lifted("CompiledQuery::lifted_circuit").circuit;
+}
+
+std::uint64_t CompiledQuery::domain_size() const {
+  const Grounded* payload = std::get_if<Grounded>(&payload_);
+  return payload != nullptr ? payload->domain_size : 0;
+}
+
+std::uint32_t CompiledQuery::tuple_count() const {
+  const Grounded* payload = std::get_if<Grounded>(&payload_);
+  return payload != nullptr
+             ? static_cast<std::uint32_t>(payload->variable_relation.size())
+             : 0;
+}
+
+const numeric::BigRational& CompiledQuery::compile_count() const {
+  return grounded("CompiledQuery::compile_count").compile_count;
+}
+
+const wmc::DpllCounter::Stats& CompiledQuery::compile_stats() const {
+  return grounded("CompiledQuery::compile_stats").compile_stats;
+}
+
+const fo2::LiftedCompileStats& CompiledQuery::lifted_compile_stats() const {
+  return lifted("CompiledQuery::lifted_compile_stats").compile_stats;
+}
+
 std::size_t CompiledQuery::MemoryBytes() const {
-  return circuit_.MemoryBytes() + lifted_circuit_.MemoryBytes() +
-         variable_relation_.capacity() * sizeof(logic::RelationId) +
-         compile_count_.HeapBytes() + VocabularyBytes(vocabulary_);
+  std::size_t bytes = VocabularyBytes(vocabulary_);
+  if (const Grounded* payload = std::get_if<Grounded>(&payload_)) {
+    return bytes + payload->circuit.MemoryBytes() +
+           payload->variable_relation.capacity() * sizeof(logic::RelationId) +
+           payload->compile_count.HeapBytes();
+  }
+  return bytes + std::get<Lifted>(payload_).circuit.MemoryBytes();
 }
 
 numeric::BigRational CompiledQuery::Evaluate(
     std::uint64_t domain_size, const std::vector<RelationWeights>& reweights,
     nnf::Circuit::EvalArena* arena) const {
-  if (kind_ == Kind::kGrounded) {
-    if (domain_size != domain_size_) {
-      throw std::invalid_argument(
-          "CompiledQuery::Evaluate: this grounded circuit was compiled at "
-          "domain size " +
-          std::to_string(domain_size_) + " and cannot evaluate at " +
-          std::to_string(domain_size) +
-          "; recompile at that size or compile a lifted circuit");
-    }
-    // The grounded evaluator requires scratch; make a one-shot arena
-    // when the caller brought none.
-    if (arena == nullptr) return EvaluateRaw(GroundWeights(reweights));
-    return EvaluateRaw(GroundWeights(reweights), arena);
+  if (const Lifted* payload = std::get_if<Lifted>(&payload_)) {
+    return payload->circuit.Evaluate(
+        domain_size, LiftedWeights(reweights), nullptr,
+        arena != nullptr ? &arena->rational_values : nullptr);
   }
-  return lifted_circuit_.Evaluate(
-      domain_size, LiftedWeights(reweights), nullptr,
-      arena != nullptr ? &arena->rational_values : nullptr);
-}
-
-numeric::BigRational CompiledQuery::Evaluate(
-    std::uint64_t domain_size,
-    const std::vector<RelationWeights>& reweights) const {
-  return Evaluate(domain_size, reweights, nullptr);
-}
-
-numeric::BigRational CompiledQuery::Evaluate() const {
-  return Evaluate(std::vector<RelationWeights>{});
-}
-
-numeric::BigRational CompiledQuery::Evaluate(
-    const std::vector<RelationWeights>& reweights) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::Evaluate");
-  return EvaluateRaw(GroundWeights(reweights));
-}
-
-numeric::BigRational CompiledQuery::Evaluate(
-    const std::vector<RelationWeights>& reweights,
-    nnf::Circuit::EvalArena* arena) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::Evaluate");
-  return EvaluateRaw(GroundWeights(reweights), arena);
-}
-
-numeric::BigRational CompiledQuery::EvaluateRaw(
-    const wmc::WeightMap& weights) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::EvaluateRaw");
-  return circuit_.Evaluate(weights);
-}
-
-numeric::BigRational CompiledQuery::EvaluateRaw(
-    const wmc::WeightMap& weights, nnf::Circuit::EvalArena* arena) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::EvaluateRaw");
-  return circuit_.Evaluate(weights, arena);
+  const Grounded& payload = std::get<Grounded>(payload_);
+  if (domain_size != payload.domain_size) {
+    throw std::invalid_argument(
+        "CompiledQuery::Evaluate: this grounded circuit was compiled at "
+        "domain size " +
+        std::to_string(payload.domain_size) + " and cannot evaluate at " +
+        std::to_string(domain_size) +
+        "; recompile at that size or compile a lifted circuit");
+  }
+  // The circuit's no-arena overload makes a one-shot arena itself.
+  wmc::WeightMap weights = GroundWeights(reweights);
+  if (arena == nullptr) return payload.circuit.Evaluate(weights);
+  return payload.circuit.Evaluate(weights, arena);
 }
 
 nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
     const std::vector<RelationWeights>& reweights) const {
-  RequireKind(Kind::kLifted, "CompiledQuery::LiftedWeights");
+  const nnf::LiftedCircuit& circuit =
+      lifted("CompiledQuery::LiftedWeights").circuit;
   // The circuit's relation table is the extended (Scott/Skolem)
   // vocabulary, whose prefix is the original vocabulary in id order — so
   // replacements resolved against the snapshot apply by id, and the
   // appended Def/Sk predicates keep their fixed (1,1)/(1,-1) weights.
-  nnf::LiftedCircuit::Weights weights = lifted_circuit_.DefaultWeights();
+  nnf::LiftedCircuit::Weights weights = circuit.DefaultWeights();
   for (const RelationWeights& reweight : reweights) {
     auto id = vocabulary_.Find(reweight.relation);
     if (!id.has_value()) {
@@ -563,7 +539,7 @@ nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
 
 wmc::WeightMap CompiledQuery::GroundWeights(
     const std::vector<RelationWeights>& reweights) const {
-  RequireKind(Kind::kGrounded, "CompiledQuery::GroundWeights");
+  const Grounded& payload = grounded("CompiledQuery::GroundWeights");
   // Start from the compile-time per-relation weights, overlay the
   // replacements, then expand per ground tuple. Tseitin auxiliaries
   // (ids >= tuple_count()) keep the WeightMap default (1, 1).
@@ -582,9 +558,10 @@ wmc::WeightMap CompiledQuery::GroundWeights(
     }
     by_relation[*id] = {reweight.positive, reweight.negative};
   }
-  wmc::WeightMap weights(circuit_.variable_count());
-  for (prop::VarId v = 0; v < variable_relation_.size(); ++v) {
-    const auto& [positive, negative] = by_relation[variable_relation_[v]];
+  wmc::WeightMap weights(payload.circuit.variable_count());
+  for (prop::VarId v = 0; v < payload.variable_relation.size(); ++v) {
+    const auto& [positive, negative] =
+        by_relation[payload.variable_relation[v]];
     weights.Set(v, positive, negative);
   }
   return weights;
@@ -595,11 +572,14 @@ bool Engine::CanCompileLifted(const logic::Formula& sentence) const {
 }
 
 CompileResult Engine::Compile(const logic::Formula& sentence,
-                              const CompileOptions& options) {
+                              const CompileOptions& options,
+                              const QueryOptions& query) {
   Method method = options.method;
   if (method == Method::kAuto) {
-    method = CanCompileLifted(sentence) ? Method::kLiftedFO2
-                                        : Method::kGrounded;
+    // A lifted circuit answers n >= 1 only, so domain size 0 grounds.
+    method = options.domain_size != 0u && CanCompileLifted(sentence)
+                 ? Method::kLiftedFO2
+                 : Method::kGrounded;
   }
   QueryScope scope(options_, "compile", method);
   if (options.domain_size.has_value()) {
@@ -612,12 +592,10 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       // Polynomial in the sentence; runs ungoverned like every lifted
       // path. options.domain_size is irrelevant — the circuit answers
       // every n >= 1.
-      CompiledQuery compiled;
-      compiled.kind_ = CompiledQuery::Kind::kLifted;
-      compiled.lifted_circuit_ = fo2::CompileLifted(
-          sentence, vocabulary_, &compiled.lifted_compile_stats_);
-      compiled.vocabulary_ = vocabulary_;
-      result.compiled = std::move(compiled);
+      CompiledQuery::Lifted lifted;
+      lifted.circuit =
+          fo2::CompileLifted(sentence, vocabulary_, &lifted.compile_stats);
+      result.compiled = CompiledQuery(vocabulary_, std::move(lifted));
       return result;
     }
     case Method::kGammaAcyclic:
@@ -636,9 +614,6 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
         "sentences compile without one)");
   }
   std::uint64_t domain_size = *options.domain_size;
-  Governance governance = ResolveGovernance(
-      options_,
-      QueryOptions{options.budget, options.cancel, options.fault});
 
   // The same grounding pipeline as Method::kGrounded, with the counter in
   // tracing mode: the count falls out of the compile for free, and the
@@ -651,14 +626,9 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       grounding::SymmetricGroundWeights(index, tseitin.cnf.variable_count);
 
   nnf::CircuitBuilder builder(tseitin.cnf.variable_count);
-  wmc::DpllCounter::Options counter_options;
+  wmc::DpllCounter::Options counter_options =
+      CounterOptions(query, options_, scope);
   counter_options.trace_sink = &builder;
-  counter_options.budget = governance.budget;
-  counter_options.cancel = governance.cancel;
-  counter_options.fault = governance.fault;
-  counter_options.metrics = options_.metrics;
-  counter_options.trace = options_.trace;
-  counter_options.trace_query_id = scope.query_id;
   wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
                            counter_options);
 
@@ -674,42 +644,20 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
     scope.span.Str("outcome", ToString(result.outcome));
     return result;
   }
-  CompiledQuery compiled;
-  compiled.compile_count_ = std::move(counted.value);
-  compiled.compile_stats_ = counter.stats();
-  compiled.circuit_ = builder.Finish();
-  compiled.vocabulary_ = vocabulary_;
-  compiled.domain_size_ = domain_size;
-  compiled.variable_relation_.reserve(
+  CompiledQuery::Grounded grounded;
+  grounded.circuit = builder.Finish();
+  grounded.domain_size = domain_size;
+  grounded.variable_relation.reserve(
       static_cast<std::size_t>(index.TupleCount()));
   for (prop::VarId v = 0; v < index.TupleCount(); ++v) {
-    compiled.variable_relation_.push_back(index.AtomOf(v).relation);
+    grounded.variable_relation.push_back(index.AtomOf(v).relation);
   }
+  grounded.compile_count = std::move(counted.value);
+  grounded.compile_stats = counter.stats();
   result.outcome = Outcome::kExact;
-  result.compiled = std::move(compiled);
+  result.compiled = CompiledQuery(vocabulary_, std::move(grounded));
   scope.span.Str("outcome", ToString(result.outcome));
   return result;
-}
-
-CompiledQuery Engine::Compile(const logic::Formula& sentence,
-                              std::uint64_t domain_size) {
-  CompileResult result = TryCompile(sentence, domain_size);
-  if (result.outcome != Outcome::kExact) {
-    throw std::runtime_error(
-        std::string("Engine::Compile: budget exhausted mid-trace "
-                    "(stop reason: ") +
-        runtime::ToString(result.stop_reason) +
-        "); a partial circuit is unusable — retry with a larger budget");
-  }
-  return *std::move(result.compiled);
-}
-
-Engine::CompileResult Engine::TryCompile(const logic::Formula& sentence,
-                                         std::uint64_t domain_size) {
-  CompileOptions options;
-  options.domain_size = domain_size;
-  options.method = Method::kGrounded;
-  return Compile(sentence, options);
 }
 
 namespace {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "fo2/lifted_compiler.h"
@@ -83,38 +85,36 @@ struct RelationWeights {
 /// The compiled object is immutable and self-contained: it carries the
 /// circuit, the compile-time vocabulary snapshot, and — for the grounded
 /// kind — the ground-tuple → relation map that turns per-relation weights
-/// into the circuit's per-variable weights.
+/// into the circuit's per-variable weights. Accessors documented as one
+/// kind's throw std::invalid_argument on the other kind.
 class CompiledQuery {
  public:
   enum class Kind { kGrounded, kLifted };
 
-  Kind kind() const { return kind_; }
-  /// The grounded d-DNNF; empty (zero nodes… do not evaluate) for kLifted.
-  const nnf::Circuit& circuit() const { return circuit_; }
-  /// The domain-parametric circuit; empty for kGrounded.
-  const nnf::LiftedCircuit& lifted_circuit() const { return lifted_circuit_; }
+  Kind kind() const {
+    return std::holds_alternative<Grounded>(payload_) ? Kind::kGrounded
+                                                      : Kind::kLifted;
+  }
+  /// The grounded d-DNNF. Grounded kind only.
+  const nnf::Circuit& circuit() const;
+  /// The domain-parametric circuit. Lifted kind only.
+  const nnf::LiftedCircuit& lifted_circuit() const;
   /// The fixed compile-time domain size of a grounded circuit; 0 for
   /// kLifted (a lifted circuit has no fixed size — pass n to Evaluate).
-  std::uint64_t domain_size() const { return domain_size_; }
+  std::uint64_t domain_size() const;
   const logic::Vocabulary& vocabulary() const { return vocabulary_; }
   /// Ground tuple variables [0, tuple_count); higher variable ids are
-  /// Tseitin auxiliaries and always weigh (1, 1).
-  std::uint32_t tuple_count() const {
-    return static_cast<std::uint32_t>(variable_relation_.size());
-  }
+  /// Tseitin auxiliaries and always weigh (1, 1). 0 for kLifted.
+  std::uint32_t tuple_count() const;
   /// The count computed while compiling (under the compile-time weights);
   /// identical to WFOMC(Φ, n, Method::kGrounded). Grounded kind only — a
   /// lifted compile is domain-parametric and produces no single count.
-  const numeric::BigRational& compile_count() const { return compile_count_; }
+  const numeric::BigRational& compile_count() const;
   /// The compiling search's counters (cache_* describe the trace memo).
   /// Grounded kind only.
-  const wmc::DpllCounter::Stats& compile_stats() const {
-    return compile_stats_;
-  }
+  const wmc::DpllCounter::Stats& compile_stats() const;
   /// The lifted compiler's counters. Lifted kind only.
-  const fo2::LiftedCompileStats& lifted_compile_stats() const {
-    return lifted_compile_stats_;
-  }
+  const fo2::LiftedCompileStats& lifted_compile_stats() const;
 
   /// Approximate resident bytes: the circuit's arenas plus the ground
   /// tuple → relation map, the compile count's limb buffers, and the
@@ -122,46 +122,23 @@ class CompiledQuery {
   /// bound its footprint (swfomc serve's LRU).
   std::size_t MemoryBytes() const;
 
-  /// The uniform entry point: WFOMC(Φ, n) with the listed relations'
-  /// weights replaced (relations not listed keep their compile-time
-  /// weights; zero and negative weights are fine — neither circuit kind
-  /// depends on the weights). For the grounded kind `domain_size` must
-  /// equal domain_size() (std::invalid_argument otherwise — a grounded
-  /// circuit answers one n); the lifted kind accepts any n >= 1. `arena`
-  /// is optional caller-owned scratch reused across calls (one arena per
-  /// evaluating thread). Throws std::invalid_argument for an unknown
-  /// relation name.
+  /// The one evaluation entry point: WFOMC(Φ, n) with the listed
+  /// relations' weights replaced (relations not listed keep their
+  /// compile-time weights; zero and negative weights are fine — neither
+  /// circuit kind depends on the weights). For the grounded kind
+  /// `domain_size` must equal domain_size() (std::invalid_argument
+  /// otherwise — a grounded circuit answers one n); the lifted kind
+  /// accepts any n >= 1. `arena` is optional caller-owned scratch reused
+  /// across calls (one arena per evaluating thread makes steady-state
+  /// evaluation allocation-free; see circuit.h). Throws
+  /// std::invalid_argument for an unknown relation name.
   numeric::BigRational Evaluate(std::uint64_t domain_size,
                                 const std::vector<RelationWeights>& reweights,
-                                nnf::Circuit::EvalArena* arena) const;
-  numeric::BigRational Evaluate(
-      std::uint64_t domain_size,
-      const std::vector<RelationWeights>& reweights) const;
+                                nnf::Circuit::EvalArena* arena = nullptr) const;
 
-  /// WFOMC(Φ, n) under the compile-time vocabulary weights, via the
-  /// circuit. Grounded kind: equals compile_count() — the cheap sanity
-  /// check. Lifted kind throws (it needs a domain size).
-  numeric::BigRational Evaluate() const;
-  /// WFOMC(Φ, n) at the compile-time domain size with the listed
-  /// relations' weights replaced. Grounded kind only; the lifted kind
-  /// throws std::invalid_argument (pass n via Evaluate(n, reweights)).
-  numeric::BigRational Evaluate(
-      const std::vector<RelationWeights>& reweights) const;
-  /// Serving form: same as above with caller-owned evaluation scratch
-  /// (one nnf::Circuit::EvalArena reused across calls makes steady-state
-  /// evaluation allocation-free; see circuit.h).
-  numeric::BigRational Evaluate(const std::vector<RelationWeights>& reweights,
-                                nnf::Circuit::EvalArena* arena) const;
-  /// Lowest level, grounded kind only: explicit per-variable weights
-  /// (must cover circuit().variable_count() variables; Tseitin
-  /// auxiliaries should stay (1, 1) for the count to mean WFOMC).
-  numeric::BigRational EvaluateRaw(const wmc::WeightMap& weights) const;
-  numeric::BigRational EvaluateRaw(const wmc::WeightMap& weights,
-                                   nnf::Circuit::EvalArena* arena) const;
-
-  /// The per-variable weight map `reweights` induces — what EvaluateRaw
-  /// would be handed. Exposed for serialization (.nnf weight lines).
-  /// Grounded kind only.
+  /// The per-variable weight map `reweights` induces over the grounded
+  /// circuit. Exposed for serialization (.nnf weight lines). Grounded
+  /// kind only.
   wmc::WeightMap GroundWeights(
       const std::vector<RelationWeights>& reweights) const;
 
@@ -173,46 +150,64 @@ class CompiledQuery {
  private:
   friend class Engine;
 
-  void RequireKind(Kind kind, const char* who) const;
+  struct Grounded {
+    nnf::Circuit circuit;
+    std::uint64_t domain_size = 0;
+    std::vector<logic::RelationId> variable_relation;  // tuple -> relation
+    numeric::BigRational compile_count;
+    wmc::DpllCounter::Stats compile_stats;
+  };
+  struct Lifted {
+    nnf::LiftedCircuit circuit;
+    fo2::LiftedCompileStats compile_stats;
+  };
 
-  Kind kind_ = Kind::kGrounded;
-  nnf::Circuit circuit_;
-  nnf::LiftedCircuit lifted_circuit_;
+  using Payload = std::variant<Grounded, Lifted>;
+
+  CompiledQuery(logic::Vocabulary vocabulary, Payload payload)
+      : vocabulary_(std::move(vocabulary)), payload_(std::move(payload)) {}
+
+  /// The payload of the required kind; std::invalid_argument (prefixed
+  /// with `who`) on the other kind.
+  const Grounded& grounded(const char* who) const;
+  const Lifted& lifted(const char* who) const;
+
   logic::Vocabulary vocabulary_;
-  std::uint64_t domain_size_ = 0;
-  std::vector<logic::RelationId> variable_relation_;
-  numeric::BigRational compile_count_;
-  wmc::DpllCounter::Stats compile_stats_;
-  fo2::LiftedCompileStats lifted_compile_stats_;
+  Payload payload_;
 };
 
 const char* ToString(CompiledQuery::Kind kind);
 
-/// Per-call resource governance: non-null members override the engine's
-/// Options for the duration of one query, so concurrent callers sharing
-/// an Engine (the serve daemon) govern each request without mutating
-/// shared engine state.
+/// Per-call resource governance — the only way to govern a query. Every
+/// member is optional and not owned; null leaves that resource
+/// unlimited. It applies to the grounded search (WFOMC, WFOMCSweep and
+/// the grounded compile trace); the lifted paths are polynomial and run
+/// ungoverned. Because it travels with the call, concurrent callers
+/// sharing an Engine (the serve daemon) govern each request without
+/// touching shared engine state.
 struct QueryOptions {
+  /// Resource envelope (deadline, decision cap, memory ceiling). On
+  /// exhaustion WFOMC/WFOMCSweep report Outcome::kBounds (or kAborted)
+  /// and Compile reports kAborted instead of spinning. One budget shared
+  /// by every point of a sweep keeps draining across them.
   runtime::Budget* budget = nullptr;
+  /// Cooperative cancellation, polled once per decision.
   runtime::CancelToken* cancel = nullptr;
+  /// Deterministic fault injection for tests.
   runtime::FaultPoint* fault = nullptr;
 };
 
-/// What Engine::Compile should produce and under which resources.
+/// What Engine::Compile should produce.
 struct CompileOptions {
   /// Required by the grounded compiler (it fixes n at compile time);
   /// ignored by the lifted compiler, whose circuit is domain-parametric.
   std::optional<std::uint64_t> domain_size;
-  /// kAuto compiles liftable sentences into lifted circuits and falls
-  /// back to the grounded trace (at `domain_size`) otherwise. kLiftedFO2
-  /// and kGrounded force their compiler; kGammaAcyclic has no circuit
-  /// form and is rejected.
+  /// kAuto compiles liftable sentences into lifted circuits — unless
+  /// `domain_size` is 0, which a lifted circuit cannot evaluate — and
+  /// falls back to the grounded trace (at `domain_size`) otherwise.
+  /// kLiftedFO2 and kGrounded force their compiler; kGammaAcyclic has no
+  /// circuit form and is rejected.
   Method method = Method::kAuto;
-  /// Per-call governance for the grounded trace (the lifted compiler is
-  /// polynomial and runs ungoverned); non-null overrides engine Options.
-  runtime::Budget* budget = nullptr;
-  runtime::CancelToken* cancel = nullptr;
-  runtime::FaultPoint* fault = nullptr;
 };
 
 /// The outcome of Engine::Compile, shaped like Engine::Result: which
@@ -237,16 +232,9 @@ struct CompileResult {
 /// Routing never changes the answer, only the complexity.
 class Engine {
  public:
+  /// Engine-wide observability; queries are governed per call
+  /// (QueryOptions).
   struct Options {
-    /// Resource envelope for grounded searches (not owned; shared by
-    /// every query — and every sweep point — issued while set). On
-    /// exhaustion WFOMC/WFOMCSweep report Outcome::kBounds (or kAborted)
-    /// instead of spinning; Compile reports through TryCompile.
-    runtime::Budget* budget = nullptr;
-    /// Cooperative cancellation for grounded searches (not owned).
-    runtime::CancelToken* cancel = nullptr;
-    /// Deterministic fault injection for tests (not owned).
-    runtime::FaultPoint* fault = nullptr;
     /// Live observability (not owned; null = disabled). The registry
     /// receives per-method route counters and is forwarded into the
     /// DPLL counter; the trace log gets one span per WFOMC/WFOMCSweep/
@@ -256,18 +244,11 @@ class Engine {
     obs::TraceLog* trace = nullptr;
   };
 
-  /// CompileResult used to be a nested type; the alias keeps
-  /// Engine::CompileResult spelling valid for pre-unification callers.
-  using CompileResult = api::CompileResult;
-
   explicit Engine(logic::Vocabulary vocabulary);
   Engine(logic::Vocabulary vocabulary, Options options);
 
   const logic::Vocabulary& vocabulary() const { return vocabulary_; }
   logic::Vocabulary* mutable_vocabulary() { return &vocabulary_; }
-
-  const Options& options() const { return options_; }
-  void set_options(Options options) { options_ = options; }
 
   /// Parses a sentence against (and possibly extending) the vocabulary.
   logic::Formula Parse(const std::string& text);
@@ -287,13 +268,10 @@ class Engine {
     std::optional<wmc::DpllCounter::Stats> grounded_stats;
   };
 
-  /// Symmetric WFOMC(Φ, n, w, w̄).
+  /// Symmetric WFOMC(Φ, n, w, w̄), governed by `query` (see
+  /// QueryOptions; the default is ungoverned).
   Result WFOMC(const logic::Formula& sentence, std::uint64_t domain_size,
-               Method method = Method::kAuto);
-  /// Same, with per-call resource governance (see QueryOptions): non-null
-  /// members override the engine-level Options for this query only.
-  Result WFOMC(const logic::Formula& sentence, std::uint64_t domain_size,
-               Method method, const QueryOptions& query_options);
+               Method method = Method::kAuto, const QueryOptions& query = {});
 
   struct SweepPoint {
     std::uint64_t domain_size = 0;
@@ -322,47 +300,35 @@ class Engine {
   ///     extracted once;
   ///   * grounded: one DPLL count per point, in ascending n.
   /// Results are bit-identical to calling WFOMC per point. Throws
-  /// std::invalid_argument when n_lo > n_hi.
+  /// std::invalid_argument when n_lo > n_hi. `query` governs the whole
+  /// sweep (one budget drains across every point).
   SweepResult WFOMCSweep(const logic::Formula& sentence, std::uint64_t n_lo,
-                         std::uint64_t n_hi, Method method = Method::kAuto);
-  /// Same, with per-call resource governance (see QueryOptions).
-  SweepResult WFOMCSweep(const logic::Formula& sentence, std::uint64_t n_lo,
-                         std::uint64_t n_hi, Method method,
-                         const QueryOptions& query_options);
+                         std::uint64_t n_hi, Method method = Method::kAuto,
+                         const QueryOptions& query = {});
 
-  /// The unified compile entry point. Routing (under kAuto):
+  /// The compile entry point. Routing (under kAuto):
   ///   * liftable FO² sentences (CanCompileLifted) compile once into a
   ///     domain-parametric lifted circuit — no domain size needed, every
   ///     n >= 1 answered by CompiledQuery::Evaluate(n, reweights);
-  ///   * everything else runs the grounded path (lineage + Tseitin —
-  ///     every sentence the grounded method accepts is compilable): the
-  ///     DPLL counter searches once in tracing mode at the required
+  ///   * everything else — and a liftable sentence at domain_size 0 —
+  ///     runs the grounded path (lineage + Tseitin: every sentence the
+  ///     grounded method accepts is compilable): the DPLL counter
+  ///     searches once in tracing mode at the required
   ///     options.domain_size, and the trace is the circuit.
   /// Grounded compilation cost is one sequential grounded count with
-  /// zero-weight pruning off; each Evaluate afterwards is linear in the
-  /// circuit. Throws std::invalid_argument when the grounded path is
-  /// taken without a domain size, and for Method::kGammaAcyclic (the
-  /// Theorem 3.6 evaluator has no circuit form).
+  /// zero-weight pruning off, governed by `query`; each Evaluate
+  /// afterwards is linear in the circuit. Throws std::invalid_argument
+  /// when the grounded path is taken without a domain size, and for
+  /// Method::kGammaAcyclic (the Theorem 3.6 evaluator has no circuit
+  /// form).
   CompileResult Compile(const logic::Formula& sentence,
-                        const CompileOptions& options = {});
+                        const CompileOptions& options = {},
+                        const QueryOptions& query = {});
 
-  /// True when Compile would produce a lifted circuit for this sentence
-  /// under Method::kAuto (sentence in FO², arity <= 2, no constants).
+  /// True when the sentence is liftable (FO², arity <= 2, no constants):
+  /// Compile under Method::kAuto then produces a lifted circuit for any
+  /// domain size but 0.
   bool CanCompileLifted(const logic::Formula& sentence) const;
-
-  /// Deprecated shim for the pre-unification API: grounded compile at a
-  /// fixed domain size under the engine-level Options, throwing
-  /// std::runtime_error on a budget stop. Use Compile(Φ, CompileOptions)
-  /// instead.
-  CompiledQuery Compile(const logic::Formula& sentence,
-                        std::uint64_t domain_size);
-
-  /// Deprecated shim for the pre-unification API: grounded compile at a
-  /// fixed domain size under the engine-level Options, reporting a
-  /// budget stop as Outcome::kAborted. Use Compile(Φ, CompileOptions)
-  /// instead.
-  CompileResult TryCompile(const logic::Formula& sentence,
-                           std::uint64_t domain_size);
 
   /// FOMC(Φ, n): WFOMC with all weights forced to (1, 1).
   numeric::BigInt FOMC(const logic::Formula& sentence,

@@ -16,23 +16,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Arms `budget` from the RunOptions envelope; returns whether any limit
-/// was set. Called immediately before the timed evaluation so the
-/// wall-clock deadline measures the evaluation, not setup.
-bool ArmBudget(const RunOptions& options, runtime::Budget* budget) {
-  if (!options.governed()) return false;
-  if (options.budget_ms.has_value()) {
-    budget->SetWallClockMs(*options.budget_ms);
-  }
-  if (options.max_decisions.has_value()) {
-    budget->SetMaxDecisions(*options.max_decisions);
-  }
-  if (options.max_memory_bytes.has_value()) {
-    budget->SetMaxMemoryBytes(*options.max_memory_bytes);
-  }
-  return true;
-}
-
 /// The `expect` check under governance: exact answers must match, bounds
 /// must bracket, an aborted point verifies nothing.
 bool PointMatchesExpected(const api::Engine::SweepPoint& point,
@@ -100,22 +83,20 @@ ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
   if (method == api::Method::kAuto) method = report.route.method;
   report.method_used = method;
 
-  // Per-call governance: the budget rides on QueryOptions instead of
-  // mutating the engine's shared Options.
   runtime::Budget budget;
-  api::QueryOptions query_options;
-  if (ArmBudget(options, &budget)) query_options.budget = &budget;
+  api::QueryOptions query;
+  query.budget = options.limits.Arm(&budget);
 
   auto start = std::chrono::steady_clock::now();
   if (spec.IsSweep()) {
     api::Engine::SweepResult sweep = engine.WFOMCSweep(
-        spec.sentence, spec.domain_lo, spec.domain_hi, method, query_options);
+        spec.sentence, spec.domain_lo, spec.domain_hi, method, query);
     report.points = std::move(sweep.points);
     report.outcome = sweep.outcome;
     report.stop_reason = sweep.stop_reason;
   } else {
     api::Engine::Result result =
-        engine.WFOMC(spec.sentence, spec.domain_lo, method, query_options);
+        engine.WFOMC(spec.sentence, spec.domain_lo, method, query);
     report.points.push_back(api::Engine::SweepPoint{
         spec.domain_lo, std::move(result.value), result.outcome,
         std::move(result.bounds), result.stop_reason});
@@ -155,7 +136,7 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
   counter_options.metrics = options.metrics;
   counter_options.trace = options.trace;
   runtime::Budget budget;
-  if (ArmBudget(options, &budget)) counter_options.budget = &budget;
+  counter_options.budget = options.limits.Arm(&budget);
 
   // The cnf path bypasses api::Engine, so it claims its own query id for
   // trace correlation and wraps the count in a span itself.
@@ -215,10 +196,12 @@ CompileOutcome RunCompile(const ModelSpec& spec, const RunOptions& options,
   if (spec.has_domain) compile_options.domain_size = spec.domain_hi;
   compile_options.method = options.method_override.value_or(spec.method);
   runtime::Budget budget;
-  if (ArmBudget(options, &budget)) compile_options.budget = &budget;
+  api::QueryOptions query;
+  query.budget = options.limits.Arm(&budget);
 
   auto start = std::chrono::steady_clock::now();
-  api::CompileResult compiled = engine.Compile(spec.sentence, compile_options);
+  api::CompileResult compiled =
+      engine.Compile(spec.sentence, compile_options, query);
   report.compile_seconds = SecondsSince(start);
 
   report.outcome = compiled.outcome;

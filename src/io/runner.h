@@ -30,22 +30,15 @@ struct RunOptions {
   /// Resource envelope (the CLI's --budget-ms / --max-decisions /
   /// --max-memory flags). When any is set, a fresh runtime::Budget is
   /// armed per input — the deadline clock starts when that input's
-  /// evaluation starts, not at process launch — and a grounded search
-  /// that exhausts it reports outcome "bounds" (or "aborted") instead of
-  /// running away.
-  std::optional<std::uint64_t> budget_ms;
-  std::optional<std::uint64_t> max_decisions;
-  std::optional<std::uint64_t> max_memory_bytes;
+  /// evaluation starts, not at process launch — and passed as the call's
+  /// api::QueryOptions::budget; a grounded search that exhausts it
+  /// reports outcome "bounds" (or "aborted") instead of running away.
+  runtime::Limits limits;
   /// Live observability (the CLI's --metrics-out / --trace-out flags;
   /// not owned, null = disabled). Forwarded into the engine and the DPLL
   /// counter; never changes any result bit.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceLog* trace = nullptr;
-
-  bool governed() const {
-    return budget_ms.has_value() || max_decisions.has_value() ||
-           max_memory_bytes.has_value();
-  }
 };
 
 /// Everything one model evaluation produced, ready for serialization:
@@ -113,11 +106,12 @@ CnfRunReport RunWeightedCnf(const WeightedCnf& instance,
 
 /// One model compiled into a circuit (`swfomc compile`): the report plus
 /// the CompiledQuery itself, so callers can serialize the circuit or keep
-/// serving weight vectors from it. Routing follows the unified
-/// Engine::Compile: liftable FO² sentences (under method auto or
-/// lifted-fo2) compile into a domain-parametric lifted circuit — no
-/// `domain` directive needed — and everything else runs the (sequential)
-/// grounded trace at the model's largest domain size.
+/// serving weight vectors from it. Routing follows Engine::Compile:
+/// liftable FO² sentences (under method auto or lifted-fo2) compile into
+/// a domain-parametric lifted circuit — no `domain` directive needed,
+/// though method auto grounds a `domain 0` model — and everything else
+/// runs the (sequential) grounded trace at the model's largest domain
+/// size, governed by a budget armed from RunOptions::limits.
 struct CompileRunReport {
   std::string source;
   std::string name;

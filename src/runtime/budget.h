@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 namespace swfomc::runtime {
 
@@ -131,6 +132,35 @@ class Budget {
   std::chrono::steady_clock::time_point deadline_{};
   std::atomic<std::uint64_t> decisions_used_{0};
   std::atomic<std::uint64_t> bytes_used_{0};
+};
+
+/// A resource envelope as configuration: the limits to arm a fresh Budget
+/// with, each unset member staying unlimited. The CLI (io::RunOptions)
+/// and the serve daemon (ServerOptions, with per-request overrides) both
+/// arm their per-query budgets through Arm, so the rule lives once.
+struct Limits {
+  std::optional<std::uint64_t> budget_ms;
+  std::optional<std::uint64_t> max_decisions;
+  std::optional<std::uint64_t> max_memory_bytes;
+
+  bool governed() const {
+    return budget_ms.has_value() || max_decisions.has_value() ||
+           max_memory_bytes.has_value();
+  }
+
+  /// Sets every configured limit on `budget` — the deadline clock starts
+  /// now, so call this right before the governed work — and returns it,
+  /// ready for QueryOptions::budget. Returns null (leaving `budget`
+  /// untouched) when no limit is set: an ungoverned query.
+  Budget* Arm(Budget* budget) const {
+    if (!governed()) return nullptr;
+    if (budget_ms.has_value()) budget->SetWallClockMs(*budget_ms);
+    if (max_decisions.has_value()) budget->SetMaxDecisions(*max_decisions);
+    if (max_memory_bytes.has_value()) {
+      budget->SetMaxMemoryBytes(*max_memory_bytes);
+    }
+    return budget;
+  }
 };
 
 /// Deterministic fault injection for exercising governed exit paths.

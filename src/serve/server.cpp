@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <streambuf>
@@ -83,28 +84,6 @@ JsonValue MakeError(const JsonValue* id, const std::string& message) {
   return json;
 }
 
-/// The per-request resource envelope (request fields override the server
-/// defaults). Arms `budget` and returns true when any limit applies.
-struct RequestBudget {
-  std::optional<std::uint64_t> budget_ms;
-  std::optional<std::uint64_t> max_decisions;
-  std::optional<std::uint64_t> max_memory_bytes;
-
-  bool governed() const {
-    return budget_ms.has_value() || max_decisions.has_value() ||
-           max_memory_bytes.has_value();
-  }
-  bool Arm(runtime::Budget* budget) const {
-    if (!governed()) return false;
-    if (budget_ms.has_value()) budget->SetWallClockMs(*budget_ms);
-    if (max_decisions.has_value()) budget->SetMaxDecisions(*max_decisions);
-    if (max_memory_bytes.has_value()) {
-      budget->SetMaxMemoryBytes(*max_memory_bytes);
-    }
-    return true;
-  }
-};
-
 void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
                       runtime::StopReason stop_reason) {
   json->Add("outcome", JsonValue::MakeString(api::ToString(outcome)));
@@ -122,7 +101,7 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
                        const logic::Formula& sentence,
                        std::uint64_t domain_size,
                        const std::vector<api::RelationWeights>& reweights,
-                       api::Method method, const RequestBudget& envelope,
+                       api::Method method, const runtime::Limits& limits,
                        obs::MetricsRegistry* metrics, obs::TraceLog* trace) {
   logic::Vocabulary vocabulary = base_vocabulary;
   for (const api::RelationWeights& weights : reweights) {
@@ -134,16 +113,11 @@ JsonValue DirectResult(const logic::Vocabulary& base_vocabulary,
   engine_options.metrics = metrics;
   engine_options.trace = trace;
   api::Engine engine(std::move(vocabulary), engine_options);
-  // Per-call governance: the request's budget rides on QueryOptions, so
-  // even a shared engine would stay untouched.
   runtime::Budget budget;
-  api::QueryOptions query_options;
-  if (envelope.governed()) {
-    envelope.Arm(&budget);
-    query_options.budget = &budget;
-  }
+  api::QueryOptions query;
+  query.budget = limits.Arm(&budget);
   api::Engine::Result result =
-      engine.WFOMC(sentence, domain_size, method, query_options);
+      engine.WFOMC(sentence, domain_size, method, query);
   JsonValue entry = JsonValue::MakeObject();
   switch (result.outcome) {
     case api::Outcome::kExact:
@@ -379,16 +353,16 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
     return MakeError(id, "\"domain\" must be a non-negative integer");
   }
 
-  RequestBudget envelope{options_.budget_ms, options_.max_decisions,
-                         options_.max_memory_bytes};
+  // The request's own limits override the server defaults field by field.
+  runtime::Limits limits = options_.limits;
   struct BudgetField {
     const char* name;
     std::optional<std::uint64_t>* slot;
   };
   const BudgetField budget_fields[] = {
-      {"budget_ms", &envelope.budget_ms},
-      {"max_decisions", &envelope.max_decisions},
-      {"max_memory_bytes", &envelope.max_memory_bytes},
+      {"budget_ms", &limits.budget_ms},
+      {"max_decisions", &limits.max_decisions},
+      {"max_memory_bytes", &limits.max_memory_bytes},
   };
   for (const BudgetField& field : budget_fields) {
     if (const JsonValue* member = FindMember(request, field.name)) {
@@ -511,7 +485,7 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
       try {
         results[i] =
             DirectResult(vocabulary, sentence, *domain, vectors[i].reweights,
-                         method, envelope, &registry_, options_.trace);
+                         method, limits, &registry_, options_.trace);
       } catch (const std::exception& error) {
         results[i] = MakeError(nullptr, error.what());
       }
@@ -543,19 +517,17 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
       compiler_options.metrics = &registry_;
       compiler_options.trace = options_.trace;
       api::Engine compiler{logic::Vocabulary(vocabulary), compiler_options};
-      runtime::Budget budget;
       api::CompileOptions compile_options;
       compile_options.domain_size = *domain;
       compile_options.method =
           lifted ? api::Method::kLiftedFO2 : api::Method::kGrounded;
-      if (envelope.governed()) {
-        envelope.Arm(&budget);
-        compile_options.budget = &budget;
-      }
+      runtime::Budget budget;
+      api::QueryOptions query_options;
+      query_options.budget = limits.Arm(&budget);
       auto compile_start = std::chrono::steady_clock::now();
       api::CompileResult compiled;
       try {
-        compiled = compiler.Compile(sentence, compile_options);
+        compiled = compiler.Compile(sentence, compile_options, query_options);
       } catch (const std::exception& error) {
         return MakeError(id, std::string("compile failed: ") + error.what());
       }

@@ -7,7 +7,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,6 +17,7 @@
 #include "nnf/circuit.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/budget.h"
 #include "runtime/thread_pool.h"
 
 namespace swfomc::serve {
@@ -37,10 +37,9 @@ struct ServerOptions {
   /// response instead of an unbounded parse.
   std::size_t max_request_bytes = std::size_t{1} << 20;  // 1 MiB
   /// Default per-request resource envelope; a request's own budget_ms /
-  /// max_decisions / max_memory_bytes fields override these.
-  std::optional<std::uint64_t> budget_ms;
-  std::optional<std::uint64_t> max_decisions;
-  std::optional<std::uint64_t> max_memory_bytes;
+  /// max_decisions / max_memory_bytes fields override these field by
+  /// field. Each compile and direct count arms a fresh budget from it.
+  runtime::Limits limits;
   /// Structured span/event log for request tracing (not owned; null =
   /// disabled). Wired from `swfomc serve --trace-out FILE`.
   obs::TraceLog* trace = nullptr;

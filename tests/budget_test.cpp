@@ -498,11 +498,11 @@ TEST(BudgetEngine, SweepDegradesToBoundsThatBracketTheExactSweep) {
 
   runtime::Budget budget;
   budget.SetMaxDecisions(8);  // drains across the whole sweep
-  api::Engine::Options options;
-  options.budget = &budget;
-  api::Engine governed_engine(vocab, options);
-  api::Engine::SweepResult governed =
-      governed_engine.WFOMCSweep(phi, 1, 4, api::Method::kGrounded);
+  api::QueryOptions query;
+  query.budget = &budget;
+  api::Engine governed_engine(vocab);
+  api::Engine::SweepResult governed = governed_engine.WFOMCSweep(
+      phi, 1, 4, api::Method::kGrounded, query);
 
   ASSERT_EQ(governed.points.size(), exact.points.size());
   bool any_bounds = false;
@@ -525,33 +525,120 @@ TEST(BudgetEngine, SweepDegradesToBoundsThatBracketTheExactSweep) {
   EXPECT_EQ(governed.stop_reason, StopReason::kDecisions);
 }
 
-TEST(BudgetEngine, TryCompileDiscardsPartialTraceAndCompileThrows) {
+TEST(BudgetEngine, CompileDiscardsPartialTraceAndRetriesOnTheSameEngine) {
   logic::Vocabulary vocab;
   logic::Formula phi = logic::Parse(
       "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  const api::CompileOptions grounded_at_3{.domain_size = 3,
+                                          .method = api::Method::kGrounded};
 
   runtime::Budget budget;
   budget.SetMaxDecisions(0);
-  api::Engine::Options options;
-  options.budget = &budget;
-  api::Engine engine(vocab, options);
+  api::QueryOptions query;
+  query.budget = &budget;
+  api::Engine engine(vocab);
 
-  api::Engine::CompileResult result = engine.TryCompile(phi, 3);
+  api::CompileResult result = engine.Compile(phi, grounded_at_3, query);
   EXPECT_EQ(result.outcome, api::Outcome::kAborted);
   EXPECT_EQ(result.stop_reason, StopReason::kDecisions);
   EXPECT_FALSE(result.compiled.has_value());
 
-  EXPECT_THROW(engine.Compile(phi, 3), std::runtime_error);
-
   // The same engine with the cap lifted compiles fine — governance is
   // per-budget state, not a poisoned engine.
   budget.SetMaxDecisions(runtime::Budget::kUnlimited);
-  api::Engine::CompileResult retry = engine.TryCompile(phi, 3);
+  api::CompileResult retry = engine.Compile(phi, grounded_at_3, query);
   ASSERT_EQ(retry.outcome, api::Outcome::kExact);
   ASSERT_TRUE(retry.compiled.has_value());
   api::Engine ungoverned(vocab);
   EXPECT_EQ(retry.compiled->compile_count(),
             ungoverned.WFOMC(phi, 3, api::Method::kGrounded).value);
+}
+
+// Cancellation and fault injection travel through QueryOptions exactly
+// like a budget: the grounded search brackets, the compile trace aborts.
+
+TEST(BudgetEngine, PreCancelledTokenBracketsWfomcAndSweep) {
+  logic::Vocabulary vocab;
+  logic::Formula phi = logic::Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  api::Engine engine(vocab);
+  api::Engine::SweepResult exact =
+      engine.WFOMCSweep(phi, 2, 3, api::Method::kGrounded);
+  ASSERT_EQ(exact.outcome, api::Outcome::kExact);
+
+  CancelToken token;
+  token.RequestCancel();
+  api::QueryOptions query;
+  query.cancel = &token;
+
+  api::Engine::Result single =
+      engine.WFOMC(phi, 3, api::Method::kGrounded, query);
+  EXPECT_EQ(single.outcome, api::Outcome::kBounds);
+  EXPECT_EQ(single.stop_reason, StopReason::kCancelled);
+  ASSERT_TRUE(single.bounds.has_value());
+  EXPECT_LE(single.bounds->lower, exact.points[1].value);
+  EXPECT_LE(exact.points[1].value, single.bounds->upper);
+  EXPECT_EQ(single.value, single.bounds->lower);
+
+  api::Engine::SweepResult sweep =
+      engine.WFOMCSweep(phi, 2, 3, api::Method::kGrounded, query);
+  EXPECT_EQ(sweep.outcome, api::Outcome::kBounds);
+  EXPECT_EQ(sweep.stop_reason, StopReason::kCancelled);
+  ASSERT_EQ(sweep.points.size(), exact.points.size());
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    const api::Engine::SweepPoint& point = sweep.points[i];
+    SCOPED_TRACE("n=" + std::to_string(point.domain_size));
+    EXPECT_EQ(point.outcome, api::Outcome::kBounds);
+    EXPECT_EQ(point.stop_reason, StopReason::kCancelled);
+    ASSERT_TRUE(point.bounds.has_value());
+    EXPECT_LE(point.bounds->lower, exact.points[i].value);
+    EXPECT_LE(exact.points[i].value, point.bounds->upper);
+  }
+}
+
+TEST(BudgetEngine, PreCancelledTokenAbortsGroundedCompile) {
+  logic::Vocabulary vocab;
+  logic::Formula phi = logic::Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  api::Engine engine(vocab);
+  CancelToken token;
+  token.RequestCancel();
+  api::QueryOptions query;
+  query.cancel = &token;
+  api::CompileResult result = engine.Compile(
+      phi, {.domain_size = 3, .method = api::Method::kGrounded}, query);
+  EXPECT_EQ(result.outcome, api::Outcome::kAborted);
+  EXPECT_EQ(result.stop_reason, StopReason::kCancelled);
+  EXPECT_FALSE(result.compiled.has_value());
+}
+
+TEST(BudgetEngine, DecisionFaultThroughQueryOptionsBracketsTheCount) {
+  logic::Vocabulary vocab;
+  logic::Formula phi = logic::Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  api::Engine engine(vocab);
+  BigRational exact = engine.WFOMC(phi, 3, api::Method::kGrounded).value;
+  bool any_bounds = false;
+  for (std::uint64_t fire_at : {1u, 2u, 5u, 17u}) {
+    SCOPED_TRACE("fire_at=" + std::to_string(fire_at));
+    FaultPoint fault(FaultPoint::Site::kDecision,
+                     FaultPoint::Action::kCancel, fire_at);
+    api::QueryOptions query;
+    query.fault = &fault;
+    api::Engine::Result result =
+        engine.WFOMC(phi, 3, api::Method::kGrounded, query);
+    if (result.outcome == api::Outcome::kExact) {
+      EXPECT_EQ(result.value, exact);
+      continue;
+    }
+    ASSERT_EQ(result.outcome, api::Outcome::kBounds);
+    EXPECT_EQ(result.stop_reason, StopReason::kCancelled);
+    ASSERT_TRUE(result.bounds.has_value());
+    EXPECT_LE(result.bounds->lower, exact);
+    EXPECT_LE(exact, result.bounds->upper);
+    any_bounds = true;
+  }
+  EXPECT_TRUE(any_bounds);
 }
 
 }  // namespace

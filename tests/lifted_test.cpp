@@ -275,6 +275,25 @@ TEST(LiftedCompile, LiftedCircuitRejectsEmptyDomain) {
                std::invalid_argument);
 }
 
+TEST(LiftedCompile, AutoCompilesGroundedAtDomainZero) {
+  // A lifted circuit answers n >= 1 only, so kAuto at domain size 0 must
+  // take the grounded compiler — the route `run` and serve already take —
+  // rather than emit a circuit that cannot evaluate its own domain size.
+  for (const char* text : {"forall x R(x)", "forall x exists y S(x,y)"}) {
+    SCOPED_TRACE(text);
+    Engine engine{logic::Vocabulary{}};
+    logic::Formula f = engine.Parse(text);
+    ASSERT_TRUE(engine.CanCompileLifted(f));
+    CompileOptions options;
+    options.domain_size = 0;
+    CompileResult result = engine.Compile(f, options);
+    ASSERT_TRUE(result.compiled.has_value());
+    EXPECT_EQ(result.method, Method::kGrounded);
+    EXPECT_EQ(result.compiled->kind(), CompiledQuery::Kind::kGrounded);
+    EXPECT_EQ(result.compiled->Evaluate(0, {}), engine.WFOMC(f, 0).value);
+  }
+}
+
 TEST(LiftedCompile, MemoryBytesAccountsForVocabularyStrings) {
   // Two structurally identical compiles whose only difference is the
   // length of a relation name: the byte accounting the serve LRU trusts

@@ -114,6 +114,16 @@ std::vector<std::vector<RelationWeights>> WeightRegimes(
   return regimes;
 }
 
+// The grounded d-DNNF of `sentence` at domain size n (ungoverned, so it
+// always finishes).
+CompiledQuery CompileGrounded(Engine* engine, const logic::Formula& sentence,
+                              std::uint64_t n) {
+  return *engine
+              ->Compile(sentence,
+                        {.domain_size = n, .method = Method::kGrounded})
+              .compiled;
+}
+
 std::vector<std::string> GoldenModelPaths() {
   std::vector<std::string> paths;
   for (const auto& entry :
@@ -135,12 +145,14 @@ TEST(Compile, GoldenCorpusBitIdenticalAcrossWeightRegimes) {
     SCOPED_TRACE(path);
     ModelSpec spec = io::LoadModelFile(path);
     Engine engine(spec.vocabulary);
-    CompiledQuery compiled = engine.Compile(spec.sentence, spec.domain_hi);
+    CompiledQuery compiled =
+        CompileGrounded(&engine, spec.sentence, spec.domain_hi);
 
     // The compile-time count is the grounded count; the corpus pins it.
     ASSERT_TRUE(spec.expect.has_value());
     EXPECT_EQ(compiled.compile_count(), *spec.expect);
-    EXPECT_EQ(compiled.Evaluate(), compiled.compile_count());
+    EXPECT_EQ(compiled.Evaluate(spec.domain_hi, {}),
+              compiled.compile_count());
 
     // Structural d-DNNF audit.
     std::string violation;
@@ -155,7 +167,7 @@ TEST(Compile, GoldenCorpusBitIdenticalAcrossWeightRegimes) {
                               weights.positive, weights.negative);
       }
       Engine recount(reweighted);
-      EXPECT_EQ(compiled.Evaluate(regime),
+      EXPECT_EQ(compiled.Evaluate(spec.domain_hi, regime),
                 recount.WFOMC(spec.sentence, spec.domain_hi,
                               Method::kGrounded)
                     .value)
@@ -173,7 +185,7 @@ TEST(Compile, SharesCacheHitSubcircuits) {
   logic::Formula sentence = logic::Parse(
       "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocabulary);
   Engine engine(vocabulary);
-  CompiledQuery compiled = engine.Compile(sentence, 3);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
   EXPECT_GT(compiled.compile_stats().cache_hits, 0u);
   EXPECT_EQ(compiled.compile_stats().cache_entries,
             compiled.compile_stats().cache_insertions);
@@ -453,9 +465,10 @@ TEST(CompiledQuery, RejectsUnknownRelation) {
   logic::Vocabulary vocabulary;
   logic::Formula sentence = logic::Parse("forall x R(x)", &vocabulary);
   Engine engine(vocabulary);
-  CompiledQuery compiled = engine.Compile(sentence, 2);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 2);
   EXPECT_THROW(
-      compiled.Evaluate({{"NoSuchRelation", BigRational(1), BigRational(1)}}),
+      compiled.Evaluate(2, {{"NoSuchRelation", BigRational(1),
+                             BigRational(1)}}),
       std::invalid_argument);
 }
 
@@ -466,7 +479,7 @@ TEST(CompiledQuery, ReweightSweepMatchesEngine) {
   logic::Formula sentence =
       logic::Parse("forall x exists y S(x,y)", &vocabulary);
   Engine engine(vocabulary);
-  CompiledQuery compiled = engine.Compile(sentence, 3);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
   for (std::int64_t k = -2; k <= 2; ++k) {
     std::vector<RelationWeights> regime = {
         {"S", BigRational(k), BigRational::Fraction(1, 3)}};
@@ -474,7 +487,7 @@ TEST(CompiledQuery, ReweightSweepMatchesEngine) {
     reweighted.SetWeights(reweighted.Require("S"), BigRational(k),
                           BigRational::Fraction(1, 3));
     Engine recount(reweighted);
-    EXPECT_EQ(compiled.Evaluate(regime),
+    EXPECT_EQ(compiled.Evaluate(3, regime),
               recount.WFOMC(sentence, 3, Method::kGrounded).value)
         << "k=" << k;
   }

@@ -317,9 +317,9 @@ TEST(Serve, BudgetExhaustedCompileFallsBackToCertifiedBounds) {
   EXPECT_EQ(server.Stats().circuits, 0u);
 }
 
-TEST(Serve, RequestBudgetOverridesTheServerDefault) {
+TEST(Serve, RequestLimitsOverrideTheServerDefault) {
   ServerOptions options;
-  options.max_decisions = 0;  // default envelope: nothing completes
+  options.limits.max_decisions = 0;  // default envelope: nothing completes
   Server server(options);
   const std::string triangle =
       R"js("exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))")js";

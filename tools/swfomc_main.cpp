@@ -285,20 +285,24 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
       options.domain = ParseUint64Flag("--domain", arg.substr(9));
     } else if (arg == "--budget-ms") {
       if (++i >= argc) throw UsageError("--budget-ms needs a value");
-      options.run.budget_ms = ParseUint64Flag("--budget-ms", argv[i]);
+      options.run.limits.budget_ms =
+          ParseUint64Flag("--budget-ms", argv[i]);
     } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      options.run.budget_ms = ParseUint64Flag("--budget-ms", arg.substr(12));
+      options.run.limits.budget_ms =
+          ParseUint64Flag("--budget-ms", arg.substr(12));
     } else if (arg == "--max-decisions") {
       if (++i >= argc) throw UsageError("--max-decisions needs a value");
-      options.run.max_decisions = ParseUint64Flag("--max-decisions", argv[i]);
+      options.run.limits.max_decisions =
+          ParseUint64Flag("--max-decisions", argv[i]);
     } else if (arg.rfind("--max-decisions=", 0) == 0) {
-      options.run.max_decisions =
+      options.run.limits.max_decisions =
           ParseUint64Flag("--max-decisions", arg.substr(16));
     } else if (arg == "--max-memory") {
       if (++i >= argc) throw UsageError("--max-memory needs a value");
-      options.run.max_memory_bytes = ParseMemorySize("--max-memory", argv[i]);
+      options.run.limits.max_memory_bytes =
+          ParseMemorySize("--max-memory", argv[i]);
     } else if (arg.rfind("--max-memory=", 0) == 0) {
-      options.run.max_memory_bytes =
+      options.run.limits.max_memory_bytes =
           ParseMemorySize("--max-memory", arg.substr(13));
     } else if (arg == "--listen") {
       if (++i >= argc) throw UsageError("--listen needs a value");
@@ -464,13 +468,13 @@ std::optional<CliOptions> ParseArgs(int argc, char** argv) {
     }
   }
   // Budgets govern the counting search; route/eval/print never run one.
-  if (options.run.governed() &&
+  if (options.run.limits.governed() &&
       (options.command == "route" || options.command == "eval" ||
        options.command == "print")) {
     throw UsageError("budget options do not apply to the " + options.command +
                      " command (it runs no counting search)");
   }
-  if (options.on_budget.has_value() && !options.run.governed()) {
+  if (options.on_budget.has_value() && !options.run.limits.governed()) {
     throw UsageError(
         "--on-budget needs a budget (--budget-ms, --max-decisions, or "
         "--max-memory)");
@@ -511,9 +515,7 @@ int RunServe(const CliOptions& options) {
     server_options.max_request_bytes =
         static_cast<std::size_t>(*options.max_request_bytes);
   }
-  server_options.budget_ms = options.run.budget_ms;
-  server_options.max_decisions = options.run.max_decisions;
-  server_options.max_memory_bytes = options.run.max_memory_bytes;
+  server_options.limits = options.run.limits;
   server_options.trace = options.run.trace;
   swfomc::serve::Server server(server_options);
   if (options.listen_port.has_value()) {
