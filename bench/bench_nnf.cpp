@@ -12,7 +12,9 @@
 //
 // on the triangle family (the counter's stress workload, FO3 so grounded
 // is the only engine). BM_Nnf_EvaluateOnly isolates the per-vector
-// marginal cost. The headline (BENCH_wmc.json): at n=4 with 100 vectors,
+// marginal cost; BM_Nnf_EvaluateOnly_FourCycle measures it on the 4-cycle
+// query, whose circuit is mostly Tseitin-auxiliary edges that the
+// evaluation tape folds away. The headline (BENCH_wmc.json): at n=4 with 100 vectors,
 // compile-once must beat recounting by well over the 5x the roadmap's
 // serving story needs.
 
@@ -36,6 +38,9 @@ using swfomc::numeric::BigRational;
 
 constexpr const char* kTriangle =
     "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))";
+constexpr const char* kFourCycle =
+    "exists x1 exists x2 exists x3 exists x4 "
+    "(S(x1,x2) & S(x2,x3) & S(x3,x4) & S(x4,x1))";
 
 // Deterministic weight schedule: the k-th vector is (k+1, 1/(k+2)) — all
 // distinct, all exercising non-trivial rational arithmetic.
@@ -43,12 +48,12 @@ RelationWeights WeightVector(std::int64_t k) {
   return {"S", BigRational(k + 1), BigRational::Fraction(1, k + 2)};
 }
 
-struct TriangleFixture {
+struct QueryFixture {
   swfomc::logic::Vocabulary vocabulary;
   swfomc::logic::Formula sentence;
 
-  TriangleFixture()
-      : sentence(swfomc::logic::Parse(kTriangle, &vocabulary)) {}
+  explicit QueryFixture(const char* text = kTriangle)
+      : sentence(swfomc::logic::Parse(text, &vocabulary)) {}
 
   // The grounded d-DNNF at domain size n.
   CompiledQuery Compile(std::uint64_t n) const {
@@ -61,7 +66,7 @@ struct TriangleFixture {
 };
 
 void BM_Nnf_Recount(benchmark::State& state) {
-  TriangleFixture fixture;
+  QueryFixture fixture;
   std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   std::int64_t vectors = state.range(1);
   for (auto _ : state) {
@@ -82,7 +87,7 @@ BENCHMARK(BM_Nnf_Recount)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Nnf_CompileEval(benchmark::State& state) {
-  TriangleFixture fixture;
+  QueryFixture fixture;
   std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   std::int64_t vectors = state.range(1);
   swfomc::nnf::Circuit::EvalArena arena;
@@ -103,7 +108,7 @@ BENCHMARK(BM_Nnf_CompileEval)
 // to quote for serving throughput (queries/second = 1 / this). Serving
 // form: one EvalArena reused across calls, as a real serving loop would.
 void BM_Nnf_EvaluateOnly(benchmark::State& state) {
-  TriangleFixture fixture;
+  QueryFixture fixture;
   std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   CompiledQuery compiled = fixture.Compile(n);
   swfomc::nnf::Circuit::EvalArena arena;
@@ -118,6 +123,21 @@ BENCHMARK(BM_Nnf_EvaluateOnly)
     ->Arg(5)
     ->Unit(benchmark::kMillisecond);
 
+void BM_Nnf_EvaluateOnly_FourCycle(benchmark::State& state) {
+  QueryFixture fixture(kFourCycle);
+  std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
+  CompiledQuery compiled = fixture.Compile(n);
+  swfomc::nnf::Circuit::EvalArena arena;
+  std::int64_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        compiled.Evaluate(n, {WeightVector(k++ % 100)}, &arena));
+  }
+}
+BENCHMARK(BM_Nnf_EvaluateOnly_FourCycle)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
 void PrintTable() {
   std::printf(
       "== Knowledge compilation: circuit sizes on the triangle family "
@@ -125,7 +145,7 @@ void PrintTable() {
   std::printf("%4s %10s %10s %10s %8s %12s %12s\n", "n", "vars", "nodes",
               "edges", "depth", "cache hits", "wfomc check");
   for (std::uint64_t n = 2; n <= 5; ++n) {
-    CompiledQuery compiled = TriangleFixture().Compile(n);
+    CompiledQuery compiled = QueryFixture().Compile(n);
     auto stats = compiled.circuit().ComputeStats();
     bool check = compiled.Evaluate(n, {}) == compiled.compile_count();
     std::printf("%4llu %10u %10llu %10llu %8llu %12llu %12s\n",

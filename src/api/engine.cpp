@@ -626,13 +626,19 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       grounding::SymmetricGroundWeights(index, tseitin.cnf.variable_count);
 
   nnf::CircuitBuilder builder(tseitin.cnf.variable_count);
-  wmc::DpllCounter::Options counter_options =
-      CounterOptions(query, options_, scope);
-  counter_options.trace_sink = &builder;
-  wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
-                           counter_options);
-
-  wmc::DpllCounter::CountResult counted = counter.CountBounded();
+  CompiledQuery::Grounded grounded;
+  wmc::DpllCounter::CountResult counted;
+  {
+    // Scoped so the counter and its trace memo are freed before Finish
+    // allocates the renumbered circuit and its evaluation tape.
+    wmc::DpllCounter::Options counter_options =
+        CounterOptions(query, options_, scope);
+    counter_options.trace_sink = &builder;
+    wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
+                             counter_options);
+    counted = counter.CountBounded();
+    grounded.compile_stats = counter.stats();
+  }
   result.stop_reason = counted.stop_reason;
   if (counted.outcome != wmc::DpllCounter::CountOutcome::kExact) {
     // A stopped trace contains placeholder FALSE nodes for the abandoned
@@ -644,8 +650,10 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
     scope.span.Str("outcome", ToString(result.outcome));
     return result;
   }
-  CompiledQuery::Grounded grounded;
-  grounded.circuit = builder.Finish();
+  // Variables past the tuples are Tseitin auxiliaries, weighted (1, 1)
+  // by GroundWeights under every query.
+  grounded.circuit =
+      builder.Finish(static_cast<std::uint32_t>(index.TupleCount()));
   grounded.domain_size = domain_size;
   grounded.variable_relation.reserve(
       static_cast<std::size_t>(index.TupleCount()));
@@ -653,7 +661,6 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
     grounded.variable_relation.push_back(index.AtomOf(v).relation);
   }
   grounded.compile_count = std::move(counted.value);
-  grounded.compile_stats = counter.stats();
   result.outcome = Outcome::kExact;
   result.compiled = CompiledQuery(vocabulary_, std::move(grounded));
   scope.span.Str("outcome", ToString(result.outcome));

@@ -484,14 +484,15 @@ class LiftedNnfParser {
   std::optional<std::pair<std::uint64_t, BigRational>> expect_;
 };
 
-// The first non-comment line's head token decides the dialect.
-std::string_view HeaderToken(std::string_view text) {
-  std::string_view header;
+// The first non-comment line's head token decides the dialect. Returned
+// by value: the tokens it comes from die with each line's token vector.
+std::string HeaderToken(std::string_view text) {
+  std::string header;
   internal::ForEachLine(text, [&](std::size_t, std::string_view line) {
     if (!header.empty()) return;
     std::vector<LineToken> tokens = internal::Tokenize(line);
     if (tokens.empty() || tokens.front().text == "c") return;
-    header = tokens.front().text;
+    header = std::move(tokens.front().text);
   });
   return header;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -21,8 +22,10 @@ std::string NodeName(Circuit::NodeId id) {
 }  // namespace
 
 Circuit::Circuit(std::uint32_t variable_count, std::vector<Node> nodes,
-                 std::vector<NodeId> edges, NodeId root)
+                 std::vector<NodeId> edges, NodeId root,
+                 std::uint32_t auxiliary_begin)
     : variable_count_(variable_count),
+      auxiliary_begin_(std::min(auxiliary_begin, variable_count)),
       nodes_(std::move(nodes)),
       edges_(std::move(edges)),
       root_(root) {
@@ -77,24 +80,27 @@ Circuit::Circuit(std::uint32_t variable_count, std::vector<Node> nodes,
         break;
     }
   }
-  AnalyzeStructure();
+  // One bitset pass decides whether the integer-scaled evaluation is
+  // sound: every AND must be variable-disjoint and every OR smooth (all
+  // children with the same variable set), in which case each product
+  // term of a node covers its variable set with exactly one literal — so
+  // clearing each variable's weight denominator scales the total by one
+  // known factor. Only the root's set outlives the pass.
+  std::vector<std::uint64_t> varsets = NodeVarsets(&scalable_);
+  std::size_t words = VarsetWords();
+  root_varset_.assign(
+      varsets.begin() + static_cast<std::ptrdiff_t>(root_ * words),
+      varsets.begin() + static_cast<std::ptrdiff_t>((root_ + 1) * words));
+  if (scalable_) LowerTape();
 }
 
-void Circuit::AnalyzeStructure() {
-  // One bitset pass building the per-node variable sets (kept for
-  // Evaluate's fast path and for Validate) and deciding whether the
-  // integer-scaled evaluation is sound: every AND must be
-  // variable-disjoint and every OR smooth (all children with the same
-  // variable set), in which case each product term of a node covers its
-  // variable set with exactly one literal — so clearing each variable's
-  // weight denominator scales the total by one known factor.
-  varset_words_ = (static_cast<std::size_t>(variable_count_) + 63) / 64;
-  varsets_.assign(nodes_.size() * varset_words_, 0);
-  scalable_ = true;
+std::vector<std::uint64_t> Circuit::NodeVarsets(bool* scalable) const {
+  std::size_t words = VarsetWords();
+  std::vector<std::uint64_t> varsets(nodes_.size() * words, 0);
+  bool disjoint_and_smooth = true;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
-    std::uint64_t* set =
-        varsets_.data() + static_cast<std::size_t>(id) * varset_words_;
+    std::uint64_t* set = varsets.data() + static_cast<std::size_t>(id) * words;
     switch (node.kind) {
       case NodeKind::kTrue:
       case NodeKind::kFalse:
@@ -106,9 +112,10 @@ void Circuit::AnalyzeStructure() {
       }
       case NodeKind::kAnd:
         for (NodeId child : Children(id)) {
-          std::span<const std::uint64_t> child_set = Varset(child);
-          for (std::size_t w = 0; w < varset_words_; ++w) {
-            if ((set[w] & child_set[w]) != 0) scalable_ = false;
+          const std::uint64_t* child_set =
+              varsets.data() + static_cast<std::size_t>(child) * words;
+          for (std::size_t w = 0; w < words; ++w) {
+            if ((set[w] & child_set[w]) != 0) disjoint_and_smooth = false;
             set[w] |= child_set[w];
           }
         }
@@ -116,11 +123,11 @@ void Circuit::AnalyzeStructure() {
       case NodeKind::kOr: {
         std::span<const NodeId> children = Children(id);
         for (NodeId child : children) {
-          std::span<const std::uint64_t> child_set = Varset(child);
-          for (std::size_t w = 0; w < varset_words_; ++w) {
-            if (child != children.front() &&
-                set[w] != child_set[w]) {
-              scalable_ = false;
+          const std::uint64_t* child_set =
+              varsets.data() + static_cast<std::size_t>(child) * words;
+          for (std::size_t w = 0; w < words; ++w) {
+            if (child != children.front() && set[w] != child_set[w]) {
+              disjoint_and_smooth = false;
             }
             set[w] |= child_set[w];
           }
@@ -129,6 +136,178 @@ void Circuit::AnalyzeStructure() {
       }
     }
   }
+  if (scalable != nullptr) *scalable = disjoint_and_smooth;
+  return varsets;
+}
+
+void Circuit::LowerTape() {
+  using numeric::BigInt;
+  // References while lowering: a literal input is its compact literal id
+  // (< inputs), a constant carries kConstantRef over its constants_
+  // index, and the k-th emitted op's value is inputs + k. The final
+  // numbering — inputs, then constants, then slots, all indices into
+  // EvalArena::integer_values — is assigned once the whole tape, and so
+  // every value's last reader, is known.
+  if (2 * std::uint64_t{auxiliary_begin_} + nodes_.size() + edges_.size() >=
+      kConstantRef) {
+    throw std::invalid_argument("Circuit: too large for the evaluation tape");
+  }
+  const std::uint32_t inputs = 2 * auxiliary_begin_;
+  constexpr std::uint32_t kZero = kConstantRef | 0;
+  constexpr std::uint32_t kOne = kConstantRef | 1;
+  constants_ = {BigInt(0), BigInt(1)};
+  std::map<BigInt, std::uint32_t> interned;  // constants past 0 and 1
+  auto intern = [&](BigInt value) -> std::uint32_t {
+    if (value.IsZero()) return kZero;
+    if (value.IsOne()) return kOne;
+    auto [it, inserted] = interned.try_emplace(
+        value, static_cast<std::uint32_t>(constants_.size()));
+    if (inserted) constants_.push_back(std::move(value));
+    return kConstantRef | it->second;
+  };
+
+  std::vector<std::uint32_t> ref(root_ + 1, kZero);
+  operands_.reserve(edges_.size());
+  for (NodeId id = 0; id <= root_; ++id) {
+    const Node& node = nodes_[id];
+    switch (node.kind) {
+      case NodeKind::kTrue:
+        ref[id] = kOne;
+        continue;
+      case NodeKind::kFalse:
+        ref[id] = kZero;
+        continue;
+      case NodeKind::kLiteral:
+        ref[id] = LitVariable(node.literal) >= auxiliary_begin_
+                      ? kOne
+                      : static_cast<std::uint32_t>(node.literal);
+        continue;
+      case NodeKind::kAnd:
+      case NodeKind::kOr:
+        break;
+    }
+    // The non-constant children become the op's operands; the constant
+    // ones fold into one coefficient, starting from the neutral element.
+    // A zero factor absorbs the whole product.
+    const bool product = node.kind == NodeKind::kAnd;
+    const std::uint32_t neutral = product ? kOne : kZero;
+    const std::size_t first = operands_.size();
+    BigInt coefficient(product ? 1 : 0);
+    bool folded = false;
+    for (NodeId child : Children(id)) {
+      std::uint32_t child_ref = ref[child];
+      if ((child_ref & kConstantRef) == 0) {
+        operands_.push_back(child_ref);
+      } else if (child_ref != neutral) {
+        const BigInt& value = constants_[child_ref & ~kConstantRef];
+        if (product) {
+          coefficient *= value;
+        } else {
+          coefficient += value;
+        }
+        folded = true;
+      }
+    }
+    std::uint32_t constant = folded ? intern(std::move(coefficient)) : neutral;
+    std::size_t pending = operands_.size() - first;
+    if (pending == 0 || (product && constant == kZero)) {
+      ref[id] = constant;
+      operands_.resize(first);
+    } else if (pending == 1 && constant == neutral) {
+      ref[id] = operands_.back();
+      operands_.pop_back();
+    } else {
+      if (constant != neutral) operands_.push_back(constant);
+      ref[id] = inputs + static_cast<std::uint32_t>(tape_.size());
+      tape_.push_back(
+          {.operands_end = static_cast<std::uint32_t>(operands_.size()),
+           .product = product});
+    }
+  }
+  root_ref_ = ref[root_];
+
+  // Liveness, in one backward sweep: the first reader met is a value's
+  // last. An op no live op reads — one outside the root's cone, or
+  // under a folded-away zero — is dead and is dropped below. The root's
+  // value (an earlier op's, through an alias, or the last op's) never
+  // dies.
+  auto op_of = [&](std::uint32_t reference) -> std::uint32_t {
+    return (reference & kConstantRef) == 0 && reference >= inputs
+               ? reference - inputs
+               : kNoOp;
+  };
+  constexpr std::uint32_t kDead = kNoOp - 1;
+  std::vector<std::uint32_t> last_read(tape_.size(), kDead);
+  if (op_of(root_ref_) != kNoOp) last_read[op_of(root_ref_)] = kNoOp;
+  for (std::uint32_t op = static_cast<std::uint32_t>(tape_.size()); op-- > 0;) {
+    if (last_read[op] == kDead) continue;
+    std::uint32_t begin = op == 0 ? 0 : tape_[op - 1].operands_end;
+    for (std::uint32_t e = begin; e < tape_[op].operands_end; ++e) {
+      std::uint32_t read = op_of(operands_[e]);
+      if (read != kNoOp && last_read[read] == kDead) last_read[read] = op;
+    }
+  }
+
+  // Slot numbering, compacting the live ops in place: each op takes a
+  // free slot for its result before its dying operands give theirs back,
+  // so it never writes a slot it reads.
+  const auto slot_base =
+      static_cast<std::uint32_t>(inputs + constants_.size());
+  std::vector<std::uint32_t> slot(tape_.size());
+  std::vector<std::uint32_t> free_slots;
+  auto final_index = [&](std::uint32_t reference) -> std::uint32_t {
+    if ((reference & kConstantRef) != 0) {
+      return inputs + (reference & ~kConstantRef);
+    }
+    return reference < inputs ? reference
+                              : slot_base + slot[reference - inputs];
+  };
+  std::uint32_t kept_ops = 0;
+  std::uint32_t kept_operands = 0;
+  std::uint32_t begin = 0;
+  for (std::uint32_t op = 0; op < tape_.size(); ++op) {
+    const std::uint32_t end = tape_[op].operands_end;
+    if (last_read[op] == kDead) {
+      begin = end;
+      continue;
+    }
+    if (free_slots.empty()) {
+      slot[op] = tape_slots_++;
+    } else {
+      slot[op] = free_slots.back();
+      free_slots.pop_back();
+    }
+    for (std::uint32_t e = begin; e < end; ++e) {
+      std::uint32_t read = op_of(operands_[e]);
+      operands_[kept_operands++] = final_index(operands_[e]);
+      if (read != kNoOp && last_read[read] == op) {
+        free_slots.push_back(slot[read]);
+        last_read[read] = kNoOp;  // a repeated operand is freed once
+      }
+    }
+    tape_[kept_ops++] = {.dst = slot_base + slot[op],
+                         .operands_end = kept_operands,
+                         .product = tape_[op].product};
+    begin = end;
+  }
+  root_ref_ = final_index(root_ref_);
+  tape_.resize(kept_ops);
+  operands_.resize(kept_operands);
+  tape_.shrink_to_fit();
+  operands_.shrink_to_fit();
+}
+
+std::size_t Circuit::MemoryBytes() const {
+  std::size_t bytes = nodes_.capacity() * sizeof(Node) +
+                      edges_.capacity() * sizeof(NodeId) +
+                      root_varset_.capacity() * sizeof(std::uint64_t) +
+                      tape_.capacity() * sizeof(TapeOp) +
+                      operands_.capacity() * sizeof(std::uint32_t) +
+                      constants_.capacity() * sizeof(numeric::BigInt);
+  for (const numeric::BigInt& constant : constants_) {
+    bytes += constant.HeapBytes();
+  }
+  return bytes;
 }
 
 numeric::BigRational Circuit::Evaluate(const wmc::WeightMap& weights) const {
@@ -144,73 +323,58 @@ numeric::BigRational Circuit::Evaluate(const wmc::WeightMap& weights,
         std::to_string(weights.size()) + " of " +
         std::to_string(variable_count_) + " variables");
   }
-  return scalable_ ? EvaluateScaled(weights, arena)
+  for (VarId v = auxiliary_begin_; v < variable_count_; ++v) {
+    const wmc::VariableWeights& pair = weights.Get(v);
+    if (!pair.positive.IsOne() || !pair.negative.IsOne()) {
+      throw std::invalid_argument(
+          "Circuit::Evaluate: variable " + std::to_string(v) +
+          " is a Tseitin auxiliary and must weigh (1, 1), not (" +
+          pair.positive.ToString() + ", " + pair.negative.ToString() + ")");
+    }
+  }
+  return scalable_ ? EvaluateTape(weights, arena)
                    : EvaluateRational(weights, arena);
 }
 
-numeric::BigRational Circuit::EvaluateScaled(const wmc::WeightMap& weights,
-                                             EvalArena* arena) const {
+numeric::BigRational Circuit::EvaluateTape(const wmc::WeightMap& weights,
+                                           EvalArena* arena) const {
   using numeric::BigInt;
   // Clear denominators per covered variable (wmc::ClearDenominators scales
-  // both phases of v by d_v). Each root product term picks exactly
-  // one literal per covered variable (that is what scalable_ certifies),
-  // so the root total is scaled by exactly Π d_v — divide once at the
-  // end. The pass itself is pure BigInt arithmetic: no per-node gcd.
-  std::vector<BigInt>& scaled_positive = arena->scaled_positive;
-  std::vector<BigInt>& scaled_negative = arena->scaled_negative;
-  scaled_positive.resize(variable_count_);
-  scaled_negative.resize(variable_count_);
-  std::span<const std::uint64_t> root_varset = Varset(root_);
+  // both phases of v by d_v). Each root product term picks exactly one
+  // literal per covered variable (that is what scalable_ certifies), so
+  // the root total is scaled by exactly Π d_v — divide once at the end.
+  // Auxiliaries weigh (1, 1), so d_v = 1 for them and their folded
+  // literals need no input. Inputs of variables outside the root's set
+  // are never read.
+  const std::size_t inputs = 2 * static_cast<std::size_t>(auxiliary_begin_);
+  std::vector<BigInt>& value = arena->integer_values;
+  value.resize(inputs + constants_.size() + tape_slots_);
   BigInt denominator(1);
-  for (prop::VarId v = 0; v < variable_count_; ++v) {
-    if ((root_varset[v / 64] & (std::uint64_t{1} << (v % 64))) == 0) {
-      // Not under the root: zero the slot — a literal node outside the
-      // root's cone may still read it, and the arena can hold values
-      // from a previous evaluation.
-      scaled_positive[v] = BigInt(0);
-      scaled_negative[v] = BigInt(0);
+  for (VarId v = 0; v < auxiliary_begin_; ++v) {
+    if ((root_varset_[v / 64] & (std::uint64_t{1} << (v % 64))) == 0) {
       continue;
     }
     wmc::ScaledWeights scaled = wmc::ClearDenominators(weights.Get(v));
-    scaled_positive[v] = std::move(scaled.positive);
-    scaled_negative[v] = std::move(scaled.negative);
+    value[prop::MakeLit(v, true)] = std::move(scaled.positive);
+    value[prop::MakeLit(v, false)] = std::move(scaled.negative);
     denominator *= scaled.scale;
   }
-  std::vector<BigInt>& value = arena->integer_values;
-  value.resize(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    switch (node.kind) {
-      case NodeKind::kTrue:
-        value[id] = BigInt(1);
-        break;
-      case NodeKind::kFalse:
-        // Explicit: the arena slot may hold a previous evaluation's value.
-        value[id] = BigInt(0);
-        break;
-      case NodeKind::kLiteral: {
-        prop::VarId v = LitVariable(node.literal);
-        value[id] = LitPositive(node.literal) ? scaled_positive[v]
-                                              : scaled_negative[v];
-        break;
-      }
-      case NodeKind::kAnd: {
-        BigInt product(1);
-        for (NodeId child : Children(id)) product *= value[child];
-        value[id] = std::move(product);
-        break;
-      }
-      case NodeKind::kOr: {
-        BigInt sum;
-        for (NodeId child : Children(id)) sum += value[child];
-        value[id] = std::move(sum);
-        break;
-      }
+  std::copy(constants_.begin(), constants_.end(),
+            value.begin() + static_cast<std::ptrdiff_t>(inputs));
+  const std::uint32_t* operand = operands_.data();
+  for (const TapeOp& op : tape_) {
+    const std::uint32_t* end = operands_.data() + op.operands_end;
+    BigInt& out = value[op.dst];
+    out = value[*operand++];
+    if (op.product) {
+      for (; operand != end; ++operand) out *= value[*operand];
+    } else {
+      for (; operand != end; ++operand) out += value[*operand];
     }
   }
-  // Moving the root value out leaves a valid (zero) slot; every slot is
+  // Moving the root value out leaves a valid (zero) entry; every entry is
   // rewritten before it is read on the next evaluation.
-  return BigRational(std::move(value[root_]), std::move(denominator));
+  return BigRational(std::move(value[root_ref_]), std::move(denominator));
 }
 
 numeric::BigRational Circuit::EvaluateRational(const wmc::WeightMap& weights,
@@ -328,10 +492,12 @@ bool Circuit::Validate(std::string* error) const {
     if (error != nullptr) *error = message;
     return false;
   };
-  // The per-node variable sets were built once at construction
-  // (AnalyzeStructure); the audit only re-walks AND children against a
-  // scratch accumulator to name the shared variable of a violation.
-  std::vector<std::uint64_t> accumulated(varset_words_);
+  // The audit rebuilds the per-node variable sets (construction keeps
+  // only the root's) and re-walks AND children against a scratch
+  // accumulator to name the shared variable of a violation.
+  const std::size_t words = VarsetWords();
+  std::vector<std::uint64_t> varsets = NodeVarsets(nullptr);
+  std::vector<std::uint64_t> accumulated(words);
   std::vector<FixedPhase> phases_a;
   std::vector<FixedPhase> phases_b;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -344,8 +510,9 @@ bool Circuit::Validate(std::string* error) const {
       case NodeKind::kAnd: {
         std::fill(accumulated.begin(), accumulated.end(), 0);
         for (NodeId child : Children(id)) {
-          std::span<const std::uint64_t> child_set = Varset(child);
-          for (std::size_t w = 0; w < varset_words_; ++w) {
+          const std::uint64_t* child_set =
+              varsets.data() + static_cast<std::size_t>(child) * words;
+          for (std::size_t w = 0; w < words; ++w) {
             if ((accumulated[w] & child_set[w]) != 0) {
               return fail("AND " + NodeName(id) +
                           " is not decomposable: children share variable " +

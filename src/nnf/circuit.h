@@ -27,11 +27,34 @@ inline constexpr prop::VarId kNoDecision = 0xFFFFFFFFu;
 /// edge array addressed by per-node spans. The circuit is a DAG — cache
 /// hits during compilation become shared subcircuits — and evaluation is
 /// one linear bottom-up pass, so a query compiled once answers any
-/// subsequent weight vector in O(nodes + edges) exact-rational
-/// operations.
+/// subsequent weight vector in O(nodes + edges) exact operations.
+///
+/// Evaluation tape. A decomposable, smooth circuit (every traced circuit
+/// is one) is lowered once, at construction, into a flat tape of exact
+/// BigInt operations, and that tape is what Evaluate runs. Lowering:
+///   - folds TRUE/FALSE nodes and auxiliary-variable literals (below)
+///     into constant coefficients, interned once per distinct value;
+///   - drops AND/OR nodes left with one non-constant child and a neutral
+///     coefficient (1 for AND, 0 for OR): they alias that child;
+///   - keeps only nodes reachable from the root;
+///   - numbers the remaining values by liveness, so a value slot is
+///     reused as soon as its last reader has run.
+/// The arrays the tape is read from — nodes, edges, node_count(),
+/// edge_count(), ComputeStats(), the `.nnf` form — are unchanged.
+///
+/// Auxiliary variables. The grounded compiler names a boundary (see the
+/// constructor): variables at or above it are Tseitin auxiliaries, which
+/// weigh (1, 1) under every query, so their literals fold to 1. Evaluate
+/// throws std::invalid_argument when a weight map gives one anything
+/// else, so the fold can never change an answer silently. Circuits with
+/// no boundary — traced from a raw CNF, parsed from `.nnf` — fold only
+/// their TRUE/FALSE nodes and accept any weights.
 class Circuit {
  public:
   using NodeId = std::uint32_t;
+
+  /// Auxiliary boundary of a circuit with no auxiliary variables.
+  static constexpr std::uint32_t kNoAuxiliaries = 0xFFFFFFFFu;
 
   struct Node {
     NodeKind kind = NodeKind::kTrue;
@@ -53,20 +76,22 @@ class Circuit {
     std::uint64_t depth = 0;
   };
 
-  /// Reusable evaluation scratch: the per-node value column plus the
-  /// per-variable scaled-weight tables of the integer fast path. A caller
-  /// serving many weight vectors against the same circuit passes one
-  /// arena to every Evaluate call; after the first evaluation the buffers
-  /// hold their capacity, so steady-state serving allocates only when an
-  /// individual value outgrows its slot. The arena carries no state
-  /// between calls — every slot is overwritten before it is read — and
-  /// one arena can serve circuits of different sizes (the vectors are
-  /// resized per call). Not thread-safe: one arena per evaluating thread.
+  /// Reusable evaluation scratch. `integer_values` is the tape's value
+  /// array: one scaled literal weight per compact literal of the
+  /// non-auxiliary variables, then the folded constants, then the tape's
+  /// live value slots (a few thousand on a circuit of 10^5 nodes, not one
+  /// per node).
+  /// `rational_values` is the per-node column of the rational pass that
+  /// non-smooth parsed circuits take. A caller serving many weight
+  /// vectors against the same circuit passes one arena to every Evaluate
+  /// call; after the first evaluation the buffers hold their capacity.
+  /// The arena carries no state between calls — every entry is written
+  /// before it is read — and one arena can serve circuits of different
+  /// sizes (the vectors are resized per call). Not thread-safe: one
+  /// arena per evaluating thread.
   struct EvalArena {
     std::vector<numeric::BigInt> integer_values;
     std::vector<numeric::BigRational> rational_values;
-    std::vector<numeric::BigInt> scaled_positive;
-    std::vector<numeric::BigInt> scaled_negative;
   };
 
   Circuit() = default;
@@ -76,11 +101,16 @@ class Circuit {
   /// every child id smaller than its parent's id (topological, acyclic);
   /// children spans nested in `edges`; constants and literals childless;
   /// literal variables and OR decisions inside `variable_count`;
-  /// `root < nodes.size()`.
+  /// `root < nodes.size()`. Variables at or above `auxiliary_begin` are
+  /// Tseitin auxiliaries (see the class comment); the grounded compiler
+  /// passes its tuple count, everything else leaves the default.
   Circuit(std::uint32_t variable_count, std::vector<Node> nodes,
-          std::vector<NodeId> edges, NodeId root);
+          std::vector<NodeId> edges, NodeId root,
+          std::uint32_t auxiliary_begin = kNoAuxiliaries);
 
   std::uint32_t variable_count() const { return variable_count_; }
+  /// The first auxiliary variable (variable_count() when there are none).
+  std::uint32_t auxiliary_begin() const { return auxiliary_begin_; }
   std::uint32_t node_count() const {
     return static_cast<std::uint32_t>(nodes_.size());
   }
@@ -95,17 +125,19 @@ class Circuit {
   /// The weighted count: one bottom-up pass assigning TRUE → 1, FALSE →
   /// 0, literal → its weight, AND → product, OR → sum. For circuits
   /// traced from DpllCounter this equals DpllCounter::Count() under the
-  /// same weights, bit for bit, for *every* weight map (including zero
-  /// and negative weights). Throws std::invalid_argument when `weights`
-  /// covers fewer than variable_count() variables.
+  /// same weights, bit for bit, for every weight map that gives the
+  /// auxiliary variables (1, 1) (including zero and negative weights
+  /// elsewhere). Throws std::invalid_argument when `weights` covers
+  /// fewer than variable_count() variables or reweights an auxiliary.
   ///
   /// When the circuit is structurally decomposable and smooth (traced
   /// circuits always are; checked once at construction), evaluation
   /// clears each covered variable's weight denominators up front, runs
-  /// the pass in pure integer arithmetic, and divides once at the root —
+  /// the tape in pure integer arithmetic, and divides once at the root —
   /// identical result, but without a gcd reduction per node, which is
   /// what makes serving a compiled circuit several times cheaper than a
-  /// recount even on rational weights.
+  /// recount even on rational weights. Other circuits take a plain
+  /// rational pass over the nodes.
   numeric::BigRational Evaluate(const wmc::WeightMap& weights) const;
   /// Same, with caller-owned scratch (see EvalArena); the no-arena
   /// overload delegates here with a throwaway arena.
@@ -114,14 +146,15 @@ class Circuit {
 
   Stats ComputeStats() const;
 
-  /// Resident bytes of the circuit's flat arenas (nodes, edges, and the
-  /// structural-analysis varset table). Used by byte-bounded circuit
-  /// caches (swfomc serve) the way ComponentCache accounts its entries.
-  std::size_t MemoryBytes() const {
-    return nodes_.capacity() * sizeof(Node) +
-           edges_.capacity() * sizeof(NodeId) +
-           varsets_.capacity() * sizeof(std::uint64_t);
-  }
+  /// Size of the evaluation tape: its operations and the value slots they
+  /// write (both 0 when the circuit takes the rational pass).
+  std::size_t tape_size() const { return tape_.size(); }
+  std::uint32_t tape_slots() const { return tape_slots_; }
+
+  /// Resident bytes of the circuit: nodes, edges, the evaluation tape and
+  /// the root's variable set. Used by byte-bounded circuit caches (swfomc
+  /// serve) the way ComponentCache accounts its entries.
+  std::size_t MemoryBytes() const;
 
   /// Structural d-DNNF audit: AND children must be variable-disjoint
   /// (checked with per-node variable sets), OR children must be pairwise
@@ -133,22 +166,37 @@ class Circuit {
   bool Validate(std::string* error) const;
 
  private:
+  // One lowered AND/OR node: values[dst] = values[o1] ⊗ values[o2] ⊗ ...
+  // over the operands from the previous op's operands_end to this one's,
+  // where ⊗ is × for a product (AND) and + otherwise. Indices are into
+  // EvalArena::integer_values: literal inputs, then constants_, then
+  // slots; a folded coefficient other than the neutral element is the
+  // first operand. dst never equals one of the op's operands.
+  struct TapeOp {
+    std::uint32_t dst = 0;
+    std::uint32_t operands_end : 31 = 0;
+    std::uint32_t product : 1 = 0;
+  };
+  // Lowering-time tags: a reference to a constants_ entry, and "no op".
+  static constexpr std::uint32_t kConstantRef = 0x80000000u;
+  static constexpr std::uint32_t kNoOp = 0xFFFFFFFFu;
+
   numeric::BigRational EvaluateRational(const wmc::WeightMap& weights,
                                         EvalArena* arena) const;
-  numeric::BigRational EvaluateScaled(const wmc::WeightMap& weights,
-                                      EvalArena* arena) const;
-  // One construction-time bitset pass: fills varsets_ and decides
-  // scalable_ (every AND variable-disjoint, every OR smooth). The table
-  // is kept — Evaluate's fast path reads the root's set and Validate
-  // reuses the per-node sets instead of rebuilding them.
-  void AnalyzeStructure();
-  // The variables below node `id`, as a bitset of varset_words_ words.
-  std::span<const std::uint64_t> Varset(NodeId id) const {
-    return {varsets_.data() + static_cast<std::size_t>(id) * varset_words_,
-            varset_words_};
+  numeric::BigRational EvaluateTape(const wmc::WeightMap& weights,
+                                    EvalArena* arena) const;
+  // The variables below every node, as bitsets of VarsetWords() words
+  // per node; *scalable (when non-null) is set to whether every AND is
+  // variable-disjoint and every OR smooth.
+  std::vector<std::uint64_t> NodeVarsets(bool* scalable) const;
+  std::size_t VarsetWords() const {
+    return (static_cast<std::size_t>(variable_count_) + 63) / 64;
   }
+  // Fills tape_, operands_, constants_, tape_slots_ and root_ref_.
+  void LowerTape();
 
   std::uint32_t variable_count_ = 0;
+  std::uint32_t auxiliary_begin_ = 0;
   std::vector<Node> nodes_;
   std::vector<NodeId> edges_;
   NodeId root_ = 0;
@@ -157,8 +205,13 @@ class Circuit {
   // variable, so per-variable denominator clearing scales the total by
   // one known factor.
   bool scalable_ = false;
-  std::size_t varset_words_ = 0;
-  std::vector<std::uint64_t> varsets_;  // nodes_.size() × varset_words_
+  // The variables below the root: the ones whose denominators scale it.
+  std::vector<std::uint64_t> root_varset_;
+  std::vector<TapeOp> tape_;
+  std::vector<std::uint32_t> operands_;
+  std::vector<numeric::BigInt> constants_;  // distinct folded values
+  std::uint32_t tape_slots_ = 0;
+  std::uint32_t root_ref_ = 0;  // the root's integer_values index
 };
 
 }  // namespace swfomc::nnf

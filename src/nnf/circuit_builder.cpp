@@ -82,7 +82,7 @@ CircuitBuilder::NodeId CircuitBuilder::Or(prop::VarId decision,
 
 void CircuitBuilder::Root(NodeId root) { root_ = root; }
 
-Circuit CircuitBuilder::Finish() {
+Circuit CircuitBuilder::Finish(std::uint32_t auxiliary_begin) {
   if (root_ == kNoNode) {
     throw std::logic_error("CircuitBuilder::Finish: no root traced");
   }
@@ -119,9 +119,12 @@ Circuit CircuitBuilder::Finish() {
     nodes.push_back(node);
   }
   NodeId root = renumber[root_];
-  nodes_.clear();
-  edges_.clear();
-  return Circuit(variable_count_, std::move(nodes), std::move(edges), root);
+  // Release (not just clear) the trace arena before the circuit lowers
+  // its evaluation tape.
+  std::vector<Circuit::Node>().swap(nodes_);
+  std::vector<NodeId>().swap(edges_);
+  return Circuit(variable_count_, std::move(nodes), std::move(edges), root,
+                 auxiliary_begin);
 }
 
 }  // namespace swfomc::nnf

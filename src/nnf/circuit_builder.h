@@ -38,7 +38,11 @@ class CircuitBuilder final : public wmc::TraceSink {
   /// The trimmed, root-last circuit. Requires Root() to have been called
   /// (DpllCounter::Count() does; throws std::logic_error otherwise).
   /// Consumes the builder's arena — build a fresh builder per compile.
-  Circuit Finish();
+  /// `auxiliary_begin` is the first Tseitin auxiliary variable of the
+  /// traced CNF (the grounded compiler's tuple count); the circuit folds
+  /// the auxiliaries' literals to 1 and rejects weights that say
+  /// otherwise (see Circuit). The default names none.
+  Circuit Finish(std::uint32_t auxiliary_begin = Circuit::kNoAuxiliaries);
 
  private:
   NodeId Append(Circuit::Node node, std::span<const NodeId> children);

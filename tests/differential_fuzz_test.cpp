@@ -138,6 +138,52 @@ TEST(DifferentialFuzz, BoundaryWeightsAgreeAcrossCounterAndCircuit) {
   }
 }
 
+TEST(DifferentialFuzz, TapeFoldsAuxiliariesOfRandomCnfs) {
+  // A random CNF whose tail variables are declared auxiliaries, weighted
+  // (1, 1) as Tseitin auxiliaries are: the evaluation tape folds their
+  // literals, and free or auxiliary-only components become constants
+  // (2, 4, ...), so every fold rule runs. Oracle: brute force, under the
+  // compile-time weights and fresh ones, boundary weights included.
+  std::uint64_t base = BaseSeed();
+  std::mt19937_64 rng(base ^ 0x7a9e0f01ull);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    std::uint32_t variables = 4 + static_cast<std::uint32_t>(rng() % 6);
+    auto auxiliary_begin = static_cast<std::uint32_t>(rng() % variables);
+    prop::CnfFormula cnf =
+        testutil::RandomCnf(&rng, variables, 3 + rng() % 8, 1 + rng() % 3);
+    auto weigh = [&](bool boundary) {
+      wmc::WeightMap weights =
+          boundary ? testutil::RandomBoundaryWeights(&rng, variables)
+                   : testutil::RandomWeights(&rng, variables,
+                                             /*allow_negative=*/true);
+      for (prop::VarId v = auxiliary_begin; v < variables; ++v) {
+        weights.Set(v, BigRational(1), BigRational(1));
+      }
+      return weights;
+    };
+    wmc::WeightMap compile_weights = weigh(false);
+    nnf::CircuitBuilder builder(variables);
+    wmc::DpllCounter::Options trace_options;
+    trace_options.trace_sink = &builder;
+    BigRational count =
+        wmc::DpllCounter(cnf, compile_weights, trace_options).Count();
+    nnf::Circuit circuit = builder.Finish(auxiliary_begin);
+    EXPECT_EQ(count, wmc::BruteForceWMC(cnf, compile_weights));
+    EXPECT_EQ(circuit.Evaluate(compile_weights), count);
+    nnf::Circuit::EvalArena arena;
+    for (bool boundary : {false, true, false, true}) {
+      wmc::WeightMap weights = weigh(boundary);
+      EXPECT_EQ(circuit.Evaluate(weights, &arena),
+                wmc::BruteForceWMC(cnf, weights))
+          << (boundary ? "boundary" : "random") << " weights";
+    }
+    wmc::WeightMap reweighted = compile_weights;
+    reweighted.Set(variables - 1, BigRational(2), BigRational(1));
+    EXPECT_THROW(circuit.Evaluate(reweighted, &arena), std::invalid_argument);
+  }
+}
+
 TEST(DifferentialFuzz, SweepCoversDomainSizeZero) {
   // n = 0 takes a direct-evaluation path on the lifted route (the normal
   // form assumes a non-empty domain); a sweep starting at 0 must match

@@ -97,21 +97,42 @@ Circuit WithRationalEvaluation(const Circuit& circuit) {
                  circuit.root());
 }
 
-// The per-relation weight regimes every golden entry is re-evaluated
-// under: unit (FOMC), fractional, negative (Skolemization's regime), and
-// zero — the last one only works if tracing disabled zero pruning.
+// The per-relation weight regimes every engine-compiled circuit is
+// re-evaluated under: unit (FOMC), fractional, negative (Skolemization's
+// regime), zero — which only works if tracing disabled zero pruning —
+// rationals whose phases share a denominator factor (lcm 12, product
+// 24), and weights a few units off ±2^62, where every product crosses
+// the BigInt inline/heap seam.
 std::vector<std::vector<RelationWeights>> WeightRegimes(
     const logic::Vocabulary& vocabulary) {
-  std::vector<std::vector<RelationWeights>> regimes(4);
+  constexpr std::int64_t kBoundary = std::int64_t{1} << 62;
+  std::vector<std::vector<RelationWeights>> regimes(6);
   for (logic::RelationId id = 0; id < vocabulary.size(); ++id) {
     const std::string& name = vocabulary.name(id);
+    auto offset = static_cast<std::int64_t>(id);
     regimes[0].push_back({name, BigRational(1), BigRational(1)});
     regimes[1].push_back(
         {name, BigRational(3), BigRational::Fraction(1, 2)});
     regimes[2].push_back({name, BigRational(-1), BigRational(2)});
     regimes[3].push_back({name, BigRational(0), BigRational(1)});
+    regimes[4].push_back({name, BigRational::Fraction(1, 4 + offset),
+                          BigRational::Fraction(-5, 6)});
+    regimes[5].push_back({name, BigRational(kBoundary - 3 - offset),
+                          BigRational::Fraction(-kBoundary + 5, 7)});
   }
   return regimes;
+}
+
+// The same weights through a fresh grounded recount (the DpllCounter).
+BigRational Recount(const logic::Vocabulary& vocabulary,
+                    const logic::Formula& sentence, std::uint64_t n,
+                    const std::vector<RelationWeights>& regime) {
+  logic::Vocabulary reweighted = vocabulary;
+  for (const RelationWeights& weights : regime) {
+    reweighted.SetWeights(reweighted.Require(weights.relation),
+                          weights.positive, weights.negative);
+  }
+  return Engine(reweighted).WFOMC(sentence, n, Method::kGrounded).value;
 }
 
 // The grounded d-DNNF of `sentence` at domain size n (ungoverned, so it
@@ -161,16 +182,9 @@ TEST(Compile, GoldenCorpusBitIdenticalAcrossWeightRegimes) {
     // Differential: circuit evaluation vs. a fresh grounded recount.
     for (const std::vector<RelationWeights>& regime :
          WeightRegimes(spec.vocabulary)) {
-      logic::Vocabulary reweighted = spec.vocabulary;
-      for (const RelationWeights& weights : regime) {
-        reweighted.SetWeights(reweighted.Require(weights.relation),
-                              weights.positive, weights.negative);
-      }
-      Engine recount(reweighted);
       EXPECT_EQ(compiled.Evaluate(spec.domain_hi, regime),
-                recount.WFOMC(spec.sentence, spec.domain_hi,
-                              Method::kGrounded)
-                    .value)
+                Recount(spec.vocabulary, spec.sentence, spec.domain_hi,
+                        regime))
           << "regime starting (" << regime.front().positive.ToString()
           << ", " << regime.front().negative.ToString() << ")";
     }
@@ -457,6 +471,238 @@ TEST(NnfFormat, ParsesConstantsAndComments) {
   NnfDocument contradiction = io::ParseNnf("nnf 1 0 2\nO 0 0\n");
   EXPECT_EQ(contradiction.circuit.node(0).kind, NodeKind::kFalse);
   EXPECT_TRUE(contradiction.circuit.Evaluate(WeightMap(2)).IsZero());
+}
+
+// --- Evaluation tape ----------------------------------------------------
+
+constexpr const char* kTriangle =
+    "exists x exists y exists z (R(x,y) & R(y,z) & R(z,x))";
+constexpr const char* kFourCycle =
+    "exists x1 exists x2 exists x3 exists x4 "
+    "(R(x1,x2) & R(x2,x3) & R(x3,x4) & R(x4,x1))";
+constexpr const char* kTypedTriangle =
+    "exists x exists y exists z (R(x,y) & S(y,z) & T(z,x))";
+
+TEST(Tape, EngineCompiledCircuitsMatchRecountUnderEveryRegime) {
+  struct Family {
+    const char* sentence;
+    std::uint64_t max_n;
+  } families[] = {{kTriangle, 4}, {kFourCycle, 4}, {kTypedTriangle, 3}};
+  for (const Family& family : families) {
+    logic::Vocabulary vocabulary;
+    logic::Formula sentence = logic::Parse(family.sentence, &vocabulary);
+    Engine engine(vocabulary);
+    Circuit::EvalArena arena;
+    for (std::uint64_t n = 1; n <= family.max_n; ++n) {
+      SCOPED_TRACE(std::string(family.sentence) + " n=" + std::to_string(n));
+      CompiledQuery compiled = CompileGrounded(&engine, sentence, n);
+      const Circuit& circuit = compiled.circuit();
+      // The grounded compiler names its Tseitin auxiliaries, and the
+      // tape keeps far fewer live values than the circuit has nodes.
+      EXPECT_EQ(circuit.auxiliary_begin(), compiled.tuple_count());
+      EXPECT_LE(circuit.tape_size(), circuit.node_count());
+      if (n >= 3) {
+        EXPECT_LT(4 * circuit.tape_slots(), circuit.node_count());
+      }
+      std::vector<std::vector<RelationWeights>> regimes =
+          WeightRegimes(vocabulary);
+      // Negative, zero, shared-denominator and ±2^62 weights.
+      for (const std::vector<RelationWeights>& regime :
+           {regimes[2], regimes[3], regimes[4], regimes[5]}) {
+        EXPECT_EQ(compiled.Evaluate(n, regime, &arena),
+                  Recount(vocabulary, sentence, n, regime))
+            << "regime starting (" << regime.front().positive.ToString()
+            << ", " << regime.front().negative.ToString() << ")";
+      }
+    }
+  }
+}
+
+TEST(Tape, ReweightingAnAuxiliaryThrows) {
+  logic::Vocabulary vocabulary;
+  logic::Formula sentence = logic::Parse(kTriangle, &vocabulary);
+  Engine engine(vocabulary);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
+  const Circuit& circuit = compiled.circuit();
+  ASSERT_LT(circuit.auxiliary_begin(), circuit.variable_count());
+  WeightMap weights = compiled.GroundWeights({});
+  EXPECT_EQ(circuit.Evaluate(weights), compiled.compile_count());
+  WeightMap first = weights;
+  first.Set(circuit.auxiliary_begin(), BigRational(2), BigRational(1));
+  EXPECT_THROW(circuit.Evaluate(first), std::invalid_argument);
+  WeightMap last = weights;
+  last.Set(circuit.variable_count() - 1, BigRational(1), BigRational(0));
+  Circuit::EvalArena arena;
+  EXPECT_THROW(circuit.Evaluate(last, &arena), std::invalid_argument);
+  // A rejected call leaves the arena usable.
+  EXPECT_EQ(circuit.Evaluate(weights, &arena), compiled.compile_count());
+
+  // The same circuit parsed back from `.nnf` names no auxiliaries, so it
+  // takes any weights; the rational pass over the same nodes agrees.
+  NnfDocument document;
+  document.circuit = circuit;
+  document.weights = weights;
+  NnfDocument parsed = io::ParseNnf(io::PrintNnf(document));
+  EXPECT_EQ(parsed.circuit.auxiliary_begin(), parsed.circuit.variable_count());
+  EXPECT_EQ(parsed.circuit.Evaluate(first),
+            WithRationalEvaluation(parsed.circuit).Evaluate(first));
+  EXPECT_EQ(parsed.circuit.Evaluate(last),
+            WithRationalEvaluation(parsed.circuit).Evaluate(last));
+
+  // So does a circuit traced from a raw CNF, auxiliary-looking tail
+  // variables included.
+  std::mt19937_64 rng(BaseSeed() + 77);
+  prop::CnfFormula cnf = RandomCnf(&rng, 8, 10, 3);
+  BigRational count;
+  Circuit traced = TraceCnf(cnf, WeightMap(8), &count);
+  EXPECT_EQ(traced.auxiliary_begin(), traced.variable_count());
+  WeightMap random = RandomWeights(&rng, 8, /*allow_negative=*/true);
+  EXPECT_EQ(traced.Evaluate(random), DpllCounter(cnf, random).Count());
+}
+
+TEST(Tape, LoweringEdgeCases) {
+  WeightMap weights(3);
+  weights.Set(0, BigRational::Fraction(2, 3), BigRational(5));
+  weights.Set(1, BigRational(-7), BigRational::Fraction(1, 4));
+  weights.Set(2, BigRational(11), BigRational(13));
+
+  // A literal root: no tape, the answer is the scaled input.
+  Circuit literal = io::ParseNnf("nnf 1 0 3\nL -2\n").circuit;
+  EXPECT_EQ(literal.tape_size(), 0u);
+  EXPECT_EQ(literal.Evaluate(weights), BigRational::Fraction(1, 4));
+
+  // TRUE and FALSE roots fold to constants.
+  Circuit true_root = io::ParseNnf("nnf 1 0 3\nA 0\n").circuit;
+  EXPECT_EQ(true_root.tape_size(), 0u);
+  EXPECT_EQ(true_root.Evaluate(weights), BigRational(1));
+  Circuit false_root = io::ParseNnf("nnf 1 0 3\nO 0 0\n").circuit;
+  EXPECT_EQ(false_root.tape_size(), 0u);
+  EXPECT_TRUE(false_root.Evaluate(weights).IsZero());
+
+  // An alias chain: AND(TRUE, AND(OR(x1, ¬x1))) keeps only the OR.
+  Circuit chain = io::ParseNnf(
+                      "nnf 6 5 3\n"
+                      "L 1\n"
+                      "L -1\n"
+                      "O 1 2 0 1\n"
+                      "A 1 2\n"
+                      "A 0\n"
+                      "A 2 4 3\n")
+                      .circuit;
+  EXPECT_EQ(chain.tape_size(), 1u);
+  EXPECT_EQ(chain.tape_slots(), 1u);
+  EXPECT_EQ(chain.Evaluate(weights),
+            BigRational::Fraction(2, 3) + BigRational(5));
+
+  // ORs with constant children: OR(TRUE, TRUE) folds to 2, and a zero
+  // summand AND(x1, FALSE) leaves OR(0, ¬x1) an alias of ¬x1. The root
+  // AND(2, ¬x1, x2) becomes one op with coefficient 2.
+  Circuit constants = io::ParseNnf(
+                          "nnf 9 9 3\n"
+                          "A 0\n"
+                          "O 0 2 0 0\n"
+                          "L 1\n"
+                          "O 0 0\n"
+                          "A 2 2 3\n"
+                          "L -1\n"
+                          "O 1 2 4 5\n"
+                          "L 2\n"
+                          "A 3 1 6 7\n")
+                          .circuit;
+  EXPECT_EQ(constants.tape_size(), 1u);
+  EXPECT_EQ(constants.Evaluate(weights),
+            BigRational(2) * BigRational(5) * BigRational(-7));
+
+  // Nodes outside the root's cone are dropped: the OR over variable 3
+  // is lowered but no live op reads it, so only the root OR stays.
+  Circuit unreachable = io::ParseNnf(
+                            "nnf 6 4 3\n"
+                            "L 1\n"
+                            "L 3\n"
+                            "L -3\n"
+                            "O 3 2 1 2\n"
+                            "L -1\n"
+                            "O 1 2 0 4\n")
+                            .circuit;
+  EXPECT_EQ(unreachable.tape_size(), 1u);
+  EXPECT_EQ(unreachable.tape_slots(), 1u);
+  EXPECT_EQ(unreachable.Evaluate(weights),
+            BigRational::Fraction(2, 3) + BigRational(5));
+
+  // So is an op only a folded-away zero reads: AND(OR(x1, ¬x1), FALSE)
+  // is the constant 0, which leaves the root OR an alias of a second
+  // OR(x1, ¬x1), the one op left.
+  Circuit zeroed = io::ParseNnf(
+                       "nnf 7 8 3\n"
+                       "L 1\n"
+                       "L -1\n"
+                       "O 1 2 0 1\n"
+                       "O 0 0\n"
+                       "A 2 2 3\n"
+                       "O 1 2 0 1\n"
+                       "O 0 2 4 5\n")
+                       .circuit;
+  EXPECT_EQ(zeroed.tape_size(), 1u);
+  EXPECT_EQ(zeroed.Evaluate(weights),
+            BigRational::Fraction(2, 3) + BigRational(5));
+
+  // Auxiliary folding: variables 1 and 2 are auxiliaries. AND(x0, a) and
+  // AND(¬x0, ¬a) alias x0 and ¬x0, the free auxiliary OR(b, ¬b) is the
+  // constant 2, and the tape is s = w + w̄ then 2·s in a second slot.
+  std::vector<Circuit::Node> nodes = {
+      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(0, true)},
+      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(0, false)},
+      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(1, true)},
+      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(1, false)},
+      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(2, true)},
+      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(2, false)},
+      {.kind = NodeKind::kAnd, .children_begin = 0, .children_end = 2},
+      {.kind = NodeKind::kAnd, .children_begin = 2, .children_end = 4},
+      {.kind = NodeKind::kOr,
+       .decision = 0,
+       .children_begin = 4,
+       .children_end = 6},
+      {.kind = NodeKind::kOr,
+       .decision = 2,
+       .children_begin = 6,
+       .children_end = 8},
+      {.kind = NodeKind::kAnd, .children_begin = 8, .children_end = 10},
+  };
+  std::vector<Circuit::NodeId> edges = {0, 2, 1, 3, 6, 7, 4, 5, 8, 9};
+  Circuit folded(3, nodes, edges, 10, /*auxiliary_begin=*/1);
+  EXPECT_EQ(folded.auxiliary_begin(), 1u);
+  EXPECT_EQ(folded.tape_size(), 2u);
+  EXPECT_EQ(folded.tape_slots(), 2u);
+  EXPECT_THROW(folded.Evaluate(weights), std::invalid_argument);
+  WeightMap unit_auxiliaries = weights;
+  unit_auxiliaries.Set(1, BigRational(1), BigRational(1));
+  unit_auxiliaries.Set(2, BigRational(1), BigRational(1));
+  BigRational expected =
+      BigRational(2) * (BigRational::Fraction(2, 3) + BigRational(5));
+  EXPECT_EQ(folded.Evaluate(unit_auxiliaries), expected);
+  // Without the boundary the same nodes fold nothing but agree.
+  Circuit unfolded(3, nodes, edges, 10);
+  EXPECT_EQ(unfolded.tape_size(), 5u);
+  EXPECT_EQ(unfolded.Evaluate(unit_auxiliaries), expected);
+}
+
+TEST(Tape, OneArenaServesCircuitsOfDifferentSizes) {
+  logic::Vocabulary vocabulary;
+  logic::Formula sentence = logic::Parse(kTriangle, &vocabulary);
+  Engine engine(vocabulary);
+  CompiledQuery five = CompileGrounded(&engine, sentence, 5);
+  CompiledQuery four = CompileGrounded(&engine, sentence, 4);
+  std::vector<std::vector<RelationWeights>> regimes =
+      WeightRegimes(vocabulary);
+  Circuit::EvalArena arena;
+  for (const std::vector<RelationWeights>& regime :
+       {regimes[1], regimes[5]}) {
+    BigRational expected_five = five.Evaluate(5, regime);
+    BigRational expected_four = four.Evaluate(4, regime);
+    EXPECT_EQ(five.Evaluate(5, regime, &arena), expected_five);
+    EXPECT_EQ(four.Evaluate(4, regime, &arena), expected_four);
+    EXPECT_EQ(five.Evaluate(5, regime, &arena), expected_five);
+  }
 }
 
 // --- CompiledQuery surface ----------------------------------------------
