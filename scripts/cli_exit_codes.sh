@@ -6,6 +6,8 @@
 #   2   unreadable or malformed input file
 #   3   a resource budget was exhausted under --on-budget=error
 #   64  usage error (EX_USAGE): bad command, bad option, missing operand
+# stdout carries only JSON documents, so every usage error must leave it
+# empty.
 #
 # Usage: scripts/cli_exit_codes.sh path/to/swfomc
 set -u
@@ -13,21 +15,24 @@ set -u
 bin="${1:?usage: cli_exit_codes.sh path/to/swfomc}"
 failures=0
 
+workdir="$(mktemp -d)"
+trap 'rm -rf "$workdir"' EXIT
+
 expect() {
   local want="$1"
   shift
-  "$@" >/dev/null 2>&1
+  "$@" >"$workdir/stdout" 2>/dev/null
   local got=$?
   if [[ "$got" != "$want" ]]; then
     echo "FAIL: exit $got (want $want): $*"
+    failures=1
+  elif [[ "$want" == 64 && -s "$workdir/stdout" ]]; then
+    echo "FAIL: exit 64 but wrote to stdout: $*"
     failures=1
   else
     echo "ok: exit $got: $*"
   fi
 }
-
-workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
 
 # 0: help, from any position.
 expect 0 "$bin" --help
@@ -139,10 +144,35 @@ expect 2 "$bin" run "$workdir/liftable.model"         # run needs a domain
 printf 'sentence forall x T(x,x,x)\n' > "$workdir/unliftable.model"
 expect 2 "$bin" compile "$workdir/unliftable.model"   # grounded needs a domain
 printf 'sentence forall x R(x)\ndomain 2\n' > "$workdir/g.model"
+printf 'p cnf 1 1\n1 0\n' > "$workdir/g.cnf"
 expect 0 "$bin" compile --method grounded --out-dir "$workdir/gnnf" "$workdir/g.model"
 expect 64 "$bin" eval --domain 2 "$workdir/gnnf/g.nnf" # grounded circuits fix n
 printf 'sentence forall x R(x)\ndomain 0\n' > "$workdir/d0.model"
 expect 0 "$bin" compile "$workdir/d0.model"           # n = 0 compiles grounded
+
+# Flags that would do nothing for a command are rejected, not ignored:
+# route and cnf have no method to force and no expectation to check, and
+# print emits text, not JSON. Every value flag rejects an empty value,
+# and a lifted circuit needs a domain of at least one element.
+expect 64 "$bin" route --method grounded "$workdir/g.model"
+expect 64 "$bin" route --check "$workdir/g.model"
+expect 64 "$bin" cnf --method grounded "$workdir/g.cnf"
+expect 64 "$bin" cnf --check "$workdir/g.cnf"
+expect 64 "$bin" print --method grounded "$workdir/g.model"
+expect 64 "$bin" print --check "$workdir/g.model"
+expect 64 "$bin" print --compact "$workdir/g.model"
+expect 64 "$bin" compile --out= "$workdir/g.model"
+expect 64 "$bin" compile --out-dir= "$workdir/g.model"
+expect 64 "$bin" eval --domain 0 "$workdir/lnnf/liftable.nnf"
+
+# An unknown command is rejected before any sink opens: a file named by
+# --metrics-out or --trace-out keeps its contents.
+printf 'sentinel\n' > "$workdir/sentinel.ref"
+cp "$workdir/sentinel.ref" "$workdir/sentinel.txt"
+expect 64 "$bin" frobnicate --metrics-out "$workdir/sentinel.txt" "$workdir/g.model"
+expect 0 cmp -s "$workdir/sentinel.ref" "$workdir/sentinel.txt"
+expect 64 "$bin" frobnicate --trace-out "$workdir/sentinel.txt" "$workdir/g.model"
+expect 0 cmp -s "$workdir/sentinel.ref" "$workdir/sentinel.txt"
 
 # 0: the same checks, satisfied. Also exercises compile -> eval chaining.
 printf 'sentence forall x R(x)\ndomain 1\nexpect 1\n' > "$workdir/right.model"

@@ -254,7 +254,6 @@ Method Engine::Route(const logic::Formula& sentence) const {
 RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
   // Rejection evidence for the grounded fallback's reason line.
   std::string cq_obstacle;
-  std::string fo2_obstacle;
 
   // γ-acyclic CQ path: needs probability conversion, so w + w̄ != 0.
   if (auto query = AsConjunctiveQuery(sentence, vocabulary_)) {
@@ -283,38 +282,17 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
     cq_obstacle = "not an existential conjunctive query";
   }
 
-  if (!logic::IsSentence(sentence)) {
-    fo2_obstacle = "not a sentence (free variables)";
-  } else if (!logic::InFragmentFOk(sentence, 2)) {
-    fo2_obstacle = "uses more than 2 variables";
-  } else if (vocabulary_.MaxArity() > 2) {
-    fo2_obstacle = "vocabulary has a relation of arity > 2";
-  } else {
-    // Constants also exclude the lifted path; scan for them here (the
-    // same check ToUniversalForm performs) so routing stays cheap.
-    std::function<bool(const Formula&)> has_constant =
-        [&](const Formula& f) {
-          for (const logic::Term& t : f->arguments()) {
-            if (t.IsConstant()) return true;
-          }
-          for (const Formula& child : f->children()) {
-            if (has_constant(child)) return true;
-          }
-          return false;
-        };
-    if (has_constant(sentence)) {
-      fo2_obstacle = "contains constants";
-    } else {
-      return RouteDecision{
-          Method::kLiftedFO2,
-          "FO² sentence over arity <= 2 without constants "
-          "(Appendix C cell algorithm, PTIME data complexity)"};
-    }
+  std::optional<std::string_view> fo2_obstacle =
+      fo2::LiftedObstacle(sentence, vocabulary_);
+  if (!fo2_obstacle.has_value()) {
+    return RouteDecision{
+        Method::kLiftedFO2,
+        "FO² sentence over arity <= 2 without constants "
+        "(Appendix C cell algorithm, PTIME data complexity)"};
   }
-
-  return RouteDecision{Method::kGrounded,
-                       "grounded fallback: " + cq_obstacle + "; " +
-                           fo2_obstacle};
+  return RouteDecision{Method::kGrounded, "grounded fallback: " +
+                                              cq_obstacle + "; " +
+                                              std::string(*fo2_obstacle)};
 }
 
 Engine::Result Engine::WFOMC(const logic::Formula& sentence,

@@ -212,11 +212,15 @@ NodeId EmitShannon(Builder* builder, const Formula& matrix,
 
 }  // namespace
 
-bool CanCompileLifted(const logic::Formula& sentence,
-                      const logic::Vocabulary& vocabulary) {
-  if (!logic::IsSentence(sentence)) return false;
-  if (!logic::InFragmentFOk(sentence, 2)) return false;
-  if (vocabulary.MaxArity() > 2) return false;
+std::optional<std::string_view> LiftedObstacle(
+    const logic::Formula& sentence, const logic::Vocabulary& vocabulary) {
+  if (!logic::IsSentence(sentence)) return "not a sentence (free variables)";
+  if (!logic::InFragmentFOk(sentence, 2)) return "uses more than 2 variables";
+  if (vocabulary.MaxArity() > 2) {
+    return "vocabulary has a relation of arity > 2";
+  }
+  // The same constant scan ToUniversalForm performs, without building the
+  // normal form, so routing stays cheap.
   std::function<bool(const Formula&)> has_constant = [&](const Formula& f) {
     for (const logic::Term& t : f->arguments()) {
       if (t.IsConstant()) return true;
@@ -226,7 +230,13 @@ bool CanCompileLifted(const logic::Formula& sentence,
     }
     return false;
   };
-  return !has_constant(sentence);
+  if (has_constant(sentence)) return "contains constants";
+  return std::nullopt;
+}
+
+bool CanCompileLifted(const logic::Formula& sentence,
+                      const logic::Vocabulary& vocabulary) {
+  return !LiftedObstacle(sentence, vocabulary).has_value();
 }
 
 nnf::LiftedCircuit CompileLifted(const logic::Formula& sentence,

@@ -2,6 +2,8 @@
 #define SWFOMC_FO2_LIFTED_COMPILER_H_
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "logic/formula.h"
 #include "logic/vocabulary.h"
@@ -19,11 +21,16 @@ struct LiftedCompileStats {
   std::size_t valid_cells = 0;  // cells whose diagonal satisfies ψ(x,x)
 };
 
-/// True when CompileLifted accepts the sentence: a sentence (no free
-/// variables) in FO² over relations of arity <= 2, without domain
-/// constants — the same fragment check Engine routes to the cell
-/// algorithm. Weight-independent: liftability is a property of the
+/// The first check of the lifted fragment that the sentence fails, in
+/// order: a sentence (no free variables), in FO², over relations of arity
+/// <= 2, without domain constants. Returns the reason Engine reports when
+/// it routes away from the cell algorithm, or nullopt for a liftable
+/// sentence. Weight-independent: liftability is a property of the
 /// sentence and the vocabulary's arities alone.
+std::optional<std::string_view> LiftedObstacle(
+    const logic::Formula& sentence, const logic::Vocabulary& vocabulary);
+
+/// True when CompileLifted accepts the sentence (no LiftedObstacle).
 bool CanCompileLifted(const logic::Formula& sentence,
                       const logic::Vocabulary& vocabulary);
 

@@ -46,6 +46,34 @@ TEST(EngineTest, RoutesConstantsAwayFromLifted) {
   EXPECT_EQ(engine.Route(f), Method::kGrounded);
 }
 
+// Each lifted-fragment check, in order, names itself as the route's FO²
+// obstacle, and the same checks decide fo2::CanCompileLifted.
+TEST(EngineTest, ExplainRouteNamesEachLiftedObstacle) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"forall y (R(x,y) | !R(y,x))", "not a sentence (free variables)"},
+      {"forall x forall y forall z (R(x,y) | R(y,z) | R(z,x))",
+       "uses more than 2 variables"},
+      {"forall x forall y !T(x,y,x)", "vocabulary has a relation of arity > 2"},
+      {"forall x R(x,0)", "contains constants"},
+  };
+  for (const auto& [text, reason] : cases) {
+    Engine engine{logic::Vocabulary{}};
+    logic::Formula f = engine.Parse(text);
+    RouteDecision decision = engine.ExplainRoute(f);
+    EXPECT_EQ(decision.method, Method::kGrounded) << text;
+    EXPECT_TRUE(decision.reason.starts_with("grounded fallback: ")) << text;
+    EXPECT_TRUE(decision.reason.ends_with(std::string("; ") + reason))
+        << text << ": " << decision.reason;
+    EXPECT_EQ(fo2::LiftedObstacle(f, engine.vocabulary()), reason) << text;
+    EXPECT_FALSE(engine.CanCompileLifted(f)) << text;
+  }
+  Engine engine{logic::Vocabulary{}};
+  logic::Formula f = engine.Parse("forall x exists y R(x,y)");
+  EXPECT_EQ(engine.ExplainRoute(f).method, Method::kLiftedFO2);
+  EXPECT_EQ(fo2::LiftedObstacle(f, engine.vocabulary()), std::nullopt);
+  EXPECT_TRUE(engine.CanCompileLifted(f));
+}
+
 TEST(EngineTest, MethodsAgreeOnFO2CQ) {
   // ∃x∃y (R(x,y) & T(y)) is simultaneously FO², a γ-acyclic CQ, and
   // groundable: all three answers must coincide.

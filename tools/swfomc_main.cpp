@@ -5,35 +5,28 @@
 //
 //   swfomc run [options] FILE.model...       evaluate WFOMC workloads
 //   swfomc cnf [options] FILE.cnf...         weighted model counts (DPLL)
-//   swfomc route FILE.model...               routing decision only, no solve
+//   swfomc route [options] FILE.model...     routing decision only, no solve
 //   swfomc compile [options] FILE.model...   compile to d-DNNF circuits
 //   swfomc eval [options] FILE.nnf...        evaluate compiled circuits
 //   swfomc print FILE.{model,cnf,nnf}...     reprint in canonical form
 //   swfomc serve [options]                   long-lived JSONL inference daemon
 //
-// Options:
-//   --method M     force auto | lifted-fo2 | gamma-acyclic | grounded
-//   --check        exit 1 when an `expect`/`e` value doesn't match
-//   --compact      single-line JSON output
-//   --out FILE     compile: write the circuit to FILE (single input)
-//   --out-dir DIR  compile: write one INPUT-basename.nnf per input
-//   --domain N     eval: domain size for lifted circuits
-//   --budget-ms N      wall-clock budget per input (run/cnf/compile)
-//   --max-decisions N  decision budget per input
-//   --max-memory N     memory ceiling, k/m/g suffixes (component cache)
-//   --on-budget M      bounds (report anytime bounds; default) | error
-//   --threads N        serve: batch-evaluation threads (0 = hardware)
+// `swfomc --help` lists every option and the commands it applies to; both
+// are printed from kFlags, the one place a flag is declared.
 //
 // Exit codes: 0 success, 1 a check failed, 2 unreadable or malformed
 // input, 3 a budget was exhausted under --on-budget=error, 64 usage
 // error (unknown command/option, missing operand).
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -66,113 +59,53 @@ constexpr int kExitUsage = 64;
 // inputs were fine, the answer is just not exact.
 constexpr int kExitBudget = 3;
 
-constexpr const char* kUsage =
-    R"(usage: swfomc <command> [options] <file>...
-
-commands:
-  run      evaluate .model files: parse, route, count, report JSON
-  cnf      weighted model count of .cnf files through the DPLL counter
-  route    report the routing decision for .model files without solving
-  compile  compile .model files into circuits (.nnf): liftable FO²
-           sentences become domain-parametric lifted circuits (no
-           `domain` directive needed); everything else traces the
-           grounded search into a fixed-n d-DNNF
-  eval     evaluate .nnf circuits (either dialect) under their embedded
-           weights; --domain N picks the domain size for lifted circuits
-           (default: the `e` line's size)
-  print    parse .model/.cnf/.nnf files and reprint them canonically
-  serve    long-lived inference daemon: newline-delimited JSON requests
-           on stdin (or a TCP port with --listen), one response line
-           each; compiled circuits are kept in a bounded LRU so repeat
-           queries skip compilation (see the README's Serving section)
-
-options:
-  --method M     force a method: auto | lifted-fo2 | gamma-acyclic |
-                 grounded (run and compile; gamma-acyclic has no
-                 circuit form and is rejected by compile)
-  --check        exit with status 1 if any model's `expect` (or circuit's
-                 `e`) value mismatches
-  --compact      emit single-line JSON instead of pretty-printed
-  --out FILE     compile only: write the circuit to FILE (one input file)
-  --out-dir DIR  compile only: write DIR/<input-basename>.nnf per input
-  --domain N     eval only: evaluate lifted circuits at domain size N
-                 (rejected for grounded circuits — they fix n at
-                 compile time)
-  --budget-ms N      wall-clock budget per input, in milliseconds; an
-                     exhausted grounded search reports certified anytime
-                     bounds instead of running on (run/cnf/compile; the
-                     deadline restarts for each input file)
-  --max-decisions N  cap on DPLL decisions per input (run/cnf/compile)
-  --max-memory N     component-cache memory ceiling in bytes; accepts
-                     k/m/g binary suffixes (run/cnf/compile)
-  --on-budget M      what an exhausted budget means: bounds (default —
-                     report lower/upper and exit 0) or error (exit 3)
-  --metrics-out FILE write Prometheus-style text exposition of the run's
-                     counters/gauges/histograms to FILE on exit
-                     (run/cnf/compile/eval; serve exposes the same data
-                     through its `metrics` protocol command instead)
-  --trace-out FILE   write a structured JSONL span/event trace to FILE
-                     (run/cnf/compile/eval/serve)
-  --threads N             serve only: threads that evaluate a request's
-                          weight vectors over its circuit (default 1,
-                          0 = one per hardware thread); counting and
-                          compiling are sequential everywhere
-  --listen PORT           serve only: accept TCP connections on 127.0.0.1
-                          instead of stdin/stdout (0 = ephemeral port,
-                          reported on stderr)
-  --max-circuits N        serve only: circuit-LRU entry bound (default 64)
-  --max-circuit-bytes N   serve only: circuit-LRU byte bound, k/m/g
-                          suffixes (default 256m)
-  --max-request-bytes N   serve only: longest accepted request line
-                          (default 1m)
-  (serve treats --budget-ms/--max-decisions/--max-memory as per-request
-  defaults that requests may override)
-  --help         this text
-
-exit codes: 0 ok, 1 a check failed, 2 unreadable or malformed input,
-3 a budget was exhausted under --on-budget=error, 64 usage error
-)";
-
 // A bad command line (vs. bad input files, which stay exit 2).
 class UsageError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-enum class OnBudget { kBounds, kError };
+struct CliOptions;
+
+// The commands, one bit each, so a flag can name the set it applies to.
+enum CommandBit : unsigned {
+  kRun = 1u << 0,
+  kCnf = 1u << 1,
+  kRoute = 1u << 2,
+  kCompile = 1u << 3,
+  kEval = 1u << 4,
+  kPrint = 1u << 5,
+  kServe = 1u << 6,
+};
+
+struct Command {
+  std::string_view name;
+  CommandBit bit;
+  int (*run)(const CliOptions& options);
+  const char* help;
+};
 
 struct CliOptions {
-  std::string command;
+  const Command* command = nullptr;
+  bool help = false;
   RunOptions run;
   bool check = false;
   bool compact = false;
-  /// Explicitly-set --on-budget (usage error without a budget flag);
-  /// effective policy defaults to kBounds.
-  std::optional<OnBudget> on_budget;
+  /// "bounds" or "error" when --on-budget was given (it needs a budget
+  /// flag); an unset policy reports bounds.
+  std::string on_budget;
   std::string out_file;
   std::string out_dir;
   /// eval only: the domain size for lifted circuits.
   std::optional<std::uint64_t> domain;
   std::vector<std::string> files;
-  /// serve-only knobs.
-  std::optional<unsigned> threads;
+  /// serve only: the daemon's knobs (limits and trace come from `run`)
+  /// and the TCP port that replaces stdin/stdout.
+  swfomc::serve::ServerOptions serve;
   std::optional<std::uint16_t> listen_port;
-  std::optional<std::uint64_t> max_circuits;
-  std::optional<std::uint64_t> max_circuit_bytes;
-  std::optional<std::uint64_t> max_request_bytes;
   /// Observability sinks ("" = disabled).
   std::string metrics_out;
   std::string trace_out;
-
-  bool serve_flags_used() const {
-    return threads.has_value() || listen_port.has_value() ||
-           max_circuits.has_value() ||
-           max_circuit_bytes.has_value() || max_request_bytes.has_value();
-  }
-
-  OnBudget budget_policy() const {
-    return on_budget.value_or(OnBudget::kBounds);
-  }
 };
 
 int Fail(const std::string& message) {
@@ -183,24 +116,6 @@ int Fail(const std::string& message) {
 // Strict flag-value parser: digits only, bounded — `--threads -1` or
 // `--threads 4abc` must be a usage error, not ~4 billion worker threads
 // (std::stoul would accept both).
-unsigned ParseThreadCount(const std::string& text) {
-  if (text.empty()) throw UsageError("--threads needs a value");
-  unsigned value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      throw UsageError("bad --threads value '" + text +
-                       "' (expected a non-negative integer)");
-    }
-    value = value * 10 + static_cast<unsigned>(c - '0');
-    if (value > 4096) {
-      throw UsageError("--threads value '" + text +
-                       "' exceeds the supported maximum (4096)");
-    }
-  }
-  return value;  // 0 = one per hardware thread
-}
-
-// Same strictness for the 64-bit budget flags.
 std::uint64_t ParseUint64Flag(const std::string& flag,
                               const std::string& text) {
   if (text.empty()) throw UsageError(flag + " needs a value");
@@ -220,10 +135,10 @@ std::uint64_t ParseUint64Flag(const std::string& flag,
 }
 
 // A byte count with an optional k/m/g binary suffix (case-insensitive),
-// e.g. `--max-memory 64m` or `--max-circuit-bytes 1g`.
+// e.g. `--max-memory 64m` or `--max-circuit-bytes 1g`. ParseArgs never
+// passes an empty `text`.
 std::uint64_t ParseMemorySize(const std::string& flag,
                               const std::string& text) {
-  if (text.empty()) throw UsageError(flag + " needs a value");
   std::uint64_t multiplier = 1;
   std::string digits = text;
   switch (digits.back()) {
@@ -240,281 +155,67 @@ std::uint64_t ParseMemorySize(const std::string& flag,
   return value * multiplier;
 }
 
-std::uint16_t ParsePort(const std::string& text) {
-  std::uint64_t port = ParseUint64Flag("--listen", text);
-  if (port > 65535) {
-    throw UsageError("--listen port '" + text + "' is out of range (0 = "
-                     "ephemeral, else 1..65535)");
+// ParseUint64Flag with an upper bound.
+std::uint64_t ParseAtMost(const std::string& flag, const std::string& text,
+                          std::uint64_t max) {
+  std::uint64_t value = ParseUint64Flag(flag, text);
+  if (value > max) {
+    throw UsageError(flag + " value '" + text +
+                     "' exceeds the supported maximum (" +
+                     std::to_string(max) + ")");
   }
-  return static_cast<std::uint16_t>(port);
+  return value;
 }
 
-std::optional<CliOptions> ParseArgs(int argc, char** argv) {
-  CliOptions options;
-  if (argc < 2) throw UsageError("no command given");
-  options.command = argv[1];
-  if (options.command == "--help" || options.command == "-h") {
-    return std::nullopt;
+// One command's results and what they add up to, turned into the JSON
+// document and the exit code by Finish.
+struct Batch {
+  JsonValue results = JsonValue::MakeArray();
+  bool checks_passed = true;
+  bool budget_exhausted = false;
+
+  // Notes a run or cnf count that a budget stopped short of exact.
+  template <typename Report>
+  void NoteOutcome(const std::string& path, const Report& report) {
+    if (report.outcome == swfomc::api::Outcome::kExact) return;
+    budget_exhausted = true;
+    std::cerr << "swfomc: budget exhausted: " << path << ": outcome "
+              << swfomc::api::ToString(report.outcome) << " ("
+              << swfomc::runtime::ToString(report.stop_reason) << ")\n";
   }
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return std::nullopt;
-    if (arg == "--check") {
-      options.check = true;
-    } else if (arg == "--compact") {
-      options.compact = true;
-    } else if (arg == "--threads") {
-      if (++i >= argc) throw UsageError("--threads needs a value");
-      options.threads = ParseThreadCount(argv[i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = ParseThreadCount(arg.substr(10));
-    } else if (arg == "--out") {
-      if (++i >= argc) throw UsageError("--out needs a value");
-      options.out_file = argv[i];
-    } else if (arg.rfind("--out=", 0) == 0) {
-      options.out_file = arg.substr(6);
-    } else if (arg == "--out-dir") {
-      if (++i >= argc) throw UsageError("--out-dir needs a value");
-      options.out_dir = argv[i];
-    } else if (arg.rfind("--out-dir=", 0) == 0) {
-      options.out_dir = arg.substr(10);
-    } else if (arg == "--domain") {
-      if (++i >= argc) throw UsageError("--domain needs a value");
-      options.domain = ParseUint64Flag("--domain", argv[i]);
-    } else if (arg.rfind("--domain=", 0) == 0) {
-      options.domain = ParseUint64Flag("--domain", arg.substr(9));
-    } else if (arg == "--budget-ms") {
-      if (++i >= argc) throw UsageError("--budget-ms needs a value");
-      options.run.limits.budget_ms =
-          ParseUint64Flag("--budget-ms", argv[i]);
-    } else if (arg.rfind("--budget-ms=", 0) == 0) {
-      options.run.limits.budget_ms =
-          ParseUint64Flag("--budget-ms", arg.substr(12));
-    } else if (arg == "--max-decisions") {
-      if (++i >= argc) throw UsageError("--max-decisions needs a value");
-      options.run.limits.max_decisions =
-          ParseUint64Flag("--max-decisions", argv[i]);
-    } else if (arg.rfind("--max-decisions=", 0) == 0) {
-      options.run.limits.max_decisions =
-          ParseUint64Flag("--max-decisions", arg.substr(16));
-    } else if (arg == "--max-memory") {
-      if (++i >= argc) throw UsageError("--max-memory needs a value");
-      options.run.limits.max_memory_bytes =
-          ParseMemorySize("--max-memory", argv[i]);
-    } else if (arg.rfind("--max-memory=", 0) == 0) {
-      options.run.limits.max_memory_bytes =
-          ParseMemorySize("--max-memory", arg.substr(13));
-    } else if (arg == "--listen") {
-      if (++i >= argc) throw UsageError("--listen needs a value");
-      options.listen_port = ParsePort(argv[i]);
-    } else if (arg.rfind("--listen=", 0) == 0) {
-      options.listen_port = ParsePort(arg.substr(9));
-    } else if (arg == "--max-circuits") {
-      if (++i >= argc) throw UsageError("--max-circuits needs a value");
-      options.max_circuits = ParseUint64Flag("--max-circuits", argv[i]);
-    } else if (arg.rfind("--max-circuits=", 0) == 0) {
-      options.max_circuits =
-          ParseUint64Flag("--max-circuits", arg.substr(15));
-    } else if (arg == "--max-circuit-bytes") {
-      if (++i >= argc) throw UsageError("--max-circuit-bytes needs a value");
-      options.max_circuit_bytes =
-          ParseMemorySize("--max-circuit-bytes", argv[i]);
-    } else if (arg.rfind("--max-circuit-bytes=", 0) == 0) {
-      options.max_circuit_bytes =
-          ParseMemorySize("--max-circuit-bytes", arg.substr(20));
-    } else if (arg == "--max-request-bytes") {
-      if (++i >= argc) throw UsageError("--max-request-bytes needs a value");
-      options.max_request_bytes =
-          ParseMemorySize("--max-request-bytes", argv[i]);
-    } else if (arg.rfind("--max-request-bytes=", 0) == 0) {
-      options.max_request_bytes =
-          ParseMemorySize("--max-request-bytes", arg.substr(20));
-    } else if (arg == "--metrics-out") {
-      if (++i >= argc) throw UsageError("--metrics-out needs a value");
-      options.metrics_out = argv[i];
-      if (options.metrics_out.empty()) {
-        throw UsageError("--metrics-out needs a value");
-      }
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      options.metrics_out = arg.substr(14);
-      if (options.metrics_out.empty()) {
-        throw UsageError("--metrics-out needs a value");
-      }
-    } else if (arg == "--trace-out") {
-      if (++i >= argc) throw UsageError("--trace-out needs a value");
-      options.trace_out = argv[i];
-      if (options.trace_out.empty()) {
-        throw UsageError("--trace-out needs a value");
-      }
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      options.trace_out = arg.substr(12);
-      if (options.trace_out.empty()) {
-        throw UsageError("--trace-out needs a value");
-      }
-    } else if (arg == "--on-budget" || arg.rfind("--on-budget=", 0) == 0) {
-      std::string name;
-      if (arg == "--on-budget") {
-        if (++i >= argc) throw UsageError("--on-budget needs a value");
-        name = argv[i];
-      } else {
-        name = arg.substr(12);
-      }
-      if (name == "bounds") {
-        options.on_budget = OnBudget::kBounds;
-      } else if (name == "error") {
-        options.on_budget = OnBudget::kError;
-      } else {
-        throw UsageError("bad --on-budget value '" + name +
-                         "' (expected bounds or error)");
-      }
-    } else if (arg == "--method" || arg.rfind("--method=", 0) == 0) {
-      std::string name;
-      if (arg == "--method") {
-        if (++i >= argc) throw UsageError("--method needs a value");
-        name = argv[i];
-      } else {
-        name = arg.substr(9);
-      }
-      auto method = swfomc::io::ParseMethodName(name);
-      if (!method.has_value()) {
-        throw UsageError("unknown method '" + name + "'");
-      }
-      options.run.method_override = *method;
-    } else if (arg.rfind("--", 0) == 0) {
-      throw UsageError("unknown option '" + arg + "'");
-    } else {
-      options.files.push_back(std::move(arg));
-    }
+};
+
+// Emits the command's one JSON document on stdout, then applies the exit
+// policy: 3 for an exhausted budget under --on-budget=error, 1 for a
+// failed check, else 0.
+int Finish(const CliOptions& options, Batch batch) {
+  JsonValue document = JsonValue::MakeObject();
+  document.Add("results", std::move(batch.results));
+  if (options.check) {
+    document.Add("check", JsonValue::MakeString(batch.checks_passed ? "pass"
+                                                                    : "fail"));
   }
-  if (options.command == "serve") {
-    // The daemon reads requests from its transport, not from operands,
-    // and its knobs that would silently do nothing are rejected outright
-    // (same philosophy as compile/eval below).
-    if (!options.files.empty()) {
-      throw UsageError("serve takes no file operands (requests arrive on "
-                       "stdin or the --listen socket)");
-    }
-    if (options.check) {
-      throw UsageError("--check does not apply to the serve command "
-                       "(expectations live in requests, not files)");
-    }
-    if (options.compact) {
-      throw UsageError("--compact does not apply to the serve command "
-                       "(responses are always single-line)");
-    }
-    if (options.run.method_override.has_value()) {
-      throw UsageError("--method does not apply to the serve command "
-                       "(requests carry their own method)");
-    }
-    if (options.on_budget.has_value()) {
-      throw UsageError("--on-budget does not apply to the serve command "
-                       "(budget outcomes are reported per request)");
-    }
-    if (!options.out_file.empty() || !options.out_dir.empty()) {
-      throw UsageError("--out/--out-dir do not apply to the serve command");
-    }
-    if (options.domain.has_value()) {
-      throw UsageError("--domain does not apply to the serve command "
-                       "(requests carry their own domain size)");
-    }
+  // Where this run's observability artifacts went, so a consumer of the
+  // JSON knows which sidecar files belong to it.
+  if (!options.metrics_out.empty() || !options.trace_out.empty()) {
+    JsonValue obs = JsonValue::MakeObject();
     if (!options.metrics_out.empty()) {
-      throw UsageError("--metrics-out does not apply to the serve command "
-                       "(scrape the 'metrics' protocol command instead)");
-    }
-    return options;
-  }
-  // Counting and compiling are sequential and eval is a linear circuit
-  // pass; accepting a thread count there would silently do nothing.
-  if (options.serve_flags_used()) {
-    throw UsageError(
-        "--threads/--listen/--max-circuits/--max-circuit-bytes/"
-        "--max-request-bytes only apply to the serve command");
-  }
-  if (options.files.empty()) {
-    throw UsageError("no input files");
-  }
-  if (!options.out_file.empty() && options.command != "compile") {
-    throw UsageError("--out only applies to the compile command");
-  }
-  if (!options.out_dir.empty() && options.command != "compile") {
-    throw UsageError("--out-dir only applies to the compile command");
-  }
-  if (!options.out_file.empty() && !options.out_dir.empty()) {
-    throw UsageError("--out and --out-dir are mutually exclusive");
-  }
-  if (!options.out_file.empty() && options.files.size() != 1) {
-    throw UsageError("--out takes exactly one input file (use --out-dir)");
-  }
-  // Eval has nothing to route, so a forced method is meaningless.
-  if (options.command == "eval" && options.run.method_override.has_value()) {
-    throw UsageError("--method does not apply to the eval command "
-                     "(the circuit kind was fixed at compile time)");
-  }
-  if (options.domain.has_value() && options.command != "eval") {
-    throw UsageError("--domain only applies to the eval command (run and "
-                     "compile take the model's 'domain' directive)");
-  }
-  // Observability follows the counting/evaluation work; route and print
-  // do none, so the sinks would stay empty — reject rather than write a
-  // vacuous file.
-  if ((options.command == "route" || options.command == "print")) {
-    if (!options.metrics_out.empty()) {
-      throw UsageError("--metrics-out does not apply to the " +
-                       options.command + " command (it runs no search)");
+      obs.Add("metrics_out", JsonValue::MakeString(options.metrics_out));
     }
     if (!options.trace_out.empty()) {
-      throw UsageError("--trace-out does not apply to the " +
-                       options.command + " command (it runs no search)");
+      obs.Add("trace_out", JsonValue::MakeString(options.trace_out));
     }
+    document.Add("obs", std::move(obs));
   }
-  // Budgets govern the counting search; route/eval/print never run one.
-  if (options.run.limits.governed() &&
-      (options.command == "route" || options.command == "eval" ||
-       options.command == "print")) {
-    throw UsageError("budget options do not apply to the " + options.command +
-                     " command (it runs no counting search)");
+  std::cout << document.Dump(options.compact ? -1 : 2) << "\n";
+  if (batch.budget_exhausted && options.on_budget == "error") {
+    return kExitBudget;
   }
-  if (options.on_budget.has_value() && !options.run.limits.governed()) {
-    throw UsageError(
-        "--on-budget needs a budget (--budget-ms, --max-decisions, or "
-        "--max-memory)");
-  }
-  return options;
-}
-
-void Emit(const JsonValue& document, bool compact) {
-  std::cout << document.Dump(compact ? -1 : 2) << "\n";
-}
-
-// The report's "obs" block: where this run's observability artifacts
-// went, so a consumer of the JSON knows which sidecar files belong to it.
-void AddObsBlock(JsonValue* document, const CliOptions& options) {
-  if (options.metrics_out.empty() && options.trace_out.empty()) return;
-  JsonValue obs = JsonValue::MakeObject();
-  if (!options.metrics_out.empty()) {
-    obs.Add("metrics_out", JsonValue::MakeString(options.metrics_out));
-  }
-  if (!options.trace_out.empty()) {
-    obs.Add("trace_out", JsonValue::MakeString(options.trace_out));
-  }
-  document->Add("obs", std::move(obs));
+  return batch.checks_passed ? 0 : 1;
 }
 
 int RunServe(const CliOptions& options) {
-  swfomc::serve::ServerOptions server_options;
-  server_options.num_threads = options.threads.value_or(1);
-  if (options.max_circuits.has_value()) {
-    server_options.max_circuits =
-        static_cast<std::size_t>(*options.max_circuits);
-  }
-  if (options.max_circuit_bytes.has_value()) {
-    server_options.max_circuit_bytes =
-        static_cast<std::size_t>(*options.max_circuit_bytes);
-  }
-  if (options.max_request_bytes.has_value()) {
-    server_options.max_request_bytes =
-        static_cast<std::size_t>(*options.max_request_bytes);
-  }
+  swfomc::serve::ServerOptions server_options = options.serve;
   server_options.limits = options.run.limits;
   server_options.trace = options.run.trace;
   swfomc::serve::Server server(server_options);
@@ -532,21 +233,14 @@ int RunServe(const CliOptions& options) {
 }
 
 int RunModels(const CliOptions& options) {
-  JsonValue results = JsonValue::MakeArray();
-  bool checks_passed = true;
-  bool budget_exhausted = false;
+  Batch batch;
   for (const std::string& path : options.files) {
     ModelSpec spec = swfomc::io::LoadModelFile(path);
     swfomc::io::ModelRunReport report =
         swfomc::io::RunModel(spec, options.run, path);
-    if (report.outcome != swfomc::api::Outcome::kExact) {
-      budget_exhausted = true;
-      std::cerr << "swfomc: budget exhausted: " << path << ": outcome "
-                << swfomc::api::ToString(report.outcome) << " ("
-                << swfomc::runtime::ToString(report.stop_reason) << ")\n";
-    }
+    batch.NoteOutcome(path, report);
     if (options.check && !report.check_passed) {
-      checks_passed = false;
+      batch.checks_passed = false;
       // Report the first failing point — for a sweep that may be a
       // mid-range size, not the last one.
       const std::uint64_t n = report.first_failed_point.value_or(spec.domain_hi);
@@ -578,49 +272,25 @@ int RunModels(const CliOptions& options) {
                 << " at n=" << n << ", computed " << computed << " ("
                 << swfomc::api::ToString(report.method_used) << ")\n";
     }
-    results.array.push_back(swfomc::io::ToJson(report));
+    batch.results.array.push_back(swfomc::io::ToJson(report));
   }
-  JsonValue document = JsonValue::MakeObject();
-  document.Add("results", std::move(results));
-  if (options.check) {
-    document.Add("check", JsonValue::MakeString(checks_passed ? "pass"
-                                                              : "fail"));
-  }
-  AddObsBlock(&document, options);
-  Emit(document, options.compact);
-  if (budget_exhausted && options.budget_policy() == OnBudget::kError) {
-    return kExitBudget;
-  }
-  return checks_passed ? 0 : 1;
+  return Finish(options, std::move(batch));
 }
 
 int RunCnfs(const CliOptions& options) {
-  JsonValue results = JsonValue::MakeArray();
-  bool budget_exhausted = false;
+  Batch batch;
   for (const std::string& path : options.files) {
     WeightedCnf instance = swfomc::io::LoadWeightedCnfFile(path);
     swfomc::io::CnfRunReport report =
         swfomc::io::RunWeightedCnf(instance, options.run, path);
-    if (report.outcome != swfomc::api::Outcome::kExact) {
-      budget_exhausted = true;
-      std::cerr << "swfomc: budget exhausted: " << path << ": outcome "
-                << swfomc::api::ToString(report.outcome) << " ("
-                << swfomc::runtime::ToString(report.stop_reason) << ")\n";
-    }
-    results.array.push_back(swfomc::io::ToJson(report));
+    batch.NoteOutcome(path, report);
+    batch.results.array.push_back(swfomc::io::ToJson(report));
   }
-  JsonValue document = JsonValue::MakeObject();
-  document.Add("results", std::move(results));
-  AddObsBlock(&document, options);
-  Emit(document, options.compact);
-  if (budget_exhausted && options.budget_policy() == OnBudget::kError) {
-    return kExitBudget;
-  }
-  return 0;
+  return Finish(options, std::move(batch));
 }
 
 int RunRoute(const CliOptions& options) {
-  JsonValue results = JsonValue::MakeArray();
+  Batch batch;
   for (const std::string& path : options.files) {
     ModelSpec spec = swfomc::io::LoadModelFile(path);
     Engine engine(spec.vocabulary);
@@ -631,12 +301,9 @@ int RunRoute(const CliOptions& options) {
     entry.Add("method",
               JsonValue::MakeString(swfomc::api::ToString(decision.method)));
     entry.Add("reason", JsonValue::MakeString(decision.reason));
-    results.array.push_back(std::move(entry));
+    batch.results.array.push_back(std::move(entry));
   }
-  JsonValue document = JsonValue::MakeObject();
-  document.Add("results", std::move(results));
-  Emit(document, options.compact);
-  return 0;
+  return Finish(options, std::move(batch));
 }
 
 // The .nnf path for one compile input: --out verbatim, or
@@ -670,9 +337,7 @@ int RunCompile(const CliOptions& options) {
                                options.out_dir + "': " + error.message());
     }
   }
-  JsonValue results = JsonValue::MakeArray();
-  bool checks_passed = true;
-  bool budget_exhausted = false;
+  Batch batch;
   for (const std::string& path : options.files) {
     ModelSpec spec = swfomc::io::LoadModelFile(path);
     swfomc::io::CompileOutcome outcome =
@@ -680,7 +345,7 @@ int RunCompile(const CliOptions& options) {
     if (outcome.report.outcome != swfomc::api::Outcome::kExact) {
       // A trace the budget stopped is discarded whole — there is no
       // "partial circuit" to write, whatever --out asked for.
-      budget_exhausted = true;
+      batch.budget_exhausted = true;
       std::cerr << "swfomc: budget exhausted: " << path
                 << ": compilation aborted ("
                 << swfomc::runtime::ToString(outcome.report.stop_reason)
@@ -688,7 +353,7 @@ int RunCompile(const CliOptions& options) {
     }
     if (options.check && spec.expect.has_value() &&
         !outcome.report.check_passed) {
-      checks_passed = false;
+      batch.checks_passed = false;
       std::cerr << "swfomc: check FAILED: " << path << ": expected "
                 << spec.expect->ToString() << " at n=" << spec.domain_hi
                 << (outcome.query.has_value()
@@ -727,25 +392,13 @@ int RunCompile(const CliOptions& options) {
       }
       outcome.report.output_path = std::move(out_path);
     }
-    results.array.push_back(swfomc::io::ToJson(outcome.report));
+    batch.results.array.push_back(swfomc::io::ToJson(outcome.report));
   }
-  JsonValue document = JsonValue::MakeObject();
-  document.Add("results", std::move(results));
-  if (options.check) {
-    document.Add("check", JsonValue::MakeString(checks_passed ? "pass"
-                                                              : "fail"));
-  }
-  AddObsBlock(&document, options);
-  Emit(document, options.compact);
-  if (budget_exhausted && options.budget_policy() == OnBudget::kError) {
-    return kExitBudget;
-  }
-  return checks_passed ? 0 : 1;
+  return Finish(options, std::move(batch));
 }
 
 int RunEval(const CliOptions& options) {
-  JsonValue results = JsonValue::MakeArray();
-  bool checks_passed = true;
+  Batch batch;
   for (const std::string& path : options.files) {
     swfomc::io::AnyNnfDocument document = swfomc::io::LoadAnyNnfFile(path);
     swfomc::io::EvalRunReport report;
@@ -764,7 +417,7 @@ int RunEval(const CliOptions& options) {
     }
     if (options.check && report.expected.has_value() &&
         !report.check_passed) {
-      checks_passed = false;
+      batch.checks_passed = false;
       std::cerr << "swfomc: check FAILED: " << path << ": expected "
                 << report.expected->ToString() << ", circuit evaluates to "
                 << report.value.ToString() << "\n";
@@ -787,17 +440,9 @@ int RunEval(const CliOptions& options) {
           .Str("kind", swfomc::api::ToString(report.kind))
           .Num("n", report.domain_size);
     }
-    results.array.push_back(swfomc::io::ToJson(report));
+    batch.results.array.push_back(swfomc::io::ToJson(report));
   }
-  JsonValue document = JsonValue::MakeObject();
-  document.Add("results", std::move(results));
-  if (options.check) {
-    document.Add("check", JsonValue::MakeString(checks_passed ? "pass"
-                                                              : "fail"));
-  }
-  AddObsBlock(&document, options);
-  Emit(document, options.compact);
-  return checks_passed ? 0 : 1;
+  return Finish(options, std::move(batch));
 }
 
 int RunPrint(const CliOptions& options) {
@@ -820,19 +465,283 @@ int RunPrint(const CliOptions& options) {
   return 0;
 }
 
+constexpr Command kCommands[] = {
+    {"run", kRun, RunModels,
+     "evaluate .model files: parse, route, count, report JSON"},
+    {"cnf", kCnf, RunCnfs,
+     "weighted model count of .cnf files through the DPLL counter"},
+    {"route", kRoute, RunRoute,
+     "report the routing decision for .model files without solving"},
+    {"compile", kCompile, RunCompile,
+     "compile .model files into circuits (.nnf): liftable FO² sentences "
+     "become domain-parametric lifted circuits (no `domain` directive "
+     "needed); everything else traces the grounded search into a fixed-n "
+     "d-DNNF"},
+    {"eval", kEval, RunEval,
+     "evaluate .nnf circuits (either dialect) under their embedded "
+     "weights"},
+    {"print", kPrint, RunPrint,
+     "parse .model/.cnf/.nnf files and reprint them canonically"},
+    {"serve", kServe, RunServe,
+     "long-lived inference daemon: newline-delimited JSON requests on "
+     "stdin (or a TCP port with --listen), one response line each; "
+     "compiled circuits are kept in a bounded LRU so repeat queries skip "
+     "compilation (see the README's Serving section)"},
+};
+
+constexpr unsigned kAnyCommand = (1u << std::size(kCommands)) - 1;
+// The commands that run a counting search, which budgets govern.
+constexpr unsigned kSearching = kRun | kCnf | kCompile;
+
+// Writes the parsed flag value (empty for a switch) into the options;
+// `flag` is the flag's name, for error messages.
+using Setter = void (*)(CliOptions& options, const std::string& flag,
+                        const std::string& value);
+
+struct Flag {
+  std::string_view name;
+  unsigned commands;  // CommandBits: using the flag elsewhere is exit 64
+  const char* value_name;  // the value in --help; nullptr for a switch
+  Setter set;
+  const char* help;
+};
+
+// Every flag, once. ParseArgs splits `--flag=X` and `--flag X`, rejects
+// unknown flags, empty values and flags outside `commands`, then calls
+// `set`; --help prints the table.
+constexpr Flag kFlags[] = {
+    {"--method", kRun | kCompile, "M",
+     [](auto& options, auto&, auto& value) {
+       auto method = swfomc::io::ParseMethodName(value);
+       if (!method.has_value()) {
+         throw UsageError("unknown method '" + value + "'");
+       }
+       options.run.method_override = *method;
+     },
+     "force a method: auto | lifted-fo2 | gamma-acyclic | grounded "
+     "(gamma-acyclic has no circuit form and is rejected by compile)"},
+    {"--check", kRun | kCompile | kEval, nullptr,
+     [](auto& options, auto&, auto&) { options.check = true; },
+     "exit with status 1 if any model's `expect` (or circuit's `e`) value "
+     "mismatches"},
+    {"--compact", kRun | kCnf | kRoute | kCompile | kEval, nullptr,
+     [](auto& options, auto&, auto&) { options.compact = true; },
+     "emit single-line JSON instead of pretty-printed"},
+    {"--out", kCompile, "FILE",
+     [](auto& options, auto&, auto& value) { options.out_file = value; },
+     "write the circuit to FILE (one input file)"},
+    {"--out-dir", kCompile, "DIR",
+     [](auto& options, auto&, auto& value) { options.out_dir = value; },
+     "write DIR/<input-basename>.nnf per input"},
+    {"--domain", kEval, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.domain = ParseUint64Flag(flag, value);
+       if (*options.domain == 0) {
+         throw UsageError(flag + " must be at least 1 (a lifted circuit's "
+                          "normal form assumes a non-empty domain)");
+       }
+     },
+     "evaluate lifted circuits at domain size N >= 1 (default: the `e` "
+     "line's size; rejected for grounded circuits, which fix n at compile "
+     "time)"},
+    {"--budget-ms", kSearching | kServe, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.run.limits.budget_ms = ParseUint64Flag(flag, value);
+     },
+     "wall-clock budget per input, in milliseconds; an exhausted grounded "
+     "search reports certified anytime bounds instead of running on (the "
+     "deadline restarts for each input file; serve: a per-request default "
+     "that requests may override)"},
+    {"--max-decisions", kSearching | kServe, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.run.limits.max_decisions = ParseUint64Flag(flag, value);
+     },
+     "cap on DPLL decisions per input (serve: a per-request default)"},
+    {"--max-memory", kSearching | kServe, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.run.limits.max_memory_bytes = ParseMemorySize(flag, value);
+     },
+     "component-cache memory ceiling in bytes; accepts k/m/g binary "
+     "suffixes (serve: a per-request default)"},
+    {"--on-budget", kSearching, "M",
+     [](auto& options, auto& flag, auto& value) {
+       if (value != "bounds" && value != "error") {
+         throw UsageError("bad " + flag + " value '" + value +
+                          "' (expected bounds or error)");
+       }
+       options.on_budget = value;
+     },
+     "what an exhausted budget means: bounds (default: report lower/upper "
+     "and exit 0) or error (exit 3); needs a budget flag"},
+    {"--metrics-out", kSearching | kEval, "FILE",
+     [](auto& options, auto&, auto& value) { options.metrics_out = value; },
+     "write Prometheus-style text exposition of the run's "
+     "counters/gauges/histograms to FILE on exit (serve exposes the same "
+     "data through its `metrics` protocol command instead)"},
+    {"--trace-out", kSearching | kEval | kServe, "FILE",
+     [](auto& options, auto&, auto& value) { options.trace_out = value; },
+     "write a structured JSONL span/event trace to FILE"},
+    {"--threads", kServe, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.serve.num_threads =
+           static_cast<unsigned>(ParseAtMost(flag, value, 4096));
+     },
+     "threads that evaluate a request's weight vectors over its circuit "
+     "(default 1, 0 = one per hardware thread, at most 4096); counting and "
+     "compiling are sequential everywhere"},
+    {"--listen", kServe, "PORT",
+     [](auto& options, auto& flag, auto& value) {
+       options.listen_port =
+           static_cast<std::uint16_t>(ParseAtMost(flag, value, 65535));
+     },
+     "accept TCP connections on 127.0.0.1 instead of stdin/stdout (0 = "
+     "ephemeral port, reported on stderr)"},
+    {"--max-circuits", kServe, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.serve.max_circuits = ParseUint64Flag(flag, value);
+     },
+     "circuit-LRU entry bound (default 64)"},
+    {"--max-circuit-bytes", kServe, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.serve.max_circuit_bytes = ParseMemorySize(flag, value);
+     },
+     "circuit-LRU byte bound, k/m/g suffixes (default 256m)"},
+    {"--max-request-bytes", kServe, "N",
+     [](auto& options, auto& flag, auto& value) {
+       options.serve.max_request_bytes = ParseMemorySize(flag, value);
+     },
+     "longest accepted request line, k/m/g suffixes (default 1m)"},
+    {"--help", kAnyCommand, nullptr,
+     [](auto& options, auto&, auto&) { options.help = true; },
+     "print this text and exit (also -h)"},
+};
+
+// One --help entry: `lead` in the left column, `text` word-wrapped into
+// the right one.
+void PrintEntry(std::ostream& out, const std::string& lead,
+                const std::string& text) {
+  constexpr std::size_t kColumn = 25;
+  constexpr std::size_t kWidth = 79;
+  std::string line = "  " + lead;
+  std::istringstream words(text);
+  for (std::string word; words >> word;) {
+    if (line.size() > kColumn && line.size() + 1 + word.size() > kWidth) {
+      out << line << "\n";
+      line.clear();
+    }
+    line.resize(std::max(line.size() + 1, kColumn), ' ');
+    line += word;
+  }
+  out << line << "\n";
+}
+
+void PrintUsage(std::ostream& out) {
+  out << "usage: swfomc <command> [options] <file>...\n\ncommands:\n";
+  for (const Command& command : kCommands) {
+    PrintEntry(out, std::string(command.name), command.help);
+  }
+  out << "\noptions (each names the commands it applies to):\n";
+  for (const Flag& flag : kFlags) {
+    std::string applies;
+    for (const Command& command : kCommands) {
+      if ((flag.commands & command.bit) == 0) continue;
+      applies += (applies.empty() ? "" : "/") + std::string(command.name);
+    }
+    if (flag.commands == kAnyCommand) applies = "any command";
+    std::string lead(flag.name);
+    if (flag.value_name != nullptr) lead += std::string(" ") + flag.value_name;
+    PrintEntry(out, lead, "[" + applies + "] " + flag.help);
+  }
+  out << "\nexit codes: 0 ok, 1 a check failed, 2 unreadable or malformed "
+         "input,\n3 a budget was exhausted under --on-budget=error, 64 "
+         "usage error\n";
+}
+
+template <typename Table>
+auto Find(const Table& table, std::string_view name) {
+  return std::find_if(std::begin(table), std::end(table),
+                      [&](const auto& row) { return row.name == name; });
+}
+
+CliOptions ParseArgs(int argc, char** argv) {
+  CliOptions options;
+  if (argc < 2) throw UsageError("no command given");
+  const std::string name = argv[1];
+  if (name == "--help" || name == "-h") {
+    options.help = true;
+    return options;
+  }
+  const Command* command = Find(kCommands, name);
+  if (command == std::end(kCommands)) {
+    throw UsageError("unknown command '" + name + "'");
+  }
+  options.command = command;
+  for (int i = 2; i < argc && !options.help; ++i) {
+    std::string arg = argv[i] == std::string_view("-h") ? "--help" : argv[i];
+    if (!arg.starts_with("--")) {
+      options.files.push_back(std::move(arg));
+      continue;
+    }
+    const std::size_t equals = arg.find('=');
+    const std::string flag_name = arg.substr(0, equals);
+    const Flag* flag = Find(kFlags, flag_name);
+    if (flag == std::end(kFlags)) {
+      throw UsageError("unknown option '" + arg + "'");
+    }
+    if ((flag->commands & command->bit) == 0) {
+      throw UsageError(flag_name + " does not apply to the " + name +
+                       " command");
+    }
+    std::string value;
+    if (equals != std::string::npos) {
+      if (flag->value_name == nullptr) {
+        throw UsageError(flag_name + " takes no value");
+      }
+      value = arg.substr(equals + 1);
+    } else if (flag->value_name != nullptr && i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (flag->value_name != nullptr && value.empty()) {
+      throw UsageError(flag_name + " needs a value");
+    }
+    flag->set(options, flag_name, value);
+  }
+  if (options.help) return options;
+  // The rules that tie flags and operands together.
+  if (command->bit == kServe && !options.files.empty()) {
+    throw UsageError("serve takes no file operands (requests arrive on "
+                     "stdin or the --listen socket)");
+  }
+  if (command->bit != kServe && options.files.empty()) {
+    throw UsageError("no input files");
+  }
+  if (!options.out_file.empty() && !options.out_dir.empty()) {
+    throw UsageError("--out and --out-dir are mutually exclusive");
+  }
+  if (!options.out_file.empty() && options.files.size() != 1) {
+    throw UsageError("--out takes exactly one input file (use --out-dir)");
+  }
+  if (!options.on_budget.empty() && !options.run.limits.governed()) {
+    throw UsageError(
+        "--on-budget needs a budget (--budget-ms, --max-decisions, or "
+        "--max-memory)");
+  }
+  return options;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<CliOptions> options;
+  CliOptions options;
   try {
     options = ParseArgs(argc, argv);
   } catch (const UsageError& error) {
-    std::cerr << kUsage;
+    PrintUsage(std::cerr);
     std::cerr << "swfomc: " << error.what() << "\n";
     return kExitUsage;
   }
-  if (!options.has_value()) {  // --help
-    std::cout << kUsage;
+  if (options.help) {
+    PrintUsage(std::cout);
     return 0;
   }
   try {
@@ -841,33 +750,21 @@ int main(int argc, char** argv) {
     // command finishes so it reflects the whole run.
     swfomc::obs::MetricsRegistry registry;
     std::unique_ptr<swfomc::obs::TraceLog> trace;
-    if (!options->trace_out.empty()) {
-      trace = swfomc::obs::TraceLog::OpenFile(options->trace_out);
+    if (!options.trace_out.empty()) {
+      trace = swfomc::obs::TraceLog::OpenFile(options.trace_out);
     }
-    if (!options->metrics_out.empty()) options->run.metrics = &registry;
-    options->run.trace = trace.get();
+    if (!options.metrics_out.empty()) options.run.metrics = &registry;
+    options.run.trace = trace.get();
 
-    auto dispatch = [&]() -> int {
-      if (options->command == "run") return RunModels(*options);
-      if (options->command == "cnf") return RunCnfs(*options);
-      if (options->command == "route") return RunRoute(*options);
-      if (options->command == "compile") return RunCompile(*options);
-      if (options->command == "eval") return RunEval(*options);
-      if (options->command == "print") return RunPrint(*options);
-      if (options->command == "serve") return RunServe(*options);
-      std::cerr << kUsage;
-      std::cerr << "swfomc: unknown command '" << options->command << "'\n";
-      return kExitUsage;
-    };
-    int code = dispatch();
-    if (!options->metrics_out.empty()) {
-      std::ofstream out(options->metrics_out);
+    int code = options.command->run(options);
+    if (!options.metrics_out.empty()) {
+      std::ofstream out(options.metrics_out);
       if (!out) {
-        return Fail("cannot write metrics file: " + options->metrics_out);
+        return Fail("cannot write metrics file: " + options.metrics_out);
       }
       out << registry.TextExposition();
       if (!out.flush()) {
-        return Fail("error writing metrics file: " + options->metrics_out);
+        return Fail("error writing metrics file: " + options.metrics_out);
       }
     }
     return code;
