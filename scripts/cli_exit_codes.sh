@@ -173,6 +173,13 @@ expect 64 "$bin" frobnicate --metrics-out "$workdir/sentinel.txt" "$workdir/g.mo
 expect 0 cmp -s "$workdir/sentinel.ref" "$workdir/sentinel.txt"
 expect 64 "$bin" frobnicate --trace-out "$workdir/sentinel.txt" "$workdir/g.model"
 expect 0 cmp -s "$workdir/sentinel.ref" "$workdir/sentinel.txt"
+# So are the usage errors that read the operands: --out-dir basenames
+# that collide, and --domain on a grounded circuit.
+expect 64 "$bin" compile --out-dir "$workdir/d" --trace-out "$workdir/sentinel.txt" \
+  "$workdir/a/same.model" "$workdir/b/same.model"
+expect 0 cmp -s "$workdir/sentinel.ref" "$workdir/sentinel.txt"
+expect 64 "$bin" eval --domain 2 --trace-out "$workdir/sentinel.txt" "$workdir/gnnf/g.nnf"
+expect 0 cmp -s "$workdir/sentinel.ref" "$workdir/sentinel.txt"
 
 # 0: the same checks, satisfied. Also exercises compile -> eval chaining.
 printf 'sentence forall x R(x)\ndomain 1\nexpect 1\n' > "$workdir/right.model"

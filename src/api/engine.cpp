@@ -12,6 +12,7 @@
 #include "grounding/lineage.h"
 #include "grounding/tuple_index.h"
 #include "logic/parser.h"
+#include "logic/transform.h"
 #include "nnf/circuit_builder.h"
 #include "numeric/combinatorics.h"
 #include "prop/tseitin.h"
@@ -26,9 +27,14 @@ using logic::FormulaKind;
 using numeric::BigRational;
 
 // Recognizes ∃x⃗ (R_1(..) & .. & R_k(..)) with distinct positive atoms over
-// variables only; returns the CQ or nullopt.
+// variables only; returns the CQ, or nullopt with the reason in
+// `obstacle` when one is given.
 std::optional<cq::ConjunctiveQuery> AsConjunctiveQuery(
-    const Formula& sentence, const logic::Vocabulary& vocabulary) {
+    const Formula& sentence, const logic::Vocabulary& vocabulary,
+    std::string* obstacle = nullptr) {
+  std::string unused;
+  if (obstacle == nullptr) obstacle = &unused;
+  *obstacle = "not an existential conjunctive query";
   Formula body = sentence;
   while (body->kind() == FormulaKind::kExists) body = body->child();
   std::vector<Formula> atoms;
@@ -52,7 +58,9 @@ std::optional<cq::ConjunctiveQuery> AsConjunctiveQuery(
     try {
       query.AddAtom(vocabulary.name(atom->relation()), std::move(variables));
     } catch (const std::invalid_argument&) {
-      return std::nullopt;  // self-join
+      *obstacle = "conjunctive query with a self-join on relation " +
+                  vocabulary.name(atom->relation());
+      return std::nullopt;
     }
   }
   // All quantified variables must appear in atoms (and the sentence must
@@ -62,13 +70,24 @@ std::optional<cq::ConjunctiveQuery> AsConjunctiveQuery(
 }
 
 // The γ-acyclic evaluator's inputs, extracted once per call: the
-// conjunctive query plus each relation's weight pair. Shared by WFOMC
-// and WFOMCSweep so their fragment checks and weight handling cannot
-// diverge. Throws std::invalid_argument (prefixed with `who`) when the
-// sentence is not a conjunctive query.
+// conjunctive query plus each relation's weight pair, and the relations
+// the query does not mention. Shared by WFOMC and WFOMCSweep so their
+// fragment checks and weight handling cannot diverge. Throws
+// std::invalid_argument (prefixed with `who`) when the sentence is not a
+// conjunctive query.
 struct GammaQueryInputs {
   cq::ConjunctiveQuery query;
   std::map<std::string, std::pair<BigRational, BigRational>> weights;
+  std::vector<std::size_t> other_arities;
+  logic::WeightPairs other_weights;
+
+  // The Theorem 3.6 evaluator counts over the query's relations; every
+  // other relation of the vocabulary is unconstrained and multiplies the
+  // count by its total weight, as on the other routes.
+  BigRational Count(std::uint64_t domain_size) const {
+    return cq::GammaAcyclicWFOMC(query, domain_size, weights) *
+           logic::TotalWeight(domain_size, other_arities, other_weights);
+  }
 };
 
 GammaQueryInputs RequireGammaAcyclicQuery(const Formula& sentence,
@@ -84,6 +103,12 @@ GammaQueryInputs RequireGammaAcyclicQuery(const Formula& sentence,
     logic::RelationId id = vocabulary.Require(atom.relation);
     inputs.weights[atom.relation] = {vocabulary.positive_weight(id),
                                      vocabulary.negative_weight(id)};
+  }
+  for (logic::RelationId id = 0; id < vocabulary.size(); ++id) {
+    if (inputs.weights.contains(vocabulary.name(id))) continue;
+    inputs.other_arities.push_back(vocabulary.arity(id));
+    inputs.other_weights.emplace_back(vocabulary.positive_weight(id),
+                                      vocabulary.negative_weight(id));
   }
   inputs.query = *std::move(query);
   return inputs;
@@ -109,6 +134,35 @@ class ScopedUnitWeights {
   logic::Vocabulary* vocabulary_;
   logic::Vocabulary saved_;
 };
+
+// Turns an answer about ¬Φ into one about Φ, given the total weight T:
+// an exact count c becomes T − c and a bracket [L, U] becomes
+// [T − U, T − L], whose lower end is the reported value. An aborted
+// answer certifies nothing either way and stays aborted.
+template <typename Answer>
+void Complement(const BigRational& total, Answer* answer) {
+  switch (answer->outcome) {
+    case Outcome::kExact:
+      answer->value = total - answer->value;
+      break;
+    case Outcome::kBounds: {
+      BoundsResult& bounds = *answer->bounds;
+      BigRational lower = total - bounds.upper;
+      bounds.upper = total - bounds.lower;
+      bounds.lower = std::move(lower);
+      answer->value = bounds.lower;
+      break;
+    }
+    case Outcome::kAborted:
+      break;
+  }
+}
+
+// The sentence the polarity step hands to the solver: ¬Φ in negation
+// normal form when it complements, Φ itself otherwise.
+Formula CountedSentence(const Formula& sentence, bool complement) {
+  return complement ? logic::ToNNF(logic::Not(sentence)) : sentence;
+}
 
 // Maps the counter's outcome onto the API enum.
 Outcome FromCounterOutcome(wmc::DpllCounter::CountOutcome outcome) {
@@ -147,15 +201,23 @@ const char* MethodMetricSuffix(Method method) {
   return "unknown";
 }
 
-// One engine-level query boundary: counts the route decision, claims a
-// query id, and opens a sampled span. Every entry point (WFOMC, sweep,
-// compile) funnels through this so metric names cannot drift apart.
+// One engine-level query boundary: counts the route and polarity
+// decisions, claims a query id, and opens a sampled span. Every entry
+// point (WFOMC, sweep, compile) funnels through this so metric names
+// cannot drift apart.
 struct QueryScope {
   obs::TraceLog::Span span;
   std::uint64_t query_id = 0;
 
-  QueryScope(const Engine::Options& options, const char* op, Method method) {
+  QueryScope(const Engine::Options& options, const char* op, Method method,
+             bool complement) {
     if (options.metrics != nullptr) {
+      if (complement) {
+        options.metrics
+            ->GetCounter("swfomc_engine_complemented_total",
+                         "Queries counted as T - WFOMC(not sentence)")
+            ->Add();
+      }
       options.metrics
           ->GetCounter("swfomc_engine_queries_total",
                        "Engine-level query entries (wfomc, sweep, compile)")
@@ -170,7 +232,9 @@ struct QueryScope {
       query_id = options.trace->NextQueryId();
       if (options.trace->SampledQuery(query_id)) {
         span = options.trace->BeginSpan(op);
-        span.Num("query", query_id).Str("method", ToString(method));
+        span.Num("query", query_id)
+            .Str("method", ToString(method))
+            .Str("polarity", complement ? "complement" : "direct");
       }
     }
   }
@@ -220,6 +284,11 @@ const char* ToString(Method method) {
   return "?";
 }
 
+bool CountsComplement(const logic::Formula& sentence, Method method) {
+  return (method == Method::kLiftedFO2 || method == Method::kGrounded) &&
+         sentence->kind() == FormulaKind::kExists;
+}
+
 const char* ToString(Outcome outcome) {
   switch (outcome) {
     case Outcome::kExact: return "exact";
@@ -255,8 +324,9 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
   // Rejection evidence for the grounded fallback's reason line.
   std::string cq_obstacle;
 
-  // γ-acyclic CQ path: needs probability conversion, so w + w̄ != 0.
-  if (auto query = AsConjunctiveQuery(sentence, vocabulary_)) {
+  // γ-acyclic CQ path: needs probability conversion, so w + w̄ != 0. It
+  // always counts Φ itself (CountsComplement).
+  if (auto query = AsConjunctiveQuery(sentence, vocabulary_, &cq_obstacle)) {
     std::string zero_total_relation;
     for (const auto& atom : query->atoms()) {
       logic::RelationId id = vocabulary_.Require(atom.relation);
@@ -271,53 +341,56 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
                     " has w + w̄ = 0";
     } else if (cq::IsGammaAcyclic(cq::BuildHypergraph(*query))) {
       return RouteDecision{
-          Method::kGammaAcyclic,
-          "existential conjunctive query with a gamma-acyclic hypergraph "
-          "(Theorem 3.6 evaluator, PTIME)"};
+          .method = Method::kGammaAcyclic,
+          .reason = "existential conjunctive query with a gamma-acyclic "
+                    "hypergraph (Theorem 3.6 evaluator, PTIME)"};
     } else {
       cq_obstacle = "conjunctive query but its hypergraph is not "
                     "gamma-acyclic";
     }
-  } else {
-    cq_obstacle = "not an existential conjunctive query";
   }
 
   std::optional<std::string_view> fo2_obstacle =
       fo2::LiftedObstacle(sentence, vocabulary_);
   if (!fo2_obstacle.has_value()) {
     return RouteDecision{
-        Method::kLiftedFO2,
-        "FO² sentence over arity <= 2 without constants "
-        "(Appendix C cell algorithm, PTIME data complexity)"};
+        .method = Method::kLiftedFO2,
+        .complemented = CountsComplement(sentence, Method::kLiftedFO2),
+        .reason = "FO² sentence over arity <= 2 without constants "
+                  "(Appendix C cell algorithm, PTIME data complexity)"};
   }
-  return RouteDecision{Method::kGrounded, "grounded fallback: " +
-                                              cq_obstacle + "; " +
-                                              std::string(*fo2_obstacle)};
+  return RouteDecision{
+      .method = Method::kGrounded,
+      .complemented = CountsComplement(sentence, Method::kGrounded),
+      .reason = "grounded fallback: " + cq_obstacle + "; " +
+                std::string(*fo2_obstacle)};
 }
 
 Engine::Result Engine::WFOMC(const logic::Formula& sentence,
                              std::uint64_t domain_size, Method method,
                              const QueryOptions& query) {
   if (method == Method::kAuto) method = Route(sentence);
-  QueryScope scope(options_, "wfomc", method);
+  const bool complement = CountsComplement(sentence, method);
+  QueryScope scope(options_, "wfomc", method, complement);
   scope.span.Num("n", domain_size);
+  const Formula target = CountedSentence(sentence, complement);
   Result result = [&]() -> Result {
     Result result;
     result.method = method;
     switch (method) {
       case Method::kLiftedFO2:
-        result.value = fo2::LiftedWFOMC(sentence, vocabulary_, domain_size);
+        result.value = fo2::LiftedWFOMC(target, vocabulary_, domain_size);
         return result;
       case Method::kGammaAcyclic: {
-        auto [query, weights] =
-            RequireGammaAcyclicQuery(sentence, vocabulary_, "Engine::WFOMC");
-        result.value = cq::GammaAcyclicWFOMC(query, domain_size, weights);
+        result.value =
+            RequireGammaAcyclicQuery(sentence, vocabulary_, "Engine::WFOMC")
+                .Count(domain_size);
         return result;
       }
       case Method::kGrounded: {
         wmc::DpllCounter::Stats stats;
         AssignCount(grounding::GroundedWFOMCBounded(
-                        sentence, vocabulary_, domain_size,
+                        target, vocabulary_, domain_size,
                         CounterOptions(query, options_, scope), &stats),
                     &result);
         result.grounded_stats = stats;
@@ -328,6 +401,7 @@ Engine::Result Engine::WFOMC(const logic::Formula& sentence,
     }
     throw std::logic_error("Engine::WFOMC: unreachable");
   }();
+  if (complement) Complement(vocabulary_.TotalWeight(domain_size), &result);
   scope.span.Str("outcome", ToString(result.outcome));
   return result;
 }
@@ -344,8 +418,10 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
     throw std::invalid_argument("Engine::WFOMCSweep: range too large");
   }
   if (method == Method::kAuto) method = Route(sentence);
-  QueryScope scope(options_, "wfomc_sweep", method);
+  const bool complement = CountsComplement(sentence, method);
+  QueryScope scope(options_, "wfomc_sweep", method, complement);
   scope.span.Num("n_lo", n_lo).Num("n_hi", n_hi);
+  const Formula target = CountedSentence(sentence, complement);
   SweepResult sweep;
   sweep.method = method;
   sweep.points.resize(static_cast<std::size_t>(n_hi - n_lo + 1));
@@ -363,25 +439,24 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
       numeric::BinomialTable binomials;
       for (SweepPoint& point : sweep.points) {
         if (point.domain_size == 0) {
-          point.value = fo2::LiftedWFOMC(sentence, vocabulary_, 0);
+          point.value = fo2::LiftedWFOMC(target, vocabulary_, 0);
           continue;
         }
         if (!form.has_value()) {
-          form = fo2::ToUniversalForm(sentence, vocabulary_);
+          form = fo2::ToUniversalForm(target, vocabulary_);
         }
         point.value =
             fo2::CellAlgorithmWFOMC(*form, point.domain_size, &binomials);
       }
-      return sweep;
+      break;
     }
     case Method::kGammaAcyclic: {
-      auto [query, weights] =
+      GammaQueryInputs inputs =
           RequireGammaAcyclicQuery(sentence, vocabulary_, "Engine::WFOMCSweep");
       for (SweepPoint& point : sweep.points) {
-        point.value =
-            cq::GammaAcyclicWFOMC(query, point.domain_size, weights);
+        point.value = inputs.Count(point.domain_size);
       }
-      return sweep;
+      break;
     }
     case Method::kGrounded: {
       // A shared budget keeps draining across points, so later points
@@ -389,27 +464,30 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
       wmc::DpllCounter::Options counter_options =
           CounterOptions(query, options_, scope);
       for (SweepPoint& point : sweep.points) {
-        AssignCount(grounding::GroundedWFOMCBounded(sentence, vocabulary_,
+        AssignCount(grounding::GroundedWFOMCBounded(target, vocabulary_,
                                                     point.domain_size,
                                                     counter_options),
                     &point);
       }
-      for (const SweepPoint& point : sweep.points) {
-        if (point.outcome == Outcome::kAborted ||
-            (point.outcome == Outcome::kBounds &&
-             sweep.outcome == Outcome::kExact)) {
-          sweep.outcome = point.outcome;
-        }
-        if (sweep.stop_reason == runtime::StopReason::kNone) {
-          sweep.stop_reason = point.stop_reason;
-        }
-      }
-      return sweep;
+      break;
     }
     case Method::kAuto:
-      break;
+      throw std::logic_error("Engine::WFOMCSweep: unreachable");
   }
-  throw std::logic_error("Engine::WFOMCSweep: unreachable");
+  for (SweepPoint& point : sweep.points) {
+    if (complement) {
+      Complement(vocabulary_.TotalWeight(point.domain_size), &point);
+    }
+    if (point.outcome == Outcome::kAborted ||
+        (point.outcome == Outcome::kBounds &&
+         sweep.outcome == Outcome::kExact)) {
+      sweep.outcome = point.outcome;
+    }
+    if (sweep.stop_reason == runtime::StopReason::kNone) {
+      sweep.stop_reason = point.stop_reason;
+    }
+  }
+  return sweep;
 }
 
 const CompiledQuery::Grounded& CompiledQuery::grounded(
@@ -474,35 +552,35 @@ std::size_t CompiledQuery::MemoryBytes() const {
 numeric::BigRational CompiledQuery::Evaluate(
     std::uint64_t domain_size, const std::vector<RelationWeights>& reweights,
     nnf::Circuit::EvalArena* arena) const {
-  if (const Lifted* payload = std::get_if<Lifted>(&payload_)) {
-    return payload->circuit.Evaluate(
+  BigRational value;
+  if (const Lifted* lifted_payload = std::get_if<Lifted>(&payload_)) {
+    value = lifted_payload->circuit.Evaluate(
         domain_size, LiftedWeights(reweights), nullptr,
         arena != nullptr ? &arena->rational_values : nullptr);
+  } else {
+    const Grounded& payload = std::get<Grounded>(payload_);
+    if (domain_size != payload.domain_size) {
+      throw std::invalid_argument(
+          "CompiledQuery::Evaluate: this grounded circuit was compiled at "
+          "domain size " +
+          std::to_string(payload.domain_size) + " and cannot evaluate at " +
+          std::to_string(domain_size) +
+          "; recompile at that size or compile a lifted circuit");
+    }
+    // The circuit's no-arena overload makes a one-shot arena itself.
+    wmc::WeightMap weights = GroundWeights(reweights);
+    value = arena == nullptr ? payload.circuit.Evaluate(weights)
+                             : payload.circuit.Evaluate(weights, arena);
   }
-  const Grounded& payload = std::get<Grounded>(payload_);
-  if (domain_size != payload.domain_size) {
-    throw std::invalid_argument(
-        "CompiledQuery::Evaluate: this grounded circuit was compiled at "
-        "domain size " +
-        std::to_string(payload.domain_size) + " and cannot evaluate at " +
-        std::to_string(domain_size) +
-        "; recompile at that size or compile a lifted circuit");
-  }
-  // The circuit's no-arena overload makes a one-shot arena itself.
-  wmc::WeightMap weights = GroundWeights(reweights);
-  if (arena == nullptr) return payload.circuit.Evaluate(weights);
-  return payload.circuit.Evaluate(weights, arena);
+  if (!complemented_) return value;
+  return logic::TotalWeight(domain_size, vocabulary_.Arities(),
+                            WeightPairsFor(reweights)) -
+         value;
 }
 
-nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
+logic::WeightPairs CompiledQuery::WeightPairsFor(
     const std::vector<RelationWeights>& reweights) const {
-  const nnf::LiftedCircuit& circuit =
-      lifted("CompiledQuery::LiftedWeights").circuit;
-  // The circuit's relation table is the extended (Scott/Skolem)
-  // vocabulary, whose prefix is the original vocabulary in id order — so
-  // replacements resolved against the snapshot apply by id, and the
-  // appended Def/Sk predicates keep their fixed (1,1)/(1,-1) weights.
-  nnf::LiftedCircuit::Weights weights = circuit.DefaultWeights();
+  logic::WeightPairs weights = vocabulary_.Weights();
   for (const RelationWeights& reweight : reweights) {
     auto id = vocabulary_.Find(reweight.relation);
     if (!id.has_value()) {
@@ -515,27 +593,28 @@ nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
   return weights;
 }
 
+nnf::LiftedCircuit::Weights CompiledQuery::LiftedWeights(
+    const std::vector<RelationWeights>& reweights) const {
+  const nnf::LiftedCircuit& circuit =
+      lifted("CompiledQuery::LiftedWeights").circuit;
+  // The circuit's relation table is the extended (Scott/Skolem)
+  // vocabulary, whose prefix is the original vocabulary in id order — so
+  // the snapshot's weights apply by id, and the appended Def/Sk
+  // predicates keep their fixed (1,1)/(1,-1) weights.
+  nnf::LiftedCircuit::Weights weights = WeightPairsFor(reweights);
+  const nnf::LiftedCircuit::Weights defaults = circuit.DefaultWeights();
+  weights.insert(weights.end(), defaults.begin() + weights.size(),
+                 defaults.end());
+  return weights;
+}
+
 wmc::WeightMap CompiledQuery::GroundWeights(
     const std::vector<RelationWeights>& reweights) const {
   const Grounded& payload = grounded("CompiledQuery::GroundWeights");
   // Start from the compile-time per-relation weights, overlay the
   // replacements, then expand per ground tuple. Tseitin auxiliaries
   // (ids >= tuple_count()) keep the WeightMap default (1, 1).
-  std::vector<std::pair<BigRational, BigRational>> by_relation;
-  by_relation.reserve(vocabulary_.size());
-  for (logic::RelationId id = 0; id < vocabulary_.size(); ++id) {
-    by_relation.emplace_back(vocabulary_.positive_weight(id),
-                             vocabulary_.negative_weight(id));
-  }
-  for (const RelationWeights& reweight : reweights) {
-    auto id = vocabulary_.Find(reweight.relation);
-    if (!id.has_value()) {
-      throw std::invalid_argument(
-          "CompiledQuery::Evaluate: unknown relation '" + reweight.relation +
-          "'");
-    }
-    by_relation[*id] = {reweight.positive, reweight.negative};
-  }
+  logic::WeightPairs by_relation = WeightPairsFor(reweights);
   wmc::WeightMap weights(payload.circuit.variable_count());
   for (prop::VarId v = 0; v < payload.variable_relation.size(); ++v) {
     const auto& [positive, negative] =
@@ -559,10 +638,12 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
                  ? Method::kLiftedFO2
                  : Method::kGrounded;
   }
-  QueryScope scope(options_, "compile", method);
+  const bool complement = CountsComplement(sentence, method);
+  QueryScope scope(options_, "compile", method, complement);
   if (options.domain_size.has_value()) {
     scope.span.Num("n", *options.domain_size);
   }
+  const Formula target = CountedSentence(sentence, complement);
   CompileResult result;
   result.method = method;
   switch (method) {
@@ -572,8 +653,9 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       // every n >= 1.
       CompiledQuery::Lifted lifted;
       lifted.circuit =
-          fo2::CompileLifted(sentence, vocabulary_, &lifted.compile_stats);
-      result.compiled = CompiledQuery(vocabulary_, std::move(lifted));
+          fo2::CompileLifted(target, vocabulary_, &lifted.compile_stats);
+      result.compiled =
+          CompiledQuery(vocabulary_, std::move(lifted), complement);
       return result;
     }
     case Method::kGammaAcyclic:
@@ -597,7 +679,7 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
   // tracing mode: the count falls out of the compile for free, and the
   // circuit's variable layout matches TupleIndex exactly.
   grounding::TupleIndex index(vocabulary_, domain_size);
-  prop::PropFormula lineage = grounding::GroundLineage(sentence, index);
+  prop::PropFormula lineage = grounding::GroundLineage(target, index);
   prop::TseitinResult tseitin = prop::TseitinTransform(
       lineage, static_cast<std::uint32_t>(index.TupleCount()));
   wmc::WeightMap weights =
@@ -638,9 +720,12 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
   for (prop::VarId v = 0; v < index.TupleCount(); ++v) {
     grounded.variable_relation.push_back(index.AtomOf(v).relation);
   }
-  grounded.compile_count = std::move(counted.value);
+  grounded.compile_count =
+      complement ? vocabulary_.TotalWeight(domain_size) - counted.value
+                 : std::move(counted.value);
   result.outcome = Outcome::kExact;
-  result.compiled = CompiledQuery(vocabulary_, std::move(grounded));
+  result.compiled =
+      CompiledQuery(vocabulary_, std::move(grounded), complement);
   scope.span.Str("outcome", ToString(result.outcome));
   return result;
 }
@@ -675,16 +760,7 @@ numeric::BigRational Engine::Probability(const logic::Formula& sentence,
   Result numerator_result = WFOMC(sentence, domain_size, method);
   RequireExact(numerator_result, "Engine::Probability");
   BigRational numerator = std::move(numerator_result.value);
-  BigRational normalizer(1);
-  for (logic::RelationId id = 0; id < vocabulary_.size(); ++id) {
-    std::uint64_t tuples = 1;
-    for (std::size_t i = 0; i < vocabulary_.arity(id); ++i) {
-      tuples *= domain_size;
-    }
-    BigRational total =
-        vocabulary_.positive_weight(id) + vocabulary_.negative_weight(id);
-    normalizer *= BigRational::Pow(total, static_cast<std::int64_t>(tuples));
-  }
+  BigRational normalizer = vocabulary_.TotalWeight(domain_size);
   if (normalizer.IsZero()) {
     throw std::domain_error("Engine::Probability: zero normalizer");
   }

@@ -32,6 +32,18 @@ enum class Method {
 
 const char* ToString(Method method);
 
+/// The polarity step's rule: true when `method` is kLiftedFO2 or
+/// kGrounded and the sentence's outermost quantifier is ∃. Such a
+/// sentence is counted through its complement, WFOMC(Φ) = T −
+/// WFOMC(¬Φ), with T the vocabulary's total weight
+/// (logic::Vocabulary::TotalWeight) and ¬Φ in negation normal form, on
+/// the same route. ¬Φ is then ∀-prefixed: its grounded lineage is a
+/// conjunction of clauses rather than one wide disjunction, and its
+/// lifted normal form needs no Skolem predicate for the outer ∃. The
+/// γ-acyclic route keeps Φ, since the complement of a conjunctive query
+/// is not one.
+bool CountsComplement(const logic::Formula& sentence, Method method);
+
 /// How a query ended under a resource envelope. Ungoverned queries (and
 /// every lifted-path query — the PTIME routes never exhaust a budget) are
 /// kExact. kBounds carries certified anytime bounds; kAborted means the
@@ -60,6 +72,9 @@ struct BoundsResult {
 /// why.
 struct RouteDecision {
   Method method = Method::kGrounded;
+  /// CountsComplement(sentence, method): whether `method` counts ¬Φ and
+  /// subtracts it from the total weight.
+  bool complemented = false;
   std::string reason;
 };
 
@@ -85,8 +100,10 @@ struct RelationWeights {
 /// The compiled object is immutable and self-contained: it carries the
 /// circuit, the compile-time vocabulary snapshot, and — for the grounded
 /// kind — the ground-tuple → relation map that turns per-relation weights
-/// into the circuit's per-variable weights. Accessors documented as one
-/// kind's throw std::invalid_argument on the other kind.
+/// into the circuit's per-variable weights. Either kind may be a circuit
+/// of ¬Φ (complemented(), the Engine's polarity step); Evaluate still
+/// answers WFOMC(Φ). Accessors documented as one kind's throw
+/// std::invalid_argument on the other kind.
 class CompiledQuery {
  public:
   enum class Kind { kGrounded, kLifted };
@@ -106,9 +123,14 @@ class CompiledQuery {
   /// Ground tuple variables [0, tuple_count); higher variable ids are
   /// Tseitin auxiliaries and always weigh (1, 1). 0 for kLifted.
   std::uint32_t tuple_count() const;
-  /// The count computed while compiling (under the compile-time weights);
-  /// identical to WFOMC(Φ, n, Method::kGrounded). Grounded kind only — a
-  /// lifted compile is domain-parametric and produces no single count.
+  /// True when the circuit counts ¬Φ (CountsComplement). Evaluate then
+  /// returns the total weight minus the circuit's value, so every answer
+  /// is still WFOMC(Φ).
+  bool complemented() const { return complemented_; }
+  /// Φ's count computed while compiling (under the compile-time
+  /// weights); identical to WFOMC(Φ, n, Method::kGrounded). Grounded kind
+  /// only — a lifted compile is domain-parametric and produces no single
+  /// count.
   const numeric::BigRational& compile_count() const;
   /// The compiling search's counters (cache_* describe the trace memo).
   /// Grounded kind only.
@@ -138,7 +160,8 @@ class CompiledQuery {
 
   /// The per-variable weight map `reweights` induces over the grounded
   /// circuit. Exposed for serialization (.nnf weight lines). Grounded
-  /// kind only.
+  /// kind only. A complemented circuit's value under these weights is
+  /// WFOMC(¬Φ); its first tuple_count() variables carry the total weight.
   wmc::WeightMap GroundWeights(
       const std::vector<RelationWeights>& reweights) const;
 
@@ -164,8 +187,16 @@ class CompiledQuery {
 
   using Payload = std::variant<Grounded, Lifted>;
 
-  CompiledQuery(logic::Vocabulary vocabulary, Payload payload)
-      : vocabulary_(std::move(vocabulary)), payload_(std::move(payload)) {}
+  CompiledQuery(logic::Vocabulary vocabulary, Payload payload,
+                bool complemented)
+      : vocabulary_(std::move(vocabulary)),
+        payload_(std::move(payload)),
+        complemented_(complemented) {}
+
+  /// The compile-time relation weights with `reweights` laid over them,
+  /// in vocabulary id order.
+  logic::WeightPairs WeightPairsFor(
+      const std::vector<RelationWeights>& reweights) const;
 
   /// The payload of the required kind; std::invalid_argument (prefixed
   /// with `who`) on the other kind.
@@ -174,6 +205,7 @@ class CompiledQuery {
 
   logic::Vocabulary vocabulary_;
   Payload payload_;
+  bool complemented_ = false;
 };
 
 const char* ToString(CompiledQuery::Kind kind);
@@ -229,7 +261,11 @@ struct CompileResult {
 ///   * existentially-quantified conjunctions of distinct positive atoms
 ///     whose hypergraph is γ-acyclic to the Theorem 3.6 evaluator,
 ///   * everything else to the grounded DPLL engine.
-/// Routing never changes the answer, only the complexity.
+/// Routing never changes the answer, only the complexity. After routing,
+/// the polarity step (CountsComplement) counts an ∃-prefixed sentence on
+/// the lifted or grounded route through its ∀-prefixed complement,
+/// WFOMC(Φ) = T − WFOMC(¬Φ). WFOMC, WFOMCSweep and Compile share it; a
+/// governed bracket [L, U] on ¬Φ becomes [T − U, T − L].
 class Engine {
  public:
   /// Engine-wide observability; queries are governed per call
@@ -264,7 +300,9 @@ class Engine {
     /// Why a governed query stopped (kNone when it ran to completion).
     runtime::StopReason stop_reason = runtime::StopReason::kNone;
     /// The DPLL counter's search/cache counters when `method` was
-    /// kGrounded (the lifted paths never run the counter).
+    /// kGrounded (the lifted paths never run the counter): the stats of
+    /// the search that ran, which counted ¬Φ when the query was
+    /// complemented.
     std::optional<wmc::DpllCounter::Stats> grounded_stats;
   };
 
@@ -315,6 +353,7 @@ class Engine {
   ///     grounded method accepts is compilable): the DPLL counter
   ///     searches once in tracing mode at the required
   ///     options.domain_size, and the trace is the circuit.
+  /// Either compiler gets ¬Φ when CountsComplement(Φ, method) holds.
   /// Grounded compilation cost is one sequential grounded count with
   /// zero-weight pruning off, governed by `query`; each Evaluate
   /// afterwards is linear in the circuit. Throws std::invalid_argument

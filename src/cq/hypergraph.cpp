@@ -14,15 +14,6 @@ std::set<std::string> Hypergraph::Nodes() const {
   return nodes;
 }
 
-std::vector<std::size_t> Hypergraph::EdgesContaining(
-    const std::string& node) const {
-  std::vector<std::size_t> result;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i].nodes.contains(node)) result.push_back(i);
-  }
-  return result;
-}
-
 std::string Hypergraph::ToString() const {
   std::string out = "{";
   for (std::size_t i = 0; i < edges_.size(); ++i) {

@@ -26,9 +26,6 @@ class Hypergraph {
 
   bool Empty() const { return edges_.empty(); }
 
-  /// Edges containing a node.
-  std::vector<std::size_t> EdgesContaining(const std::string& node) const;
-
   std::string ToString() const;
 
  private:

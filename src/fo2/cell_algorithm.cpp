@@ -230,16 +230,7 @@ numeric::BigRational LiftedProbability(const logic::Formula& sentence,
                                        const logic::Vocabulary& vocabulary,
                                        std::uint64_t domain_size) {
   BigRational numerator = LiftedWFOMC(sentence, vocabulary, domain_size);
-  BigRational normalizer(1);
-  for (RelationId id = 0; id < vocabulary.size(); ++id) {
-    std::uint64_t tuples = 1;
-    for (std::size_t i = 0; i < vocabulary.arity(id); ++i) {
-      tuples *= domain_size;
-    }
-    normalizer *= BigRational::Pow(
-        vocabulary.positive_weight(id) + vocabulary.negative_weight(id),
-        static_cast<std::int64_t>(tuples));
-  }
+  BigRational normalizer = vocabulary.TotalWeight(domain_size);
   if (normalizer.IsZero()) {
     throw std::domain_error("LiftedProbability: zero normalizer");
   }

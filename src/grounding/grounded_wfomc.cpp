@@ -126,16 +126,7 @@ numeric::BigRational GroundedProbability(const logic::Formula& sentence,
                                          std::uint64_t domain_size) {
   BigRational numerator = GroundedWFOMC(sentence, vocabulary, domain_size);
   // WFOMC(true, n, w, w̄) = Π_tuples (w + w̄).
-  BigRational normalizer(1);
-  for (logic::RelationId id = 0; id < vocabulary.size(); ++id) {
-    std::uint64_t tuples = 1;
-    for (std::size_t i = 0; i < vocabulary.arity(id); ++i) {
-      tuples *= domain_size;
-    }
-    BigRational total =
-        vocabulary.positive_weight(id) + vocabulary.negative_weight(id);
-    normalizer *= BigRational::Pow(total, static_cast<std::int64_t>(tuples));
-  }
+  BigRational normalizer = vocabulary.TotalWeight(domain_size);
   if (normalizer.IsZero()) {
     throw std::domain_error("GroundedProbability: zero normalizer");
   }

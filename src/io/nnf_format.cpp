@@ -9,6 +9,7 @@
 
 #include "io/diagnostics.h"
 #include "io/line_lexer.h"
+#include "logic/vocabulary.h"
 
 namespace swfomc::io {
 
@@ -47,6 +48,7 @@ class NnfParser {
         static_cast<nnf::Circuit::NodeId>(declared_nodes_ - 1));
     document.weights = std::move(weights_);
     document.weights.EnsureSize(variable_count_);
+    document.complement_tuples = complement_tuples_;
     document.expect = std::move(expect_);
     return document;
   }
@@ -162,6 +164,21 @@ class NnfParser {
       expect_ = internal::ParseRational(source_, line_, tokens[1]);
       return;
     }
+    if (head.text == "t") {
+      RequireTokenCount(tokens, 2, "complement line");
+      if (complement_tuples_.has_value()) {
+        Fail({line_, head.column}, "duplicate 't' line");
+      }
+      std::uint64_t tuples = internal::ParseUnsigned(source_, line_, tokens[1],
+                                                     "tuple count");
+      if (tuples > variable_count_) {
+        Fail({line_, tokens[1].column},
+             "tuple count " + tokens[1].text + " exceeds the " +
+                 std::to_string(variable_count_) + " variables");
+      }
+      complement_tuples_ = static_cast<std::uint32_t>(tuples);
+      return;
+    }
     if (nodes_.size() >= declared_nodes_) {
       Fail({line_, head.column},
            "more nodes than the header's " + std::to_string(declared_nodes_));
@@ -226,7 +243,7 @@ class NnfParser {
     }
     Fail({line_, head.column},
          "unknown line '" + head.text +
-             "' (expected c, w, e, L, A, or O)");
+             "' (expected c, w, t, e, L, A, or O)");
   }
 
   std::string_view text_;
@@ -241,6 +258,7 @@ class NnfParser {
   std::vector<nnf::Circuit::NodeId> edges_;
   wmc::WeightMap weights_;
   std::vector<bool> weight_set_;
+  std::optional<std::uint32_t> complement_tuples_;
   std::optional<BigRational> expect_;
 };
 
@@ -282,6 +300,7 @@ class LiftedNnfParser {
         std::move(relations_), std::move(constants_), std::move(nodes_),
         std::move(edges_),
         static_cast<nnf::LiftedCircuit::NodeId>(declared_nodes_ - 1));
+    document.complement_arities = std::move(complement_arities_);
     document.expect = std::move(expect_);
     return document;
   }
@@ -389,6 +408,29 @@ class LiftedNnfParser {
       expect_ = {n, internal::ParseRational(source_, line_, tokens[2])};
       return;
     }
+    if (head.text == "t") {
+      if (complement_arities_.has_value()) {
+        Fail({line_, head.column}, "duplicate 't' line");
+      }
+      if (tokens.size() - 1 > declared_relations_) {
+        Fail({line_, tokens[declared_relations_ + 1].column},
+             "more arities than the header's " +
+                 std::to_string(declared_relations_) + " relations");
+      }
+      std::vector<std::size_t> arities;
+      for (std::size_t i = 1; i < tokens.size(); ++i) {
+        std::uint64_t arity =
+            internal::ParseUnsigned(source_, line_, tokens[i], "arity");
+        if (arity > 2) {
+          Fail({line_, tokens[i].column},
+               "arity " + tokens[i].text +
+                   " out of range [0, 2] (lifted circuits cover arity <= 2)");
+        }
+        arities.push_back(static_cast<std::size_t>(arity));
+      }
+      complement_arities_ = std::move(arities);
+      return;
+    }
     if (nodes_.size() >= declared_nodes_) {
       Fail({line_, head.column},
            "more nodes than the header's " + std::to_string(declared_nodes_));
@@ -465,7 +507,7 @@ class LiftedNnfParser {
     }
     Fail({line_, head.column},
          "unknown line '" + head.text +
-             "' (expected c, r, e, K, W, A, O, or C)");
+             "' (expected c, r, t, e, K, W, A, O, or C)");
   }
 
   std::string_view text_;
@@ -481,6 +523,7 @@ class LiftedNnfParser {
   std::unordered_map<std::string, std::uint32_t> constant_slots_;
   std::vector<nnf::LiftedCircuit::Node> nodes_;
   std::vector<nnf::LiftedCircuit::NodeId> edges_;
+  std::optional<std::vector<std::size_t>> complement_arities_;
   std::optional<std::pair<std::uint64_t, BigRational>> expect_;
 };
 
@@ -503,12 +546,22 @@ NnfDocument ParseNnf(std::string_view text, std::string_view source) {
   return NnfParser(text, source).Parse();
 }
 
-NnfDocument LoadNnfFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open nnf file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseNnf(buffer.str(), path);
+BigRational NnfDocument::Value() const {
+  BigRational value = circuit.Evaluate(weights);
+  if (!complement_tuples.has_value()) return value;
+  BigRational total(1);
+  for (prop::VarId v = 0; v < *complement_tuples; ++v) {
+    total *= weights.Get(v).Total();
+  }
+  return total - value;
+}
+
+BigRational LiftedNnfDocument::Value(std::uint64_t domain_size) const {
+  BigRational value = circuit.Evaluate(domain_size);
+  if (!complement_arities.has_value()) return value;
+  return logic::TotalWeight(domain_size, *complement_arities,
+                            circuit.DefaultWeights()) -
+         value;
 }
 
 std::string PrintNnf(const NnfDocument& document) {
@@ -521,6 +574,9 @@ std::string PrintNnf(const NnfDocument& document) {
     if (weights.positive.IsOne() && weights.negative.IsOne()) continue;
     out << "w " << v + 1 << " " << weights.positive.ToString() << " "
         << weights.negative.ToString() << "\n";
+  }
+  if (document.complement_tuples.has_value()) {
+    out << "t " << *document.complement_tuples << "\n";
   }
   if (document.expect.has_value()) {
     out << "e " << document.expect->ToString() << "\n";
@@ -569,14 +625,6 @@ LiftedNnfDocument ParseLiftedNnf(std::string_view text,
   return LiftedNnfParser(text, source).Parse();
 }
 
-LiftedNnfDocument LoadLiftedNnfFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open nnf file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseLiftedNnf(buffer.str(), path);
-}
-
 std::string PrintLiftedNnf(const LiftedNnfDocument& document) {
   const nnf::LiftedCircuit& circuit = document.circuit;
   std::ostringstream out;
@@ -585,6 +633,11 @@ std::string PrintLiftedNnf(const LiftedNnfDocument& document) {
   for (const nnf::LiftedCircuit::Relation& relation : circuit.relations()) {
     out << "r " << relation.name << " " << relation.positive_weight.ToString()
         << " " << relation.negative_weight.ToString() << "\n";
+  }
+  if (document.complement_arities.has_value()) {
+    out << "t";
+    for (std::size_t arity : *document.complement_arities) out << " " << arity;
+    out << "\n";
   }
   if (document.expect.has_value()) {
     out << "e " << document.expect->first << " "
@@ -639,6 +692,16 @@ AnyNnfDocument LoadAnyNnfFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return ParseAnyNnf(buffer.str(), path);
+}
+
+bool IsLiftedNnfFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open nnf file: " + path);
+  for (std::string line; std::getline(in, line);) {
+    std::string header = HeaderToken(line);
+    if (!header.empty()) return header == "lnnf";
+  }
+  return false;
 }
 
 }  // namespace swfomc::io

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "nnf/circuit.h"
 #include "nnf/lifted_circuit.h"
@@ -23,9 +24,18 @@ struct NnfDocument {
   nnf::Circuit circuit;
   /// Sized to circuit.variable_count(); unlisted variables weigh (1, 1).
   wmc::WeightMap weights;
-  /// The expected evaluation under `weights` (the `e` line) — lets
-  /// `swfomc eval --check` replay a compile→eval pipeline bit-exactly.
+  /// The `t K` line: the circuit counts the complement ¬Φ, so the
+  /// document's value is T − WMC(circuit), where T = Π (w_v + w̄_v) over
+  /// variables 1..K — the ground tuples, leaving the Tseitin auxiliaries
+  /// out. Unset for a circuit of Φ itself and for plain c2d output.
+  std::optional<std::uint32_t> complement_tuples;
+  /// The expected Value() (the `e` line) — lets `swfomc eval --check`
+  /// replay a compile→eval pipeline bit-exactly.
   std::optional<numeric::BigRational> expect;
+
+  /// The circuit's weighted model count under `weights`, subtracted from
+  /// T when `complement_tuples` is set.
+  numeric::BigRational Value() const;
 };
 
 /// Parses the c2d-style `.nnf` dialect:
@@ -34,6 +44,8 @@ struct NnfDocument {
 ///   nnf V E n            -- header, first: V nodes, E edges, n variables
 ///   w VAR W WBAR         -- optional; both weights of variable VAR
 ///                           (1-based) as exact rationals
+///   t K                  -- optional, once; the circuit counts ¬Φ and
+///                           the value is T − WMC, T = Π_{v<=K} (w_v + w̄_v)
 ///   e VALUE              -- optional, once; expected evaluation result
 ///   L l                  -- literal node, DIMACS literal (±1-based var)
 ///   A c i1 .. ic         -- AND with c children (A 0 = TRUE)
@@ -42,9 +54,9 @@ struct NnfDocument {
 ///
 /// Node lines assign ids 0, 1, .. V-1 in order; children must reference
 /// earlier ids (the file is a topologically ordered DAG) and the root is
-/// the last node, as written by c2d/MiniC2D. Weight and `e` lines are
-/// this dialect's extension — a file without them is plain c2d output and
-/// evaluates as unweighted model counting.
+/// the last node, as written by c2d/MiniC2D. Weight, `t` and `e` lines
+/// are this dialect's extension — a file without them is plain c2d output
+/// and evaluates as unweighted model counting.
 ///
 /// Malformed input — a missing or wrong-count header, children that do
 /// not precede their parent, out-of-range literals or decisions, a bad
@@ -52,13 +64,9 @@ struct NnfDocument {
 /// `source` and the offending line/column; never crashes.
 NnfDocument ParseNnf(std::string_view text, std::string_view source = "");
 
-/// Reads and parses a `.nnf` file; throws std::runtime_error when the
-/// file cannot be read, io::ParseError when it cannot be parsed.
-NnfDocument LoadNnfFile(const std::string& path);
-
 /// Canonical rendering: header, weight lines for non-(1, 1) variables in
-/// ascending order, the `e` line when present, then one line per node in
-/// id order. PrintNnf is a parser fixpoint: ParseNnf(PrintNnf(d)) prints
+/// ascending order, the `t` and `e` lines when present, then one line per
+/// node in id order. PrintNnf is a parser fixpoint: ParseNnf(PrintNnf(d)) prints
 /// identically, which the round-trip tests in tests/nnf_test.cpp rely on.
 std::string PrintNnf(const NnfDocument& document);
 
@@ -67,10 +75,20 @@ std::string PrintNnf(const NnfDocument& document);
 /// pinned (domain size, value) pair for `swfomc eval --check`.
 struct LiftedNnfDocument {
   nnf::LiftedCircuit circuit;
-  /// The `e N VALUE` line: circuit.Evaluate(N) must equal VALUE under the
+  /// The `t A_1 .. A_k` line: the circuit counts the complement ¬Φ, so
+  /// the document's value at n is T(n) − circuit.Evaluate(n), with T over
+  /// the first k relations — the original vocabulary, of arities
+  /// A_1..A_k — and not the Scott/Skolem predicates after them (the
+  /// relation table records no arity). Unset for a circuit of Φ itself.
+  std::optional<std::vector<std::size_t>> complement_arities;
+  /// The `e N VALUE` line: Value(N) must equal VALUE under the
   /// compile-time weights. Also serves as the default domain size when
   /// `swfomc eval` is run without --domain.
   std::optional<std::pair<std::uint64_t, numeric::BigRational>> expect;
+
+  /// circuit.Evaluate(n) under the compile-time weights, subtracted from
+  /// T(n) when `complement_arities` is set.
+  numeric::BigRational Value(std::uint64_t domain_size) const;
 };
 
 /// Parses the lifted `.nnf` dialect (counting-node extension):
@@ -80,7 +98,10 @@ struct LiftedNnfDocument {
 ///   r NAME W WBAR        -- exactly R of these, assigning relation ids
 ///                           0, 1, .. R-1 in order; W/WBAR are the
 ///                           compile-time weights as exact rationals
-///   e N VALUE            -- optional, once; expected Evaluate(N)
+///   t A_1 .. A_k         -- optional, once; the circuit counts ¬Φ and the
+///                           value is T(n) − Evaluate(n), T over relations
+///                           1..k of arities A_i (each 0, 1 or 2; k <= R)
+///   e N VALUE            -- optional, once; expected Value(N)
 ///   K VALUE              -- constant node
 ///   W l                  -- weight leaf, DIMACS-style ±1-based relation
 ///                           reference (W 2 = w of relation 1, W -2 = w̄)
@@ -97,13 +118,9 @@ struct LiftedNnfDocument {
 LiftedNnfDocument ParseLiftedNnf(std::string_view text,
                                  std::string_view source = "");
 
-/// Reads and parses a lifted `.nnf` file; throws std::runtime_error when
-/// the file cannot be read, io::ParseError when it cannot be parsed.
-LiftedNnfDocument LoadLiftedNnfFile(const std::string& path);
-
-/// Canonical rendering: header, relation lines in id order, the `e` line
-/// when present, then one line per node in id order. A parser fixpoint,
-/// like PrintNnf.
+/// Canonical rendering: header, relation lines in id order, the `t` and
+/// `e` lines when present, then one line per node in id order. A parser
+/// fixpoint, like PrintNnf.
 std::string PrintLiftedNnf(const LiftedNnfDocument& document);
 
 /// Either circuit dialect, distinguished by the header token.
@@ -115,6 +132,11 @@ AnyNnfDocument ParseAnyNnf(std::string_view text, std::string_view source = "");
 
 /// Reads and parses a `.nnf` file of either dialect.
 AnyNnfDocument LoadAnyNnfFile(const std::string& path);
+
+/// True when the file's header announces the lifted dialect ('lnnf'),
+/// read without parsing the rest; std::runtime_error when the file cannot
+/// be read.
+bool IsLiftedNnfFile(const std::string& path);
 
 }  // namespace swfomc::io
 

@@ -55,6 +55,18 @@ void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
   }
 }
 
+// The `route` block: Auto's method and reason, and the polarity the
+// count ran in ("complement" when it counted ¬Φ and subtracted it from
+// the total weight).
+JsonValue RouteJson(const api::RouteDecision& route, bool complemented) {
+  JsonValue json = JsonValue::MakeObject();
+  json.Add("method", JsonValue::MakeString(api::ToString(route.method)));
+  json.Add("polarity",
+           JsonValue::MakeString(complemented ? "complement" : "direct"));
+  json.Add("reason", JsonValue::MakeString(route.reason));
+  return json;
+}
+
 }  // namespace
 
 ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
@@ -82,6 +94,7 @@ ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
       options.method_override.value_or(spec.method);
   if (method == api::Method::kAuto) method = report.route.method;
   report.method_used = method;
+  report.complemented = api::CountsComplement(spec.sentence, method);
 
   runtime::Budget budget;
   api::QueryOptions query;
@@ -206,6 +219,7 @@ CompileOutcome RunCompile(const ModelSpec& spec, const RunOptions& options,
 
   report.outcome = compiled.outcome;
   report.stop_reason = compiled.stop_reason;
+  report.complemented = api::CountsComplement(spec.sentence, compiled.method);
   report.expected = spec.expect;
   if (compiled.outcome != api::Outcome::kExact) {
     // The partial trace was discarded; there is no circuit and nothing to
@@ -244,6 +258,7 @@ NnfDocument MakeNnfDocument(const api::CompiledQuery& query,
   document.circuit = query.circuit();
   document.weights = query.GroundWeights({});
   document.weights.EnsureSize(document.circuit.variable_count());
+  if (query.complemented()) document.complement_tuples = query.tuple_count();
   document.expect = std::move(expect);
   return document;
 }
@@ -253,6 +268,9 @@ LiftedNnfDocument MakeLiftedNnfDocument(
     std::optional<std::pair<std::uint64_t, numeric::BigRational>> expect) {
   LiftedNnfDocument document;
   document.circuit = query.lifted_circuit();
+  if (query.complemented()) {
+    document.complement_arities = query.vocabulary().Arities();
+  }
   document.expect = std::move(expect);
   return document;
 }
@@ -270,7 +288,8 @@ EvalRunReport RunEval(const NnfDocument& document, std::string source) {
                              violation);
   }
   auto start = std::chrono::steady_clock::now();
-  report.value = document.circuit.Evaluate(document.weights);
+  report.complemented = document.complement_tuples.has_value();
+  report.value = document.Value();
   report.elapsed_seconds = SecondsSince(start);
 
   report.expected = document.expect;
@@ -300,7 +319,8 @@ EvalRunReport RunEval(const LiftedNnfDocument& document,
   report.domain_size = *domain_size;
 
   auto start = std::chrono::steady_clock::now();
-  report.value = document.circuit.Evaluate(*domain_size);
+  report.complemented = document.complement_arities.has_value();
+  report.value = document.Value(*domain_size);
   report.elapsed_seconds = SecondsSince(start);
 
   // The e line pins one (n, value) pair; it verifies nothing at any
@@ -339,11 +359,7 @@ JsonValue ToJson(const ModelRunReport& report) {
   json.Add("sentence", JsonValue::MakeString(report.sentence));
   json.Add("method", JsonValue::MakeString(api::ToString(report.method_used)));
 
-  JsonValue route = JsonValue::MakeObject();
-  route.Add("method",
-            JsonValue::MakeString(api::ToString(report.route.method)));
-  route.Add("reason", JsonValue::MakeString(report.route.reason));
-  json.Add("route", std::move(route));
+  json.Add("route", RouteJson(report.route, report.complemented));
 
   JsonValue domain = JsonValue::MakeObject();
   domain.Add("lo", JsonValue::MakeNumber(report.domain_lo));
@@ -449,11 +465,7 @@ JsonValue ToJson(const CompileRunReport& report) {
                                                   : "compile-grounded"));
   json.Add("kind", JsonValue::MakeString(api::ToString(report.kind)));
 
-  JsonValue route = JsonValue::MakeObject();
-  route.Add("method",
-            JsonValue::MakeString(api::ToString(report.route.method)));
-  route.Add("reason", JsonValue::MakeString(report.route.reason));
-  json.Add("route", std::move(route));
+  json.Add("route", RouteJson(report.route, report.complemented));
 
   if (report.has_domain) {
     json.Add("n", JsonValue::MakeNumber(report.domain_size));
@@ -499,6 +511,9 @@ JsonValue ToJson(const EvalRunReport& report) {
                               static_cast<std::uint64_t>(report.variables)));
     json.Add("circuit", ToJson(report.circuit_stats));
   }
+  json.Add("polarity", JsonValue::MakeString(report.complemented
+                                                 ? "complement"
+                                                 : "direct"));
   json.Add("wmc", JsonValue::MakeString(report.value.ToString()));
   json.Add("elapsed_seconds", JsonValue::MakeNumber(report.elapsed_seconds));
   if (report.expected.has_value()) {

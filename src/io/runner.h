@@ -52,8 +52,10 @@ struct ModelRunReport {
   /// What Auto routing would pick and why — always reported, even when a
   /// method was forced, so logs show when a run overrode the router.
   api::RouteDecision route;
-  /// The method that actually computed the counts.
+  /// The method that actually computed the counts, and whether it
+  /// counted them through the complement (api::CountsComplement).
   api::Method method_used = api::Method::kGrounded;
+  bool complemented = false;
   std::uint64_t domain_lo = 0;
   std::uint64_t domain_hi = 0;
   std::vector<api::Engine::SweepPoint> points;  // ascending, >= 1 entry
@@ -117,8 +119,10 @@ struct CompileRunReport {
   std::string name;
   std::string sentence;
   api::RouteDecision route;  // what Auto *would* run, for the record
-  /// Which circuit kind came out (meaningful when outcome is kExact).
+  /// Which circuit kind came out (meaningful when outcome is kExact), and
+  /// whether it counts ¬Φ (api::CountsComplement).
   api::CompiledQuery::Kind kind = api::CompiledQuery::Kind::kGrounded;
+  bool complemented = false;
   /// False for a domain-less (lifted-only) model; domain_size is then 0
   /// and `count` is not computed.
   bool has_domain = false;
@@ -181,6 +185,9 @@ struct EvalRunReport {
   nnf::Circuit::Stats circuit_stats;  // grounded kind
   nnf::LiftedCircuit::Stats lifted_circuit_stats;  // lifted kind
   std::uint64_t domain_size = 0;      // lifted kind: the n evaluated at
+  /// The file's `t` marker was set: `value` is the total weight minus the
+  /// circuit's own value.
+  bool complemented = false;
   numeric::BigRational value;
   double elapsed_seconds = 0.0;
   std::optional<numeric::BigRational> expected;  // the `e` line

@@ -52,13 +52,6 @@ Formula Translate(const prop::PropFormula& formula,
 
 }  // namespace
 
-logic::Formula ChainPositionFormula(const logic::Vocabulary& vocabulary,
-                                    std::uint32_t i) {
-  Figure2Gadget gadget{vocabulary.Require("A"), vocabulary.Require("B"),
-                       vocabulary.Require("C"), vocabulary.Require("R")};
-  return AlphaFormula(gadget, i, true);
-}
-
 SharpSatReduction EncodeSharpSat(const prop::PropFormula& boolean_formula,
                                  std::uint32_t num_variables) {
   if (num_variables < 2) {

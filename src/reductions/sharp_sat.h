@@ -38,11 +38,6 @@ SharpSatReduction EncodeSharpSat(const prop::PropFormula& boolean_formula,
 numeric::BigInt SharpSatViaFOMC(const prop::PropFormula& boolean_formula,
                                 std::uint32_t num_variables);
 
-/// The chain-position formula α_i(x) (1-based i), exposed for tests. Uses
-/// only variables {x, y}.
-logic::Formula ChainPositionFormula(const logic::Vocabulary& vocabulary,
-                                    std::uint32_t i);
-
 }  // namespace swfomc::reductions
 
 #endif  // SWFOMC_REDUCTIONS_SHARP_SAT_H_

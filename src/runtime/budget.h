@@ -39,8 +39,6 @@ class CancelToken {
   bool IsCancelled() const noexcept {
     return cancelled_.load(std::memory_order_relaxed);
   }
-  /// Re-arms the token for another governed run.
-  void Reset() noexcept { cancelled_.store(false, std::memory_order_relaxed); }
 
  private:
   std::atomic<bool> cancelled_{false};
@@ -71,10 +69,6 @@ class Budget {
   void SetWallClockMs(std::uint64_t ms) {
     deadline_ = std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(ms);
-    has_deadline_ = true;
-  }
-  void SetDeadline(std::chrono::steady_clock::time_point deadline) {
-    deadline_ = deadline;
     has_deadline_ = true;
   }
   void SetMaxDecisions(std::uint64_t cap) { max_decisions_ = cap; }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "closedforms/closed_forms.h"
+#include "obs/metrics.h"
 
 namespace swfomc::api {
 namespace {
@@ -72,6 +73,72 @@ TEST(EngineTest, ExplainRouteNamesEachLiftedObstacle) {
   EXPECT_EQ(engine.ExplainRoute(f).method, Method::kLiftedFO2);
   EXPECT_EQ(fo2::LiftedObstacle(f, engine.vocabulary()), std::nullopt);
   EXPECT_TRUE(engine.CanCompileLifted(f));
+}
+
+TEST(EngineTest, ExplainRouteNamesTheSelfJoin) {
+  Engine engine{logic::Vocabulary{}};
+  RouteDecision triangle = engine.ExplainRoute(engine.Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))"));
+  EXPECT_EQ(triangle.method, Method::kGrounded);
+  EXPECT_TRUE(triangle.reason.starts_with(
+      "grounded fallback: conjunctive query with a self-join on relation "
+      "S; "))
+      << triangle.reason;
+  // A body that is no conjunction of atoms keeps the generic reason.
+  RouteDecision negated = engine.ExplainRoute(engine.Parse(
+      "exists x exists y exists z (S(x,y) & !S(y,z) & T(x,y,z))"));
+  EXPECT_TRUE(negated.reason.starts_with(
+      "grounded fallback: not an existential conjunctive query; "))
+      << negated.reason;
+}
+
+// The polarity step complements exactly the ∃-prefixed sentences on the
+// lifted and grounded routes; every answer stays WFOMC(Φ).
+TEST(EngineTest, RouteDecisionAndMetricNameThePolarity) {
+  obs::MetricsRegistry registry;
+  Engine::Options options;
+  options.metrics = &registry;
+  Engine engine(logic::Vocabulary{}, options);
+  struct Case {
+    const char* text;
+    Method method;
+    bool complemented;
+  } cases[] = {
+      {"exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))",
+       Method::kGrounded, true},
+      {"exists x forall y (R(x,y) | U(y))", Method::kLiftedFO2, true},
+      {"forall x exists y R(x,y)", Method::kLiftedFO2, false},
+      {"exists x exists y (A(x,y) & B(y))", Method::kGammaAcyclic, false},
+      {"!(forall x U(x))", Method::kLiftedFO2, false},
+  };
+  for (const Case& c : cases) {
+    logic::Formula f = engine.Parse(c.text);
+    RouteDecision decision = engine.ExplainRoute(f);
+    EXPECT_EQ(decision.method, c.method) << c.text;
+    EXPECT_EQ(decision.complemented, c.complemented) << c.text;
+    EXPECT_EQ(CountsComplement(f, decision.method), c.complemented)
+        << c.text;
+  }
+  // A γ-acyclic CQ forced onto the grounded route is complemented there.
+  logic::Formula cq = engine.Parse("exists x exists y (A(x,y) & B(y))");
+  EXPECT_TRUE(CountsComplement(cq, Method::kGrounded));
+  EXPECT_FALSE(CountsComplement(cq, Method::kGammaAcyclic));
+
+  auto complemented = [&] {
+    return registry
+        .GetCounter("swfomc_engine_complemented_total")
+        ->Value();
+  };
+  engine.WFOMC(cq, 2, Method::kGammaAcyclic);
+  EXPECT_EQ(complemented(), 0u);
+  Engine::Result grounded = engine.WFOMC(cq, 2, Method::kGrounded);
+  EXPECT_EQ(complemented(), 1u);
+  EXPECT_EQ(grounded.method, Method::kGrounded);
+  EXPECT_EQ(grounded.value, engine.WFOMC(cq, 2, Method::kGammaAcyclic).value);
+  engine.WFOMCSweep(cq, 1, 2, Method::kLiftedFO2);
+  engine.Compile(cq, CompileOptions{.domain_size = 2,
+                                    .method = Method::kGrounded});
+  EXPECT_EQ(complemented(), 3u);
 }
 
 TEST(EngineTest, MethodsAgreeOnFO2CQ) {

@@ -19,6 +19,7 @@
 #include "api/engine.h"
 #include "grounding/grounded_wfomc.h"
 #include "logic/parser.h"
+#include "logic/transform.h"
 #include "numeric/rational.h"
 #include "runtime/budget.h"
 #include "test_util.h"
@@ -554,6 +555,61 @@ TEST(BudgetEngine, CompileDiscardsPartialTraceAndRetriesOnTheSameEngine) {
             ungoverned.WFOMC(phi, 3, api::Method::kGrounded).value);
 }
 
+// The triangle is ∃-prefixed, so the engine counts ¬Φ and a bracket
+// [L, U] on ¬Φ reaches the caller as [T − U, T − L]. Checked against a
+// direct count of Φ that no polarity step touches, and against ¬Φ's own
+// bracket under the same cap. Negative weights certify no bracket, so a
+// stopped count stays aborted rather than becoming a wrong exact value.
+TEST(BudgetEngine, ComplementedBracketMirrorsTheComplementsBracket) {
+  logic::Vocabulary vocab;
+  logic::Formula phi = logic::Parse(
+      "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
+  vocab.SetWeights(0, BigRational::Fraction(4, 7), BigRational::Fraction(5, 6));
+  const std::uint64_t n = 4;
+  const BigRational truth = grounding::GroundedWFOMC(phi, vocab, n);
+  const BigRational total = vocab.TotalWeight(n);
+  const logic::Formula negation = logic::ToNNF(logic::Not(phi));
+  api::Engine engine(vocab);
+  for (std::uint64_t cap : {1u, 2u, 5u}) {
+    SCOPED_TRACE("cap=" + std::to_string(cap));
+    Budget budget;
+    budget.SetMaxDecisions(cap);
+    api::QueryOptions query;
+    query.budget = &budget;
+    api::Engine::Result result =
+        engine.WFOMC(phi, n, api::Method::kGrounded, query);
+    ASSERT_EQ(result.outcome, api::Outcome::kBounds);
+    EXPECT_EQ(result.stop_reason, StopReason::kDecisions);
+    ASSERT_TRUE(result.bounds.has_value());
+    EXPECT_LE(result.bounds->lower, truth);
+    EXPECT_LE(truth, result.bounds->upper);
+    EXPECT_LT(result.bounds->lower, result.bounds->upper);
+    EXPECT_EQ(result.value, result.bounds->lower);
+
+    Budget same_cap;
+    same_cap.SetMaxDecisions(cap);
+    DpllCounter::Options options;
+    options.budget = &same_cap;
+    CountResult complement =
+        grounding::GroundedWFOMCBounded(negation, vocab, n, options);
+    ASSERT_EQ(complement.outcome, CountOutcome::kBounds);
+    EXPECT_EQ(result.bounds->lower, total - complement.upper);
+    EXPECT_EQ(result.bounds->upper, total - complement.value);
+  }
+
+  vocab.SetWeights(0, BigRational(-1), BigRational(2));
+  api::Engine negative(vocab);
+  Budget budget;
+  budget.SetMaxDecisions(1);
+  api::QueryOptions query;
+  query.budget = &budget;
+  api::Engine::Result result =
+      negative.WFOMC(phi, n, api::Method::kGrounded, query);
+  EXPECT_EQ(result.outcome, api::Outcome::kAborted);
+  EXPECT_FALSE(result.bounds.has_value());
+  EXPECT_TRUE(result.value.IsZero());
+}
+
 // Cancellation and fault injection travel through QueryOptions exactly
 // like a budget: the grounded search brackets, the compile trace aborts.
 
@@ -562,8 +618,11 @@ TEST(BudgetEngine, PreCancelledTokenBracketsWfomcAndSweep) {
   logic::Formula phi = logic::Parse(
       "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocab);
   api::Engine engine(vocab);
+  // The triangle is counted through its complement, whose search at n = 2
+  // finishes by unit propagation alone, before the first cancellation
+  // poll; from n = 3 on it branches, so a pre-cancelled token stops it.
   api::Engine::SweepResult exact =
-      engine.WFOMCSweep(phi, 2, 3, api::Method::kGrounded);
+      engine.WFOMCSweep(phi, 3, 4, api::Method::kGrounded);
   ASSERT_EQ(exact.outcome, api::Outcome::kExact);
 
   CancelToken token;
@@ -576,12 +635,12 @@ TEST(BudgetEngine, PreCancelledTokenBracketsWfomcAndSweep) {
   EXPECT_EQ(single.outcome, api::Outcome::kBounds);
   EXPECT_EQ(single.stop_reason, StopReason::kCancelled);
   ASSERT_TRUE(single.bounds.has_value());
-  EXPECT_LE(single.bounds->lower, exact.points[1].value);
-  EXPECT_LE(exact.points[1].value, single.bounds->upper);
+  EXPECT_LE(single.bounds->lower, exact.points[0].value);
+  EXPECT_LE(exact.points[0].value, single.bounds->upper);
   EXPECT_EQ(single.value, single.bounds->lower);
 
   api::Engine::SweepResult sweep =
-      engine.WFOMCSweep(phi, 2, 3, api::Method::kGrounded, query);
+      engine.WFOMCSweep(phi, 3, 4, api::Method::kGrounded, query);
   EXPECT_EQ(sweep.outcome, api::Outcome::kBounds);
   EXPECT_EQ(sweep.stop_reason, StopReason::kCancelled);
   ASSERT_EQ(sweep.points.size(), exact.points.size());

@@ -21,7 +21,9 @@
 #include "api/engine.h"
 #include "cq/acyclicity.h"
 #include "cq/hypergraph.h"
+#include "grounding/grounded_wfomc.h"
 #include "logic/printer.h"
+#include "logic/transform.h"
 #include "nnf/circuit.h"
 #include "nnf/circuit_builder.h"
 #include "test_util.h"
@@ -102,6 +104,111 @@ TEST(DifferentialFuzz, GammaAcyclicAgreesWithGrounded) {
           engine.WFOMC(random.sentence, n, Method::kGrounded);
       EXPECT_EQ(gamma.value, grounded.value)
           << logic::ToString(random.sentence, random.vocabulary);
+    }
+  }
+}
+
+// The polarity step counts ∃-prefixed sentences as T − WFOMC(¬Φ) on the
+// lifted and grounded routes, so routes compared with each other would
+// share it. Here every Engine answer is checked against a count of Φ
+// itself that no polarity step touches: the grounded pipeline called
+// directly, and world enumeration where it is small enough.
+//
+// Each instance's vocabulary also carries a unary relation Z that the
+// sentence never mentions and a 0-ary relation P that half the sentences
+// mention; its weights come from a pool with zero, negative and
+// w + w̄ = 0 pairs; and the domain sizes start at 0.
+void AddUnmentionedRelationsAndHardWeights(std::uint64_t seed,
+                                           RandomSentence* random) {
+  std::mt19937_64 rng(seed ^ 0x5eed0f1eull);
+  const std::pair<BigRational, BigRational> pool[] = {
+      {BigRational(2), BigRational(3)},
+      {BigRational(0), BigRational(1)},
+      {BigRational(1), BigRational(0)},
+      {BigRational(-1), BigRational::Fraction(1, 2)},
+      {BigRational(1), BigRational(-1)},  // w + w̄ = 0
+      {BigRational::Fraction(-2, 3), BigRational(-1)},
+  };
+  logic::Vocabulary& vocabulary = random->vocabulary;
+  vocabulary.AddRelation("Z", 1);
+  logic::RelationId p = vocabulary.AddRelation("P", 0);
+  for (logic::RelationId id = 0; id < vocabulary.size(); ++id) {
+    const auto& [w, w_bar] = pool[rng() % std::size(pool)];
+    vocabulary.SetWeights(id, w, w_bar);
+  }
+  if (seed % 2 == 0) {
+    // Mention P under the outermost quantifier, keeping its kind.
+    const logic::Formula& root = random->sentence;
+    logic::Formula atom = logic::Atom(p, {});
+    random->sentence =
+        root->kind() == logic::FormulaKind::kExists
+            ? logic::Exists(root->variable(), logic::And(root->child(), atom))
+            : logic::Forall(root->variable(), logic::Or(root->child(), atom));
+  }
+}
+
+// Engine's answer for Φ on `method` against the direct grounded count of
+// Φ, and WFOMC(Φ) + WFOMC(¬Φ) = T on the same method.
+void ExpectDirectCountAndComplementIdentity(Engine* engine,
+                                            const logic::Formula& sentence,
+                                            Method method, std::uint64_t n) {
+  const logic::Vocabulary& vocabulary = engine->vocabulary();
+  SCOPED_TRACE(std::string(api::ToString(method)) +
+               " n=" + std::to_string(n) + ": " +
+               logic::ToString(sentence, vocabulary));
+  BigRational direct = grounding::GroundedWFOMC(sentence, vocabulary, n);
+  Engine::Result result = engine->WFOMC(sentence, n, method);
+  EXPECT_EQ(result.method, method);
+  EXPECT_EQ(result.value, direct);
+  logic::Formula negation = logic::ToNNF(logic::Not(sentence));
+  // ¬Φ of a conjunctive query is no conjunctive query: count it grounded.
+  Method negation_method =
+      method == Method::kGammaAcyclic ? Method::kGrounded : method;
+  EXPECT_EQ(result.value + engine->WFOMC(negation, n, negation_method).value,
+            vocabulary.TotalWeight(n));
+}
+
+TEST(DifferentialFuzz, EveryRouteMatchesADirectCountOfTheSentence) {
+  std::uint64_t base = BaseSeed();
+  for (std::uint64_t offset = 0; offset < 12; ++offset) {
+    std::uint64_t seed = base + offset;
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RandomSentence random = MakeRandomFO2Sentence(seed);
+    AddUnmentionedRelationsAndHardWeights(seed, &random);
+    Engine engine(random.vocabulary);
+    for (std::uint64_t n = 0; n <= 3; ++n) {
+      for (Method method : {Method::kLiftedFO2, Method::kGrounded}) {
+        ExpectDirectCountAndComplementIdentity(&engine, random.sentence,
+                                               method, n);
+      }
+      if (n <= 2) {
+        EXPECT_EQ(engine.WFOMC(random.sentence, n).value,
+                  grounding::ExhaustiveWFOMC(random.sentence,
+                                             random.vocabulary, n))
+            << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(DifferentialFuzz, ConjunctiveQueriesMatchADirectCountOnEveryRoute) {
+  std::uint64_t base = BaseSeed();
+  for (std::uint64_t offset = 0; offset < 8; ++offset) {
+    std::uint64_t seed = base + offset;
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    RandomSentence random = MakeRandomGammaAcyclicSentence(seed, 2);
+    // Relations the query does not mention, one with w + w̄ = 0 and one
+    // 0-ary; the query's own weights keep w + w̄ != 0 so the γ-acyclic
+    // route applies.
+    random.vocabulary.AddRelation("Z", 1, BigRational(-2), BigRational(3));
+    random.vocabulary.AddRelation("P", 0, BigRational(1), BigRational(-1));
+    Engine engine(random.vocabulary);
+    ASSERT_EQ(engine.Route(random.sentence), Method::kGammaAcyclic);
+    for (std::uint64_t n = 0; n <= 2; ++n) {
+      for (Method method : {Method::kGammaAcyclic, Method::kGrounded}) {
+        ExpectDirectCountAndComplementIdentity(&engine, random.sentence,
+                                               method, n);
+      }
     }
   }
 }

@@ -27,7 +27,11 @@
 #include "io/json.h"
 #include "io/model_format.h"
 #include "io/runner.h"
+#include "grounding/lineage.h"
+#include "grounding/tuple_index.h"
+#include "logic/parser.h"
 #include "logic/printer.h"
+#include "prop/tseitin.h"
 #include "numeric/rational.h"
 #include "test_util.h"
 #include "wmc/dpll_counter.h"
@@ -468,6 +472,45 @@ TEST(CnfFormat, PrintIsAParserFixpoint) {
   WeightedCnf reparsed = ParseWeightedCnf(canonical);
   EXPECT_EQ(PrintWeightedCnf(reparsed), canonical);
   EXPECT_EQ(reparsed.cnf.clauses, instance.cnf.clauses);
+}
+
+TEST(CnfFormat, PlainDimacsCornerCases) {
+  // Comments and blank lines between the header and the clauses.
+  WeightedCnf commented = ParseWeightedCnf(
+      "c a comment\n\np cnf 2 2\nc interleaved\n1 2 0\n\n-1 0\n");
+  ASSERT_EQ(commented.cnf.clauses.size(), 2u);
+  EXPECT_EQ(commented.cnf.clauses[1], (prop::Clause{{0, false}}));
+  // The unweighted rendering is plain DIMACS.
+  EXPECT_EQ(PrintWeightedCnf(commented), "p cnf 2 2\n1 2 0\n-1 0\n");
+  // An empty clause (a bare terminator) survives a round trip.
+  WeightedCnf with_empty;
+  with_empty.cnf.variable_count = 5;
+  with_empty.cnf.clauses = {{{0, true}, {4, false}},
+                            {{1, false}, {2, true}, {3, true}},
+                            {},
+                            {{4, true}}};
+  with_empty.weights = wmc::WeightMap(5);
+  EXPECT_EQ(ParseWeightedCnf(PrintWeightedCnf(with_empty)).cnf.clauses,
+            with_empty.cnf.clauses);
+  ExpectCnfErrorAt("p cnf 2 1\n1 zz 0\n", 2, 3, "bad literal");
+}
+
+TEST(CnfFormat, GroundedLineageSurvivesRoundTrip) {
+  // Ground a sentence, Tseitin it, print and reparse the CNF: the model
+  // count is unchanged, (2^3 - 1)^3 = 343.
+  logic::Vocabulary vocabulary;
+  logic::Formula sentence =
+      logic::Parse("forall x exists y R(x,y)", &vocabulary);
+  grounding::TupleIndex index(vocabulary, 3);
+  prop::TseitinResult encoded = prop::TseitinTransform(
+      grounding::GroundLineage(sentence, index),
+      static_cast<std::uint32_t>(index.TupleCount()));
+  WeightedCnf instance;
+  instance.cnf = std::move(encoded.cnf);
+  instance.weights = wmc::WeightMap(instance.cnf.variable_count);
+  WeightedCnf reparsed = ParseWeightedCnf(PrintWeightedCnf(instance));
+  EXPECT_EQ(wmc::CountWeightedModels(reparsed.cnf, reparsed.weights),
+            BigRational(343));
 }
 
 TEST(CnfFormat, ZeroNegativeWeightRoundTripsAsFraction) {

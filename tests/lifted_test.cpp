@@ -20,9 +20,13 @@
 #include "api/engine.h"
 #include "fo2/cell_algorithm.h"
 #include "fo2/lifted_compiler.h"
+#include "grounding/grounded_wfomc.h"
 #include "io/diagnostics.h"
 #include "io/nnf_format.h"
+#include "io/runner.h"
+#include "logic/parser.h"
 #include "logic/printer.h"
+#include "logic/transform.h"
 #include "nnf/lifted_circuit.h"
 #include "numeric/rational.h"
 #include "test_util.h"
@@ -352,6 +356,46 @@ TEST(LiftedNnfFormat, PrintIsAParserFixpointOverRandomCircuits) {
   }
 }
 
+// A lifted circuit of ¬Φ carries the `t` marker with the original
+// relations' arities (the relation table records none), so the file
+// alone answers WFOMC(Φ) = T(n) − Evaluate(n) at every n; without the
+// marker the nodes keep their plain meaning, the count of ¬Φ.
+TEST(LiftedNnfFormat, ComplementedCircuitRoundTripsThroughTheMarker) {
+  logic::Vocabulary vocabulary;
+  logic::Formula sentence =
+      logic::Parse("exists x forall y (R(x,y) | U(y))", &vocabulary);
+  vocabulary.SetWeights(vocabulary.Require("R"), BigRational(2),
+                        BigRational::Fraction(-1, 3));
+  vocabulary.AddRelation("Z", 1, BigRational(-3), BigRational(2));
+  vocabulary.AddRelation("P", 0, BigRational(1), BigRational(-1));
+  Engine engine(vocabulary);
+  CompileResult compiled = engine.Compile(sentence, CompileOptions{});
+  ASSERT_TRUE(compiled.compiled.has_value());
+  ASSERT_EQ(compiled.compiled->kind(), CompiledQuery::Kind::kLifted);
+  ASSERT_TRUE(compiled.compiled->complemented());
+
+  const BigRational at3 = fo2::LiftedWFOMC(sentence, vocabulary, 3);
+  std::string text = io::PrintLiftedNnf(
+      io::MakeLiftedNnfDocument(*compiled.compiled, {{3, at3}}));
+  const std::string marker = "\nt 2 1 1 0\n";
+  ASSERT_NE(text.find(marker), std::string::npos) << text.substr(0, 200);
+  io::LiftedNnfDocument parsed = io::ParseLiftedNnf(text, "complemented.nnf");
+  EXPECT_EQ(io::PrintLiftedNnf(parsed), text);
+  for (std::uint64_t n = 1; n <= 5; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // The polarity-free lifted count of Φ itself.
+    EXPECT_EQ(parsed.Value(n), fo2::LiftedWFOMC(sentence, vocabulary, n));
+  }
+  EXPECT_EQ(parsed.Value(2), grounding::GroundedWFOMC(sentence, vocabulary, 2));
+
+  io::LiftedNnfDocument plain =
+      io::ParseLiftedNnf(text.erase(text.find(marker) + 1, 10));
+  EXPECT_FALSE(plain.complement_arities.has_value());
+  EXPECT_EQ(plain.Value(3),
+            fo2::LiftedWFOMC(logic::ToNNF(logic::Not(sentence)), vocabulary,
+                             3));
+}
+
 void ExpectLiftedErrorAt(const std::string& text, std::size_t line,
                          std::size_t column,
                          const std::string& message_piece) {
@@ -394,8 +438,17 @@ TEST(LiftedNnfFormat, ErrorPositions) {
                       "more nodes than the header's 1");
   ExpectLiftedErrorAt("lnnf 2 0 0\nK 1\n", 2, 1, "node count mismatch");
   ExpectLiftedErrorAt("lnnf 1 5 0\nK 1\n", 2, 1, "edge count mismatch");
-  ExpectLiftedErrorAt("lnnf 1 0 0\nQ 3\n", 2, 1,
-                      "unknown line 'Q' (expected c, r, e, K, W, A, O, or C)");
+  ExpectLiftedErrorAt(
+      "lnnf 1 0 0\nQ 3\n", 2, 1,
+      "unknown line 'Q' (expected c, r, t, e, K, W, A, O, or C)");
+  // The complement marker: arities 0..2, at most one per relation, once.
+  ExpectLiftedErrorAt("lnnf 1 0 1\nr R 1 1\nt 3\nK 1\n", 3, 3,
+                      "arity 3 out of range [0, 2]");
+  ExpectLiftedErrorAt("lnnf 1 0 1\nr R 1 1\nt 1 1\nK 1\n", 3, 5,
+                      "more arities than the header's 1 relations");
+  ExpectLiftedErrorAt("lnnf 1 0 1\nr R 1 1\nt 1\nt 1\nK 1\n", 4, 1,
+                      "duplicate 't'");
+  ExpectLiftedErrorAt("lnnf 1 0 1\nr R 1 1\nt x\nK 1\n", 3, 3, "arity");
 }
 
 TEST(LiftedNnfFormat, HandWrittenCountingCircuitEvaluates) {

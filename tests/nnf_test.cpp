@@ -21,12 +21,18 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "grounding/grounded_wfomc.h"
+#include "grounding/lineage.h"
+#include "grounding/tuple_index.h"
 #include "io/diagnostics.h"
 #include "io/model_format.h"
 #include "io/nnf_format.h"
+#include "io/runner.h"
 #include "logic/parser.h"
+#include "logic/transform.h"
 #include "nnf/circuit.h"
 #include "nnf/circuit_builder.h"
+#include "prop/tseitin.h"
 #include "test_util.h"
 #include "wmc/dpll_counter.h"
 
@@ -132,7 +138,9 @@ BigRational Recount(const logic::Vocabulary& vocabulary,
     reweighted.SetWeights(reweighted.Require(weights.relation),
                           weights.positive, weights.negative);
   }
-  return Engine(reweighted).WFOMC(sentence, n, Method::kGrounded).value;
+  // The grounded pipeline called directly, so the recount never shares
+  // the engine's polarity step with the circuit it checks.
+  return grounding::GroundedWFOMC(sentence, reweighted, n);
 }
 
 // The grounded d-DNNF of `sentence` at domain size n (ungoverned, so it
@@ -195,19 +203,33 @@ TEST(Compile, SharesCacheHitSubcircuits) {
   // The n=3 triangle lineage has repeated components; the trace must
   // resolve those cache hits to shared nodes, not re-expansions, so the
   // circuit is a DAG strictly smaller than the unshared search tree.
+  // Engine::Compile counts the triangle's complement, whose search hits
+  // no cache entry, so the triangle's own CNF is traced here directly.
   logic::Vocabulary vocabulary;
   logic::Formula sentence = logic::Parse(
       "exists x exists y exists z (S(x,y) & S(y,z) & S(z,x))", &vocabulary);
-  Engine engine(vocabulary);
-  CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
-  EXPECT_GT(compiled.compile_stats().cache_hits, 0u);
-  EXPECT_EQ(compiled.compile_stats().cache_entries,
-            compiled.compile_stats().cache_insertions);
+  grounding::TupleIndex index(vocabulary, 3);
+  prop::TseitinResult tseitin = prop::TseitinTransform(
+      grounding::GroundLineage(sentence, index),
+      static_cast<std::uint32_t>(index.TupleCount()));
+  WeightMap weights =
+      grounding::SymmetricGroundWeights(index, tseitin.cnf.variable_count);
+  CircuitBuilder builder(tseitin.cnf.variable_count);
+  DpllCounter::Options options;
+  options.trace_sink = &builder;
+  DpllCounter counter(tseitin.cnf, weights, options);
+  BigRational count = counter.Count();
+  const DpllCounter::Stats stats = counter.stats();
+  Circuit circuit =
+      builder.Finish(static_cast<std::uint32_t>(index.TupleCount()));
+  EXPECT_EQ(circuit.Evaluate(weights), count);
+  EXPECT_EQ(count, grounding::GroundedWFOMC(sentence, vocabulary, 3));
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_entries, stats.cache_insertions);
   // Every insertion is a distinct component; the node count is bounded
   // by a constant multiple of the distinct-component set plus literals.
-  EXPECT_LT(compiled.circuit().node_count(),
-            10 * (compiled.compile_stats().cache_entries + 1) +
-                2 * compiled.circuit().variable_count());
+  EXPECT_LT(circuit.node_count(),
+            10 * (stats.cache_entries + 1) + 2 * circuit.variable_count());
 }
 
 TEST(Compile, TracedCountMatchesUntracedOnLargeCnf) {
@@ -436,6 +458,10 @@ TEST(NnfFormat, ErrorPositions) {
   ExpectParseErrorAt("nnf 1 0 1\nO 1 0\n", 2, 3,
                      "must use decision 0");
   ExpectParseErrorAt("nnf 1 0 1\nQ 3\n", 2, 1, "unknown line");
+  ExpectParseErrorAt("nnf 1 0 1\nt\nL 1\n", 2, 1, "expected 1 value(s)");
+  ExpectParseErrorAt("nnf 1 0 1\nt 2\nL 1\n", 2, 3,
+                     "tuple count 2 exceeds the 1 variables");
+  ExpectParseErrorAt("nnf 1 0 1\nt 1\nt 1\nL 1\n", 3, 1, "duplicate 't'");
   // The count mismatches are end-of-document errors reported at the last
   // real line — the trailing newline must not shift them onto a phantom
   // empty line 3.
@@ -526,7 +552,11 @@ TEST(Tape, ReweightingAnAuxiliaryThrows) {
   const Circuit& circuit = compiled.circuit();
   ASSERT_LT(circuit.auxiliary_begin(), circuit.variable_count());
   WeightMap weights = compiled.GroundWeights({});
-  EXPECT_EQ(circuit.Evaluate(weights), compiled.compile_count());
+  // The circuit counts the triangle's complement.
+  ASSERT_TRUE(compiled.complemented());
+  const BigRational complement_count = grounding::GroundedWFOMC(
+      logic::ToNNF(logic::Not(sentence)), vocabulary, 3);
+  EXPECT_EQ(circuit.Evaluate(weights), complement_count);
   WeightMap first = weights;
   first.Set(circuit.auxiliary_begin(), BigRational(2), BigRational(1));
   EXPECT_THROW(circuit.Evaluate(first), std::invalid_argument);
@@ -535,7 +565,7 @@ TEST(Tape, ReweightingAnAuxiliaryThrows) {
   Circuit::EvalArena arena;
   EXPECT_THROW(circuit.Evaluate(last, &arena), std::invalid_argument);
   // A rejected call leaves the arena usable.
-  EXPECT_EQ(circuit.Evaluate(weights, &arena), compiled.compile_count());
+  EXPECT_EQ(circuit.Evaluate(weights, &arena), complement_count);
 
   // The same circuit parsed back from `.nnf` names no auxiliaries, so it
   // takes any weights; the rational pass over the same nodes agrees.
@@ -558,6 +588,42 @@ TEST(Tape, ReweightingAnAuxiliaryThrows) {
   EXPECT_EQ(traced.auxiliary_begin(), traced.variable_count());
   WeightMap random = RandomWeights(&rng, 8, /*allow_negative=*/true);
   EXPECT_EQ(traced.Evaluate(random), DpllCounter(cnf, random).Count());
+}
+
+// A circuit of ¬Φ carries the `t` marker with the tuple count, so the
+// file alone answers WFOMC(Φ) = T − WMC under any weights; without the
+// marker the same nodes keep their plain meaning, WMC of the circuit.
+TEST(NnfFormat, ComplementedCircuitRoundTripsThroughTheMarker) {
+  logic::Vocabulary vocabulary;
+  logic::Formula sentence = logic::Parse(kTriangle, &vocabulary);
+  vocabulary.AddRelation("Z", 1, BigRational(-3), BigRational(2));
+  vocabulary.AddRelation("P", 0, BigRational(1), BigRational(-1));
+  Engine engine(vocabulary);
+  CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
+  ASSERT_TRUE(compiled.complemented());
+  ASSERT_EQ(compiled.tuple_count(), 9u + 3u + 1u);
+  const BigRational direct = grounding::GroundedWFOMC(sentence, vocabulary, 3);
+  EXPECT_EQ(compiled.compile_count(), direct);
+
+  std::string text = io::PrintNnf(io::MakeNnfDocument(compiled, direct));
+  const std::string marker = "\nt 13\n";
+  ASSERT_NE(text.find(marker), std::string::npos) << text.substr(0, 200);
+  NnfDocument parsed = io::ParseNnf(text, "complemented.nnf");
+  EXPECT_EQ(io::PrintNnf(parsed), text);
+  EXPECT_EQ(parsed.complement_tuples, std::optional<std::uint32_t>(13));
+  ASSERT_TRUE(parsed.expect.has_value());
+  EXPECT_EQ(parsed.Value(), *parsed.expect);
+  for (const std::vector<RelationWeights>& regime :
+       WeightRegimes(vocabulary)) {
+    parsed.weights = compiled.GroundWeights(regime);
+    EXPECT_EQ(parsed.Value(), Recount(vocabulary, sentence, 3, regime));
+  }
+
+  NnfDocument plain = io::ParseNnf(text.erase(text.find(marker) + 1, 5));
+  EXPECT_FALSE(plain.complement_tuples.has_value());
+  EXPECT_EQ(plain.Value(),
+            grounding::GroundedWFOMC(logic::ToNNF(logic::Not(sentence)),
+                                     vocabulary, 3));
 }
 
 TEST(Tape, LoweringEdgeCases) {

@@ -300,6 +300,8 @@ int RunRoute(const CliOptions& options) {
     entry.Add("file", JsonValue::MakeString(path));
     entry.Add("method",
               JsonValue::MakeString(swfomc::api::ToString(decision.method)));
+    entry.Add("polarity", JsonValue::MakeString(
+                              decision.complemented ? "complement" : "direct"));
     entry.Add("reason", JsonValue::MakeString(decision.reason));
     batch.results.array.push_back(std::move(entry));
   }
@@ -318,18 +320,6 @@ std::string OutputPathFor(const CliOptions& options,
 
 int RunCompile(const CliOptions& options) {
   if (!options.out_dir.empty()) {
-    // Output names are input basenames, so two inputs sharing one would
-    // silently overwrite each other's circuit — refuse up front.
-    std::map<std::string, std::string> by_output;
-    for (const std::string& path : options.files) {
-      std::string out_path = OutputPathFor(options, path);
-      auto [it, inserted] = by_output.emplace(out_path, path);
-      if (!inserted) {
-        throw UsageError("--out-dir would write '" + out_path +
-                         "' for both '" + it->second + "' and '" + path +
-                         "' (basenames collide)");
-      }
-    }
     std::error_code error;
     std::filesystem::create_directories(options.out_dir, error);
     if (error) {
@@ -404,11 +394,6 @@ int RunEval(const CliOptions& options) {
     swfomc::io::EvalRunReport report;
     if (const NnfDocument* grounded =
             std::get_if<NnfDocument>(&document)) {
-      if (options.domain.has_value()) {
-        throw UsageError("--domain does not apply to '" + path +
-                         "': a grounded circuit fixes its domain size at "
-                         "compile time (compile a lifted circuit to sweep n)");
-      }
       report = swfomc::io::RunEval(*grounded, path);
     } else {
       report = swfomc::io::RunEval(
@@ -721,6 +706,20 @@ CliOptions ParseArgs(int argc, char** argv) {
   if (!options.out_file.empty() && options.files.size() != 1) {
     throw UsageError("--out takes exactly one input file (use --out-dir)");
   }
+  if (!options.out_dir.empty()) {
+    // Output names are input basenames, so two inputs sharing one would
+    // silently overwrite each other's circuit.
+    std::map<std::string, std::string> by_output;
+    for (const std::string& path : options.files) {
+      std::string out_path = OutputPathFor(options, path);
+      auto [it, inserted] = by_output.emplace(out_path, path);
+      if (!inserted) {
+        throw UsageError("--out-dir would write '" + out_path +
+                         "' for both '" + it->second + "' and '" + path +
+                         "' (basenames collide)");
+      }
+    }
+  }
   if (!options.on_budget.empty() && !options.run.limits.governed()) {
     throw UsageError(
         "--on-budget needs a budget (--budget-ms, --max-decisions, or "
@@ -745,6 +744,18 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
+    // The one usage rule that reads the operands, checked before any sink
+    // opens (and truncates) its file.
+    if (options.domain.has_value()) {
+      for (const std::string& path : options.files) {
+        if (!swfomc::io::IsLiftedNnfFile(path)) {
+          throw UsageError("--domain does not apply to '" + path +
+                           "': a grounded circuit fixes its domain size at "
+                           "compile time (compile a lifted circuit to sweep "
+                           "n)");
+        }
+      }
+    }
     // Observability sinks outlive the command: the trace file opens (and
     // fails) up front, the metrics exposition is written after the
     // command finishes so it reflects the whole run.
@@ -769,8 +780,8 @@ int main(int argc, char** argv) {
     }
     return code;
   } catch (const UsageError& error) {
-    // Command-line-shaped problems discovered mid-command (e.g. colliding
-    // --out-dir basenames) keep the EX_USAGE exit.
+    // A usage rule that had to read an operand (--domain on a grounded
+    // circuit) keeps the EX_USAGE exit.
     std::cerr << "swfomc: " << error.what() << "\n";
     return kExitUsage;
   } catch (const swfomc::io::ParseError& error) {
