@@ -147,6 +147,9 @@ printf 'sentence forall x R(x)\ndomain 2\n' > "$workdir/g.model"
 printf 'p cnf 1 1\n1 0\n' > "$workdir/g.cnf"
 expect 0 "$bin" compile --method grounded --out-dir "$workdir/gnnf" "$workdir/g.model"
 expect 64 "$bin" eval --domain 2 "$workdir/gnnf/g.nnf" # grounded circuits fix n
+printf 'L 1\n' > "$workdir/headerless.nnf"
+expect 2 "$bin" eval --domain 2 "$workdir/headerless.nnf" # a parse error, not
+expect 2 "$bin" eval --domain 2 "$workdir/does-not-exist.nnf" # a usage one
 printf 'sentence forall x R(x)\ndomain 0\n' > "$workdir/d0.model"
 expect 0 "$bin" compile "$workdir/d0.model"           # n = 0 compiles grounded
 

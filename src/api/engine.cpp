@@ -86,7 +86,7 @@ struct GammaQueryInputs {
   // count by its total weight, as on the other routes.
   BigRational Count(std::uint64_t domain_size) const {
     return cq::GammaAcyclicWFOMC(query, domain_size, weights) *
-           logic::TotalWeight(domain_size, other_arities, other_weights);
+           numeric::TotalWeight(domain_size, other_arities, other_weights);
   }
 };
 
@@ -515,6 +515,13 @@ const nnf::LiftedCircuit& CompiledQuery::lifted_circuit() const {
   return lifted("CompiledQuery::lifted_circuit").circuit;
 }
 
+bool CompiledQuery::complemented() const {
+  if (const Grounded* payload = std::get_if<Grounded>(&payload_)) {
+    return payload->circuit.complement().has_value();
+  }
+  return std::get<Lifted>(payload_).circuit.complement().has_value();
+}
+
 std::uint64_t CompiledQuery::domain_size() const {
   const Grounded* payload = std::get_if<Grounded>(&payload_);
   return payload != nullptr ? payload->domain_size : 0;
@@ -552,30 +559,24 @@ std::size_t CompiledQuery::MemoryBytes() const {
 numeric::BigRational CompiledQuery::Evaluate(
     std::uint64_t domain_size, const std::vector<RelationWeights>& reweights,
     nnf::Circuit::EvalArena* arena) const {
-  BigRational value;
-  if (const Lifted* lifted_payload = std::get_if<Lifted>(&payload_)) {
-    value = lifted_payload->circuit.Evaluate(
+  if (const Lifted* payload = std::get_if<Lifted>(&payload_)) {
+    return payload->circuit.Evaluate(
         domain_size, LiftedWeights(reweights), nullptr,
         arena != nullptr ? &arena->rational_values : nullptr);
-  } else {
-    const Grounded& payload = std::get<Grounded>(payload_);
-    if (domain_size != payload.domain_size) {
-      throw std::invalid_argument(
-          "CompiledQuery::Evaluate: this grounded circuit was compiled at "
-          "domain size " +
-          std::to_string(payload.domain_size) + " and cannot evaluate at " +
-          std::to_string(domain_size) +
-          "; recompile at that size or compile a lifted circuit");
-    }
-    // The circuit's no-arena overload makes a one-shot arena itself.
-    wmc::WeightMap weights = GroundWeights(reweights);
-    value = arena == nullptr ? payload.circuit.Evaluate(weights)
-                             : payload.circuit.Evaluate(weights, arena);
   }
-  if (!complemented_) return value;
-  return logic::TotalWeight(domain_size, vocabulary_.Arities(),
-                            WeightPairsFor(reweights)) -
-         value;
+  const Grounded& payload = std::get<Grounded>(payload_);
+  if (domain_size != payload.domain_size) {
+    throw std::invalid_argument(
+        "CompiledQuery::Evaluate: this grounded circuit was compiled at "
+        "domain size " +
+        std::to_string(payload.domain_size) + " and cannot evaluate at " +
+        std::to_string(domain_size) +
+        "; recompile at that size or compile a lifted circuit");
+  }
+  // The circuit's no-arena overload makes a one-shot arena itself.
+  wmc::WeightMap weights = GroundWeights(reweights);
+  if (arena == nullptr) return payload.circuit.Evaluate(weights);
+  return payload.circuit.Evaluate(weights, arena);
 }
 
 logic::WeightPairs CompiledQuery::WeightPairsFor(
@@ -654,8 +655,8 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       CompiledQuery::Lifted lifted;
       lifted.circuit =
           fo2::CompileLifted(target, vocabulary_, &lifted.compile_stats);
-      result.compiled =
-          CompiledQuery(vocabulary_, std::move(lifted), complement);
+      if (complement) lifted.circuit.SetComplement(vocabulary_.Arities());
+      result.compiled = CompiledQuery(vocabulary_, std::move(lifted));
       return result;
     }
     case Method::kGammaAcyclic:
@@ -714,6 +715,10 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
   // by GroundWeights under every query.
   grounded.circuit =
       builder.Finish(static_cast<std::uint32_t>(index.TupleCount()));
+  if (complement) {
+    grounded.circuit.SetComplement(
+        static_cast<std::uint32_t>(index.TupleCount()));
+  }
   grounded.domain_size = domain_size;
   grounded.variable_relation.reserve(
       static_cast<std::size_t>(index.TupleCount()));
@@ -724,8 +729,7 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
       complement ? vocabulary_.TotalWeight(domain_size) - counted.value
                  : std::move(counted.value);
   result.outcome = Outcome::kExact;
-  result.compiled =
-      CompiledQuery(vocabulary_, std::move(grounded), complement);
+  result.compiled = CompiledQuery(vocabulary_, std::move(grounded));
   scope.span.Str("outcome", ToString(result.outcome));
   return result;
 }

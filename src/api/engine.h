@@ -100,10 +100,12 @@ struct RelationWeights {
 /// The compiled object is immutable and self-contained: it carries the
 /// circuit, the compile-time vocabulary snapshot, and — for the grounded
 /// kind — the ground-tuple → relation map that turns per-relation weights
-/// into the circuit's per-variable weights. Either kind may be a circuit
-/// of ¬Φ (complemented(), the Engine's polarity step); Evaluate still
-/// answers WFOMC(Φ). Accessors documented as one kind's throw
-/// std::invalid_argument on the other kind.
+/// into the circuit's per-variable weights. Either kind's nodes may be
+/// the circuit of ¬Φ (complemented(), the Engine's polarity step); the
+/// circuit then carries the complement itself (nnf::Circuit::
+/// SetComplement, nnf::LiftedCircuit::SetComplement), so its own Evaluate
+/// — and this class's — still answers WFOMC(Φ). Accessors documented as
+/// one kind's throw std::invalid_argument on the other kind.
 class CompiledQuery {
  public:
   enum class Kind { kGrounded, kLifted };
@@ -112,9 +114,13 @@ class CompiledQuery {
     return std::holds_alternative<Grounded>(payload_) ? Kind::kGrounded
                                                       : Kind::kLifted;
   }
-  /// The grounded d-DNNF. Grounded kind only.
+  /// The grounded d-DNNF, whose Evaluate(GroundWeights(w)) is WFOMC(Φ);
+  /// when complemented() its nodes are ¬Φ's and complement() is set.
+  /// Grounded kind only.
   const nnf::Circuit& circuit() const;
-  /// The domain-parametric circuit. Lifted kind only.
+  /// The domain-parametric circuit, whose Evaluate(n, LiftedWeights(w))
+  /// is WFOMC(Φ, n); when complemented() its nodes are ¬Φ's and
+  /// complement() is set. Lifted kind only.
   const nnf::LiftedCircuit& lifted_circuit() const;
   /// The fixed compile-time domain size of a grounded circuit; 0 for
   /// kLifted (a lifted circuit has no fixed size — pass n to Evaluate).
@@ -123,10 +129,9 @@ class CompiledQuery {
   /// Ground tuple variables [0, tuple_count); higher variable ids are
   /// Tseitin auxiliaries and always weigh (1, 1). 0 for kLifted.
   std::uint32_t tuple_count() const;
-  /// True when the circuit counts ¬Φ (CountsComplement). Evaluate then
-  /// returns the total weight minus the circuit's value, so every answer
-  /// is still WFOMC(Φ).
-  bool complemented() const { return complemented_; }
+  /// True when the circuit's nodes count ¬Φ (CountsComplement) and the
+  /// circuit subtracts their value from the total weight.
+  bool complemented() const;
   /// Φ's count computed while compiling (under the compile-time
   /// weights); identical to WFOMC(Φ, n, Method::kGrounded). Grounded kind
   /// only — a lifted compile is domain-parametric and produces no single
@@ -160,8 +165,7 @@ class CompiledQuery {
 
   /// The per-variable weight map `reweights` induces over the grounded
   /// circuit. Exposed for serialization (.nnf weight lines). Grounded
-  /// kind only. A complemented circuit's value under these weights is
-  /// WFOMC(¬Φ); its first tuple_count() variables carry the total weight.
+  /// kind only.
   wmc::WeightMap GroundWeights(
       const std::vector<RelationWeights>& reweights) const;
 
@@ -187,11 +191,8 @@ class CompiledQuery {
 
   using Payload = std::variant<Grounded, Lifted>;
 
-  CompiledQuery(logic::Vocabulary vocabulary, Payload payload,
-                bool complemented)
-      : vocabulary_(std::move(vocabulary)),
-        payload_(std::move(payload)),
-        complemented_(complemented) {}
+  CompiledQuery(logic::Vocabulary vocabulary, Payload payload)
+      : vocabulary_(std::move(vocabulary)), payload_(std::move(payload)) {}
 
   /// The compile-time relation weights with `reweights` laid over them,
   /// in vocabulary id order.
@@ -205,7 +206,6 @@ class CompiledQuery {
 
   logic::Vocabulary vocabulary_;
   Payload payload_;
-  bool complemented_ = false;
 };
 
 const char* ToString(CompiledQuery::Kind kind);

@@ -9,7 +9,6 @@
 
 #include "io/diagnostics.h"
 #include "io/line_lexer.h"
-#include "logic/vocabulary.h"
 
 namespace swfomc::io {
 
@@ -48,7 +47,9 @@ class NnfParser {
         static_cast<nnf::Circuit::NodeId>(declared_nodes_ - 1));
     document.weights = std::move(weights_);
     document.weights.EnsureSize(variable_count_);
-    document.complement_tuples = complement_tuples_;
+    if (complement_tuples_.has_value()) {
+      document.circuit.SetComplement(*complement_tuples_);
+    }
     document.expect = std::move(expect_);
     return document;
   }
@@ -300,7 +301,9 @@ class LiftedNnfParser {
         std::move(relations_), std::move(constants_), std::move(nodes_),
         std::move(edges_),
         static_cast<nnf::LiftedCircuit::NodeId>(declared_nodes_ - 1));
-    document.complement_arities = std::move(complement_arities_);
+    if (complement_arities_.has_value()) {
+      document.circuit.SetComplement(*std::move(complement_arities_));
+    }
     document.expect = std::move(expect_);
     return document;
   }
@@ -546,24 +549,6 @@ NnfDocument ParseNnf(std::string_view text, std::string_view source) {
   return NnfParser(text, source).Parse();
 }
 
-BigRational NnfDocument::Value() const {
-  BigRational value = circuit.Evaluate(weights);
-  if (!complement_tuples.has_value()) return value;
-  BigRational total(1);
-  for (prop::VarId v = 0; v < *complement_tuples; ++v) {
-    total *= weights.Get(v).Total();
-  }
-  return total - value;
-}
-
-BigRational LiftedNnfDocument::Value(std::uint64_t domain_size) const {
-  BigRational value = circuit.Evaluate(domain_size);
-  if (!complement_arities.has_value()) return value;
-  return logic::TotalWeight(domain_size, *complement_arities,
-                            circuit.DefaultWeights()) -
-         value;
-}
-
 std::string PrintNnf(const NnfDocument& document) {
   const nnf::Circuit& circuit = document.circuit;
   std::ostringstream out;
@@ -575,8 +560,8 @@ std::string PrintNnf(const NnfDocument& document) {
     out << "w " << v + 1 << " " << weights.positive.ToString() << " "
         << weights.negative.ToString() << "\n";
   }
-  if (document.complement_tuples.has_value()) {
-    out << "t " << *document.complement_tuples << "\n";
+  if (circuit.complement().has_value()) {
+    out << "t " << *circuit.complement() << "\n";
   }
   if (document.expect.has_value()) {
     out << "e " << document.expect->ToString() << "\n";
@@ -634,9 +619,9 @@ std::string PrintLiftedNnf(const LiftedNnfDocument& document) {
     out << "r " << relation.name << " " << relation.positive_weight.ToString()
         << " " << relation.negative_weight.ToString() << "\n";
   }
-  if (document.complement_arities.has_value()) {
+  if (circuit.complement().has_value()) {
     out << "t";
-    for (std::size_t arity : *document.complement_arities) out << " " << arity;
+    for (std::size_t arity : *circuit.complement()) out << " " << arity;
     out << "\n";
   }
   if (document.expect.has_value()) {
@@ -694,14 +679,13 @@ AnyNnfDocument LoadAnyNnfFile(const std::string& path) {
   return ParseAnyNnf(buffer.str(), path);
 }
 
-bool IsLiftedNnfFile(const std::string& path) {
+std::string NnfHeaderToken(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open nnf file: " + path);
   for (std::string line; std::getline(in, line);) {
     std::string header = HeaderToken(line);
-    if (!header.empty()) return header == "lnnf";
+    if (!header.empty()) return header;
   }
-  return false;
+  return "";
 }
 
 }  // namespace swfomc::io

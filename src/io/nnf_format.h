@@ -24,18 +24,9 @@ struct NnfDocument {
   nnf::Circuit circuit;
   /// Sized to circuit.variable_count(); unlisted variables weigh (1, 1).
   wmc::WeightMap weights;
-  /// The `t K` line: the circuit counts the complement ¬Φ, so the
-  /// document's value is T − WMC(circuit), where T = Π (w_v + w̄_v) over
-  /// variables 1..K — the ground tuples, leaving the Tseitin auxiliaries
-  /// out. Unset for a circuit of Φ itself and for plain c2d output.
-  std::optional<std::uint32_t> complement_tuples;
-  /// The expected Value() (the `e` line) — lets `swfomc eval --check`
-  /// replay a compile→eval pipeline bit-exactly.
+  /// The expected circuit.Evaluate(weights) (the `e` line) — lets
+  /// `swfomc eval --check` replay a compile→eval pipeline bit-exactly.
   std::optional<numeric::BigRational> expect;
-
-  /// The circuit's weighted model count under `weights`, subtracted from
-  /// T when `complement_tuples` is set.
-  numeric::BigRational Value() const;
 };
 
 /// Parses the c2d-style `.nnf` dialect:
@@ -44,8 +35,9 @@ struct NnfDocument {
 ///   nnf V E n            -- header, first: V nodes, E edges, n variables
 ///   w VAR W WBAR         -- optional; both weights of variable VAR
 ///                           (1-based) as exact rationals
-///   t K                  -- optional, once; the circuit counts ¬Φ and
-///                           the value is T − WMC, T = Π_{v<=K} (w_v + w̄_v)
+///   t K                  -- optional, once; the nodes count ¬Φ and the
+///                           value is T − WMC, T = Π_{v<=K} (w_v + w̄_v)
+///                           (nnf::Circuit::SetComplement)
 ///   e VALUE              -- optional, once; expected evaluation result
 ///   L l                  -- literal node, DIMACS literal (±1-based var)
 ///   A c i1 .. ic         -- AND with c children (A 0 = TRUE)
@@ -75,20 +67,10 @@ std::string PrintNnf(const NnfDocument& document);
 /// pinned (domain size, value) pair for `swfomc eval --check`.
 struct LiftedNnfDocument {
   nnf::LiftedCircuit circuit;
-  /// The `t A_1 .. A_k` line: the circuit counts the complement ¬Φ, so
-  /// the document's value at n is T(n) − circuit.Evaluate(n), with T over
-  /// the first k relations — the original vocabulary, of arities
-  /// A_1..A_k — and not the Scott/Skolem predicates after them (the
-  /// relation table records no arity). Unset for a circuit of Φ itself.
-  std::optional<std::vector<std::size_t>> complement_arities;
-  /// The `e N VALUE` line: Value(N) must equal VALUE under the
-  /// compile-time weights. Also serves as the default domain size when
+  /// The `e N VALUE` line: circuit.Evaluate(N) must equal VALUE under
+  /// the compile-time weights. Also serves as the default domain size when
   /// `swfomc eval` is run without --domain.
   std::optional<std::pair<std::uint64_t, numeric::BigRational>> expect;
-
-  /// circuit.Evaluate(n) under the compile-time weights, subtracted from
-  /// T(n) when `complement_arities` is set.
-  numeric::BigRational Value(std::uint64_t domain_size) const;
 };
 
 /// Parses the lifted `.nnf` dialect (counting-node extension):
@@ -98,10 +80,11 @@ struct LiftedNnfDocument {
 ///   r NAME W WBAR        -- exactly R of these, assigning relation ids
 ///                           0, 1, .. R-1 in order; W/WBAR are the
 ///                           compile-time weights as exact rationals
-///   t A_1 .. A_k         -- optional, once; the circuit counts ¬Φ and the
-///                           value is T(n) − Evaluate(n), T over relations
+///   t A_1 .. A_k         -- optional, once; the nodes count ¬Φ and the
+///                           value is T(n) minus theirs, T over relations
 ///                           1..k of arities A_i (each 0, 1 or 2; k <= R)
-///   e N VALUE            -- optional, once; expected Value(N)
+///                           (nnf::LiftedCircuit::SetComplement)
+///   e N VALUE            -- optional, once; expected Evaluate(N)
 ///   K VALUE              -- constant node
 ///   W l                  -- weight leaf, DIMACS-style ±1-based relation
 ///                           reference (W 2 = w of relation 1, W -2 = w̄)
@@ -133,10 +116,10 @@ AnyNnfDocument ParseAnyNnf(std::string_view text, std::string_view source = "");
 /// Reads and parses a `.nnf` file of either dialect.
 AnyNnfDocument LoadAnyNnfFile(const std::string& path);
 
-/// True when the file's header announces the lifted dialect ('lnnf'),
-/// read without parsing the rest; std::runtime_error when the file cannot
-/// be read.
-bool IsLiftedNnfFile(const std::string& path);
+/// The file's header token ('nnf' or 'lnnf' in a well-formed file), read
+/// without parsing the rest; empty when the file cannot be read or has no
+/// header line.
+std::string NnfHeaderToken(const std::string& path);
 
 }  // namespace swfomc::io
 

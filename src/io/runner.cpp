@@ -258,7 +258,6 @@ NnfDocument MakeNnfDocument(const api::CompiledQuery& query,
   document.circuit = query.circuit();
   document.weights = query.GroundWeights({});
   document.weights.EnsureSize(document.circuit.variable_count());
-  if (query.complemented()) document.complement_tuples = query.tuple_count();
   document.expect = std::move(expect);
   return document;
 }
@@ -268,9 +267,6 @@ LiftedNnfDocument MakeLiftedNnfDocument(
     std::optional<std::pair<std::uint64_t, numeric::BigRational>> expect) {
   LiftedNnfDocument document;
   document.circuit = query.lifted_circuit();
-  if (query.complemented()) {
-    document.complement_arities = query.vocabulary().Arities();
-  }
   document.expect = std::move(expect);
   return document;
 }
@@ -288,8 +284,8 @@ EvalRunReport RunEval(const NnfDocument& document, std::string source) {
                              violation);
   }
   auto start = std::chrono::steady_clock::now();
-  report.complemented = document.complement_tuples.has_value();
-  report.value = document.Value();
+  report.complemented = document.circuit.complement().has_value();
+  report.value = document.circuit.Evaluate(document.weights);
   report.elapsed_seconds = SecondsSince(start);
 
   report.expected = document.expect;
@@ -319,8 +315,8 @@ EvalRunReport RunEval(const LiftedNnfDocument& document,
   report.domain_size = *domain_size;
 
   auto start = std::chrono::steady_clock::now();
-  report.complemented = document.complement_arities.has_value();
-  report.value = document.Value(*domain_size);
+  report.complemented = document.circuit.complement().has_value();
+  report.value = document.circuit.Evaluate(*domain_size);
   report.elapsed_seconds = SecondsSince(start);
 
   // The e line pins one (n, value) pair; it verifies nothing at any

@@ -4,30 +4,6 @@
 
 namespace swfomc::logic {
 
-namespace {
-
-// n^arity, with 0^0 = 1.
-std::uint64_t TupleCount(std::uint64_t domain_size, std::size_t arity) {
-  std::uint64_t tuples = 1;
-  for (std::size_t i = 0; i < arity; ++i) tuples *= domain_size;
-  return tuples;
-}
-
-}  // namespace
-
-numeric::BigRational TotalWeight(std::uint64_t domain_size,
-                                 const std::vector<std::size_t>& arities,
-                                 const WeightPairs& weights) {
-  numeric::BigRational total(1);
-  for (std::size_t id = 0; id < arities.size(); ++id) {
-    const auto& [positive, negative] = weights.at(id);
-    total *= numeric::BigRational::Pow(
-        positive + negative,
-        static_cast<std::int64_t>(TupleCount(domain_size, arities[id])));
-  }
-  return total;
-}
-
 RelationId Vocabulary::AddRelation(const std::string& name, std::size_t arity,
                                    numeric::BigRational positive_weight,
                                    numeric::BigRational negative_weight) {
@@ -65,7 +41,7 @@ void Vocabulary::SetWeights(RelationId id,
 std::uint64_t Vocabulary::GroundTupleCount(std::uint64_t domain_size) const {
   std::uint64_t total = 0;
   for (const Relation& r : relations_) {
-    total += TupleCount(domain_size, r.arity);
+    total += numeric::TupleCount(domain_size, r.arity);
   }
   return total;
 }
@@ -87,7 +63,7 @@ WeightPairs Vocabulary::Weights() const {
 }
 
 numeric::BigRational Vocabulary::TotalWeight(std::uint64_t domain_size) const {
-  return logic::TotalWeight(domain_size, Arities(), Weights());
+  return numeric::TotalWeight(domain_size, Arities(), Weights());
 }
 
 std::size_t Vocabulary::MaxArity() const {

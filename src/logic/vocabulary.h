@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "numeric/combinatorics.h"
 #include "numeric/rational.h"
 
 namespace swfomc::logic {
@@ -16,20 +17,7 @@ namespace swfomc::logic {
 using RelationId = std::size_t;
 
 /// Per-relation weight pairs (w_i, w̄_i), indexed by RelationId.
-using WeightPairs =
-    std::vector<std::pair<numeric::BigRational, numeric::BigRational>>;
-
-/// T(n) = Π_i (w_i + w̄_i)^(n^arity_i) over the relations i <
-/// arities.size(): the total weight of every structure on an n-element
-/// domain, WFOMC(true, n). Every structure satisfies exactly one of Φ and
-/// ¬Φ, so WFOMC(Φ, n) + WFOMC(¬Φ, n) = T(n) for every sentence Φ. T is
-/// exact and may be zero or negative. 0^0 = 1: a 0-ary relation has one
-/// tuple even at n = 0. `weights` needs at least arities.size() entries;
-/// later ones (the auxiliary predicates of an extended vocabulary) are
-/// ignored.
-numeric::BigRational TotalWeight(std::uint64_t domain_size,
-                                 const std::vector<std::size_t>& arities,
-                                 const WeightPairs& weights);
+using WeightPairs = numeric::WeightPairs;
 
 /// A weighted relational vocabulary (σ, w, w̄) in the paper's sense
 /// (Section 2): an ordered list of relation symbols R_1..R_m with arities,
@@ -84,7 +72,7 @@ class Vocabulary {
   std::vector<std::size_t> Arities() const;
   WeightPairs Weights() const;
 
-  /// logic::TotalWeight over every relation of the vocabulary.
+  /// numeric::TotalWeight over every relation of the vocabulary.
   numeric::BigRational TotalWeight(std::uint64_t domain_size) const;
 
   /// The maximum arity over all relations (0 for an empty vocabulary).

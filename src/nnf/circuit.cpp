@@ -19,6 +19,23 @@ std::string NodeName(Circuit::NodeId id) {
   return "node " + std::to_string(id);
 }
 
+// Π_{v < count} (w_v + w̄_v), one power per run of equal weight pairs
+// (under symmetric weights the tuples of one relation form one run).
+BigRational TotalWeight(const wmc::WeightMap& weights, VarId count) {
+  BigRational total(1);
+  for (VarId begin = 0; begin < count;) {
+    const wmc::VariableWeights& pair = weights.Get(begin);
+    VarId end = begin + 1;
+    while (end < count && weights.Get(end).positive == pair.positive &&
+           weights.Get(end).negative == pair.negative) {
+      ++end;
+    }
+    total *= BigRational::Pow(pair.Total(), end - begin);
+    begin = end;
+  }
+  return total;
+}
+
 }  // namespace
 
 Circuit::Circuit(std::uint32_t variable_count, std::vector<Node> nodes,
@@ -310,6 +327,15 @@ std::size_t Circuit::MemoryBytes() const {
   return bytes;
 }
 
+void Circuit::SetComplement(std::uint32_t variables) {
+  if (variables > variable_count_) {
+    throw std::invalid_argument(
+        "Circuit::SetComplement: " + std::to_string(variables) +
+        " variables exceed the circuit's " + std::to_string(variable_count_));
+  }
+  complement_ = variables;
+}
+
 numeric::BigRational Circuit::Evaluate(const wmc::WeightMap& weights) const {
   EvalArena arena;
   return Evaluate(weights, &arena);
@@ -332,8 +358,10 @@ numeric::BigRational Circuit::Evaluate(const wmc::WeightMap& weights,
           pair.positive.ToString() + ", " + pair.negative.ToString() + ")");
     }
   }
-  return scalable_ ? EvaluateTape(weights, arena)
-                   : EvaluateRational(weights, arena);
+  BigRational value = scalable_ ? EvaluateTape(weights, arena)
+                                : EvaluateRational(weights, arena);
+  if (!complement_.has_value()) return value;
+  return TotalWeight(weights, *complement_) - value;
 }
 
 numeric::BigRational Circuit::EvaluateTape(const wmc::WeightMap& weights,

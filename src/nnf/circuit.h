@@ -2,6 +2,7 @@
 #define SWFOMC_NNF_CIRCUIT_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,6 +50,13 @@ inline constexpr prop::VarId kNoDecision = 0xFFFFFFFFu;
 /// else, so the fold can never change an answer silently. Circuits with
 /// no boundary — traced from a raw CNF, parsed from `.nnf` — fold only
 /// their TRUE/FALSE nodes and accept any weights.
+///
+/// Complement. Under tuple-independent weights WMC(Φ) + WMC(¬Φ) = T, the
+/// total weight of the variables. A circuit may hold the d-DNNF of ¬Φ and
+/// stand for Φ (SetComplement; api::Engine's polarity step, the `.nnf`
+/// `t` line): Evaluate then returns T − WMC(nodes). The nodes, the stats
+/// and the `.nnf` node lines describe the ¬Φ circuit; every value
+/// Evaluate returns is Φ's.
 class Circuit {
  public:
   using NodeId = std::uint32_t;
@@ -108,6 +116,16 @@ class Circuit {
           std::vector<NodeId> edges, NodeId root,
           std::uint32_t auxiliary_begin = kNoAuxiliaries);
 
+  /// Makes the circuit stand for the complement of its nodes' function:
+  /// Evaluate returns T − WMC(nodes), where T = Π_{v < variables}
+  /// (w_v + w̄_v) is the total weight of the first `variables` variables —
+  /// the ground tuples; Tseitin auxiliaries stay out of T.
+  /// std::invalid_argument when `variables` exceeds variable_count().
+  void SetComplement(std::uint32_t variables);
+  /// The `variables` of SetComplement; nullopt for a circuit that stands
+  /// for its nodes' own function.
+  std::optional<std::uint32_t> complement() const { return complement_; }
+
   std::uint32_t variable_count() const { return variable_count_; }
   /// The first auxiliary variable (variable_count() when there are none).
   std::uint32_t auxiliary_begin() const { return auxiliary_begin_; }
@@ -123,7 +141,8 @@ class Circuit {
   }
 
   /// The weighted count: one bottom-up pass assigning TRUE → 1, FALSE →
-  /// 0, literal → its weight, AND → product, OR → sum. For circuits
+  /// 0, literal → its weight, AND → product, OR → sum, subtracted from T
+  /// when complement() is set. For circuits
   /// traced from DpllCounter this equals DpllCounter::Count() under the
   /// same weights, bit for bit, for every weight map that gives the
   /// auxiliary variables (1, 1) (including zero and negative weights
@@ -212,6 +231,7 @@ class Circuit {
   std::vector<numeric::BigInt> constants_;  // distinct folded values
   std::uint32_t tape_slots_ = 0;
   std::uint32_t root_ref_ = 0;  // the root's integer_values index
+  std::optional<std::uint32_t> complement_;
 };
 
 }  // namespace swfomc::nnf

@@ -95,6 +95,16 @@ LiftedCircuit::Weights LiftedCircuit::DefaultWeights() const {
   return weights;
 }
 
+void LiftedCircuit::SetComplement(std::vector<std::size_t> arities) {
+  if (arities.size() > relations_.size()) {
+    throw std::invalid_argument(
+        "LiftedCircuit::SetComplement: " + std::to_string(arities.size()) +
+        " arities exceed the circuit's " + std::to_string(relations_.size()) +
+        " relations");
+  }
+  complement_ = std::move(arities);
+}
+
 BigRational LiftedCircuit::Evaluate(std::uint64_t domain_size) const {
   return Evaluate(domain_size, DefaultWeights());
 }
@@ -180,7 +190,9 @@ BigRational LiftedCircuit::Evaluate(
       }
     }
   }
-  return value[root_];
+  if (!complement_.has_value()) return value[root_];
+  return numeric::TotalWeight(domain_size, *complement_, weights) -
+         value[root_];
 }
 
 LiftedCircuit::Stats LiftedCircuit::ComputeStats() const {
@@ -210,6 +222,9 @@ std::size_t LiftedCircuit::MemoryBytes() const {
                       edges_.capacity() * sizeof(NodeId) +
                       constants_.capacity() * sizeof(BigRational) +
                       relations_.capacity() * sizeof(Relation);
+  if (complement_.has_value()) {
+    bytes += complement_->capacity() * sizeof(std::size_t);
+  }
   for (const BigRational& constant : constants_) {
     bytes += constant.HeapBytes();
   }

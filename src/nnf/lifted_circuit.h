@@ -2,6 +2,7 @@
 #define SWFOMC_NNF_LIFTED_CIRCUIT_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -44,6 +45,11 @@ namespace swfomc::nnf {
 /// zero), so one circuit is exact for every weight vector — including
 /// zero and negative weights — and evaluation is bit-identical to the
 /// direct cell algorithm for every (n, weights).
+///
+/// Complement. Like the grounded circuit (circuit.h), a lifted circuit
+/// may hold the circuit of ¬Φ and stand for Φ (SetComplement): Evaluate
+/// then returns T(n) − the nodes' value, with T(n) the total weight of
+/// the original relations (numeric::TotalWeight).
 class LiftedCircuit {
  public:
   using NodeId = std::uint32_t;
@@ -86,8 +92,7 @@ class LiftedCircuit {
   };
 
   /// Per-relation weights for one evaluation: weights[id] = (w, w̄).
-  using Weights =
-      std::vector<std::pair<numeric::BigRational, numeric::BigRational>>;
+  using Weights = numeric::WeightPairs;
 
   LiftedCircuit() = default;
 
@@ -101,6 +106,19 @@ class LiftedCircuit {
                 std::vector<numeric::BigRational> constants,
                 std::vector<Node> nodes, std::vector<NodeId> edges,
                 NodeId root);
+
+  /// Makes the circuit stand for the complement of its nodes' function:
+  /// Evaluate returns T(n) − the nodes' value, with T over relations
+  /// 0..k-1 of arities `arities` (k = arities.size()) — the original
+  /// vocabulary, and not the Scott/Skolem predicates after it (the
+  /// relation table records no arity). std::invalid_argument when k
+  /// exceeds relations().size().
+  void SetComplement(std::vector<std::size_t> arities);
+  /// The arities of SetComplement; nullopt for a circuit that stands for
+  /// its nodes' own function.
+  const std::optional<std::vector<std::size_t>>& complement() const {
+    return complement_;
+  }
 
   const std::vector<Relation>& relations() const { return relations_; }
   const std::vector<numeric::BigRational>& constants() const {
@@ -124,7 +142,8 @@ class LiftedCircuit {
   /// WFOMC(Φ, n) under the compile-time weights.
   numeric::BigRational Evaluate(std::uint64_t domain_size) const;
 
-  /// WFOMC(Φ, n) under explicit per-relation weights (`weights` must
+  /// WFOMC(Φ, n) under explicit per-relation weights, subtracted from
+  /// T(n) when complement() is set (`weights` must
   /// cover relations().size() relations; zero and negative weights are
   /// fine). `binomials` and `values` are optional caller-owned scratch: a
   /// sweep passes one binomial table so Pascal rows are built once, and a
@@ -151,6 +170,7 @@ class LiftedCircuit {
   std::vector<Node> nodes_;
   std::vector<NodeId> edges_;
   NodeId root_ = 0;
+  std::optional<std::vector<std::size_t>> complement_;
 };
 
 }  // namespace swfomc::nnf

@@ -119,4 +119,23 @@ BigInt BinomialTable::Multinomial(std::uint64_t n,
   return result;
 }
 
+std::uint64_t TupleCount(std::uint64_t domain_size, std::size_t arity) {
+  std::uint64_t tuples = 1;
+  for (std::size_t i = 0; i < arity; ++i) tuples *= domain_size;
+  return tuples;
+}
+
+BigRational TotalWeight(std::uint64_t domain_size,
+                        const std::vector<std::size_t>& arities,
+                        const WeightPairs& weights) {
+  BigRational total(1);
+  for (std::size_t id = 0; id < arities.size(); ++id) {
+    const auto& [positive, negative] = weights.at(id);
+    total *= BigRational::Pow(
+        positive + negative,
+        static_cast<std::int64_t>(TupleCount(domain_size, arities[id])));
+  }
+  return total;
+}
+
 }  // namespace swfomc::numeric

@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "numeric/bigint.h"
+#include "numeric/rational.h"
 
 namespace swfomc::numeric {
 
@@ -38,6 +40,25 @@ void ForEachComposition(
 /// Number of weak compositions of `total` into `parts` summands:
 /// C(total + parts - 1, parts - 1).
 BigInt CompositionCount(std::uint64_t total, std::size_t parts);
+
+/// n^arity: the ground tuples of an arity-`arity` relation on an
+/// n-element domain, with 0^0 = 1 (a 0-ary relation has one tuple even at
+/// n = 0).
+std::uint64_t TupleCount(std::uint64_t domain_size, std::size_t arity);
+
+/// Per-relation weight pairs (w_i, w̄_i), indexed by relation id.
+using WeightPairs = std::vector<std::pair<BigRational, BigRational>>;
+
+/// T(n) = Π_i (w_i + w̄_i)^(n^arity_i) over the relations i <
+/// arities.size(): the total weight of every structure on an n-element
+/// domain, WFOMC(true, n). Every structure satisfies exactly one of Φ and
+/// ¬Φ, so WFOMC(Φ, n) + WFOMC(¬Φ, n) = T(n) for every sentence Φ. T is
+/// exact and may be zero or negative. `weights` needs at least
+/// arities.size() entries; later ones (the auxiliary predicates of an
+/// extended vocabulary) are ignored.
+BigRational TotalWeight(std::uint64_t domain_size,
+                        const std::vector<std::size_t>& arities,
+                        const WeightPairs& weights);
 
 /// Memoized factorial table: Get(n) extends the cache one multiplication
 /// at a time, so a sequence of calls costs one BigInt multiply per new n

@@ -367,7 +367,7 @@ TEST(LiftedNnfFormat, ComplementedCircuitRoundTripsThroughTheMarker) {
   vocabulary.SetWeights(vocabulary.Require("R"), BigRational(2),
                         BigRational::Fraction(-1, 3));
   vocabulary.AddRelation("Z", 1, BigRational(-3), BigRational(2));
-  vocabulary.AddRelation("P", 0, BigRational(1), BigRational(-1));
+  vocabulary.AddRelation("P", 0, BigRational(2), BigRational(-3));
   Engine engine(vocabulary);
   CompileResult compiled = engine.Compile(sentence, CompileOptions{});
   ASSERT_TRUE(compiled.compiled.has_value());
@@ -375,6 +375,8 @@ TEST(LiftedNnfFormat, ComplementedCircuitRoundTripsThroughTheMarker) {
   ASSERT_TRUE(compiled.compiled->complemented());
 
   const BigRational at3 = fo2::LiftedWFOMC(sentence, vocabulary, 3);
+  // Nonzero, so a circuit that dropped the complement could not agree.
+  ASSERT_FALSE(at3.IsZero());
   std::string text = io::PrintLiftedNnf(
       io::MakeLiftedNnfDocument(*compiled.compiled, {{3, at3}}));
   const std::string marker = "\nt 2 1 1 0\n";
@@ -384,14 +386,29 @@ TEST(LiftedNnfFormat, ComplementedCircuitRoundTripsThroughTheMarker) {
   for (std::uint64_t n = 1; n <= 5; ++n) {
     SCOPED_TRACE("n=" + std::to_string(n));
     // The polarity-free lifted count of Φ itself.
-    EXPECT_EQ(parsed.Value(n), fo2::LiftedWFOMC(sentence, vocabulary, n));
+    EXPECT_EQ(parsed.circuit.Evaluate(n),
+              fo2::LiftedWFOMC(sentence, vocabulary, n));
+    // The compiled query's own circuit, evaluated by the caller under
+    // reweights, answers Φ as well.
+    std::vector<RelationWeights> reweights = {
+        {"R", BigRational(-1), BigRational(3)},
+        {"Z", BigRational(0), BigRational(1)}};
+    logic::Vocabulary reweighted = vocabulary;
+    reweighted.SetWeights(reweighted.Require("R"), BigRational(-1),
+                          BigRational(3));
+    reweighted.SetWeights(reweighted.Require("Z"), BigRational(0),
+                          BigRational(1));
+    EXPECT_EQ(compiled.compiled->lifted_circuit().Evaluate(
+                  n, compiled.compiled->LiftedWeights(reweights)),
+              fo2::LiftedWFOMC(sentence, reweighted, n));
   }
-  EXPECT_EQ(parsed.Value(2), grounding::GroundedWFOMC(sentence, vocabulary, 2));
+  EXPECT_EQ(parsed.circuit.Evaluate(2),
+            grounding::GroundedWFOMC(sentence, vocabulary, 2));
 
   io::LiftedNnfDocument plain =
       io::ParseLiftedNnf(text.erase(text.find(marker) + 1, 10));
-  EXPECT_FALSE(plain.complement_arities.has_value());
-  EXPECT_EQ(plain.Value(3),
+  EXPECT_FALSE(plain.circuit.complement().has_value());
+  EXPECT_EQ(plain.circuit.Evaluate(3),
             fo2::LiftedWFOMC(logic::ToNNF(logic::Not(sentence)), vocabulary,
                              3));
 }

@@ -99,8 +99,12 @@ Circuit WithRationalEvaluation(const Circuit& circuit) {
   nodes.push_back({.kind = NodeKind::kAnd,
                    .children_begin = begin,
                    .children_end = begin + 2});
-  return Circuit(circuit.variable_count(), std::move(nodes), std::move(edges),
-                 circuit.root());
+  Circuit rational(circuit.variable_count(), std::move(nodes),
+                   std::move(edges), circuit.root());
+  if (circuit.complement().has_value()) {
+    rational.SetComplement(*circuit.complement());
+  }
+  return rational;
 }
 
 // The per-relation weight regimes every engine-compiled circuit is
@@ -532,13 +536,19 @@ TEST(Tape, EngineCompiledCircuitsMatchRecountUnderEveryRegime) {
       }
       std::vector<std::vector<RelationWeights>> regimes =
           WeightRegimes(vocabulary);
-      // Negative, zero, shared-denominator and ±2^62 weights.
+      // Negative, zero, shared-denominator and ±2^62 weights. The
+      // circuit itself, evaluated by a caller under GroundWeights the way
+      // a server replays a cached circuit, answers Φ too, although its
+      // nodes count ¬Φ.
+      ASSERT_TRUE(compiled.complemented());
       for (const std::vector<RelationWeights>& regime :
            {regimes[2], regimes[3], regimes[4], regimes[5]}) {
-        EXPECT_EQ(compiled.Evaluate(n, regime, &arena),
-                  Recount(vocabulary, sentence, n, regime))
+        const BigRational expected = Recount(vocabulary, sentence, n, regime);
+        EXPECT_EQ(compiled.Evaluate(n, regime, &arena), expected)
             << "regime starting (" << regime.front().positive.ToString()
             << ", " << regime.front().negative.ToString() << ")";
+        EXPECT_EQ(circuit.Evaluate(compiled.GroundWeights(regime), &arena),
+                  expected);
       }
     }
   }
@@ -552,11 +562,13 @@ TEST(Tape, ReweightingAnAuxiliaryThrows) {
   const Circuit& circuit = compiled.circuit();
   ASSERT_LT(circuit.auxiliary_begin(), circuit.variable_count());
   WeightMap weights = compiled.GroundWeights({});
-  // The circuit counts the triangle's complement.
+  // The circuit's nodes count the triangle's complement, and the circuit
+  // subtracts them from the total weight of the tuples.
   ASSERT_TRUE(compiled.complemented());
-  const BigRational complement_count = grounding::GroundedWFOMC(
-      logic::ToNNF(logic::Not(sentence)), vocabulary, 3);
-  EXPECT_EQ(circuit.Evaluate(weights), complement_count);
+  ASSERT_EQ(circuit.complement(),
+            std::optional<std::uint32_t>(compiled.tuple_count()));
+  const BigRational direct = grounding::GroundedWFOMC(sentence, vocabulary, 3);
+  EXPECT_EQ(circuit.Evaluate(weights), direct);
   WeightMap first = weights;
   first.Set(circuit.auxiliary_begin(), BigRational(2), BigRational(1));
   EXPECT_THROW(circuit.Evaluate(first), std::invalid_argument);
@@ -565,7 +577,7 @@ TEST(Tape, ReweightingAnAuxiliaryThrows) {
   Circuit::EvalArena arena;
   EXPECT_THROW(circuit.Evaluate(last, &arena), std::invalid_argument);
   // A rejected call leaves the arena usable.
-  EXPECT_EQ(circuit.Evaluate(weights, &arena), complement_count);
+  EXPECT_EQ(circuit.Evaluate(weights, &arena), direct);
 
   // The same circuit parsed back from `.nnf` names no auxiliaries, so it
   // takes any weights; the rational pass over the same nodes agrees.
@@ -597,12 +609,13 @@ TEST(NnfFormat, ComplementedCircuitRoundTripsThroughTheMarker) {
   logic::Vocabulary vocabulary;
   logic::Formula sentence = logic::Parse(kTriangle, &vocabulary);
   vocabulary.AddRelation("Z", 1, BigRational(-3), BigRational(2));
-  vocabulary.AddRelation("P", 0, BigRational(1), BigRational(-1));
+  vocabulary.AddRelation("P", 0, BigRational(2), BigRational(-3));
   Engine engine(vocabulary);
   CompiledQuery compiled = CompileGrounded(&engine, sentence, 3);
   ASSERT_TRUE(compiled.complemented());
   ASSERT_EQ(compiled.tuple_count(), 9u + 3u + 1u);
   const BigRational direct = grounding::GroundedWFOMC(sentence, vocabulary, 3);
+  ASSERT_FALSE(direct.IsZero());
   EXPECT_EQ(compiled.compile_count(), direct);
 
   std::string text = io::PrintNnf(io::MakeNnfDocument(compiled, direct));
@@ -610,18 +623,19 @@ TEST(NnfFormat, ComplementedCircuitRoundTripsThroughTheMarker) {
   ASSERT_NE(text.find(marker), std::string::npos) << text.substr(0, 200);
   NnfDocument parsed = io::ParseNnf(text, "complemented.nnf");
   EXPECT_EQ(io::PrintNnf(parsed), text);
-  EXPECT_EQ(parsed.complement_tuples, std::optional<std::uint32_t>(13));
+  EXPECT_EQ(parsed.circuit.complement(), std::optional<std::uint32_t>(13));
   ASSERT_TRUE(parsed.expect.has_value());
-  EXPECT_EQ(parsed.Value(), *parsed.expect);
+  EXPECT_EQ(parsed.circuit.Evaluate(parsed.weights), *parsed.expect);
   for (const std::vector<RelationWeights>& regime :
        WeightRegimes(vocabulary)) {
     parsed.weights = compiled.GroundWeights(regime);
-    EXPECT_EQ(parsed.Value(), Recount(vocabulary, sentence, 3, regime));
+    EXPECT_EQ(parsed.circuit.Evaluate(parsed.weights),
+              Recount(vocabulary, sentence, 3, regime));
   }
 
   NnfDocument plain = io::ParseNnf(text.erase(text.find(marker) + 1, 5));
-  EXPECT_FALSE(plain.complement_tuples.has_value());
-  EXPECT_EQ(plain.Value(),
+  EXPECT_FALSE(plain.circuit.complement().has_value());
+  EXPECT_EQ(plain.circuit.Evaluate(plain.weights),
             grounding::GroundedWFOMC(logic::ToNNF(logic::Not(sentence)),
                                      vocabulary, 3));
 }

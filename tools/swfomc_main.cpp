@@ -744,11 +744,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    // The one usage rule that reads the operands, checked before any sink
-    // opens (and truncates) its file.
+    // The one usage rule that reads the operands (their header lines
+    // only), checked before any sink opens (and truncates) its file. A
+    // file without a grounded header is left to the parser's diagnostic.
     if (options.domain.has_value()) {
       for (const std::string& path : options.files) {
-        if (!swfomc::io::IsLiftedNnfFile(path)) {
+        if (swfomc::io::NnfHeaderToken(path) == "nnf") {
           throw UsageError("--domain does not apply to '" + path +
                            "': a grounded circuit fixes its domain size at "
                            "compile time (compile a lifted circuit to sweep "
