@@ -104,6 +104,9 @@ printf 'garbage directive\n' > "$workdir/bad.model"
 expect 2 "$bin" run "$workdir/bad.model"
 printf 'nnf 1 0 1\nL 2\n' > "$workdir/bad.nnf"        # literal out of range
 expect 2 "$bin" eval "$workdir/bad.nnf"
+printf 'nnf 2 2 1\nL 1\nA 2 0 0\n' > "$workdir/shared.nnf" # AND(x1, x1) is
+expect 2 "$bin" eval "$workdir/shared.nnf"              # not decomposable
+expect 2 "$bin" print "$workdir/shared.nnf"
 
 # 1: the count disagrees with the pinned expectation.
 printf 'sentence forall x R(x)\ndomain 1\nexpect 5\n' > "$workdir/wrong.model"
@@ -189,6 +192,16 @@ printf 'sentence forall x R(x)\ndomain 1\nexpect 1\n' > "$workdir/right.model"
 expect 0 "$bin" run --check "$workdir/right.model"
 expect 0 "$bin" compile --check --out-dir "$workdir/nnf" "$workdir/right.model"
 expect 0 "$bin" eval --check "$workdir/nnf/right.nnf"
+# A circuit need not be smooth, nor mention every variable: eval reports
+# the weighted model count over all declared variables.
+printf 'nnf 5 4 2\nw 1 2 3\nw 2 5 7\ne 39\nL 1\nL -1\nL 2\nA 2 1 2\nO 1 2 0 3\n' \
+  > "$workdir/nonsmooth.nnf"                            # OR(x1, ¬x1 ∧ x2)
+expect 0 "$bin" eval --check "$workdir/nonsmooth.nnf"
+printf 'nnf 5 4 2\ne 3\nL 1\nL -1\nL 2\nA 2 1 2\nO 1 2 0 3\n' \
+  > "$workdir/nonsmooth-unit.nnf"
+expect 0 "$bin" eval --check "$workdir/nonsmooth-unit.nnf"
+printf 'nnf 1 0 2\ne 2\nL 1\n' > "$workdir/uncovered.nnf" # x2 unmentioned
+expect 0 "$bin" eval --check "$workdir/uncovered.nnf"
 
 # 0: observability sinks on a counting command write real files; an
 # unwritable sink is an I/O failure (exit 2), not a usage error.

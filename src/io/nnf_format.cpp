@@ -42,9 +42,16 @@ class NnfParser {
                std::to_string(edges_.size()));
     }
     NnfDocument document;
-    document.circuit = nnf::Circuit(
-        variable_count_, std::move(nodes_), std::move(edges_),
-        static_cast<nnf::Circuit::NodeId>(declared_nodes_ - 1));
+    try {
+      document.circuit = nnf::Circuit(
+          variable_count_, std::move(nodes_), std::move(edges_),
+          static_cast<nnf::Circuit::NodeId>(declared_nodes_ - 1));
+    } catch (const nnf::NonDecomposableAnd& error) {
+      Fail({node_lines_[error.node], 1},
+           "AND node " + std::to_string(error.node) +
+               " is not decomposable: children share variable " +
+               std::to_string(error.variable + 1));
+    }
     document.weights = std::move(weights_);
     document.weights.EnsureSize(variable_count_);
     if (complement_tuples_.has_value()) {
@@ -184,6 +191,7 @@ class NnfParser {
       Fail({line_, head.column},
            "more nodes than the header's " + std::to_string(declared_nodes_));
     }
+    node_lines_.push_back(line_);
     if (head.text == "L") {
       RequireTokenCount(tokens, 2, "literal node");
       std::int64_t literal =
@@ -257,6 +265,7 @@ class NnfParser {
   std::uint32_t variable_count_ = 0;
   std::vector<nnf::Circuit::Node> nodes_;
   std::vector<nnf::Circuit::NodeId> edges_;
+  std::vector<std::size_t> node_lines_;  // the file line of each node
   wmc::WeightMap weights_;
   std::vector<bool> weight_set_;
   std::optional<std::uint32_t> complement_tuples_;

@@ -48,11 +48,14 @@ struct NnfDocument {
 /// earlier ids (the file is a topologically ordered DAG) and the root is
 /// the last node, as written by c2d/MiniC2D. Weight, `t` and `e` lines
 /// are this dialect's extension — a file without them is plain c2d output
-/// and evaluates as unweighted model counting.
+/// and evaluates as unweighted model counting. The value is the weighted
+/// model count over all n declared variables: ORs need not be smooth, and
+/// the root need not mention every variable (nnf::Circuit smooths).
 ///
 /// Malformed input — a missing or wrong-count header, children that do
 /// not precede their parent, out-of-range literals or decisions, a bad
-/// edge total, duplicate weight lines — throws io::ParseError with
+/// edge total, duplicate weight lines, an AND whose children share a
+/// variable (reported at the AND's line) — throws io::ParseError with
 /// `source` and the offending line/column; never crashes.
 NnfDocument ParseNnf(std::string_view text, std::string_view source = "");
 

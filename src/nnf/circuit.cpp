@@ -38,6 +38,14 @@ BigRational TotalWeight(const wmc::WeightMap& weights, VarId count) {
 
 }  // namespace
 
+NonDecomposableAnd::NonDecomposableAnd(std::uint32_t and_node,
+                                       prop::VarId shared)
+    : std::invalid_argument("Circuit: AND " + NodeName(and_node) +
+                            " is not decomposable: children share variable " +
+                            std::to_string(shared)),
+      node(and_node),
+      variable(shared) {}
+
 Circuit::Circuit(std::uint32_t variable_count, std::vector<Node> nodes,
                  std::vector<NodeId> edges, NodeId root,
                  std::uint32_t auxiliary_begin)
@@ -97,24 +105,12 @@ Circuit::Circuit(std::uint32_t variable_count, std::vector<Node> nodes,
         break;
     }
   }
-  // One bitset pass decides whether the integer-scaled evaluation is
-  // sound: every AND must be variable-disjoint and every OR smooth (all
-  // children with the same variable set), in which case each product
-  // term of a node covers its variable set with exactly one literal — so
-  // clearing each variable's weight denominator scales the total by one
-  // known factor. Only the root's set outlives the pass.
-  std::vector<std::uint64_t> varsets = NodeVarsets(&scalable_);
-  std::size_t words = VarsetWords();
-  root_varset_.assign(
-      varsets.begin() + static_cast<std::ptrdiff_t>(root_ * words),
-      varsets.begin() + static_cast<std::ptrdiff_t>((root_ + 1) * words));
-  if (scalable_) LowerTape();
+  LowerTape(NodeVarsets());
 }
 
-std::vector<std::uint64_t> Circuit::NodeVarsets(bool* scalable) const {
+std::vector<std::uint64_t> Circuit::NodeVarsets() const {
   std::size_t words = VarsetWords();
   std::vector<std::uint64_t> varsets(nodes_.size() * words, 0);
-  bool disjoint_and_smooth = true;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
     std::uint64_t* set = varsets.data() + static_cast<std::size_t>(id) * words;
@@ -128,36 +124,27 @@ std::vector<std::uint64_t> Circuit::NodeVarsets(bool* scalable) const {
         break;
       }
       case NodeKind::kAnd:
+      case NodeKind::kOr:
         for (NodeId child : Children(id)) {
           const std::uint64_t* child_set =
               varsets.data() + static_cast<std::size_t>(child) * words;
           for (std::size_t w = 0; w < words; ++w) {
-            if ((set[w] & child_set[w]) != 0) disjoint_and_smooth = false;
-            set[w] |= child_set[w];
-          }
-        }
-        break;
-      case NodeKind::kOr: {
-        std::span<const NodeId> children = Children(id);
-        for (NodeId child : children) {
-          const std::uint64_t* child_set =
-              varsets.data() + static_cast<std::size_t>(child) * words;
-          for (std::size_t w = 0; w < words; ++w) {
-            if (child != children.front() && set[w] != child_set[w]) {
-              disjoint_and_smooth = false;
+            std::uint64_t shared = set[w] & child_set[w];
+            if (node.kind == NodeKind::kAnd && shared != 0) {
+              throw NonDecomposableAnd(
+                  id, static_cast<VarId>(w * 64 + static_cast<std::size_t>(
+                                                      std::countr_zero(shared))));
             }
             set[w] |= child_set[w];
           }
         }
         break;
-      }
     }
   }
-  if (scalable != nullptr) *scalable = disjoint_and_smooth;
   return varsets;
 }
 
-void Circuit::LowerTape() {
+void Circuit::LowerTape(const std::vector<std::uint64_t>& varsets) {
   using numeric::BigInt;
   // References while lowering: a literal input is its compact literal id
   // (< inputs), a constant carries kConstantRef over its constants_
@@ -165,8 +152,7 @@ void Circuit::LowerTape() {
   // numbering — inputs, then constants, then slots, all indices into
   // EvalArena::integer_values — is assigned once the whole tape, and so
   // every value's last reader, is known.
-  if (2 * std::uint64_t{auxiliary_begin_} + nodes_.size() + edges_.size() >=
-      kConstantRef) {
+  if (2 * std::uint64_t{auxiliary_begin_} >= kConstantRef) {
     throw std::invalid_argument("Circuit: too large for the evaluation tape");
   }
   const std::uint32_t inputs = 2 * auxiliary_begin_;
@@ -183,7 +169,88 @@ void Circuit::LowerTape() {
     return kConstantRef | it->second;
   };
 
+  // The product (or sum) of `terms` as one op. The non-constant terms
+  // become its operands; the constant ones fold into one coefficient,
+  // starting from the neutral element, and a zero factor absorbs the
+  // whole product. Returns the value's reference: a constant, an alias of
+  // a lone operand, or the new op.
+  auto combine = [&](bool product,
+                     std::span<const std::uint32_t> terms) -> std::uint32_t {
+    const std::uint32_t neutral = product ? kOne : kZero;
+    const std::size_t first = operands_.size();
+    BigInt coefficient(product ? 1 : 0);
+    bool folded = false;
+    for (std::uint32_t term : terms) {
+      if ((term & kConstantRef) == 0) {
+        operands_.push_back(term);
+      } else if (term != neutral) {
+        const BigInt& value = constants_[term & ~kConstantRef];
+        if (product) {
+          coefficient *= value;
+        } else {
+          coefficient += value;
+        }
+        folded = true;
+      }
+    }
+    std::uint32_t constant = folded ? intern(std::move(coefficient)) : neutral;
+    std::size_t pending = operands_.size() - first;
+    if (pending == 0 || (product && constant == kZero)) {
+      operands_.resize(first);
+      return constant;
+    }
+    if (pending == 1 && constant == neutral) {
+      std::uint32_t alias = operands_.back();
+      operands_.pop_back();
+      return alias;
+    }
+    if (constant != neutral) operands_.push_back(constant);
+    if (operands_.size() >= kConstantRef ||
+        inputs + tape_.size() >= kConstantRef) {
+      throw std::invalid_argument("Circuit: too large for the evaluation tape");
+    }
+    tape_.push_back(
+        {.operands_end = static_cast<std::uint32_t>(operands_.size()),
+         .product = product});
+    return inputs + static_cast<std::uint32_t>(tape_.size() - 1);
+  };
+
+  // Smoothing: `reference` times (w_v + w̄_v) for every non-auxiliary
+  // variable in `want` but not in `have`. Each sum is one op, emitted on
+  // first use and shared; zero stays zero.
+  const std::size_t words = VarsetWords();
+  auto varset = [&](NodeId id) {
+    return varsets.data() + static_cast<std::size_t>(id) * words;
+  };
+  std::vector<std::uint64_t> weighted(words, 0);  // v < auxiliary_begin_
+  for (VarId v = 0; v < auxiliary_begin_; ++v) {
+    weighted[v / 64] |= std::uint64_t{1} << (v % 64);
+  }
+  std::vector<std::uint32_t> sums(auxiliary_begin_, kNoOp);
+  std::vector<std::uint32_t> factors;
+  auto smooth = [&](std::uint32_t reference, const std::uint64_t* have,
+                    const std::uint64_t* want) -> std::uint32_t {
+    if (reference == kZero) return reference;
+    factors.clear();
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t missing = want[w] & weighted[w] & ~have[w];
+           missing != 0; missing &= missing - 1) {
+        auto v = static_cast<VarId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(missing)));
+        if (sums[v] == kNoOp) {
+          const std::uint32_t literals[] = {prop::MakeLit(v, true),
+                                            prop::MakeLit(v, false)};
+          sums[v] = combine(false, literals);
+        }
+        if (factors.empty()) factors.push_back(reference);
+        factors.push_back(sums[v]);
+      }
+    }
+    return factors.empty() ? reference : combine(true, factors);
+  };
+
   std::vector<std::uint32_t> ref(root_ + 1, kZero);
+  std::vector<std::uint32_t> terms;
   operands_.reserve(edges_.size());
   for (NodeId id = 0; id <= root_; ++id) {
     const Node& node = nodes_[id];
@@ -203,45 +270,15 @@ void Circuit::LowerTape() {
       case NodeKind::kOr:
         break;
     }
-    // The non-constant children become the op's operands; the constant
-    // ones fold into one coefficient, starting from the neutral element.
-    // A zero factor absorbs the whole product.
     const bool product = node.kind == NodeKind::kAnd;
-    const std::uint32_t neutral = product ? kOne : kZero;
-    const std::size_t first = operands_.size();
-    BigInt coefficient(product ? 1 : 0);
-    bool folded = false;
+    terms.clear();
     for (NodeId child : Children(id)) {
-      std::uint32_t child_ref = ref[child];
-      if ((child_ref & kConstantRef) == 0) {
-        operands_.push_back(child_ref);
-      } else if (child_ref != neutral) {
-        const BigInt& value = constants_[child_ref & ~kConstantRef];
-        if (product) {
-          coefficient *= value;
-        } else {
-          coefficient += value;
-        }
-        folded = true;
-      }
+      terms.push_back(product ? ref[child]
+                              : smooth(ref[child], varset(child), varset(id)));
     }
-    std::uint32_t constant = folded ? intern(std::move(coefficient)) : neutral;
-    std::size_t pending = operands_.size() - first;
-    if (pending == 0 || (product && constant == kZero)) {
-      ref[id] = constant;
-      operands_.resize(first);
-    } else if (pending == 1 && constant == neutral) {
-      ref[id] = operands_.back();
-      operands_.pop_back();
-    } else {
-      if (constant != neutral) operands_.push_back(constant);
-      ref[id] = inputs + static_cast<std::uint32_t>(tape_.size());
-      tape_.push_back(
-          {.operands_end = static_cast<std::uint32_t>(operands_.size()),
-           .product = product});
-    }
+    ref[id] = combine(product, terms);
   }
-  root_ref_ = ref[root_];
+  root_ref_ = smooth(ref[root_], varset(root_), weighted.data());
 
   // Liveness, in one backward sweep: the first reader met is a value's
   // last. An op no live op reads — one outside the root's cone, or
@@ -317,7 +354,6 @@ void Circuit::LowerTape() {
 std::size_t Circuit::MemoryBytes() const {
   std::size_t bytes = nodes_.capacity() * sizeof(Node) +
                       edges_.capacity() * sizeof(NodeId) +
-                      root_varset_.capacity() * sizeof(std::uint64_t) +
                       tape_.capacity() * sizeof(TapeOp) +
                       operands_.capacity() * sizeof(std::uint32_t) +
                       constants_.capacity() * sizeof(numeric::BigInt);
@@ -358,30 +394,24 @@ numeric::BigRational Circuit::Evaluate(const wmc::WeightMap& weights,
           pair.positive.ToString() + ", " + pair.negative.ToString() + ")");
     }
   }
-  BigRational value = scalable_ ? EvaluateTape(weights, arena)
-                                : EvaluateRational(weights, arena);
-  if (!complement_.has_value()) return value;
-  return TotalWeight(weights, *complement_) - value;
+  BigRational count = EvaluateTape(weights, arena);
+  if (!complement_.has_value()) return count;
+  return TotalWeight(weights, *complement_) - count;
 }
 
 numeric::BigRational Circuit::EvaluateTape(const wmc::WeightMap& weights,
                                            EvalArena* arena) const {
+  // Clear denominators per variable (wmc::ClearDenominators scales both
+  // phases of v by d_v). Smoothing made every root term pick exactly one
+  // literal per non-auxiliary variable, so the root total is scaled by
+  // exactly Π d_v — divide once at the end. Auxiliaries weigh (1, 1), so
+  // their folded literals need no input.
   using numeric::BigInt;
-  // Clear denominators per covered variable (wmc::ClearDenominators scales
-  // both phases of v by d_v). Each root product term picks exactly one
-  // literal per covered variable (that is what scalable_ certifies), so
-  // the root total is scaled by exactly Π d_v — divide once at the end.
-  // Auxiliaries weigh (1, 1), so d_v = 1 for them and their folded
-  // literals need no input. Inputs of variables outside the root's set
-  // are never read.
   const std::size_t inputs = 2 * static_cast<std::size_t>(auxiliary_begin_);
   std::vector<BigInt>& value = arena->integer_values;
   value.resize(inputs + constants_.size() + tape_slots_);
   BigInt denominator(1);
   for (VarId v = 0; v < auxiliary_begin_; ++v) {
-    if ((root_varset_[v / 64] & (std::uint64_t{1} << (v % 64))) == 0) {
-      continue;
-    }
     wmc::ScaledWeights scaled = wmc::ClearDenominators(weights.Get(v));
     value[prop::MakeLit(v, true)] = std::move(scaled.positive);
     value[prop::MakeLit(v, false)] = std::move(scaled.negative);
@@ -403,42 +433,6 @@ numeric::BigRational Circuit::EvaluateTape(const wmc::WeightMap& weights,
   // Moving the root value out leaves a valid (zero) entry; every entry is
   // rewritten before it is read on the next evaluation.
   return BigRational(std::move(value[root_ref_]), std::move(denominator));
-}
-
-numeric::BigRational Circuit::EvaluateRational(const wmc::WeightMap& weights,
-                                               EvalArena* arena) const {
-  std::vector<BigRational>& value = arena->rational_values;
-  value.resize(nodes_.size());
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    switch (node.kind) {
-      case NodeKind::kTrue:
-        value[id] = BigRational(1);
-        break;
-      case NodeKind::kFalse:
-        value[id] = BigRational(0);
-        break;
-      case NodeKind::kLiteral:
-        value[id] = weights.LiteralWeight(LitVariable(node.literal),
-                                          LitPositive(node.literal));
-        break;
-      case NodeKind::kAnd: {
-        BigRational product(1);
-        for (NodeId child : Children(id)) product *= value[child];
-        value[id] = std::move(product);
-        break;
-      }
-      case NodeKind::kOr: {
-        BigRational sum;
-        for (NodeId child : Children(id)) sum += value[child];
-        value[id] = std::move(sum);
-        break;
-      }
-    }
-  }
-  BigRational result = std::move(value[root_]);
-  value[root_] = BigRational(0);  // keep every arena slot a valid value
-  return result;
 }
 
 Circuit::Stats Circuit::ComputeStats() const {
@@ -520,12 +514,6 @@ bool Circuit::Validate(std::string* error) const {
     if (error != nullptr) *error = message;
     return false;
   };
-  // The audit rebuilds the per-node variable sets (construction keeps
-  // only the root's) and re-walks AND children against a scratch
-  // accumulator to name the shared variable of a violation.
-  const std::size_t words = VarsetWords();
-  std::vector<std::uint64_t> varsets = NodeVarsets(nullptr);
-  std::vector<std::uint64_t> accumulated(words);
   std::vector<FixedPhase> phases_a;
   std::vector<FixedPhase> phases_b;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -534,26 +522,8 @@ bool Circuit::Validate(std::string* error) const {
       case NodeKind::kTrue:
       case NodeKind::kFalse:
       case NodeKind::kLiteral:
+      case NodeKind::kAnd:
         break;
-      case NodeKind::kAnd: {
-        std::fill(accumulated.begin(), accumulated.end(), 0);
-        for (NodeId child : Children(id)) {
-          const std::uint64_t* child_set =
-              varsets.data() + static_cast<std::size_t>(child) * words;
-          for (std::size_t w = 0; w < words; ++w) {
-            if ((accumulated[w] & child_set[w]) != 0) {
-              return fail("AND " + NodeName(id) +
-                          " is not decomposable: children share variable " +
-                          std::to_string(
-                              w * 64 +
-                              static_cast<std::size_t>(std::countr_zero(
-                                  accumulated[w] & child_set[w]))));
-            }
-            accumulated[w] |= child_set[w];
-          }
-        }
-        break;
-      }
       case NodeKind::kOr: {
         std::span<const NodeId> children = Children(id);
         if (node.decision != kNoDecision) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,14 @@ enum class NodeKind : std::uint8_t { kTrue, kFalse, kLiteral, kAnd, kOr };
 /// Decision annotation of an OR node that records no decision variable.
 inline constexpr prop::VarId kNoDecision = 0xFFFFFFFFu;
 
+/// Thrown by the Circuit constructor for an AND whose children share a
+/// variable. It names the AND so a parser can point at its line.
+struct NonDecomposableAnd : std::invalid_argument {
+  NonDecomposableAnd(std::uint32_t and_node, prop::VarId shared);
+  std::uint32_t node;
+  prop::VarId variable;
+};
+
 /// A compiled query circuit in a flat arena: nodes in topological order
 /// (every child has a smaller id than its parent), children in one shared
 /// edge array addressed by per-node spans. The circuit is a DAG — cache
@@ -30,9 +39,19 @@ inline constexpr prop::VarId kNoDecision = 0xFFFFFFFFu;
 /// one linear bottom-up pass, so a query compiled once answers any
 /// subsequent weight vector in O(nodes + edges) exact operations.
 ///
-/// Evaluation tape. A decomposable, smooth circuit (every traced circuit
-/// is one) is lowered once, at construction, into a flat tape of exact
-/// BigInt operations, and that tape is what Evaluate runs. Lowering:
+/// Every AND is decomposable: the constructor rejects one whose children
+/// share a variable. ORs need not be smooth, and the root need not mention
+/// every variable (c2d-style compilers emit such circuits). The circuit
+/// stands for its weighted model count over all the non-auxiliary
+/// variables, so lowering smooths it.
+///
+/// Evaluation tape. The circuit is lowered once, at construction, into a
+/// flat tape of exact BigInt operations, and that tape is what Evaluate
+/// runs. Lowering:
+///   - multiplies each OR child that lacks some of its parent's variables
+///     by one (w_v + w̄_v) per missing variable, and the root by one per
+///     variable it does not mention; each such sum is one op, emitted
+///     once per variable and shared (a child that folds to 0 needs none);
 ///   - folds TRUE/FALSE nodes and auxiliary-variable literals (below)
 ///     into constant coefficients, interned once per distinct value;
 ///   - drops AND/OR nodes left with one non-constant child and a neutral
@@ -89,10 +108,12 @@ class Circuit {
   /// non-auxiliary variables, then the folded constants, then the tape's
   /// live value slots (a few thousand on a circuit of 10^5 nodes, not one
   /// per node).
-  /// `rational_values` is the per-node column of the rational pass that
-  /// non-smooth parsed circuits take. A caller serving many weight
-  /// vectors against the same circuit passes one arena to every Evaluate
-  /// call; after the first evaluation the buffers hold their capacity.
+  /// `rational_values` is lifted-only scratch: Circuit::Evaluate never
+  /// touches it; callers that serve both circuit kinds from one arena
+  /// (api::CompiledQuery::Evaluate) hand it to LiftedCircuit::Evaluate.
+  /// A caller serving many weight vectors against the same circuit passes
+  /// one arena to every Evaluate call; after the first evaluation the
+  /// buffers hold their capacity.
   /// The arena carries no state between calls — every entry is written
   /// before it is read — and one arena can serve circuits of different
   /// sizes (the vectors are resized per call). Not thread-safe: one
@@ -109,9 +130,10 @@ class Circuit {
   /// every child id smaller than its parent's id (topological, acyclic);
   /// children spans nested in `edges`; constants and literals childless;
   /// literal variables and OR decisions inside `variable_count`;
-  /// `root < nodes.size()`. Variables at or above `auxiliary_begin` are
-  /// Tseitin auxiliaries (see the class comment); the grounded compiler
-  /// passes its tuple count, everything else leaves the default.
+  /// `root < nodes.size()`; every AND decomposable (NonDecomposableAnd
+  /// otherwise). Variables at or above `auxiliary_begin` are Tseitin
+  /// auxiliaries (see the class comment); the grounded compiler passes
+  /// its tuple count, everything else leaves the default.
   Circuit(std::uint32_t variable_count, std::vector<Node> nodes,
           std::vector<NodeId> edges, NodeId root,
           std::uint32_t auxiliary_begin = kNoAuxiliaries);
@@ -140,23 +162,23 @@ class Circuit {
             edges_.data() + nodes_[id].children_end};
   }
 
-  /// The weighted count: one bottom-up pass assigning TRUE → 1, FALSE →
-  /// 0, literal → its weight, AND → product, OR → sum, subtracted from T
-  /// when complement() is set. For circuits
-  /// traced from DpllCounter this equals DpllCounter::Count() under the
-  /// same weights, bit for bit, for every weight map that gives the
-  /// auxiliary variables (1, 1) (including zero and negative weights
+  /// The weighted model count over the non-auxiliary variables: one
+  /// bottom-up pass assigning TRUE → 1, FALSE → 0, literal → its weight,
+  /// AND → product, OR → sum of the smoothed children, the root smoothed
+  /// over every non-auxiliary variable, subtracted from T when
+  /// complement() is set.
+  /// For circuits traced from DpllCounter this equals DpllCounter::Count()
+  /// under the same weights, bit for bit, for every weight map that gives
+  /// the auxiliary variables (1, 1) (including zero and negative weights
   /// elsewhere). Throws std::invalid_argument when `weights` covers
   /// fewer than variable_count() variables or reweights an auxiliary.
   ///
-  /// When the circuit is structurally decomposable and smooth (traced
-  /// circuits always are; checked once at construction), evaluation
-  /// clears each covered variable's weight denominators up front, runs
-  /// the tape in pure integer arithmetic, and divides once at the root —
-  /// identical result, but without a gcd reduction per node, which is
-  /// what makes serving a compiled circuit several times cheaper than a
-  /// recount even on rational weights. Other circuits take a plain
-  /// rational pass over the nodes.
+  /// Every root term covers each non-auxiliary variable with exactly one
+  /// literal, so evaluation clears each variable's weight denominators up
+  /// front, runs the tape in pure integer arithmetic, and divides once by
+  /// their product — without a gcd reduction per node, which is what
+  /// makes serving a compiled circuit several times cheaper than a
+  /// recount even on rational weights.
   numeric::BigRational Evaluate(const wmc::WeightMap& weights) const;
   /// Same, with caller-owned scratch (see EvalArena); the no-arena
   /// overload delegates here with a throwaway arena.
@@ -165,32 +187,33 @@ class Circuit {
 
   Stats ComputeStats() const;
 
-  /// Size of the evaluation tape: its operations and the value slots they
-  /// write (both 0 when the circuit takes the rational pass).
+  /// Size of the evaluation tape: its operations, smoothing sums
+  /// included, and the value slots they write (both 0 when the root
+  /// folds to a constant or a literal with nothing to smooth).
   std::size_t tape_size() const { return tape_.size(); }
   std::uint32_t tape_slots() const { return tape_slots_; }
 
-  /// Resident bytes of the circuit: nodes, edges, the evaluation tape and
-  /// the root's variable set. Used by byte-bounded circuit caches (swfomc
-  /// serve) the way ComponentCache accounts its entries.
+  /// Resident bytes of the circuit: nodes, edges and the evaluation tape.
+  /// Used by byte-bounded circuit caches (swfomc serve) the way
+  /// ComponentCache accounts its entries.
   std::size_t MemoryBytes() const;
 
-  /// Structural d-DNNF audit: AND children must be variable-disjoint
-  /// (checked with per-node variable sets), OR children must be pairwise
-  /// inconsistent — each pair has to fix some variable to opposite
-  /// phases among its surface literals (the child itself, or the direct
-  /// literal children of an AND child); an OR carrying a decision
-  /// variable must fix exactly that variable in every child. Returns
-  /// false and fills *error (when non-null) with the first violation.
+  /// Structural determinism audit (the constructor already enforces
+  /// decomposability): OR children must be pairwise inconsistent — each
+  /// pair has to fix some variable to opposite phases among its surface
+  /// literals (the child itself, or the direct literal children of an
+  /// AND child); an OR carrying a decision variable must fix exactly that
+  /// variable in every child. Returns false and fills *error (when
+  /// non-null) with the first violation.
   bool Validate(std::string* error) const;
 
  private:
   // One lowered AND/OR node: values[dst] = values[o1] ⊗ values[o2] ⊗ ...
   // over the operands from the previous op's operands_end to this one's,
-  // where ⊗ is × for a product (AND) and + otherwise. Indices are into
-  // EvalArena::integer_values: literal inputs, then constants_, then
-  // slots; a folded coefficient other than the neutral element is the
-  // first operand. dst never equals one of the op's operands.
+  // where ⊗ is × for a product (AND, smoothing) and + otherwise. Indices
+  // are into EvalArena::integer_values: literal inputs, then constants_,
+  // then slots; a folded coefficient other than the neutral element is the
+  // last operand. dst never equals one of the op's operands.
   struct TapeOp {
     std::uint32_t dst = 0;
     std::uint32_t operands_end : 31 = 0;
@@ -200,32 +223,23 @@ class Circuit {
   static constexpr std::uint32_t kConstantRef = 0x80000000u;
   static constexpr std::uint32_t kNoOp = 0xFFFFFFFFu;
 
-  numeric::BigRational EvaluateRational(const wmc::WeightMap& weights,
-                                        EvalArena* arena) const;
   numeric::BigRational EvaluateTape(const wmc::WeightMap& weights,
                                     EvalArena* arena) const;
   // The variables below every node, as bitsets of VarsetWords() words
-  // per node; *scalable (when non-null) is set to whether every AND is
-  // variable-disjoint and every OR smooth.
-  std::vector<std::uint64_t> NodeVarsets(bool* scalable) const;
+  // per node. Throws NonDecomposableAnd.
+  std::vector<std::uint64_t> NodeVarsets() const;
   std::size_t VarsetWords() const {
     return (static_cast<std::size_t>(variable_count_) + 63) / 64;
   }
-  // Fills tape_, operands_, constants_, tape_slots_ and root_ref_.
-  void LowerTape();
+  // Fills tape_, operands_, constants_, tape_slots_ and root_ref_ from
+  // the NodeVarsets() sets.
+  void LowerTape(const std::vector<std::uint64_t>& varsets);
 
   std::uint32_t variable_count_ = 0;
   std::uint32_t auxiliary_begin_ = 0;
   std::vector<Node> nodes_;
   std::vector<NodeId> edges_;
   NodeId root_ = 0;
-  // True when the integer-scaled evaluation is sound: every product term
-  // of the root then has degree exactly one in each root-varset
-  // variable, so per-variable denominator clearing scales the total by
-  // one known factor.
-  bool scalable_ = false;
-  // The variables below the root: the ones whose denominators scale it.
-  std::vector<std::uint64_t> root_varset_;
   std::vector<TapeOp> tape_;
   std::vector<std::uint32_t> operands_;
   std::vector<numeric::BigInt> constants_;  // distinct folded values

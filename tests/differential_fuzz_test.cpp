@@ -15,8 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "api/engine.h"
 #include "cq/acyclicity.h"
@@ -289,6 +294,195 @@ TEST(DifferentialFuzz, TapeFoldsAuxiliariesOfRandomCnfs) {
     reweighted.Set(variables - 1, BigRational(2), BigRational(1));
     EXPECT_THROW(circuit.Evaluate(reweighted, &arena), std::invalid_argument);
   }
+}
+
+// A random decomposable, deterministic circuit that is deliberately not
+// smooth. Each subcircuit drops a quarter of the variables its parent
+// offers, so decision branches miss variables the other branch mentions
+// and the root misses variables of the circuit. Inner nodes decide a
+// variable, OR(AND(v, ·), AND(¬v, ·)), with or without the decision
+// annotation, or split their variables between the children of an AND.
+class RandomDecisionCircuit {
+ public:
+  using NodeId = nnf::Circuit::NodeId;
+
+  RandomDecisionCircuit(std::mt19937_64* rng, std::uint32_t variables)
+      : rng_(rng), variables_(variables) {}
+
+  nnf::Circuit Build() {
+    std::vector<prop::VarId> scope(variables_);
+    for (prop::VarId v = 0; v < variables_; ++v) scope[v] = v;
+    NodeId root = Grow(std::move(scope), 4);
+    return nnf::Circuit(variables_, nodes_, edges_, root);
+  }
+
+ private:
+  NodeId Add(nnf::Circuit::Node node, std::vector<NodeId> children) {
+    node.children_begin = static_cast<std::uint32_t>(edges_.size());
+    edges_.insert(edges_.end(), children.begin(), children.end());
+    node.children_end = static_cast<std::uint32_t>(edges_.size());
+    nodes_.push_back(node);
+    return static_cast<NodeId>(nodes_.size() - 1);
+  }
+
+  NodeId Literal(prop::VarId v, bool positive) {
+    return Add({.kind = nnf::NodeKind::kLiteral,
+                .literal = prop::MakeLit(v, positive)},
+               {});
+  }
+
+  NodeId Grow(std::vector<prop::VarId> scope, int depth) {
+    std::erase_if(scope, [&](prop::VarId) { return (*rng_)() % 4 == 0; });
+    if (scope.empty() || depth == 0 || (*rng_)() % 6 == 0) {
+      switch ((*rng_)() % 6) {
+        case 0:
+          return Add({.kind = nnf::NodeKind::kTrue}, {});
+        case 1:
+          return Add({.kind = nnf::NodeKind::kFalse}, {});
+        default:
+          if (scope.empty()) return Add({.kind = nnf::NodeKind::kTrue}, {});
+          return Literal(scope[(*rng_)() % scope.size()], (*rng_)() % 2 == 0);
+      }
+    }
+    std::shuffle(scope.begin(), scope.end(), *rng_);
+    if (scope.size() >= 2 && (*rng_)() % 3 == 0) {
+      auto split = static_cast<std::ptrdiff_t>(1 + (*rng_)() % (scope.size() - 1));
+      NodeId left = Grow({scope.begin(), scope.begin() + split}, depth - 1);
+      NodeId right = Grow({scope.begin() + split, scope.end()}, depth - 1);
+      return Add({.kind = nnf::NodeKind::kAnd}, {left, right});
+    }
+    const prop::VarId decision = scope.back();
+    scope.pop_back();
+    std::vector<NodeId> branches;
+    for (bool positive : {true, false}) {
+      NodeId literal = Literal(decision, positive);
+      NodeId rest = Grow(scope, depth - 1);
+      branches.push_back(Add({.kind = nnf::NodeKind::kAnd}, {literal, rest}));
+    }
+    return Add({.kind = nnf::NodeKind::kOr,
+                .decision = (*rng_)() % 2 == 0 ? decision : nnf::kNoDecision},
+               branches);
+  }
+
+  std::mt19937_64* rng_;
+  std::uint32_t variables_;
+  std::vector<nnf::Circuit::Node> nodes_;
+  std::vector<NodeId> edges_;
+};
+
+// The weighted model count of the circuit's Boolean function over all
+// 2^k assignments, read off the nodes as a Boolean circuit: no smoothing,
+// no arithmetic on the DAG.
+BigRational BruteForceCircuitWMC(const nnf::Circuit& circuit,
+                                 const wmc::WeightMap& weights) {
+  const std::uint32_t variables = circuit.variable_count();
+  BigRational total;
+  std::vector<char> holds(circuit.node_count());
+  for (std::uint64_t world = 0; world < (std::uint64_t{1} << variables);
+       ++world) {
+    for (nnf::Circuit::NodeId id = 0; id < circuit.node_count(); ++id) {
+      const nnf::Circuit::Node& node = circuit.node(id);
+      auto children = circuit.Children(id);
+      switch (node.kind) {
+        case nnf::NodeKind::kTrue:
+          holds[id] = 1;
+          break;
+        case nnf::NodeKind::kFalse:
+          holds[id] = 0;
+          break;
+        case nnf::NodeKind::kLiteral:
+          holds[id] = ((world >> prop::LitVariable(node.literal)) & 1) ==
+                      (prop::LitPositive(node.literal) ? 1u : 0u);
+          break;
+        case nnf::NodeKind::kAnd:
+          holds[id] = std::all_of(children.begin(), children.end(),
+                                  [&](auto child) { return holds[child]; });
+          break;
+        case nnf::NodeKind::kOr:
+          holds[id] = std::any_of(children.begin(), children.end(),
+                                  [&](auto child) { return holds[child]; });
+          break;
+      }
+    }
+    if (!holds[circuit.root()]) continue;
+    BigRational weight(1);
+    for (prop::VarId v = 0; v < variables; ++v) {
+      weight *= weights.LiteralWeight(v, ((world >> v) & 1) != 0);
+    }
+    total += weight;
+  }
+  return total;
+}
+
+// Whether every OR's children mention the same variables and the root
+// mentions every variable (circuits of at most 32 variables).
+bool SmoothAndCovering(const nnf::Circuit& circuit) {
+  std::vector<std::uint32_t> mentions(circuit.node_count(), 0);
+  for (nnf::Circuit::NodeId id = 0; id < circuit.node_count(); ++id) {
+    const nnf::Circuit::Node& node = circuit.node(id);
+    if (node.kind == nnf::NodeKind::kLiteral) {
+      mentions[id] = std::uint32_t{1} << prop::LitVariable(node.literal);
+    }
+    for (nnf::Circuit::NodeId child : circuit.Children(id)) {
+      if (node.kind == nnf::NodeKind::kOr &&
+          mentions[child] != mentions[circuit.Children(id).front()]) {
+        return false;
+      }
+      mentions[id] |= mentions[child];
+    }
+  }
+  return mentions[circuit.root()] ==
+         (std::uint64_t{1} << circuit.variable_count()) - 1;
+}
+
+TEST(DifferentialFuzz, RandomDecisionCircuitsMatchBruteForce) {
+  // Circuit::Evaluate smooths while lowering: an OR child missing some of
+  // its parent's variables, and a root missing some of the circuit's, are
+  // multiplied by (w + w̄) per missing variable. Oracle: brute-force WMC
+  // of the circuit's Boolean function. Half the circuits stand for their
+  // complement (a `t K` line), T_K − WMC. Weights: random with and
+  // without negatives, ±2^62 boundary, and zero weights and zero totals.
+  std::uint64_t base = BaseSeed();
+  std::mt19937_64 rng(base ^ 0x5e00d7c1ull);
+  int non_smooth = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    const auto variables = static_cast<std::uint32_t>(1 + rng() % 8);
+    nnf::Circuit circuit = RandomDecisionCircuit(&rng, variables).Build();
+    std::string violation;
+    ASSERT_TRUE(circuit.Validate(&violation)) << violation;
+    std::optional<std::uint32_t> complement;
+    if (rng() % 2 == 0) {
+      complement = static_cast<std::uint32_t>(rng() % (variables + 1));
+      circuit.SetComplement(*complement);
+    }
+    nnf::Circuit::EvalArena arena;
+    for (int regime = 0; regime < 5; ++regime) {
+      wmc::WeightMap weights =
+          regime == 3 ? testutil::RandomBoundaryWeights(&rng, variables)
+                      : testutil::RandomWeights(&rng, variables,
+                                                /*allow_negative=*/regime != 0);
+      if (regime == 4) {
+        weights.Set(static_cast<prop::VarId>(rng() % variables),
+                    BigRational(0), BigRational(3));
+        weights.Set(static_cast<prop::VarId>(rng() % variables),
+                    BigRational::Fraction(-2, 3), BigRational::Fraction(2, 3));
+      }
+      BigRational expected = BruteForceCircuitWMC(circuit, weights);
+      if (complement.has_value()) {
+        BigRational total(1);
+        for (prop::VarId v = 0; v < *complement; ++v) {
+          total *= weights.Get(v).Total();
+        }
+        expected = total - expected;
+      }
+      EXPECT_EQ(circuit.Evaluate(weights, &arena), expected)
+          << "regime " << regime;
+    }
+    if (!SmoothAndCovering(circuit)) ++non_smooth;
+  }
+  // The generator must actually exercise smoothing.
+  EXPECT_GE(non_smooth, 30);
 }
 
 TEST(DifferentialFuzz, SweepCoversDomainSizeZero) {

@@ -77,36 +77,6 @@ Circuit TraceCnf(const prop::CnfFormula& cnf, const WeightMap& weights,
   return builder.Finish();
 }
 
-// The same circuit with a dangling AND(x0, x0) appended outside the
-// root's cone: the root polynomial is unchanged, but the AND is not
-// decomposable, so Evaluate takes the plain rational pass instead of the
-// integer-scaled one. Comparing the two pins the scaled pass.
-Circuit WithRationalEvaluation(const Circuit& circuit) {
-  std::vector<Circuit::Node> nodes;
-  std::vector<Circuit::NodeId> edges;
-  for (Circuit::NodeId id = 0; id < circuit.node_count(); ++id) {
-    Circuit::Node node = circuit.node(id);
-    node.children_begin = static_cast<std::uint32_t>(edges.size());
-    for (Circuit::NodeId child : circuit.Children(id)) edges.push_back(child);
-    node.children_end = static_cast<std::uint32_t>(edges.size());
-    nodes.push_back(node);
-  }
-  auto literal_id = static_cast<Circuit::NodeId>(nodes.size());
-  nodes.push_back(
-      {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(0, true)});
-  auto begin = static_cast<std::uint32_t>(edges.size());
-  edges.insert(edges.end(), {literal_id, literal_id});
-  nodes.push_back({.kind = NodeKind::kAnd,
-                   .children_begin = begin,
-                   .children_end = begin + 2});
-  Circuit rational(circuit.variable_count(), std::move(nodes),
-                   std::move(edges), circuit.root());
-  if (circuit.complement().has_value()) {
-    rational.SetComplement(*circuit.complement());
-  }
-  return rational;
-}
-
 // The per-relation weight regimes every engine-compiled circuit is
 // re-evaluated under: unit (FOMC), fractional, negative (Skolemization's
 // regime), zero — which only works if tracing disabled zero pruning —
@@ -276,7 +246,6 @@ TEST(Compile, RandomCnfDifferential) {
 
     // Four fresh weight maps: one with forced zeros, one whose phases
     // share a denominator factor (1/4 and −5/6: lcm 12, product 24).
-    Circuit rational = WithRationalEvaluation(circuit);
     for (int regime = 0; regime < 4; ++regime) {
       WeightMap weights =
           RandomWeights(&rng, variables, /*allow_negative=*/regime != 0);
@@ -291,9 +260,8 @@ TEST(Compile, RandomCnfDifferential) {
                     BigRational::Fraction(7, 12));
       }
       DpllCounter recount(cnf, weights);
-      BigRational value = circuit.Evaluate(weights);
-      EXPECT_EQ(value, recount.Count()) << "regime " << regime;
-      EXPECT_EQ(value, rational.Evaluate(weights)) << "regime " << regime;
+      EXPECT_EQ(circuit.Evaluate(weights), recount.Count())
+          << "regime " << regime;
     }
   }
 }
@@ -338,18 +306,31 @@ TEST(Compile, DegenerateFormulas) {
 
 // --- The structural audit must actually reject malformed circuits -------
 
-TEST(Validate, RejectsNonDecomposableAnd) {
-  // AND(x1, x1) shares variable 0 between children.
-  std::vector<Circuit::Node> nodes(2);
+TEST(Circuit, ConstructorRejectsNonDecomposableAnd) {
+  // AND(x2, OR(x1, ¬x1), x1) shares variable 0 between its second and
+  // third children; the error names the AND and the variable.
+  std::vector<Circuit::Node> nodes(5);
   nodes[0] = {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(0, true)};
-  nodes[1] = {.kind = NodeKind::kAnd,
-              .children_begin = 0,
-              .children_end = 2};
-  Circuit circuit(1, std::move(nodes), {0, 0}, 1);
-  std::string violation;
-  EXPECT_FALSE(circuit.Validate(&violation));
-  EXPECT_NE(violation.find("not decomposable"), std::string::npos)
-      << violation;
+  nodes[1] = {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(0, false)};
+  nodes[2] = {.kind = NodeKind::kOr, .children_begin = 0, .children_end = 2};
+  nodes[3] = {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(1, true)};
+  nodes[4] = {.kind = NodeKind::kAnd, .children_begin = 2, .children_end = 5};
+  try {
+    Circuit(2, std::move(nodes), {0, 1, 3, 2, 0}, 4);
+    FAIL() << "expected NonDecomposableAnd";
+  } catch (const nnf::NonDecomposableAnd& error) {
+    EXPECT_EQ(error.node, 4u);
+    EXPECT_EQ(error.variable, 0u);
+    EXPECT_NE(std::string(error.what()).find("not decomposable"),
+              std::string::npos)
+        << error.what();
+  }
+  // A plain AND(x1, x1) too, as an std::invalid_argument.
+  std::vector<Circuit::Node> twice(2);
+  twice[0] = {.kind = NodeKind::kLiteral, .literal = prop::MakeLit(0, true)};
+  twice[1] = {.kind = NodeKind::kAnd, .children_begin = 0, .children_end = 2};
+  EXPECT_THROW(Circuit(1, std::move(twice), {0, 0}, 1),
+               std::invalid_argument);
 }
 
 TEST(Validate, RejectsNonDeterministicOr) {
@@ -453,6 +434,9 @@ TEST(NnfFormat, ErrorPositions) {
                      "does not precede its parent");
   ExpectParseErrorAt("nnf 2 1 1\nL 1\nA 2 0\n", 3, 3,
                      "does not match");
+  ExpectParseErrorAt("nnf 3 2 2\nL 1\nc a comment\nA 2 0 0\nL 2\n", 4, 1,
+                     "AND node 1 is not decomposable: children share "
+                     "variable 1");
   ExpectParseErrorAt("nnf 1 0 1\nw 1 1/2\nL 1\n", 2, 5, "expected 3");
   ExpectParseErrorAt("nnf 1 0 1\nw 1 1 1\nw 1 2 2\nL 1\n", 3, 3,
                      "set twice");
@@ -472,21 +456,6 @@ TEST(NnfFormat, ErrorPositions) {
   ExpectParseErrorAt("nnf 2 0 1\nL 1\n", 2, 1, "node count mismatch");
   ExpectParseErrorAt("nnf 1 5 1\nL 1\n", 2, 1, "edge count mismatch");
   ExpectParseErrorAt("nnf 2 0 1\nL 1", 2, 1, "node count mismatch");
-}
-
-TEST(Circuit, NonSmoothCircuitsEvaluateThroughTheRationalPath) {
-  // OR(x1, ¬x2) is deterministic-enough to parse but not smooth, so the
-  // integer-scaled pass must not apply; the plain rational pass computes
-  // the circuit polynomial w1 + w̄2.
-  NnfDocument document = io::ParseNnf(
-      "nnf 3 2 2\n"
-      "w 1 1/3 1\n"
-      "w 2 1 1/7\n"
-      "L 1\n"
-      "L -2\n"
-      "O 0 2 0 1\n");
-  EXPECT_EQ(document.circuit.Evaluate(document.weights),
-            BigRational::Fraction(1, 3) + BigRational::Fraction(1, 7));
 }
 
 TEST(NnfFormat, ParsesConstantsAndComments) {
@@ -580,16 +549,26 @@ TEST(Tape, ReweightingAnAuxiliaryThrows) {
   EXPECT_EQ(circuit.Evaluate(weights, &arena), direct);
 
   // The same circuit parsed back from `.nnf` names no auxiliaries, so it
-  // takes any weights; the rational pass over the same nodes agrees.
+  // takes any weights: it answers T − WMC of the traced ¬Φ CNF, over
+  // every variable, which a fresh DpllCounter recount of that CNF pins.
   NnfDocument document;
   document.circuit = circuit;
   document.weights = weights;
   NnfDocument parsed = io::ParseNnf(io::PrintNnf(document));
   EXPECT_EQ(parsed.circuit.auxiliary_begin(), parsed.circuit.variable_count());
-  EXPECT_EQ(parsed.circuit.Evaluate(first),
-            WithRationalEvaluation(parsed.circuit).Evaluate(first));
-  EXPECT_EQ(parsed.circuit.Evaluate(last),
-            WithRationalEvaluation(parsed.circuit).Evaluate(last));
+  grounding::TupleIndex index(vocabulary, 3);
+  prop::TseitinResult negation = prop::TseitinTransform(
+      grounding::GroundLineage(logic::ToNNF(logic::Not(sentence)), index),
+      static_cast<std::uint32_t>(index.TupleCount()));
+  ASSERT_EQ(negation.cnf.variable_count, circuit.variable_count());
+  for (const WeightMap& reweighted : {first, last}) {
+    BigRational total(1);
+    for (prop::VarId v = 0; v < compiled.tuple_count(); ++v) {
+      total *= reweighted.Get(v).Total();
+    }
+    EXPECT_EQ(parsed.circuit.Evaluate(reweighted),
+              total - DpllCounter(negation.cnf, reweighted).Count());
+  }
 
   // So does a circuit traced from a raw CNF, auxiliary-looking tail
   // variables included.
@@ -645,21 +624,31 @@ TEST(Tape, LoweringEdgeCases) {
   weights.Set(0, BigRational::Fraction(2, 3), BigRational(5));
   weights.Set(1, BigRational(-7), BigRational::Fraction(1, 4));
   weights.Set(2, BigRational(11), BigRational(13));
+  // Every circuit below declares 3 variables, and its root is smoothed
+  // over the ones it does not mention: one shared sum op per variable,
+  // then one product op.
+  const BigRational total1 = BigRational::Fraction(17, 3);
+  const BigRational total2 = BigRational::Fraction(-27, 4);
+  const BigRational total3 = BigRational(24);
 
-  // A literal root: no tape, the answer is the scaled input.
+  // A literal root: ¬x2 times the sums of x1 and x3.
   Circuit literal = io::ParseNnf("nnf 1 0 3\nL -2\n").circuit;
-  EXPECT_EQ(literal.tape_size(), 0u);
-  EXPECT_EQ(literal.Evaluate(weights), BigRational::Fraction(1, 4));
+  EXPECT_EQ(literal.tape_size(), 3u);
+  EXPECT_EQ(literal.tape_slots(), 3u);
+  EXPECT_EQ(literal.Evaluate(weights),
+            BigRational::Fraction(1, 4) * total1 * total3);
 
-  // TRUE and FALSE roots fold to constants.
+  // TRUE folds to the constant 1, which leaves the product of the three
+  // sums; FALSE folds to 0, which needs no smoothing.
   Circuit true_root = io::ParseNnf("nnf 1 0 3\nA 0\n").circuit;
-  EXPECT_EQ(true_root.tape_size(), 0u);
-  EXPECT_EQ(true_root.Evaluate(weights), BigRational(1));
+  EXPECT_EQ(true_root.tape_size(), 4u);
+  EXPECT_EQ(true_root.Evaluate(weights), total1 * total2 * total3);
   Circuit false_root = io::ParseNnf("nnf 1 0 3\nO 0 0\n").circuit;
   EXPECT_EQ(false_root.tape_size(), 0u);
   EXPECT_TRUE(false_root.Evaluate(weights).IsZero());
 
-  // An alias chain: AND(TRUE, AND(OR(x1, ¬x1))) keeps only the OR.
+  // An alias chain: AND(TRUE, AND(OR(x1, ¬x1))) keeps only the OR, which
+  // the root's smoothing multiplies by the sums of x2 and x3.
   Circuit chain = io::ParseNnf(
                       "nnf 6 5 3\n"
                       "L 1\n"
@@ -669,14 +658,14 @@ TEST(Tape, LoweringEdgeCases) {
                       "A 0\n"
                       "A 2 4 3\n")
                       .circuit;
-  EXPECT_EQ(chain.tape_size(), 1u);
-  EXPECT_EQ(chain.tape_slots(), 1u);
-  EXPECT_EQ(chain.Evaluate(weights),
-            BigRational::Fraction(2, 3) + BigRational(5));
+  EXPECT_EQ(chain.tape_size(), 4u);
+  EXPECT_EQ(chain.tape_slots(), 4u);
+  EXPECT_EQ(chain.Evaluate(weights), total1 * total2 * total3);
 
   // ORs with constant children: OR(TRUE, TRUE) folds to 2, and a zero
   // summand AND(x1, FALSE) leaves OR(0, ¬x1) an alias of ¬x1. The root
-  // AND(2, ¬x1, x2) becomes one op with coefficient 2.
+  // AND(2, ¬x1, x2) becomes one op with coefficient 2, then the sum of x3
+  // and its product with the root.
   Circuit constants = io::ParseNnf(
                           "nnf 9 9 3\n"
                           "A 0\n"
@@ -689,12 +678,14 @@ TEST(Tape, LoweringEdgeCases) {
                           "L 2\n"
                           "A 3 1 6 7\n")
                           .circuit;
-  EXPECT_EQ(constants.tape_size(), 1u);
+  EXPECT_EQ(constants.tape_size(), 3u);
+  EXPECT_EQ(constants.tape_slots(), 3u);
   EXPECT_EQ(constants.Evaluate(weights),
-            BigRational(2) * BigRational(5) * BigRational(-7));
+            BigRational(2) * BigRational(5) * BigRational(-7) * total3);
 
   // Nodes outside the root's cone are dropped: the OR over variable 3
-  // is lowered but no live op reads it, so only the root OR stays.
+  // is lowered but no live op reads it, so the root OR stays with its
+  // smoothing — the sums of x2 and x3 and their product with the root.
   Circuit unreachable = io::ParseNnf(
                             "nnf 6 4 3\n"
                             "L 1\n"
@@ -704,14 +695,13 @@ TEST(Tape, LoweringEdgeCases) {
                             "L -1\n"
                             "O 1 2 0 4\n")
                             .circuit;
-  EXPECT_EQ(unreachable.tape_size(), 1u);
-  EXPECT_EQ(unreachable.tape_slots(), 1u);
-  EXPECT_EQ(unreachable.Evaluate(weights),
-            BigRational::Fraction(2, 3) + BigRational(5));
+  EXPECT_EQ(unreachable.tape_size(), 4u);
+  EXPECT_EQ(unreachable.tape_slots(), 4u);
+  EXPECT_EQ(unreachable.Evaluate(weights), total1 * total2 * total3);
 
   // So is an op only a folded-away zero reads: AND(OR(x1, ¬x1), FALSE)
   // is the constant 0, which leaves the root OR an alias of a second
-  // OR(x1, ¬x1), the one op left.
+  // OR(x1, ¬x1), the one op left before the root's smoothing.
   Circuit zeroed = io::ParseNnf(
                        "nnf 7 8 3\n"
                        "L 1\n"
@@ -722,9 +712,31 @@ TEST(Tape, LoweringEdgeCases) {
                        "O 1 2 0 1\n"
                        "O 0 2 4 5\n")
                        .circuit;
-  EXPECT_EQ(zeroed.tape_size(), 1u);
-  EXPECT_EQ(zeroed.Evaluate(weights),
-            BigRational::Fraction(2, 3) + BigRational(5));
+  EXPECT_EQ(zeroed.tape_size(), 4u);
+  EXPECT_EQ(zeroed.Evaluate(weights), total1 * total2 * total3);
+
+  // Non-smooth ORs: in OR(x1, AND(¬x1, x2)) and OR(¬x1, AND(x1, ¬x2)),
+  // under the two phases of x3, the lone literal lacks x2. Both products
+  // x1·s and ¬x1·s read one shared sum s = w2 + w̄2, so the tape has 10
+  // ops: the 7 ANDs and ORs, s and the two products.
+  Circuit nonsmooth = io::ParseNnf(
+                          "nnf 13 14 3\n"
+                          "L 1\nL -1\nL 2\nL -2\nL 3\nL -3\n"
+                          "A 2 1 2\n"
+                          "O 1 2 0 6\n"
+                          "A 2 0 3\n"
+                          "O 1 2 1 8\n"
+                          "A 2 4 7\n"
+                          "A 2 5 9\n"
+                          "O 3 2 10 11\n")
+                          .circuit;
+  EXPECT_EQ(nonsmooth.tape_size(), 10u);
+  const BigRational x1(BigRational::Fraction(2, 3));
+  const BigRational not_x1(5);
+  EXPECT_EQ(nonsmooth.Evaluate(weights),
+            BigRational(11) * (x1 * total2 + not_x1 * BigRational(-7)) +
+                BigRational(13) * (not_x1 * total2 +
+                                   x1 * BigRational::Fraction(1, 4)));
 
   // Auxiliary folding: variables 1 and 2 are auxiliaries. AND(x0, a) and
   // AND(¬x0, ¬a) alias x0 and ¬x0, the free auxiliary OR(b, ¬b) is the
