@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Perf-trajectory recorder: runs the WMC ablation, Table 1, and sweep
-# benchmark drivers with JSON output and folds the reports into
-# BENCH_wmc.json, so successive PRs have hard numbers to compare against.
+# Perf-trajectory recorder: runs the benchmark drivers below with JSON
+# output and folds the reports into BENCH_wmc.json, so successive PRs have
+# hard numbers to compare against. Each report's context records the
+# commit and the build type next to the library's own num_cpus.
 #
 # Usage: scripts/bench.sh [build-dir]
 #   BENCH_MIN_TIME=0.01 scripts/bench.sh       # CI smoke: one iteration each
@@ -15,7 +16,13 @@ OUT="${BENCH_OUT:-BENCH_wmc.json}"
 
 BENCHES=(bench_wmc_ablation bench_table1 bench_sweep bench_nnf
          bench_lifted_nnf bench_numeric bench_budget bench_serve
-         bench_obs)
+         bench_obs bench_fo2)
+
+COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [[ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]]; then
+  COMMIT="$COMMIT-dirty"
+fi
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null)"
 
 # bench_serve's cold-process row spawns the real CLI per iteration.
 export SWFOMC_CLI="${SWFOMC_CLI:-$BUILD_DIR/tools/swfomc}"
@@ -34,6 +41,7 @@ for bench in "${BENCHES[@]}"; do
   echo "running $bench (min_time=${MIN_TIME}s)..."
   "$BUILD_DIR/bench/$bench" \
     --benchmark_min_time="$MIN_TIME" \
+    --benchmark_context="commit=$COMMIT,build_type=${BUILD_TYPE:-unknown}" \
     --benchmark_out="$tmp/$bench.json" \
     --benchmark_out_format=json >/dev/null
 done

@@ -7,7 +7,6 @@
 #include "cq/acyclicity.h"
 #include "cq/gamma_evaluator.h"
 #include "fo2/cell_algorithm.h"
-#include "fo2/fo2_normal_form.h"
 #include "grounding/grounded_wfomc.h"
 #include "grounding/lineage.h"
 #include "grounding/tuple_index.h"
@@ -430,23 +429,26 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
   }
   switch (method) {
     case Method::kLiftedFO2: {
-      // One normal-form construction and one Pascal-row table for the
-      // whole sweep; each point still runs the full composition sum. The
-      // form is built lazily at the first n >= 1 point so a sweep that
-      // only touches n = 0 behaves exactly like the per-point WFOMC call
-      // (which evaluates n = 0 directly, without the normal form).
-      std::optional<fo2::UniversalForm> form;
+      // One compile, one Pascal-row table and one value column for the
+      // whole sweep; each point is one evaluation of the circuit. The
+      // circuit is compiled lazily at the first n >= 1 point, so a sweep
+      // that only touches n = 0 behaves exactly like the per-point WFOMC
+      // call (which counts n = 0 directly, without the normal form).
+      std::optional<nnf::LiftedCircuit> circuit;
+      nnf::LiftedCircuit::Weights weights;
       numeric::BinomialTable binomials;
+      std::vector<BigRational> values;
       for (SweepPoint& point : sweep.points) {
         if (point.domain_size == 0) {
           point.value = fo2::LiftedWFOMC(target, vocabulary_, 0);
           continue;
         }
-        if (!form.has_value()) {
-          form = fo2::ToUniversalForm(target, vocabulary_);
+        if (!circuit.has_value()) {
+          circuit = fo2::CompileLifted(target, vocabulary_);
+          weights = circuit->DefaultWeights();
         }
-        point.value =
-            fo2::CellAlgorithmWFOMC(*form, point.domain_size, &binomials);
+        point.value = circuit->Evaluate(point.domain_size, weights,
+                                        &binomials, &values);
       }
       break;
     }

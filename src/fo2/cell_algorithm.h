@@ -4,20 +4,16 @@
 #include <cstdint>
 
 #include "fo2/fo2_normal_form.h"
+#include "fo2/lifted_compiler.h"
 #include "numeric/combinatorics.h"
 #include "numeric/rational.h"
 
 namespace swfomc::fo2 {
 
-/// Instrumentation for the cell algorithm (reported by the benches).
-struct CellStats {
-  std::size_t unary_predicates = 0;
-  std::size_t binary_predicates = 0;
-  std::size_t zeroary_predicates = 0;
-  std::size_t cells = 0;        // 1-types enumerated, summed over
-                                // zero-ary Shannon branches
-  std::size_t valid_cells = 0;  // cells whose diagonal satisfies ψ(x,x),
-                                // summed over Shannon branches
+/// Instrumentation for the cell algorithm (reported by the benches): the
+/// compile's cell counts plus the evaluation's composition terms.
+struct CellStats : LiftedCompileStats {
+  /// Innermost terms of the counting nodes' nested sums, after merging.
   std::uint64_t composition_terms = 0;
 };
 
@@ -31,15 +27,12 @@ struct CellStats {
 /// diagonal tuples; zero unless ψ(x,x) holds), and r_kl is the weighted
 /// sum over the off-diagonal atoms {R(a,b), R(b,a)} of assignments
 /// satisfying ψ(a,b) ∧ ψ(b,a). Zero-ary predicates are Shannon-expanded
-/// first (Appendix C). Runtime is polynomial in n for a fixed sentence:
-/// O(n^{C-1}) terms with C a sentence-only constant.
-numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
-                                        std::uint64_t domain_size,
-                                        CellStats* stats = nullptr);
-
-/// Same algorithm with a caller-owned binomial table, so a sweep over
-/// domain sizes builds each Pascal row once instead of once per point
-/// (Engine::WFOMCSweep reuses one table for the whole sweep).
+/// first (Appendix C). Computed by compiling the form (CompileLifted) and
+/// evaluating the circuit once: the sum runs in the counting node
+/// (nnf::LiftedCircuit), over merged cells. Runtime is polynomial in n
+/// for a fixed sentence: O(n^{C-1}) terms with C a sentence-only
+/// constant. `binomials` is an optional caller-owned table, so a caller
+/// that counts many domain sizes builds each Pascal row once.
 numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
                                         std::uint64_t domain_size,
                                         numeric::BinomialTable* binomials,

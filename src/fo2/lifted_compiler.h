@@ -5,6 +5,7 @@
 #include <optional>
 #include <string_view>
 
+#include "fo2/fo2_normal_form.h"
 #include "logic/formula.h"
 #include "logic/vocabulary.h"
 #include "nnf/lifted_circuit.h"
@@ -34,15 +35,16 @@ std::optional<std::string_view> LiftedObstacle(
 bool CanCompileLifted(const logic::Formula& sentence,
                       const logic::Vocabulary& vocabulary);
 
-/// Compiles an FO² sentence into a domain-parametric lifted circuit: the
-/// same recursion as the direct cell algorithm (Shannon expansion of the
-/// zero-ary predicates, 1-type enumeration, pairwise off-diagonal sums,
-/// composition sum), but emitting structure instead of numbers. The
-/// satisfaction checks driving the recursion are weight-independent, and
-/// — unlike the direct counter, which skips a Shannon branch whose
-/// compile-time weight is zero — both branches are always emitted, so the
-/// circuit evaluates bit-identically to CellAlgorithmWFOMC for *every*
-/// (n >= 1, weight vector) pair, zero and negative weights included.
+/// Compiles an FO² sentence into a domain-parametric lifted circuit:
+/// Appendix C's cell algorithm as structure. Zero-ary predicates are
+/// Shannon-expanded, and each branch becomes one counting node over the
+/// valid 1-types, whose children are the cell weights and the pairwise
+/// off-diagonal sums. The satisfaction checks driving the recursion are
+/// weight-independent, and both Shannon branches are always emitted even
+/// when a compile-time weight is zero, so the circuit is exact for
+/// *every* (n >= 1, weight vector) pair, zero and negative weights
+/// included. Every lifted FO² count (CellAlgorithmWFOMC, Engine::WFOMC,
+/// Engine::WFOMCSweep, Engine::Compile) evaluates such a circuit.
 ///
 /// The circuit's relation table is the extended (Scott/Skolem) vocabulary
 /// in id order; the original vocabulary's relations are a prefix of it,
@@ -50,9 +52,13 @@ bool CanCompileLifted(const logic::Formula& sentence,
 ///
 /// Throws std::invalid_argument for sentences outside the fragment (see
 /// ToUniversalForm) and when the normal form exceeds 20 unary + binary
-/// predicates (the same guard as the direct algorithm).
+/// predicates.
 nnf::LiftedCircuit CompileLifted(const logic::Formula& sentence,
                                  const logic::Vocabulary& vocabulary,
+                                 LiftedCompileStats* stats = nullptr);
+
+/// The same compile from a prepared universal form.
+nnf::LiftedCircuit CompileLifted(const UniversalForm& form,
                                  LiftedCompileStats* stats = nullptr);
 
 }  // namespace swfomc::fo2

@@ -53,18 +53,16 @@ Formula SubstituteZeroAry(const Formula& formula, RelationId relation,
   }
 }
 
-MatrixEvaluator::MatrixEvaluator(const logic::Vocabulary& vocabulary,
-                                 std::vector<RelationId> unary_relations,
-                                 std::vector<RelationId> binary_relations)
-    : unary_relations_(std::move(unary_relations)),
-      binary_relations_(std::move(binary_relations)) {
-  unary_slot_.assign(vocabulary.size(), SIZE_MAX);
-  binary_slot_.assign(vocabulary.size(), SIZE_MAX);
-  for (std::size_t i = 0; i < unary_relations_.size(); ++i) {
-    unary_slot_[unary_relations_[i]] = i;
+MatrixEvaluator::MatrixEvaluator(
+    const logic::Vocabulary& vocabulary,
+    const std::vector<RelationId>& unary_relations,
+    const std::vector<RelationId>& binary_relations)
+    : unary_count_(unary_relations.size()), slot_(vocabulary.size(), 0) {
+  for (std::size_t i = 0; i < unary_relations.size(); ++i) {
+    slot_[unary_relations[i]] = i;
   }
-  for (std::size_t i = 0; i < binary_relations_.size(); ++i) {
-    binary_slot_[binary_relations_[i]] = i;
+  for (std::size_t i = 0; i < binary_relations.size(); ++i) {
+    slot_[binary_relations[i]] = i;
   }
 }
 
@@ -85,17 +83,17 @@ bool MatrixEvaluator::Eval(const Formula& formula, const PairEnv& env) const {
       const auto& args = formula->arguments();
       if (args.size() == 1) {
         bool is_x = IsX(args[0]) || env.same_element;
-        const Cell* cell = is_x ? env.cell_x : env.cell_y;
-        return cell->unary[unary_slot_[r]];
+        return ((is_x ? env.cell_x : env.cell_y) >> slot_[r]) & 1;
       }
       if (args.size() == 2) {
         bool first_x = IsX(args[0]) || env.same_element;
         bool second_x = IsX(args[1]) || env.same_element;
-        std::size_t slot = binary_slot_[r];
-        if (first_x && second_x) return env.cell_x->diagonal[slot];
-        if (!first_x && !second_x) return env.cell_y->diagonal[slot];
-        if (first_x) return (*env.xy)[slot];
-        return (*env.yx)[slot];
+        std::size_t slot = slot_[r];
+        if (first_x == second_x) {
+          return ((first_x ? env.cell_x : env.cell_y) >>
+                  (unary_count_ + slot)) & 1;
+        }
+        return (env.pair >> (2 * slot + (first_x ? 0 : 1))) & 1;
       }
       throw std::logic_error("MatrixEvaluator: unexpected arity");
     }

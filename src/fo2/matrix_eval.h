@@ -2,56 +2,44 @@
 #define SWFOMC_FO2_MATRIX_EVAL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "logic/formula.h"
 #include "logic/vocabulary.h"
-#include "numeric/rational.h"
 
 namespace swfomc::fo2 {
 
-/// Shared machinery of the Appendix C cell algorithm and the lifted
-/// compiler: a 1-type, the pair environment a quantifier-free FO² matrix
-/// is evaluated under, and the boolean evaluator itself. Both consumers
-/// enumerate exactly the same cells and off-diagonal codes; the counter
-/// folds weights into numbers on the spot while the compiler emits weight
-/// leaves — the satisfaction checks below are weight-independent, which is
-/// what makes one compiled circuit exact for every weight vector.
-
-/// A 1-type: truth values for the unary atoms U(x) and diagonal binary
-/// atoms R(x,x) of one element.
-struct Cell {
-  std::vector<bool> unary;  // indexed like the unary-relation list
-  std::vector<bool> diagonal;
-  numeric::BigRational weight;  // product of the corresponding tuple
-                                // weights (unused by the lifted compiler)
-};
+/// The lifted compiler's view of a quantifier-free FO² matrix: the pair
+/// environment the matrix is evaluated under, and the boolean evaluator
+/// itself. The satisfaction checks are weight-independent, which is what
+/// makes one compiled circuit exact for every weight vector.
+///
+/// A 1-type is a code over the m unary and b binary relations: bit i is
+/// U_i(x), bit m + i is R_i(x,x). An off-diagonal code of a pair (a, b)
+/// holds R_i(a,b) at bit 2i and R_i(b,a) at bit 2i + 1.
 
 /// Evaluation environment for the quantifier-free matrix over a pair
-/// (a,b): the cells of a and b plus the off-diagonal bits for each binary
-/// R.
+/// (a,b) bound to (x,y).
 struct PairEnv {
-  const Cell* cell_x;  // 1-type of the element bound to variable x
-  const Cell* cell_y;
-  // Indexed like the binary-relation list: truth of R(x,y) and R(y,x).
-  const std::vector<bool>* xy;
-  const std::vector<bool>* yx;
-  bool same_element;  // true when evaluating ψ(c,c)
+  std::uint32_t cell_x;  // 1-type of the element bound to variable x
+  std::uint32_t cell_y;
+  std::uint64_t pair;  // off-diagonal code of (x, y); unused when
+                       // same_element
+  bool same_element;   // true when evaluating ψ(c,c)
 };
 
 class MatrixEvaluator {
  public:
   MatrixEvaluator(const logic::Vocabulary& vocabulary,
-                  std::vector<logic::RelationId> unary_relations,
-                  std::vector<logic::RelationId> binary_relations);
+                  const std::vector<logic::RelationId>& unary_relations,
+                  const std::vector<logic::RelationId>& binary_relations);
 
   bool Eval(const logic::Formula& formula, const PairEnv& env) const;
 
  private:
-  std::vector<logic::RelationId> unary_relations_;
-  std::vector<logic::RelationId> binary_relations_;
-  std::vector<std::size_t> unary_slot_;
-  std::vector<std::size_t> binary_slot_;
+  std::size_t unary_count_;
+  std::vector<std::size_t> slot_;  // by relation: its unary or binary index
 };
 
 /// Replaces a 0-ary atom by a constant truth value (Shannon expansion).

@@ -215,6 +215,32 @@ void Circuit::LowerTape(const std::vector<std::uint64_t>& varsets) {
     return inputs + static_cast<std::uint32_t>(tape_.size() - 1);
   };
 
+  // The product of `terms`, as one op when there are at most kProductRun
+  // of them and otherwise as a balanced tree: one op per run, then
+  // pairwise products of the runs' values. The tape multiplies an op's
+  // operands in sequence, so k factors in one op would cost time
+  // quadratic in the result's size.
+  constexpr std::size_t kProductRun = 64;
+  std::vector<std::uint32_t> level;
+  auto product_tree = [&](std::span<const std::uint32_t> terms) {
+    if (terms.size() <= kProductRun) return combine(true, terms);
+    level.clear();
+    for (std::size_t i = 0; i < terms.size(); i += kProductRun) {
+      level.push_back(combine(
+          true, terms.subspan(i, std::min(kProductRun, terms.size() - i))));
+    }
+    while (level.size() > 1) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < level.size(); i += 2) {
+        level[kept++] = i + 1 < level.size()
+                            ? combine(true, std::span(level).subspan(i, 2))
+                            : level[i];
+      }
+      level.resize(kept);
+    }
+    return level[0];
+  };
+
   // Smoothing: `reference` times (w_v + w̄_v) for every non-auxiliary
   // variable in `want` but not in `have`. Each sum is one op, emitted on
   // first use and shared; zero stays zero.
@@ -246,7 +272,7 @@ void Circuit::LowerTape(const std::vector<std::uint64_t>& varsets) {
         factors.push_back(sums[v]);
       }
     }
-    return factors.empty() ? reference : combine(true, factors);
+    return factors.empty() ? reference : product_tree(factors);
   };
 
   std::vector<std::uint32_t> ref(root_ + 1, kZero);

@@ -1,5 +1,6 @@
 #include "nnf/lifted_circuit.h"
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -18,6 +19,140 @@ std::size_t PairSlot(std::size_t cells, std::size_t k, std::size_t l) {
 std::size_t CountChildren(std::size_t cells) {
   return cells + cells * (cells + 1) / 2;
 }
+
+// The value of one counting node at domain size n >= 1: the kCount
+// comment in the header, step by step.
+class CountingSum {
+ public:
+  CountingSum(std::size_t cells, const std::vector<BigRational>& value,
+              std::span<const LiftedCircuit::NodeId> children)
+      : cells_(cells), value_(value), children_(children), u_(cells) {}
+
+  BigRational Evaluate(std::uint64_t n, numeric::BinomialTable* binomials,
+                       LiftedCircuit::EvalStats* stats) {
+    Merge(stats);
+    if (alive_.empty()) return BigRational(0);  // no cell holds an element
+    binomials_ = binomials;
+    carry_.assign(alive_.size(),
+                  std::vector<BigRational>(alive_.size(), BigRational(1)));
+    // r_last^{C(j,2)} for j = 0..n, shared by every innermost term.
+    const BigRational& r = Pair(alive_.size() - 1, alive_.size() - 1);
+    BigRational step(1);
+    last_pairs_.assign(n + 1, BigRational(1));
+    for (std::uint64_t j = 2; j <= n; ++j) {
+      step *= r;
+      last_pairs_[j] = last_pairs_[j - 1] * step;
+    }
+    Visit(0, n, BigRational(1));
+    if (stats != nullptr) {
+      stats->composition_terms += terms_;
+      stats->pruned_subtrees += pruned_;
+    }
+    return std::move(total_);
+  }
+
+ private:
+  // r between the k-th and l-th surviving cells.
+  const BigRational& Pair(std::size_t k, std::size_t l) const {
+    k = alive_[k];
+    l = alive_[l];
+    if (k > l) std::swap(k, l);
+    return value_[children_[PairSlot(cells_, k, l)]];
+  }
+
+  // Drops the cells of weight 0, then merges interchangeable cells
+  // (r_kk = r_kl = r_ll and r_km = r_lm for every other m) into one cell
+  // of weight u_k + u_l. Interchangeability is an equivalence, and a
+  // merge leaves the survivor's pair sums as they were, so one pass finds
+  // every merge; only a merged weight that cancels to 0 and is dropped
+  // can enable more.
+  void Merge(LiftedCircuit::EvalStats* stats) {
+    for (std::size_t l = 0; l < cells_; ++l) {
+      u_[l] = value_[children_[l]];
+      alive_.push_back(l);
+    }
+    auto interchangeable = [&](std::size_t i, std::size_t j) {
+      const BigRational& r = Pair(i, j);
+      if (Pair(i, i) != r || Pair(j, j) != r) return false;
+      for (std::size_t m = 0; m < alive_.size(); ++m) {
+        if (m != i && m != j && Pair(i, m) != Pair(j, m)) return false;
+      }
+      return true;
+    };
+    for (std::size_t before = 0; before != alive_.size();) {
+      before = alive_.size();
+      std::erase_if(alive_, [&](std::size_t l) { return u_[l].IsZero(); });
+      for (std::size_t i = 0; i < alive_.size(); ++i) {
+        for (std::size_t j = i + 1; j < alive_.size();) {
+          if (!interchangeable(i, j)) {
+            ++j;
+            continue;
+          }
+          u_[alive_[i]] += u_[alive_[j]];
+          alive_.erase(alive_.begin() + static_cast<std::ptrdiff_t>(j));
+          if (stats != nullptr) ++stats->merged_cells;
+        }
+      }
+    }
+  }
+
+  // Sums over the counts of the surviving cells l.. that add up to
+  // `remaining`. `prefix` is the enclosing loops' product of binomials
+  // and factors, and carry_[l][m] (m >= l) is Π_{k<l} r_km^{n_k}.
+  void Visit(std::size_t l, std::uint64_t remaining,
+             const BigRational& prefix) {
+    const std::size_t last = alive_.size() - 1;
+    if (remaining == 0) {  // every later cell is empty
+      ++terms_;
+      total_ += prefix;
+      return;
+    }
+    BigRational a = u_[alive_[l]] * carry_[l][l];
+    if (l == last) {  // the last cell takes the remainder
+      ++terms_;
+      if (a.IsZero()) {
+        ++pruned_;
+        return;
+      }
+      BigRational term =
+          BigRational::Pow(a, static_cast<std::int64_t>(remaining));
+      term *= last_pairs_[remaining];
+      term *= prefix;
+      total_ += term;
+      return;
+    }
+    std::vector<BigRational>& next = carry_[l + 1];
+    for (std::size_t m = l + 1; m <= last; ++m) next[m] = carry_[l][m];
+    Visit(l + 1, remaining, prefix);  // n_l = 0
+    BigRational factor(1);            // a^j · r_ll^{C(j,2)}
+    BigRational step = std::move(a);  // a · r_ll^j
+    for (std::uint64_t j = 1; j <= remaining; ++j) {
+      factor *= step;
+      if (factor.IsZero()) {  // and so for every larger j
+        ++pruned_;
+        return;
+      }
+      step *= Pair(l, l);
+      for (std::size_t m = l + 1; m <= last; ++m) next[m] *= Pair(l, m);
+      BigRational term(binomials_->Get(remaining, j));
+      term *= factor;
+      term *= prefix;
+      Visit(l + 1, remaining - j, term);
+    }
+  }
+
+  const std::size_t cells_;
+  const std::vector<BigRational>& value_;
+  const std::span<const LiftedCircuit::NodeId> children_;
+  std::vector<BigRational> u_;       // by original cell, merges summed in
+  std::vector<std::size_t> alive_;   // surviving cells, in original order
+  numeric::BinomialTable* binomials_ = nullptr;
+  std::vector<std::vector<BigRational>> carry_;
+  std::vector<BigRational> last_pairs_;
+  BigRational total_;
+  std::uint64_t terms_ = 0;
+  std::uint64_t pruned_ = 0;
+};
 
 }  // namespace
 
@@ -111,8 +246,8 @@ BigRational LiftedCircuit::Evaluate(std::uint64_t domain_size) const {
 
 BigRational LiftedCircuit::Evaluate(
     std::uint64_t domain_size, const Weights& weights,
-    numeric::BinomialTable* binomials,
-    std::vector<BigRational>* values) const {
+    numeric::BinomialTable* binomials, std::vector<BigRational>* values,
+    EvalStats* stats) const {
   if (domain_size == 0) {
     throw std::invalid_argument(
         "LiftedCircuit::Evaluate: domain size 0 is outside the circuit's "
@@ -152,42 +287,10 @@ BigRational LiftedCircuit::Evaluate(
         value[id] = std::move(sum);
         break;
       }
-      case Kind::kCount: {
-        // Appendix C's composition sum, with the cell weights u_l and
-        // pair sums r_kl already evaluated in the children. This is the
-        // same loop as the direct cell algorithm's SolveMatrix, so the
-        // result is bit-identical to a direct count.
-        std::span<const NodeId> children = Children(id);
-        std::size_t cells = node.cells;
-        std::uint64_t n = domain_size;
-        BigRational total;
-        numeric::ForEachComposition(
-            n, cells,
-            [&](const std::vector<std::uint64_t>& counts) -> bool {
-              BigRational term(binomials->Multinomial(n, counts));
-              for (std::size_t l = 0; l < cells && !term.IsZero(); ++l) {
-                if (counts[l] == 0) continue;
-                term *= BigRational::Pow(
-                    value[children[l]], static_cast<std::int64_t>(counts[l]));
-                if (counts[l] >= 2) {
-                  term *= BigRational::Pow(
-                      value[children[PairSlot(cells, l, l)]],
-                      static_cast<std::int64_t>(counts[l] * (counts[l] - 1) /
-                                                2));
-                }
-                for (std::size_t k = 0; k < l; ++k) {
-                  if (counts[k] == 0) continue;
-                  term *= BigRational::Pow(
-                      value[children[PairSlot(cells, k, l)]],
-                      static_cast<std::int64_t>(counts[k] * counts[l]));
-                }
-              }
-              total += term;
-              return true;
-            });
-        value[id] = std::move(total);
+      case Kind::kCount:
+        value[id] = CountingSum(node.cells, value, Children(id))
+                        .Evaluate(domain_size, binomials, stats);
         break;
-      }
     }
   }
   if (!complement_.has_value()) return value[root_];

@@ -39,12 +39,21 @@ namespace swfomc::nnf {
 ///     Appendix C's composition sum:
 ///       Σ_{n_0+..+n_{C-1} = n} (n choose n_0..n_{C-1})
 ///           Π_l u_l^{n_l} · Π_l r_ll^{C(n_l,2)} · Π_{k<l} r_kl^{n_k n_l}.
+///     Evaluation shrinks the sum by value, once per call: a cell with
+///     u_l = 0 is dropped, and two cells k, l with r_kk = r_kl = r_ll and
+///     r_km = r_lm for every other m merge into one cell of weight
+///     u_k + u_l (exact, since C(a,2) + C(b,2) + ab = C(a+b,2)), until no
+///     pair merges. The remaining cells are summed as nested loops over
+///     n_0 .. n_{C-2}, the last cell taking the remainder; each loop
+///     steps its running powers by one multiply, and a zero partial
+///     product prunes the loop's whole subtree.
 ///
 /// Like the grounded circuit, the structure never depends on the weights
 /// (both Shannon branches are present even when a compile-time weight is
-/// zero), so one circuit is exact for every weight vector — including
-/// zero and negative weights — and evaluation is bit-identical to the
-/// direct cell algorithm for every (n, weights).
+/// zero, and cells merge only by value at evaluation time), so one
+/// circuit is exact for every weight vector — including zero and negative
+/// weights. It is the only evaluator of the lifted FO² route: every
+/// count, single-point or swept, compiles and evaluates one of these.
 ///
 /// Complement. Like the grounded circuit (circuit.h), a lifted circuit
 /// may hold the circuit of ¬Φ and stand for Φ (SetComplement): Evaluate
@@ -93,6 +102,17 @@ class LiftedCircuit {
 
   /// Per-relation weights for one evaluation: weights[id] = (w, w̄).
   using Weights = numeric::WeightPairs;
+
+  /// What the counting nodes did in one evaluation, summed over them.
+  struct EvalStats {
+    /// Innermost terms of the nested sums, after merging.
+    std::uint64_t composition_terms = 0;
+    /// Cells merged into an interchangeable one.
+    std::uint64_t merged_cells = 0;
+    /// Subtrees of the nested sum skipped for a zero partial product: a
+    /// loop ended early, or an innermost term left unmultiplied.
+    std::uint64_t pruned_subtrees = 0;
+  };
 
   LiftedCircuit() = default;
 
@@ -148,14 +168,16 @@ class LiftedCircuit {
   /// fine). `binomials` and `values` are optional caller-owned scratch: a
   /// sweep passes one binomial table so Pascal rows are built once, and a
   /// server passes one value column per thread so steady-state evaluation
-  /// allocates only when an individual value outgrows its slot.
+  /// allocates only when an individual value outgrows its slot. `stats`,
+  /// when given, accumulates the counting nodes' work.
   /// Throws std::invalid_argument for domain size 0 (the Scott/Skolem
   /// normal form underlying the circuit assumes a non-empty domain; route
   /// n = 0 to a direct count) and for a short weight vector.
   numeric::BigRational Evaluate(
       std::uint64_t domain_size, const Weights& weights,
       numeric::BinomialTable* binomials = nullptr,
-      std::vector<numeric::BigRational>* values = nullptr) const;
+      std::vector<numeric::BigRational>* values = nullptr,
+      EvalStats* stats = nullptr) const;
 
   Stats ComputeStats() const;
 

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "closedforms/closed_forms.h"
 #include "fo2/cell_algorithm.h"
 #include "fo2/lifted_compiler.h"
 #include "grounding/grounded_wfomc.h"
@@ -28,6 +31,7 @@
 #include "logic/printer.h"
 #include "logic/transform.h"
 #include "nnf/lifted_circuit.h"
+#include "numeric/combinatorics.h"
 #include "numeric/rational.h"
 #include "test_util.h"
 
@@ -41,6 +45,7 @@ using api::Engine;
 using api::Method;
 using api::Outcome;
 using api::RelationWeights;
+using numeric::BigInt;
 using numeric::BigRational;
 using testutil::FuzzBaseSeed;
 using testutil::MakeRandomFO2Sentence;
@@ -210,6 +215,186 @@ TEST(LiftedCompile, RandomFO2SentencesAgreeAcrossAllLegs) {
       EXPECT_EQ(query.Evaluate(2, reweights),
                 grounded.compiled->Evaluate(2, reweights))
           << "regime=" << regime.label;
+    }
+  }
+}
+
+// --- The counting node: merged cells, nested sum. ---
+
+// A test-only oracle: Appendix C's composition sum over the evaluated
+// cell weights u and pair sums r, one power per factor, with no merging,
+// no carried products and no pruning.
+BigRational PlainCompositionSum(
+    std::uint64_t n, const std::vector<BigRational>& u,
+    const std::vector<std::vector<BigRational>>& r) {
+  BigRational total;
+  numeric::ForEachComposition(
+      n, u.size(), [&](const std::vector<std::uint64_t>& counts) {
+        BigRational term(numeric::Multinomial(n, counts));
+        for (std::size_t l = 0; l < u.size(); ++l) {
+          auto n_l = static_cast<std::int64_t>(counts[l]);
+          term *= BigRational::Pow(u[l], n_l);
+          term *= BigRational::Pow(r[l][l], n_l * (n_l - 1) / 2);
+          for (std::size_t k = 0; k < l; ++k) {
+            term *= BigRational::Pow(
+                r[k][l], static_cast<std::int64_t>(counts[k]) * n_l);
+          }
+        }
+        total += term;
+        return true;
+      });
+  return total;
+}
+
+// Weight pairs for the counting-node fuzz: zero phases (cells drop),
+// negative weights, w + w̄ = 0 (pair sums vanish, so subtrees prune),
+// w = w̄ and unit weights (cells whose pair sums coincide, so they
+// merge), and a fractional pair.
+std::pair<BigRational, BigRational> PickCountingWeights(std::mt19937_64* rng) {
+  switch ((*rng)() % 7) {
+    case 0: return {BigRational(0), BigRational(1)};
+    case 1: return {BigRational(2), BigRational(0)};
+    case 2: return {BigRational(-1), BigRational(2)};
+    case 3: return {BigRational(1), BigRational(-1)};
+    case 4: return {BigRational(3), BigRational(3)};
+    case 5: return {BigRational(1), BigRational(1)};
+    default: return {BigRational::Fraction(1, 2), BigRational(3)};
+  }
+}
+
+// A random FO² sentence over U/1, V/1, R/2: a two-variable prefix over a
+// conjunction of clauses of 2..3 literals. The first clause joins U(x)
+// and V(y) in some polarity, which makes some cells incompatible (their
+// pair sum vanishes while their own do not); 0..2 random clauses follow.
+std::string RandomClausalSentence(std::mt19937_64* rng) {
+  static const char* const kAtoms[] = {"U(x)",   "U(y)",   "V(x)",
+                                       "V(y)",   "R(x,y)", "R(y,x)",
+                                       "R(x,x)", "R(y,y)"};
+  static const char* const kPrefixes[] = {"forall x forall y",
+                                          "forall x exists y",
+                                          "exists x forall y"};
+  auto sign = [&] { return (*rng)() % 2 == 0 ? "!" : ""; };
+  std::string matrix = std::string("(") + sign() + "U(x) | " + sign() + "V(y))";
+  const std::uint64_t clauses = (*rng)() % 3;
+  for (std::uint64_t c = 0; c < clauses; ++c) {
+    matrix += " & (";
+    const std::uint64_t literals = 2 + (*rng)() % 2;
+    for (std::uint64_t i = 0; i < literals; ++i) {
+      if (i > 0) matrix += " | ";
+      matrix += sign();
+      matrix += kAtoms[(*rng)() % std::size(kAtoms)];
+    }
+    matrix += ")";
+  }
+  return std::string(kPrefixes[(*rng)() % 3]) + " (" + matrix + ")";
+}
+
+// Every counting node's value against the plain sum over the same
+// evaluated children, and the circuit's value against the grounded
+// counter (n <= 4) and exhaustive enumeration (n <= 3), for n = 1..10 on
+// random FO² sentences and weights. The plain sum is skipped where it
+// would visit more than kPlainTerms compositions.
+TEST(LiftedCountingNode, MergedNestedSumMatchesPlainCompositionSum) {
+  constexpr std::uint64_t kInstances = 24;
+  constexpr std::uint64_t kPlainTerms = 20000;
+  std::uint64_t base = BaseSeed();
+  ::testing::Test::RecordProperty("fuzz_base_seed",
+                                  static_cast<int64_t>(base));
+  std::uint64_t merged_instances = 0;
+  std::uint64_t pruned_instances = 0;
+  std::uint64_t plain_checks = 0;
+  for (std::uint64_t offset = 0; offset < kInstances; ++offset) {
+    const std::uint64_t seed = base + offset;
+    std::mt19937_64 rng(seed);
+    logic::Vocabulary vocabulary;
+    const std::string text = RandomClausalSentence(&rng);
+    logic::Formula sentence = logic::Parse(text, &vocabulary);
+    for (logic::RelationId id = 0; id < vocabulary.size(); ++id) {
+      auto [w, w_bar] = PickCountingWeights(&rng);
+      vocabulary.SetWeights(id, std::move(w), std::move(w_bar));
+    }
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " sentence=" + text);
+    nnf::LiftedCircuit circuit = fo2::CompileLifted(sentence, vocabulary);
+    const nnf::LiftedCircuit::Weights weights = circuit.DefaultWeights();
+    numeric::BinomialTable binomials;
+    std::vector<BigRational> values;
+    nnf::LiftedCircuit::EvalStats stats;
+    for (std::uint64_t n = 1; n <= 10; ++n) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      BigRational value =
+          circuit.Evaluate(n, weights, &binomials, &values, &stats);
+      for (nnf::LiftedCircuit::NodeId id = 0; id < circuit.node_count();
+           ++id) {
+        const nnf::LiftedCircuit::Node& node = circuit.node(id);
+        if (node.kind != nnf::LiftedCircuit::Kind::kCount) continue;
+        if (numeric::CompositionCount(n, node.cells) > BigInt(kPlainTerms)) {
+          continue;
+        }
+        std::span<const nnf::LiftedCircuit::NodeId> children =
+            circuit.Children(id);
+        const std::size_t cells = node.cells;
+        std::vector<BigRational> u(cells);
+        std::vector<std::vector<BigRational>> r(
+            cells, std::vector<BigRational>(cells));
+        std::size_t slot = cells;
+        for (std::size_t k = 0; k < cells; ++k) {
+          u[k] = values[children[k]];
+          for (std::size_t l = k; l < cells; ++l) {
+            r[k][l] = r[l][k] = values[children[slot++]];
+          }
+        }
+        EXPECT_EQ(values[id], PlainCompositionSum(n, u, r)) << "node " << id;
+        ++plain_checks;
+      }
+      if (n <= 4) {
+        EXPECT_EQ(value, grounding::GroundedWFOMC(sentence, vocabulary, n));
+      }
+      if (n <= 3) {
+        EXPECT_EQ(value, grounding::ExhaustiveWFOMC(sentence, vocabulary, n));
+      }
+    }
+    if (stats.merged_cells > 0) ++merged_instances;
+    if (stats.pruned_subtrees > 0) ++pruned_instances;
+  }
+  // Both shortcuts must actually be exercised by the fuzz.
+  EXPECT_GE(4 * merged_instances, kInstances);
+  EXPECT_GE(4 * pruned_instances, kInstances);
+  EXPECT_GE(plain_checks, kInstances * 3);
+}
+
+// The engine's sweep at large n against the paper's closed forms: one
+// compiled circuit, evaluated at every n = 16..32. Integer weights keep
+// the 1000-digit rationals of n = 32 free of gcds.
+TEST(LiftedCountingNode, SweepMatchesClosedFormsAtLargeN) {
+  const BigRational w(2), w_bar(-3);
+  {
+    logic::Vocabulary vocabulary;
+    vocabulary.AddRelation("R", 2, w, w_bar);
+    Engine engine(vocabulary);
+    Engine::SweepResult sweep =
+        engine.WFOMCSweep(engine.Parse("forall x exists y R(x,y)"), 16, 32);
+    ASSERT_EQ(sweep.method, Method::kLiftedFO2);
+    for (const Engine::SweepPoint& point : sweep.points) {
+      EXPECT_EQ(point.value,
+                closedforms::ForallExistsWFOMC(point.domain_size, w, w_bar))
+          << "n=" << point.domain_size;
+    }
+  }
+  {
+    logic::Vocabulary vocabulary;
+    vocabulary.AddRelation("R", 1, BigRational(3), BigRational(1));
+    vocabulary.AddRelation("S", 2, w, w_bar);
+    vocabulary.AddRelation("T", 1, BigRational(-1), BigRational(2));
+    Engine engine(vocabulary);
+    Engine::SweepResult sweep = engine.WFOMCSweep(
+        engine.Parse("forall x forall y (R(x) | S(x,y) | T(y))"), 16, 32);
+    ASSERT_EQ(sweep.method, Method::kLiftedFO2);
+    for (const Engine::SweepPoint& point : sweep.points) {
+      EXPECT_EQ(point.value,
+                closedforms::Table1WFOMC(point.domain_size, BigRational(3),
+                                         BigRational(1), w, w_bar,
+                                         BigRational(-1), BigRational(2)))
+          << "n=" << point.domain_size;
     }
   }
 }
