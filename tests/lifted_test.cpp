@@ -3,10 +3,11 @@
 // the .nnf counting-node dialect.
 //
 // Correctness here is differential: a lifted circuit is compiled ONCE
-// and its Evaluate(n, w) must be bit-identical to the direct cell
-// algorithm and to a fresh grounded compile at every (n, weight vector)
-// pair — including zero and negative weights, where a numeric shortcut
-// in either path would show up as a disagreement.
+// and its Evaluate(n, w) must be bit-identical to a per-point count and
+// to a fresh grounded compile at every (n, weight vector) pair, and each
+// counting node to a plain composition sum over its evaluated children —
+// including zero and negative weights, where a numeric shortcut in
+// either path would show up as a disagreement.
 
 #include <gtest/gtest.h>
 
@@ -79,9 +80,9 @@ std::vector<Regime> Regimes() {
 // --- The headline differential: one compile, every (n, w, threads). ---
 
 // Fixed liftable sentences with few 1-types, so the full n ∈ [1, 32]
-// sweep stays cheap (the counting node and the direct cell algorithm
-// are both O(n^{C-1}); random sentences can reach C ≈ 32 cells and are
-// exercised at small n below, like the other tier-1 fuzz suites).
+// sweep stays cheap (the counting node is O(n^{C-1}); random sentences
+// can reach C ≈ 32 cells and are exercised at small n below, like the
+// other tier-1 fuzz suites).
 TEST(LiftedCompile, LiftedCompileAgreesWithCellAlgorithmAndGroundedCompile) {
   struct Fixed {
     const char* text;
@@ -109,7 +110,7 @@ TEST(LiftedCompile, LiftedCompileAgreesWithCellAlgorithmAndGroundedCompile) {
     ASSERT_EQ(query.kind(), CompiledQuery::Kind::kLifted);
     EXPECT_EQ(query.domain_size(), 0u);
 
-    // Leg 1: the direct cell algorithm, point by point, n in [1, 32].
+    // Leg 1: per-point counts (fo2::LiftedWFOMC), n in [1, 32].
     for (std::uint64_t n = 1; n <= 32; ++n) {
       EXPECT_EQ(query.Evaluate(n, {}),
                 fo2::LiftedWFOMC(sentence, engine.vocabulary(), n))
@@ -186,11 +187,11 @@ TEST(LiftedCompile, RandomFO2SentencesAgreeAcrossAllLegs) {
     const CompiledQuery& query = *result.compiled;
 
     for (std::uint64_t n = 1; n <= 4; ++n) {
-      // Direct cell algorithm, compile-time weights.
+      // Per-point count, compile-time weights.
       EXPECT_EQ(query.Evaluate(n, {}),
                 fo2::LiftedWFOMC(random.sentence, random.vocabulary, n))
           << "n=" << n;
-      // Reweighted, against a reweighted direct count.
+      // Reweighted, against a reweighted per-point count.
       for (const Regime& regime : Regimes()) {
         std::vector<RelationWeights> reweights = {
             {"R", regime.positive, regime.negative}};
