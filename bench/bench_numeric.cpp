@@ -8,15 +8,14 @@
 //                                 heap limbs and demote back on divide
 //   BM_Numeric_BigMulDiv          multi-limb multiply + divide (the
 //                                 schoolbook/Karatsuba regime)
-//   BM_Numeric_RationalEager      a counter-shaped accumulation with one
-//                                 gcd reduction per operation
-//   BM_Numeric_RationalDeferred   the same accumulation through
-//                                 RationalAccumulator — gcd deferred to
-//                                 one final canonicalization
+//   BM_Numeric_RationalEager      a counter-shaped accumulation over
+//                                 BigRational, one gcd reduction per
+//                                 operation
 //
-// Eager vs. deferred is the row pair that justifies the counter's
-// accumulator plumbing; SmallChain vs. BoundaryStraddle isolates what the
-// inline word buys before any heap work starts.
+// RationalEager prices the canonical-rational arithmetic the counters
+// avoid by clearing denominators and counting in BigInt; SmallChain vs.
+// BoundaryStraddle isolates what the inline word buys before any heap
+// work starts.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +29,6 @@ namespace {
 
 using swfomc::numeric::BigInt;
 using swfomc::numeric::BigRational;
-using swfomc::numeric::RationalAccumulator;
 
 // Deterministic small operands (no <random> so rows are exactly
 // reproducible across standard libraries).
@@ -99,8 +97,9 @@ void BM_Numeric_BigMulDiv(benchmark::State& state) {
 BENCHMARK(BM_Numeric_BigMulDiv)->Arg(40)->Arg(600);
 
 // The counter-shaped workload: alternating weight products and branch
-// sums over fractions with overlapping factors — exactly the pattern
-// DpllCounter's BranchOnComponent/CountComponents accumulate.
+// sums over fractions with overlapping factors — the pattern
+// DpllCounter's BranchOnComponent/CountComponents accumulate, here
+// without clearing denominators first.
 std::vector<BigRational> CounterTerms() {
   std::vector<BigRational> terms;
   for (std::int64_t k = 1; k <= 64; ++k) {
@@ -126,24 +125,6 @@ void BM_Numeric_RationalEager(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Numeric_RationalEager);
-
-void BM_Numeric_RationalDeferred(benchmark::State& state) {
-  std::vector<BigRational> terms = CounterTerms();
-  for (auto _ : state) {
-    RationalAccumulator total;
-    RationalAccumulator product;
-    product.SetOne();
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      product.Multiply(terms[i]);
-      if (i % 4 == 3) {
-        total.Add(product);
-        product.SetOne();
-      }
-    }
-    benchmark::DoNotOptimize(total.Canonical());
-  }
-}
-BENCHMARK(BM_Numeric_RationalDeferred);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -427,22 +428,16 @@ numeric::BigRational Circuit::Evaluate(const wmc::WeightMap& weights,
 
 numeric::BigRational Circuit::EvaluateTape(const wmc::WeightMap& weights,
                                            EvalArena* arena) const {
-  // Clear denominators per variable (wmc::ClearDenominators scales both
-  // phases of v by d_v). Smoothing made every root term pick exactly one
-  // literal per non-auxiliary variable, so the root total is scaled by
-  // exactly Π d_v — divide once at the end. Auxiliaries weigh (1, 1), so
-  // their folded literals need no input.
+  // Smoothing made every root term pick exactly one literal per
+  // non-auxiliary variable, so with the cleared literal weights as inputs
+  // the root total is scaled by exactly Π d_v — divide once at the end.
+  // Auxiliaries weigh (1, 1), so their folded literals need no input.
   using numeric::BigInt;
   const std::size_t inputs = 2 * static_cast<std::size_t>(auxiliary_begin_);
   std::vector<BigInt>& value = arena->integer_values;
   value.resize(inputs + constants_.size() + tape_slots_);
-  BigInt denominator(1);
-  for (VarId v = 0; v < auxiliary_begin_; ++v) {
-    wmc::ScaledWeights scaled = wmc::ClearDenominators(weights.Get(v));
-    value[prop::MakeLit(v, true)] = std::move(scaled.positive);
-    value[prop::MakeLit(v, false)] = std::move(scaled.negative);
-    denominator *= scaled.scale;
-  }
+  BigInt denominator = wmc::ClearDenominators(
+      weights, auxiliary_begin_, std::span(value).first(inputs));
   std::copy(constants_.begin(), constants_.end(),
             value.begin() + static_cast<std::ptrdiff_t>(inputs));
   const std::uint32_t* operand = operands_.data();

@@ -103,22 +103,6 @@ const BigInt& BinomialTable::Get(std::uint64_t n, std::uint64_t k) {
   return rows_[n][k];
 }
 
-BigInt BinomialTable::Multinomial(std::uint64_t n,
-                                  const std::vector<std::uint64_t>& parts) {
-  std::uint64_t sum = 0;
-  for (std::uint64_t p : parts) sum += p;
-  if (sum != n) {
-    throw std::invalid_argument("Multinomial: parts do not sum to n");
-  }
-  BigInt result(1);
-  std::uint64_t remaining = n;
-  for (std::uint64_t p : parts) {
-    result *= Get(remaining, p);
-    remaining -= p;
-  }
-  return result;
-}
-
 std::uint64_t TupleCount(std::uint64_t domain_size, std::size_t arity) {
   std::uint64_t tuples = 1;
   for (std::size_t i = 0; i < arity; ++i) tuples *= domain_size;

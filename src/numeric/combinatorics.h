@@ -30,8 +30,9 @@ BigInt Binomial(const BigInt& n, std::uint64_t k);
 BigInt Multinomial(std::uint64_t n, const std::vector<std::uint64_t>& parts);
 
 /// Enumerates all weak compositions of `total` into `parts` non-negative
-/// summands, invoking `visit` with each composition. Used by the FO² cell
-/// algorithm (Appendix C sums over cell cardinalities n_1+...+n_{2^m}=n).
+/// summands, invoking `visit` with each composition — the plain form of
+/// the Appendix C sum over cell cardinalities n_1+...+n_{2^m}=n, kept as
+/// the reference the FO² tests check the cell algorithm against.
 /// `visit` returning false aborts the enumeration.
 void ForEachComposition(
     std::uint64_t total, std::size_t parts,
@@ -81,10 +82,6 @@ class BinomialTable {
  public:
   /// C(n, k); a shared zero when k > n.
   const BigInt& Get(std::uint64_t n, std::uint64_t k);
-
-  /// n! / (parts[0]! · ... · parts[m-1]!) as a product of cached
-  /// binomials. Requires sum(parts) == n (checked).
-  BigInt Multinomial(std::uint64_t n, const std::vector<std::uint64_t>& parts);
 
  private:
   std::vector<std::vector<BigInt>> rows_;

@@ -110,61 +110,6 @@ class BigRational {
   BigInt denominator_;
 };
 
-/// Batched, gcd-deferred rational accumulator.
-///
-/// The counters spend most of their time folding long products and short
-/// sums of canonical BigRationals (branch weights, component counts,
-/// cached values). Running those through BigRational would reduce to
-/// lowest terms after every step; this accumulator keeps an *unreduced*
-/// numerator/denominator pair (denominator positive, but not coprime with
-/// the numerator) and performs a single canonicalizing reduction when the
-/// result is taken. Because only the final canonical value is observable,
-/// results are bit-identical to the step-by-step path.
-class RationalAccumulator {
- public:
-  /// Starts at zero (0/1).
-  RationalAccumulator() : numerator_(0), denominator_(1) {}
-
-  void SetOne() {
-    numerator_ = BigInt(1);
-    denominator_ = BigInt(1);
-  }
-  void Set(const BigRational& value) {
-    numerator_ = value.numerator();
-    denominator_ = value.denominator();
-  }
-
-  /// True iff the accumulated value is zero (denominators never vanish,
-  /// so the unreduced numerator decides).
-  bool IsZero() const { return numerator_.IsZero(); }
-
-  /// *this *= value, no reduction.
-  void Multiply(const BigRational& value) {
-    numerator_ *= value.numerator();
-    denominator_ *= value.denominator();
-  }
-
-  /// *this += value, cross-multiplied, no reduction.
-  void Add(const BigRational& value) {
-    numerator_ = numerator_ * value.denominator() + value.numerator() * denominator_;
-    denominator_ *= value.denominator();
-  }
-
-  /// *this += other, cross-multiplied, no reduction.
-  void Add(const RationalAccumulator& other) {
-    numerator_ =
-        numerator_ * other.denominator_ + other.numerator_ * denominator_;
-    denominator_ *= other.denominator_;
-  }
-
-  /// The accumulated value in canonical form (one reduction).
-  BigRational Canonical() const { return BigRational(numerator_, denominator_); }
-
- private:
-  BigInt numerator_;
-  BigInt denominator_;
-};
-
 }  // namespace swfomc::numeric
 
 #endif  // SWFOMC_NUMERIC_RATIONAL_H_

@@ -44,7 +44,7 @@ void ComponentCache::CompactOrderQueue() {
 }
 
 void ComponentCache::Insert(ComponentKey key, std::uint64_t hash,
-                            numeric::BigRational value) {
+                            numeric::BigInt value) {
   if (max_entries_ == 0 || max_bytes_ == 0) return;
   std::size_t entry_bytes = EntryBytes(key, value);
   // A single entry bigger than the whole byte bound would force evicting

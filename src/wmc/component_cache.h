@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "numeric/rational.h"
+#include "numeric/bigint.h"
 
 namespace swfomc::wmc {
 
@@ -50,8 +50,8 @@ std::uint64_t HashComponentKey(const ComponentKey& key);
 /// overflow handling). Unsynchronized: each DpllCounter owns one.
 ///
 /// Byte accounting covers what the cache actually owns per entry: the
-/// packed key's word buffer, the BigRational payload's limb buffers, and
-/// a fixed per-entry overhead estimate for the map node + deque slot. An
+/// packed key's word buffer, the BigInt payload's limb buffer, and a
+/// fixed per-entry overhead estimate for the map node + deque slot. An
 /// entry larger than the whole byte bound on its own is not inserted
 /// (evicting everything to fit one giant entry would destroy the cache's
 /// purpose).
@@ -67,7 +67,7 @@ class ComponentCache {
   /// the insertion-order slot (hash + refresh token).
   static constexpr std::size_t kEntryOverheadBytes =
       sizeof(std::uint64_t) * 3 + sizeof(void*) * 2 + sizeof(ComponentKey) +
-      sizeof(numeric::BigRational) + sizeof(std::size_t) * 2;
+      sizeof(numeric::BigInt) + sizeof(std::size_t) * 2;
 
   explicit ComponentCache(std::size_t max_entries,
                           std::size_t max_bytes = kUnboundedBytes);
@@ -76,7 +76,7 @@ class ComponentCache {
   /// match with a different stored key counts as a collision and a miss.
   /// The pointer is valid until the next Insert. Defined inline: this is
   /// the hottest call in the whole counter (~1 probe per search node).
-  const numeric::BigRational* Lookup(const ComponentKey& key,
+  const numeric::BigInt* Lookup(const ComponentKey& key,
                                      std::uint64_t hash) {
     ++lookups_;
     auto it = entries_.find(hash);
@@ -88,11 +88,10 @@ class ComponentCache {
     ++hits_;
     return &it->second.value;
   }
-  void Insert(ComponentKey key, std::uint64_t hash,
-              numeric::BigRational value);
+  void Insert(ComponentKey key, std::uint64_t hash, numeric::BigInt value);
 
   std::size_t size() const { return entries_.size(); }
-  /// Resident bytes currently accounted to entries (keys + rational limb
+  /// Resident bytes currently accounted to entries (keys + integer limb
   /// buffers + per-entry overhead).
   std::size_t bytes() const { return bytes_; }
   std::size_t max_bytes() const { return max_bytes_; }
@@ -104,7 +103,7 @@ class ComponentCache {
 
   /// Bytes accounted to one (key, value) pair if it were an entry.
   static std::size_t EntryBytes(const ComponentKey& key,
-                                const numeric::BigRational& value) {
+                                const numeric::BigInt& value) {
     return key.capacity() * sizeof(std::uint32_t) + value.HeapBytes() +
            kEntryOverheadBytes;
   }
@@ -112,7 +111,7 @@ class ComponentCache {
  private:
   struct Entry {
     ComponentKey key;
-    numeric::BigRational value;
+    numeric::BigInt value;
     std::size_t bytes;  // EntryBytes at insertion, so removal balances
     /// Matches exactly one insertion_order_ slot; a replacement bumps the
     /// token and enqueues a fresh slot, orphaning the old one.

@@ -9,11 +9,10 @@ namespace swfomc::wmc {
 
 namespace {
 
+using numeric::BigInt;
 using numeric::BigRational;
-using numeric::RationalAccumulator;
 using prop::Clause;
 using prop::Lit;
-using prop::LitPositive;
 using prop::LitVariable;
 using prop::MakeLit;
 using prop::NegateLit;
@@ -27,12 +26,11 @@ constexpr std::uint64_t kLiveFlushInterval = 4096;
 
 }  // namespace
 
-/// Interval-tracking product/sum built on RationalAccumulator. While
-/// every factor is exact only the lower track runs — the identical
-/// gcd-deferred op sequence as the ungoverned counter, so exact results
-/// stay bit-identical and carry no second-accumulator cost. The upper
-/// track is forked lazily (a copy of the exact prefix) when the first
-/// bracketed factor arrives.
+/// Interval-tracking product/sum over two BigInt tracks. While every
+/// factor is exact only the lower track runs — the identical op sequence
+/// as the ungoverned counter, so exact results stay bit-identical and
+/// carry no second-accumulator cost. The upper track is forked lazily (a
+/// copy of the exact prefix) when the first bracketed factor arrives.
 ///
 /// Interval arithmetic here assumes non-negative endpoints with
 /// lower <= exact <= upper, under which products and sums of intervals
@@ -40,51 +38,38 @@ constexpr std::uint64_t kLiveFlushInterval = 4096;
 /// trusts brackets when all weights are non-negative (bounds_sound_).
 class DpllCounter::BoundsAccumulator {
  public:
-  void SetOne() {
-    lower_.SetOne();
-    exact_ = true;
-  }
-
-  bool exact() const { return exact_; }
+  void SetOne() { Set(BigInt(1)); }
 
   /// True only when the accumulated value is *exactly* zero. A zero
   /// lower bound on a bracketed product says nothing about the upper
   /// track, so zero-short-circuits must (and do) key off this.
   bool IsZero() const { return exact_ && lower_.IsZero(); }
 
-  void Set(const BigRational& value) {
-    lower_.Set(value);
+  void Set(const BigInt& value) {
+    lower_ = value;
     exact_ = true;
   }
 
-  void Multiply(const BigRational& factor) {
-    lower_.Multiply(factor);
-    if (!exact_) upper_.Multiply(factor);
+  void Multiply(const BigInt& factor) {
+    lower_ *= factor;
+    if (!exact_) upper_ *= factor;
   }
 
   void Multiply(const NodeResult& factor) {
     if (!factor.exact && exact_) Fork();
-    lower_.Multiply(factor.value);
-    if (!exact_) upper_.Multiply(factor.exact ? factor.value : factor.upper);
-  }
-
-  void Add(const RationalAccumulator& term) {
-    lower_.Add(term);
-    if (!exact_) upper_.Add(term);
+    lower_ *= factor.value;
+    if (!exact_) upper_ *= factor.exact ? factor.value : factor.upper;
   }
 
   void Add(const BoundsAccumulator& term) {
     if (!term.exact_ && exact_) Fork();
-    lower_.Add(term.lower_);
-    if (!exact_) upper_.Add(term.exact_ ? term.lower_ : term.upper_);
+    lower_ += term.lower_;
+    if (!exact_) upper_ += term.exact_ ? term.lower_ : term.upper_;
   }
 
-  NodeResult Finish() const {
-    NodeResult result;
-    result.value = lower_.Canonical();
-    result.exact = exact_;
-    if (!exact_) result.upper = upper_.Canonical();
-    return result;
+  NodeResult Finish() {
+    if (exact_) return NodeResult{std::move(lower_), BigInt(), true};
+    return NodeResult{std::move(lower_), std::move(upper_), false};
   }
 
  private:
@@ -93,8 +78,8 @@ class DpllCounter::BoundsAccumulator {
     exact_ = false;
   }
 
-  RationalAccumulator lower_;
-  RationalAccumulator upper_;
+  BigInt lower_;
+  BigInt upper_;
   bool exact_ = true;
 };
 
@@ -104,7 +89,6 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights)
 DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
                          Options options)
     : cnf_(std::move(cnf)),
-      weights_(std::move(weights)),
       options_(options),
       governed_(options.budget != nullptr || options.cancel != nullptr ||
                 options.fault != nullptr),
@@ -116,18 +100,25 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
                  ? std::min<std::size_t>(options.max_cache_bytes,
                                          options.budget->max_memory_bytes())
                  : options.max_cache_bytes) {
-  weights_.EnsureSize(cnf_.variable_count);
+  weights.EnsureSize(cnf_.variable_count);
   // Clear denominators once: every term the search sums carries exactly
   // one weight factor per counted variable (a decision or implied
   // literal, a free (w + w̄), the single-clause closed form, or the
   // [0, Π(w + w̄)] bracket), so the scaled search totals weight_scale_ ×
-  // the count and runs without a gcd per node. Entries past
-  // variable_count are never read and stay out of the scale.
+  // the count and runs in BigInt. Entries past variable_count are never
+  // read and stay out of the scale.
+  literal_weight_.resize(2 * std::size_t{cnf_.variable_count});
+  weight_scale_ =
+      ClearDenominators(weights, cnf_.variable_count, literal_weight_);
+  total_weight_.reserve(cnf_.variable_count);
   for (VarId v = 0; v < cnf_.variable_count; ++v) {
-    ScaledWeights scaled = ClearDenominators(weights_.Get(v));
-    weights_.Set(v, std::move(scaled.positive), std::move(scaled.negative));
-    weight_scale_ *= scaled.scale;
+    total_weight_.push_back(literal_weight_[MakeLit(v, true)] +
+                            literal_weight_[MakeLit(v, false)]);
   }
+  // Clearing keeps every sign (d_v > 0), so the scaled weights decide.
+  bounds_sound_ = std::none_of(
+      literal_weight_.begin(), literal_weight_.end(),
+      [](const BigInt& weight) { return weight.IsNegative(); });
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* r = options_.metrics;
     live_.decisions = r->GetCounter("swfomc_dpll_decisions_total",
@@ -208,15 +199,6 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
   trace_cache_.clear();
   trace_cache_stats_ = Stats{};
   stop_ = runtime::StopReason::kNone;
-  bounds_sound_ = true;
-  if (governed_) {
-    // The [0, mass] bracket needs every weight non-negative; scanned once
-    // here so per-node code can trust bounds_sound_.
-    for (VarId v = 0; v < cnf_.variable_count && bounds_sound_; ++v) {
-      const VariableWeights& w = weights_.Get(v);
-      bounds_sound_ = w.positive.Sign() >= 0 && w.negative.Sign() >= 0;
-    }
-  }
   TraceSink* sink = options_.trace_sink;
   TraceSink::NodeId trace_root = TraceSink::kNoNode;
   SearchContext root;
@@ -233,11 +215,6 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
       }
     }
     compact_ = prop::CompactCnf::Build(cnf_);
-    total_weight_.clear();
-    total_weight_.reserve(cnf_.variable_count);
-    for (VarId v = 0; v < cnf_.variable_count; ++v) {
-      total_weight_.push_back(weights_.Get(v).Total());
-    }
     InitContext(&root);
     root.trail.emplace(&compact_);
 
@@ -246,13 +223,10 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
       return NodeResult{};
     }
     std::vector<TraceSink::NodeId> children;
-    // Gcd-deferred product of the root factors: one canonicalizing
-    // reduction at the end instead of one per factor.
     BoundsAccumulator result;
     result.SetOne();
     for (Lit lit : root.trail->assignments()) {
-      const BigRational& weight =
-          weights_.LiteralWeight(LitVariable(lit), LitPositive(lit));
+      const BigInt& weight = literal_weight_[lit];
       if (!weight.IsOne()) result.Multiply(weight);
       if (sink != nullptr) children.push_back(sink->Literal(lit));
     }
@@ -280,11 +254,6 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     if (sink != nullptr) trace_root = sink->And(children);
     return result.Finish();
   }();
-  // The one division undoing the constructor's scaling; a positive scale
-  // keeps the bounds ordered.
-  const BigRational scale(weight_scale_);
-  result.value /= scale;
-  result.upper /= scale;
   stats_ = root.stats;  // search counters; FinalizeStats adds the cache's
   if (observed_) FlushLiveStats(&root);
   FinalizeStats();
@@ -292,21 +261,14 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
 
   CountResult out;
   out.stop_reason = stop_;
-  if (out.stop_reason == runtime::StopReason::kNone) {
-    // Never stopped — exact even if governed. (A stop that fired after
-    // the last decision still unwound through brackets, so result.exact
-    // implies no bracket anywhere.)
+  if (out.stop_reason == runtime::StopReason::kNone || result.exact) {
+    // Never stopped — exact even if governed (a stop that fired after the
+    // last decision still unwound through brackets, so result.exact
+    // implies no bracket anywhere) — or every subtree the stop
+    // interrupted turned out to be resolvable without further decisions
+    // (or from the cache): the count is exact after all.
     out.outcome = CountOutcome::kExact;
-    out.value = std::move(result.value);
-    out.upper = out.value;
-    return out;
-  }
-  if (result.exact) {
-    // The stop fired but every subtree it interrupted turned out to be
-    // resolvable without further decisions (or from the cache): the
-    // count is exact after all.
-    out.outcome = CountOutcome::kExact;
-    out.value = std::move(result.value);
+    out.value = BigRational(std::move(result.value), weight_scale_);
     out.upper = out.value;
     return out;
   }
@@ -316,9 +278,11 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     out.outcome = CountOutcome::kAborted;
     return out;
   }
+  // The divisions undoing the constructor's scaling; a positive scale
+  // keeps the bounds ordered.
   out.outcome = CountOutcome::kBounds;
-  out.value = std::move(result.value);
-  out.upper = std::move(result.upper);
+  out.value = BigRational(std::move(result.value), weight_scale_);
+  out.upper = BigRational(std::move(result.upper), weight_scale_);
   return out;
 }
 
@@ -460,7 +424,7 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
     if (it != trace_cache_.end()) {
       ++trace_cache_stats_.cache_hits;
       *trace_node = it->second.node;
-      return NodeResult{it->second.value, BigRational(), true};
+      return NodeResult{it->second.value, BigInt(), true};
     }
     // Copy the scratch key out before recursing (nested lookups reuse it).
     ComponentKey key = ctx->key_scratch;
@@ -489,23 +453,21 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
   // beats both branching and a cache round-trip, and such components are
   // the bulk of what Tseitin-encoded lineages shatter into.
   if (component.clauses.size() == 1) {
-    RationalAccumulator all;
-    RationalAccumulator falsifying;
-    all.SetOne();
-    falsifying.SetOne();
+    BigInt all(1);
+    BigInt falsifying(1);
     for (Lit lit : compact_.Clause(component.clauses.front())) {
       VarId v = LitVariable(lit);
       if (ctx->trail->IsAssigned(v)) continue;
-      all.Multiply(total_weight_[v]);
-      falsifying.Multiply(weights_.LiteralWeight(v, !LitPositive(lit)));
+      all *= total_weight_[v];
+      falsifying *= literal_weight_[NegateLit(lit)];
     }
-    return NodeResult{all.Canonical() - falsifying.Canonical(),
-                      BigRational(), true};
+    all -= falsifying;
+    return NodeResult{std::move(all), BigInt(), true};
   }
   if (!options_.use_cache) return BranchOnComponent(ctx, component, nullptr);
   std::uint64_t hash = PackKey(ctx, component);
-  if (const BigRational* hit = cache_.Lookup(ctx->key_scratch, hash)) {
-    return NodeResult{*hit, BigRational(), true};
+  if (const BigInt* hit = cache_.Lookup(ctx->key_scratch, hash)) {
+    return NodeResult{*hit, BigInt(), true};
   }
   // Copy the scratch key out before recursing (nested lookups reuse it).
   ComponentKey key = ctx->key_scratch;
@@ -564,12 +526,11 @@ DpllCounter::NodeResult DpllCounter::BracketComponent(
   // Every total assignment of the component's unassigned variables has
   // weight <= Π (w + w̄), and with non-negative weights the sum over the
   // satisfying subset is sandwiched in [0, that product].
-  RationalAccumulator upper;
-  upper.SetOne();
+  BigInt upper(1);
   for (VarId v : component.variables) {
-    if (!ctx->trail->IsAssigned(v)) upper.Multiply(total_weight_[v]);
+    if (!ctx->trail->IsAssigned(v)) upper *= total_weight_[v];
   }
-  return NodeResult{BigRational(0), upper.Canonical(), false};
+  return NodeResult{BigInt(0), std::move(upper), false};
 }
 
 DpllCounter::NodeResult DpllCounter::BranchOnComponent(
@@ -588,9 +549,6 @@ DpllCounter::NodeResult DpllCounter::BranchOnComponent(
     FlushLiveStats(ctx);
   }
   NodeScratch* scratch = AcquireScratch(ctx);
-  // Branch product and decision sum stay unreduced until the OR closes:
-  // one canonicalizing reduction per decision node instead of one per
-  // weight factor.
   BoundsAccumulator total;
   BoundsAccumulator term;
   // Circuit children of the decision OR; conflicting branches contribute
@@ -598,7 +556,7 @@ DpllCounter::NodeResult DpllCounter::BranchOnComponent(
   std::vector<TraceSink::NodeId> or_children;
   std::vector<TraceSink::NodeId> branch_children;
   for (bool value : {true, false}) {
-    const BigRational& weight = weights_.LiteralWeight(variable, value);
+    const BigInt& weight = literal_weight_[MakeLit(variable, value)];
     // A zero-weight branch carries factor 0 — but only for *these*
     // weights, so tracing must still explore it for the circuit.
     if (weight.IsZero() && trace_node == nullptr) continue;
@@ -615,8 +573,7 @@ DpllCounter::NodeResult DpllCounter::BranchOnComponent(
         }
       }
       for (std::size_t i = mark + 1; i < trail.size(); ++i) {
-        const BigRational& implied = weights_.LiteralWeight(
-            LitVariable(trail[i]), LitPositive(trail[i]));
+        const BigInt& implied = literal_weight_[trail[i]];
         if (!implied.IsOne()) term.Multiply(implied);
       }
       if (!term.IsZero() || trace_node != nullptr) {

@@ -43,10 +43,10 @@ namespace swfomc::wmc {
 /// Counts are over *all* variables in [0, cnf.variable_count): a variable
 /// not constrained by any clause contributes a factor (w + w̄). Negative
 /// and zero weights are handled exactly. Rational weights have their
-/// denominators cleared once, at construction: the search, its cache and
-/// its brackets work on integer-valued weights, and the count is divided
-/// exactly once at the root (the same scaling as
-/// nnf::Circuit::Evaluate's integer path).
+/// denominators cleared once, at construction (wmc::ClearDenominators,
+/// shared with nnf::Circuit::Evaluate): the search, its cache and its
+/// brackets count in BigInt, and the count becomes a rational exactly
+/// once, by the division at the root.
 ///
 /// The search can be resource-governed (`Options::budget` / `cancel` /
 /// `fault`): the search checks for a stop once per decision and, on
@@ -71,7 +71,7 @@ class DpllCounter {
     /// valid for all weight vectors — the returned count is still
     /// bit-identical to an untraced Count().
     TraceSink* trace_sink = nullptr;
-    /// Byte bound on the component cache's resident size (keys + rational
+    /// Byte bound on the component cache's resident size (keys + integer
     /// payloads + per-entry overhead); eviction is driven by whichever of
     /// the entry and byte bounds binds first. When `budget` carries a
     /// memory ceiling, the effective bound is the tighter of the two.
@@ -203,8 +203,8 @@ class DpllCounter {
   /// is the exact count and `upper` is unused (kept empty); once any
   /// descendant was cut off, `value`/`upper` are the certified bounds.
   struct NodeResult {
-    numeric::BigRational value;
-    numeric::BigRational upper;
+    numeric::BigInt value;
+    numeric::BigInt upper;
     bool exact = true;
   };
 
@@ -320,11 +320,12 @@ class DpllCounter {
   bool tracing() const { return options_.trace_sink != nullptr; }
 
   prop::CnfFormula cnf_;
-  // Integer-valued after construction (see the constructor): every value
-  // the search computes or caches is weight_scale_ = Π d_v times its
-  // true count.
-  WeightMap weights_;
-  numeric::BigInt weight_scale_{1};
+  // Cleared weights indexed by Lit, and their per-variable sums w + w̄
+  // (see the constructor): every value the search computes or caches is
+  // weight_scale_ = Π d_v times its true count.
+  std::vector<numeric::BigInt> literal_weight_;
+  std::vector<numeric::BigInt> total_weight_;
+  numeric::BigInt weight_scale_;
   Options options_;
   // True when any of budget/cancel/fault is set; the sole per-decision
   // cost on ungoverned runs is this one predictable branch.
@@ -344,9 +345,8 @@ class DpllCounter {
     obs::Counter* cache_evictions = nullptr;
   };
   LiveMetrics live_;
-  // Non-negative weights make the [0, mass] bracket certified; scanned
-  // once per governed Count(). With negative weights a stop degrades to
-  // kAborted.
+  // Non-negative weights make the [0, mass] bracket certified. With
+  // negative weights a stop degrades to kAborted.
   bool bounds_sound_ = true;
   // The stop requested for the current Count(); kNone while running.
   runtime::StopReason stop_ = runtime::StopReason::kNone;
@@ -357,14 +357,13 @@ class DpllCounter {
 
   // Search state, rebuilt by Count().
   prop::CompactCnf compact_;
-  std::vector<numeric::BigRational> total_weight_;  // per-var w + w̄
 
   // Tracing state (rebuilt per Count()): the unbounded trace memo plays
   // the component cache's role — a hit must return the circuit node of
   // the first computation, so entries can never be evicted — and its
   // counters feed the cache_* Stats fields in tracing mode.
   struct TraceEntry {
-    numeric::BigRational value;
+    numeric::BigInt value;
     TraceSink::NodeId node = TraceSink::kNoNode;
   };
   struct TraceKeyHash {

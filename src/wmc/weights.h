@@ -2,6 +2,7 @@
 #define SWFOMC_WMC_WEIGHTS_H_
 
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "numeric/rational.h"
@@ -19,22 +20,6 @@ struct VariableWeights {
   /// w + w̄: the total weight of an unconstrained variable.
   numeric::BigRational Total() const { return positive + negative; }
 };
-
-/// A weight pair with its denominators cleared: `positive` = w·d and
-/// `negative` = w̄·d, where d = lcm(den w, den w̄) > 0 is `scale`. Both
-/// scaled weights are integers carrying the signs of w and w̄.
-struct ScaledWeights {
-  numeric::BigInt positive;
-  numeric::BigInt negative;
-  numeric::BigInt scale;
-};
-
-/// The per-variable step of integer-scaled counting. A sum whose every
-/// product term picks exactly one literal weight of each variable v is
-/// scaled by exactly Π d_v when each pair is replaced by its cleared
-/// form, so the sum runs in integer arithmetic (no gcd per operation)
-/// and one exact division by Π d_v recovers it. Integer pairs get d = 1.
-ScaledWeights ClearDenominators(const VariableWeights& weights);
 
 /// Weight table indexed by VarId.
 class WeightMap {
@@ -73,6 +58,18 @@ class WeightMap {
  private:
   std::vector<VariableWeights> weights_;
 };
+
+/// Integer-scaled counting's weight table. For each variable v < count,
+/// writes w(v)·d_v to out[MakeLit(v, true)] and w̄(v)·d_v to
+/// out[MakeLit(v, false)], where d_v = lcm(den w, den w̄) > 0, and
+/// returns D = Π d_v. Scaled weights are integers carrying the signs of
+/// w and w̄; integer pairs get d_v = 1. A sum whose every product term
+/// picks exactly one literal weight of each v < count is scaled by
+/// exactly D, so it runs in integer arithmetic (no gcd per operation)
+/// and one exact division by D recovers it. Requires
+/// weights.size() >= count and out.size() >= 2·count.
+numeric::BigInt ClearDenominators(const WeightMap& weights, prop::VarId count,
+                                  std::span<numeric::BigInt> out);
 
 }  // namespace swfomc::wmc
 

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 namespace swfomc {
 namespace {
 
+using numeric::BigInt;
 using numeric::BigRational;
 using runtime::Budget;
 using runtime::CancelToken;
@@ -254,6 +256,69 @@ TEST(BudgetBounds, BoundsAreMonotoneInTheBudget) {
   }
 }
 
+TEST(BudgetBounds, GovernedBracketsArePinnedExactly) {
+  // A fixed 3-CNF with pairwise non-coprime weight denominators and three
+  // zero weights, stopped at fixed decision caps. The brackets are
+  // pinned bit for bit, so a change to how bracketed and exact factors
+  // combine (or to where the scaled count is divided back) shows up here
+  // even when it still brackets the exact count.
+  static const int kClauses[][3] = {
+      {8, 11, 4},    {2, 1, 7},      {-8, -5, -13},  {8, 9, -1},
+      {-10, -4, -13}, {9, 5, -11},   {-4, -11, -5},  {3, -11, -8},
+      {-8, 14, 10},  {-6, -14, 16},  {-1, -3, 4},    {11, -15, 6},
+      {-4, 15, 8},   {-3, -14, 7},   {-12, -15, -5}, {-13, 6, 4},
+      {-14, -4, 1},  {-11, -6, 8},   {1, -9, 5},     {-4, 5, 12},
+      {-11, 16, 12}, {-15, 5, -6},   {8, 2, 5},      {-8, -12, -3},
+      {-7, 2, 9},    {-10, -1, 8},   {15, -7, 16},   {10, -2, 8},
+      {-11, -12, -5}, {1, 14, -16},  {3, 10, -9},    {12, 5, -1},
+      {-10, -3, 11}, {16, -4, 6}};
+  // (w, w̄) per variable as {numerator, denominator} pairs.
+  static const std::int64_t kWeights[][4] = {
+      {1, 4, 3, 8},   {5, 6, 3, 10}, {0, 1, 5, 6},   {3, 8, 1, 1},
+      {7, 12, 4, 9},  {2, 1, 7, 12}, {1, 1, 9, 4},   {5, 6, 0, 1},
+      {3, 10, 5, 6},  {9, 4, 1, 4},  {1, 15, 2, 1},  {4, 9, 1, 15},
+      {1, 4, 3, 8},   {5, 6, 3, 10}, {0, 1, 5, 6},   {3, 8, 1, 1}};
+  Instance instance;
+  instance.cnf.variable_count = 16;
+  for (const auto& clause : kClauses) {  // DIMACS-style: ±(variable + 1)
+    prop::Clause& out = instance.cnf.clauses.emplace_back();
+    for (int lit : clause) {
+      out.push_back(prop::Literal{prop::VarId(std::abs(lit) - 1), lit > 0});
+    }
+  }
+  instance.weights = wmc::WeightMap(16);
+  for (prop::VarId v = 0; v < 16; ++v) {
+    const std::int64_t* w = kWeights[v];
+    instance.weights.Set(v, BigRational::Fraction(w[0], w[1]),
+                         BigRational::Fraction(w[2], w[3]));
+  }
+  const BigRational exact = ExactCount(instance);
+  EXPECT_EQ(exact.ToString(), "721906698629/275188285440");
+
+  struct Pinned {
+    std::uint64_t cap;
+    const char* value;
+    const char* upper;
+  };
+  static const Pinned kPinned[] = {
+      {1, "0", "31600826309195/2229025112064"},
+      {3, "0", "12039721967845/1114512556032"},
+      {8, "1141576135/2293235712", "37969971772459/4458050224128"},
+      {20, "1612289036687/825564856320", "37420471742183/7430083706880"}};
+  for (const Pinned& pinned : kPinned) {
+    SCOPED_TRACE("cap=" + std::to_string(pinned.cap));
+    Budget budget;
+    budget.SetMaxDecisions(pinned.cap);
+    DpllCounter::Options options;
+    options.budget = &budget;
+    CountResult result = CountWithOptions(instance, options);
+    EXPECT_EQ(result.outcome, CountOutcome::kBounds);
+    EXPECT_EQ(result.stop_reason, StopReason::kDecisions);
+    EXPECT_EQ(result.value.ToString(), pinned.value);
+    EXPECT_EQ(result.upper.ToString(), pinned.upper);
+  }
+}
+
 TEST(BudgetBounds, GenerousBudgetIsBitIdenticalToUngoverned) {
   const std::uint64_t base = testutil::FuzzBaseSeed(7105);
   for (int round = 0; round < 4; ++round) {
@@ -411,7 +476,7 @@ TEST(CacheBytes, ResidentBytesTrackInsertionsExactly) {
   std::size_t expected_bytes = 0;
   for (std::uint32_t i = 0; i < 16; ++i) {
     wmc::ComponentKey key = MakeKey(i, 4 + i);
-    BigRational value = BigRational::Fraction(3 * i + 1, 7);
+    BigInt value = BigInt::Pow(BigInt(3 * i + 1), 4 * i);
     expected_bytes += ComponentCache::EntryBytes(key, value);
     cache.Insert(std::move(key), /*hash=*/i, std::move(value));
   }
@@ -422,11 +487,11 @@ TEST(CacheBytes, ResidentBytesTrackInsertionsExactly) {
 TEST(CacheBytes, ByteBoundDrivesEviction) {
   wmc::ComponentKey probe = MakeKey(0, 8);
   std::size_t per_entry =
-      ComponentCache::EntryBytes(probe, BigRational(1));
+      ComponentCache::EntryBytes(probe, BigInt(1));
   // Room for about four entries; the entry bound never binds.
   ComponentCache cache(/*max_entries=*/1024, /*max_bytes=*/4 * per_entry);
   for (std::uint32_t i = 0; i < 64; ++i) {
-    cache.Insert(MakeKey(i, 8), /*hash=*/i, BigRational(1));
+    cache.Insert(MakeKey(i, 8), /*hash=*/i, BigInt(1));
     EXPECT_LE(cache.bytes(), cache.max_bytes());
   }
   EXPECT_LE(cache.size(), 4u);
@@ -438,14 +503,14 @@ TEST(CacheBytes, ByteBoundDrivesEviction) {
 TEST(CacheBytes, OversizedEntryIsSkippedNotThrashed) {
   wmc::ComponentKey small = MakeKey(1, 2);
   std::size_t small_bytes =
-      ComponentCache::EntryBytes(small, BigRational(1));
+      ComponentCache::EntryBytes(small, BigInt(1));
   ComponentCache cache(/*max_entries=*/16, /*max_bytes=*/2 * small_bytes);
-  cache.Insert(std::move(small), /*hash=*/1, BigRational(1));
+  cache.Insert(std::move(small), /*hash=*/1, BigInt(1));
   ASSERT_EQ(cache.size(), 1u);
 
   // An entry bigger than the whole byte bound must not evict everything
   // only to fail to fit anyway.
-  cache.Insert(MakeKey(2, 4096), /*hash=*/2, BigRational(1));
+  cache.Insert(MakeKey(2, 4096), /*hash=*/2, BigInt(1));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.Lookup(MakeKey(1, 2), /*hash=*/1), nullptr);
 }
@@ -453,17 +518,17 @@ TEST(CacheBytes, OversizedEntryIsSkippedNotThrashed) {
 TEST(CacheBytes, ReplacementKeepsAccountingBalanced) {
   ComponentCache cache(/*max_entries=*/8);
   wmc::ComponentKey key = MakeKey(5, 4);
-  cache.Insert(key, /*hash=*/5, BigRational(1));
+  cache.Insert(key, /*hash=*/5, BigInt(1));
   std::size_t bytes_small = cache.bytes();
   // Same key, much larger payload: the accounting must follow the
   // replacement, not accumulate. (Exact byte values depend on vector
   // and limb capacities, so assert the shape, not a magic number.)
-  BigRational big = BigRational::Pow(BigRational::Fraction(7, 3), 64);
+  BigInt big = BigInt::Pow(BigInt(7), 64);
   cache.Insert(key, /*hash=*/5, big);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_GT(cache.bytes(), bytes_small);
   // Replacing back with the small payload must release the difference.
-  cache.Insert(key, /*hash=*/5, BigRational(1));
+  cache.Insert(key, /*hash=*/5, BigInt(1));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.bytes(), bytes_small);
 }

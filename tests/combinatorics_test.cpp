@@ -131,14 +131,6 @@ TEST(BinomialTableTest, MatchesBinomial) {
   EXPECT_EQ(table.Get(40, 20), Binomial(40, 20));
 }
 
-TEST(BinomialTableTest, MultinomialMatchesFreeFunction) {
-  BinomialTable table;
-  EXPECT_EQ(table.Multinomial(6, {2, 2, 2}), Multinomial(6, {2, 2, 2}));
-  EXPECT_EQ(table.Multinomial(10, {10}), BigInt(1));
-  EXPECT_EQ(table.Multinomial(0, {}), BigInt(1));
-  EXPECT_THROW(table.Multinomial(5, {2, 2}), std::invalid_argument);
-}
-
 TEST(CompositionTest, ZeroParts) {
   std::uint64_t calls = 0;
   ForEachComposition(0, 0, [&](const std::vector<std::uint64_t>& c) {

@@ -207,51 +207,5 @@ TEST(BigRationalTest, DivisionSelfAliasing) {
   ExpectCanonical(s);
 }
 
-TEST(RationalAccumulatorTest, MatchesEagerArithmetic) {
-  // The gcd-deferred accumulator must canonicalize to exactly the value
-  // the eager operators produce, across mixed products and sums.
-  std::mt19937_64 rng(20260808);
-  for (int trial = 0; trial < 50; ++trial) {
-    RationalAccumulator accumulated;
-    accumulated.SetOne();
-    BigRational eager(1);
-    for (int step = 0; step < 12; ++step) {
-      std::int64_t num =
-          static_cast<std::int64_t>(rng() % 41) - 20;
-      std::int64_t den = 1 + static_cast<std::int64_t>(rng() % 19);
-      BigRational term = BigRational::Fraction(num, den);
-      if (rng() % 2 == 0) {
-        accumulated.Multiply(term);
-        eager *= term;
-      } else {
-        accumulated.Add(term);
-        eager += term;
-      }
-    }
-    BigRational canonical = accumulated.Canonical();
-    EXPECT_EQ(canonical, eager);
-    ExpectCanonical(canonical);
-  }
-}
-
-TEST(RationalAccumulatorTest, SetZeroCheckAndNestedAdd) {
-  RationalAccumulator outer;
-  outer.SetOne();
-  EXPECT_FALSE(outer.IsZero());
-  outer.Multiply(BigRational(0));
-  EXPECT_TRUE(outer.IsZero());
-  EXPECT_EQ(outer.Canonical(), BigRational(0));
-
-  // Accumulator-into-accumulator addition (the counter's branch sum).
-  RationalAccumulator left;
-  left.Set(BigRational::Fraction(2, 6));  // unreduced entry is fine
-  RationalAccumulator right;
-  right.Set(BigRational::Fraction(1, 2));
-  right.Multiply(BigRational::Fraction(2, 3));  // 2/6, deferred
-  left.Add(right);
-  EXPECT_EQ(left.Canonical(), BigRational::Fraction(2, 3));
-  ExpectCanonical(left.Canonical());
-}
-
 }  // namespace
 }  // namespace swfomc::numeric

@@ -298,40 +298,82 @@ TEST(DpllCounterTest, RepeatedCountReportsPerInvocationStats) {
 
 // --- Denominator clearing ------------------------------------------------
 
+// Runs ClearDenominators over the first `count` of `pairs`; the cleared
+// weights land in *literals, indexed by Lit.
+BigInt ClearPairs(const std::vector<VariableWeights>& pairs, VarId count,
+                  std::vector<BigInt>* literals) {
+  WeightMap weights(pairs.size());
+  for (VarId v = 0; v < pairs.size(); ++v) {
+    weights.Set(v, pairs[v].positive, pairs[v].negative);
+  }
+  literals->assign(2 * std::size_t{count}, BigInt(-99));
+  return ClearDenominators(weights, count, *literals);
+}
+
+BigInt Cleared(const std::vector<BigInt>& literals, VarId v, bool positive) {
+  return literals[prop::MakeLit(v, positive)];
+}
+
 TEST(ClearDenominatorsTest, ScalesByTheLcmNotTheProduct) {
   // lcm(4, 6) = 12, not 24: 1/4 → 3 and −5/6 → −10.
-  ScaledWeights scaled = ClearDenominators(
-      {BigRational::Fraction(1, 4), BigRational::Fraction(-5, 6)});
-  EXPECT_EQ(scaled.scale, BigInt(12));
-  EXPECT_EQ(scaled.positive, BigInt(3));
-  EXPECT_EQ(scaled.negative, BigInt(-10));
+  std::vector<BigInt> literals;
+  EXPECT_EQ(ClearPairs({{BigRational::Fraction(1, 4),
+                         BigRational::Fraction(-5, 6)}},
+                       1, &literals),
+            BigInt(12));
+  EXPECT_EQ(Cleared(literals, 0, true), BigInt(3));
+  EXPECT_EQ(Cleared(literals, 0, false), BigInt(-10));
 }
 
 TEST(ClearDenominatorsTest, ZeroWeightContributesDenominatorOne) {
-  ScaledWeights zero_and_integer =
-      ClearDenominators({BigRational(0), BigRational(7)});
-  EXPECT_EQ(zero_and_integer.scale, BigInt(1));
-  EXPECT_EQ(zero_and_integer.positive, BigInt(0));
-  EXPECT_EQ(zero_and_integer.negative, BigInt(7));
+  std::vector<BigInt> zero_and_integer;
+  EXPECT_EQ(ClearPairs({{BigRational(0), BigRational(7)}}, 1, &zero_and_integer),
+            BigInt(1));
+  EXPECT_EQ(Cleared(zero_and_integer, 0, true), BigInt(0));
+  EXPECT_EQ(Cleared(zero_and_integer, 0, false), BigInt(7));
 
-  ScaledWeights zero_and_fraction =
-      ClearDenominators({BigRational::Fraction(3, 5), BigRational(0)});
-  EXPECT_EQ(zero_and_fraction.scale, BigInt(5));
-  EXPECT_EQ(zero_and_fraction.positive, BigInt(3));
-  EXPECT_EQ(zero_and_fraction.negative, BigInt(0));
+  std::vector<BigInt> zero_and_fraction;
+  EXPECT_EQ(ClearPairs({{BigRational::Fraction(3, 5), BigRational(0)}}, 1,
+                       &zero_and_fraction),
+            BigInt(5));
+  EXPECT_EQ(Cleared(zero_and_fraction, 0, true), BigInt(3));
+  EXPECT_EQ(Cleared(zero_and_fraction, 0, false), BigInt(0));
 }
 
 TEST(ClearDenominatorsTest, NegativeNumeratorsKeepTheirSign) {
-  ScaledWeights scaled = ClearDenominators(
-      {BigRational::Fraction(-2, 3), BigRational::Fraction(-1, 6)});
-  EXPECT_EQ(scaled.scale, BigInt(6));
-  EXPECT_EQ(scaled.positive, BigInt(-4));
-  EXPECT_EQ(scaled.negative, BigInt(-1));
+  std::vector<BigInt> literals;
+  EXPECT_EQ(ClearPairs({{BigRational::Fraction(-2, 3),
+                         BigRational::Fraction(-1, 6)}},
+                       1, &literals),
+            BigInt(6));
+  EXPECT_EQ(Cleared(literals, 0, true), BigInt(-4));
+  EXPECT_EQ(Cleared(literals, 0, false), BigInt(-1));
 
-  ScaledWeights integers = ClearDenominators({BigRational(-3), BigRational(2)});
-  EXPECT_EQ(integers.scale, BigInt(1));
-  EXPECT_EQ(integers.positive, BigInt(-3));
-  EXPECT_EQ(integers.negative, BigInt(2));
+  std::vector<BigInt> integers;
+  EXPECT_EQ(ClearPairs({{BigRational(-3), BigRational(2)}}, 1, &integers),
+            BigInt(1));
+  EXPECT_EQ(Cleared(integers, 0, true), BigInt(-3));
+  EXPECT_EQ(Cleared(integers, 0, false), BigInt(2));
+}
+
+TEST(ClearDenominatorsTest, ScaleIsTheProductOfThePerVariableLcms) {
+  // d = 12, 1, 5, 6 for the four counted variables: D = 360, not their
+  // lcm 60. The fifth pair lies past `count`, so its 7 stays out of D
+  // and nothing is written for it.
+  const std::vector<VariableWeights> pairs = {
+      {BigRational::Fraction(1, 4), BigRational::Fraction(-5, 6)},
+      {BigRational(0), BigRational(7)},
+      {BigRational::Fraction(3, 5), BigRational(0)},
+      {BigRational::Fraction(-2, 3), BigRational::Fraction(-1, 6)},
+      {BigRational::Fraction(1, 7), BigRational(1)}};
+  std::vector<BigInt> literals;
+  EXPECT_EQ(ClearPairs(pairs, 4, &literals), BigInt(360));
+  ASSERT_EQ(literals.size(), 8u);
+  const std::int64_t expected[4][2] = {{3, -10}, {0, 7}, {3, 0}, {-4, -1}};
+  for (VarId v = 0; v < 4; ++v) {
+    EXPECT_EQ(Cleared(literals, v, true), BigInt(expected[v][0])) << v;
+    EXPECT_EQ(Cleared(literals, v, false), BigInt(expected[v][1])) << v;
+  }
 }
 
 // Weights with pairwise non-coprime denominators (so per-variable lcms
@@ -485,15 +527,15 @@ TEST(ComponentCacheTest, LookupInsertAndCollisionHandling) {
   ComponentKey b{3, 4, kComponentKeySeparator};
   std::uint64_t hash = HashComponentKey(a);
   EXPECT_EQ(cache.Lookup(a, hash), nullptr);
-  cache.Insert(a, hash, BigRational(7));
+  cache.Insert(a, hash, BigInt(7));
   ASSERT_NE(cache.Lookup(a, hash), nullptr);
-  EXPECT_EQ(*cache.Lookup(a, hash), BigRational(7));
+  EXPECT_EQ(*cache.Lookup(a, hash), BigInt(7));
   // Same hash, different key: counts a collision, reads as a miss.
   EXPECT_EQ(cache.Lookup(b, hash), nullptr);
   EXPECT_EQ(cache.collisions(), 1u);
   // The bound evicts the oldest entry.
-  cache.Insert(ComponentKey{5}, HashComponentKey({5}), BigRational(1));
-  cache.Insert(ComponentKey{6}, HashComponentKey({6}), BigRational(2));
+  cache.Insert(ComponentKey{5}, HashComponentKey({5}), BigInt(1));
+  cache.Insert(ComponentKey{6}, HashComponentKey({6}), BigInt(2));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.Lookup(a, hash), nullptr);  // oldest entry gone
@@ -508,10 +550,10 @@ TEST(ComponentCacheTest, CounterInvariantsAndAccounting) {
   ComponentKey a{1, kComponentKeySeparator};
   ComponentKey b{2, kComponentKeySeparator};
   EXPECT_EQ(cache.Lookup(a, HashComponentKey(a)), nullptr);
-  cache.Insert(a, HashComponentKey(a), BigRational(3));
+  cache.Insert(a, HashComponentKey(a), BigInt(3));
   EXPECT_NE(cache.Lookup(a, HashComponentKey(a)), nullptr);
-  cache.Insert(b, HashComponentKey(b), BigRational(4));
-  cache.Insert(ComponentKey{3}, HashComponentKey({3}), BigRational(5));
+  cache.Insert(b, HashComponentKey(b), BigInt(4));
+  cache.Insert(ComponentKey{3}, HashComponentKey({3}), BigInt(5));
   EXPECT_EQ(cache.lookups(), 2u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.insertions(), 3u);
@@ -532,11 +574,11 @@ TEST(ComponentCacheTest, RefreshedEntryMovesToTheBackOfTheEvictionOrder) {
   std::uint64_t hash_a = HashComponentKey(a);
   std::uint64_t hash_b = HashComponentKey(b);
   std::uint64_t hash_c = HashComponentKey(c);
-  cache.Insert(a, hash_a, BigRational(1));
-  cache.Insert(b, hash_b, BigRational(2));
+  cache.Insert(a, hash_a, BigInt(1));
+  cache.Insert(b, hash_b, BigInt(2));
   // Refresh a: eviction order is now b (oldest), a (newest).
-  cache.Insert(a, hash_a, BigRational(1));
-  cache.Insert(c, hash_c, BigRational(3));
+  cache.Insert(a, hash_a, BigInt(1));
+  cache.Insert(c, hash_c, BigInt(3));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.Lookup(b, hash_b), nullptr);  // the actual oldest
@@ -552,13 +594,13 @@ TEST(ComponentCacheTest, ByteOverflowAfterRefreshEvictsOthersNotItself) {
   // stale neighbors.
   ComponentKey a{1, kComponentKeySeparator};
   ComponentKey b{2, kComponentKeySeparator};
-  BigRational small(1);
+  BigInt small(1);
   // A value with real limb buffers, so the refresh genuinely grows.
   // FromString leaves growth slack in the limb buffer; HeapBytes() counts
   // capacity, so copy once to shrink to exact size — then the by-value
   // copy Insert stores accounts the same bytes this test computes below.
-  const BigRational parsed = BigRational::FromString(std::string(120, '7'));
-  BigRational big = parsed;
+  const BigInt parsed = BigInt::FromString(std::string(120, '7'));
+  BigInt big = parsed;
   ASSERT_GT(big.HeapBytes(), 0u);
   std::size_t bytes_a_small = ComponentCache::EntryBytes(a, small);
   std::size_t bytes_a_big = ComponentCache::EntryBytes(a, big);
