@@ -34,9 +34,9 @@ class WeightMap {
     if (weights_.size() < count) weights_.resize(count);
   }
 
-  // Get/LiteralWeight sit on the counters' innermost loops; callers run
-  // behind EnsureSize, so the bounds check is a debug assert rather than
-  // an .at() throw.
+  // Get/LiteralWeight sit on per-variable and brute-force inner loops;
+  // callers run behind EnsureSize, so the bounds check is a debug assert
+  // rather than an .at() throw.
   const VariableWeights& Get(prop::VarId variable) const {
     assert(variable < weights_.size());
     return weights_[variable];

@@ -327,8 +327,9 @@ TEST(ClearDenominatorsTest, ScalesByTheLcmNotTheProduct) {
 
 TEST(ClearDenominatorsTest, ZeroWeightContributesDenominatorOne) {
   std::vector<BigInt> zero_and_integer;
-  EXPECT_EQ(ClearPairs({{BigRational(0), BigRational(7)}}, 1, &zero_and_integer),
-            BigInt(1));
+  EXPECT_EQ(
+      ClearPairs({{BigRational(0), BigRational(7)}}, 1, &zero_and_integer),
+      BigInt(1));
   EXPECT_EQ(Cleared(zero_and_integer, 0, true), BigInt(0));
   EXPECT_EQ(Cleared(zero_and_integer, 0, false), BigInt(7));
 
