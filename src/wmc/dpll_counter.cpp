@@ -261,28 +261,29 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
 
   CountResult out;
   out.stop_reason = stop_;
-  if (out.stop_reason == runtime::StopReason::kNone || result.exact) {
-    // Never stopped — exact even if governed (a stop that fired after the
-    // last decision still unwound through brackets, so result.exact
-    // implies no bracket anywhere) — or every subtree the stop
-    // interrupted turned out to be resolvable without further decisions
-    // (or from the cache): the count is exact after all.
-    out.outcome = CountOutcome::kExact;
-    out.value = BigRational(std::move(result.value), weight_scale_);
-    out.upper = out.value;
-    return out;
-  }
-  if (sink != nullptr || !bounds_sound_) {
+  // Never stopped — exact even if governed (a stop that fired after the
+  // last decision still unwound through brackets, so result.exact
+  // implies no bracket anywhere) — or every subtree the stop interrupted
+  // turned out to be resolvable without further decisions (or from the
+  // cache): the count is exact after all.
+  const bool exact =
+      out.stop_reason == runtime::StopReason::kNone || result.exact;
+  if (!exact && (sink != nullptr || !bounds_sound_)) {
     // A stopped trace is unusable (placeholder FALSE nodes), and with
     // negative weights the bracket certifies nothing.
     out.outcome = CountOutcome::kAborted;
     return out;
   }
-  // The divisions undoing the constructor's scaling; a positive scale
+  // The division undoing the constructor's scaling; a positive scale
   // keeps the bounds ordered.
-  out.outcome = CountOutcome::kBounds;
   out.value = BigRational(std::move(result.value), weight_scale_);
-  out.upper = BigRational(std::move(result.upper), weight_scale_);
+  if (exact) {
+    out.outcome = CountOutcome::kExact;
+    out.upper = out.value;
+  } else {
+    out.outcome = CountOutcome::kBounds;
+    out.upper = BigRational(std::move(result.upper), weight_scale_);
+  }
   return out;
 }
 
