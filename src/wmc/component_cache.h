@@ -77,7 +77,7 @@ class ComponentCache {
   /// The pointer is valid until the next Insert. Defined inline: this is
   /// the hottest call in the whole counter (~1 probe per search node).
   const numeric::BigInt* Lookup(const ComponentKey& key,
-                                     std::uint64_t hash) {
+                                std::uint64_t hash) {
     ++lookups_;
     auto it = entries_.find(hash);
     if (it == entries_.end()) return nullptr;

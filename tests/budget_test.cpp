@@ -263,21 +263,21 @@ TEST(BudgetBounds, GovernedBracketsArePinnedExactly) {
   // combine (or to where the scaled count is divided back) shows up here
   // even when it still brackets the exact count.
   static const int kClauses[][3] = {
-      {8, 11, 4},    {2, 1, 7},      {-8, -5, -13},  {8, 9, -1},
-      {-10, -4, -13}, {9, 5, -11},   {-4, -11, -5},  {3, -11, -8},
-      {-8, 14, 10},  {-6, -14, 16},  {-1, -3, 4},    {11, -15, 6},
-      {-4, 15, 8},   {-3, -14, 7},   {-12, -15, -5}, {-13, 6, 4},
-      {-14, -4, 1},  {-11, -6, 8},   {1, -9, 5},     {-4, 5, 12},
-      {-11, 16, 12}, {-15, 5, -6},   {8, 2, 5},      {-8, -12, -3},
-      {-7, 2, 9},    {-10, -1, 8},   {15, -7, 16},   {10, -2, 8},
-      {-11, -12, -5}, {1, 14, -16},  {3, 10, -9},    {12, 5, -1},
-      {-10, -3, 11}, {16, -4, 6}};
+      {8, 11, 4},     {2, 1, 7},      {-8, -5, -13},  {8, 9, -1},
+      {-10, -4, -13}, {9, 5, -11},    {-4, -11, -5},  {3, -11, -8},
+      {-8, 14, 10},   {-6, -14, 16},  {-1, -3, 4},    {11, -15, 6},
+      {-4, 15, 8},    {-3, -14, 7},   {-12, -15, -5}, {-13, 6, 4},
+      {-14, -4, 1},   {-11, -6, 8},   {1, -9, 5},     {-4, 5, 12},
+      {-11, 16, 12},  {-15, 5, -6},   {8, 2, 5},      {-8, -12, -3},
+      {-7, 2, 9},     {-10, -1, 8},   {15, -7, 16},   {10, -2, 8},
+      {-11, -12, -5}, {1, 14, -16},   {3, 10, -9},    {12, 5, -1},
+      {-10, -3, 11},  {16, -4, 6}};
   // (w, w̄) per variable as {numerator, denominator} pairs.
   static const std::int64_t kWeights[][4] = {
-      {1, 4, 3, 8},   {5, 6, 3, 10}, {0, 1, 5, 6},   {3, 8, 1, 1},
-      {7, 12, 4, 9},  {2, 1, 7, 12}, {1, 1, 9, 4},   {5, 6, 0, 1},
-      {3, 10, 5, 6},  {9, 4, 1, 4},  {1, 15, 2, 1},  {4, 9, 1, 15},
-      {1, 4, 3, 8},   {5, 6, 3, 10}, {0, 1, 5, 6},   {3, 8, 1, 1}};
+      {1, 4, 3, 8},  {5, 6, 3, 10}, {0, 1, 5, 6},  {3, 8, 1, 1},
+      {7, 12, 4, 9}, {2, 1, 7, 12}, {1, 1, 9, 4},  {5, 6, 0, 1},
+      {3, 10, 5, 6}, {9, 4, 1, 4},  {1, 15, 2, 1}, {4, 9, 1, 15},
+      {1, 4, 3, 8},  {5, 6, 3, 10}, {0, 1, 5, 6},  {3, 8, 1, 1}};
   Instance instance;
   instance.cnf.variable_count = 16;
   for (const auto& clause : kClauses) {  // DIMACS-style: ±(variable + 1)
