@@ -2,13 +2,13 @@
 //
 // The contract is that disabled observability is one predictable branch
 // per decision and enabled observability is a handful of relaxed
-// shard-local adds every 4096 decisions. The rows below put the plain
+// atomic adds every 4096 decisions. The rows below put the plain
 // triangle grounded search next to the same search with a live
 // MetricsRegistry attached, so BENCH_wmc.json records the deltas
 // directly; the disabled row must stay within 2% of the seed baseline
 // (results are bit-identical either way — obs_test and serve_test check
 // that, this file checks the price). The microbench rows price the
-// registry primitives themselves: a sharded counter add, a histogram
+// registry primitives themselves: a counter add, a histogram
 // record, and a full text-exposition scrape.
 
 #include <benchmark/benchmark.h>
@@ -68,8 +68,7 @@ BENCHMARK(BM_Obs_MetricsEnabled_Triangle)
     ->Arg(5)
     ->Unit(benchmark::kMillisecond);
 
-// The primitive the hot path leans on: one relaxed add on a
-// thread-local shard.
+// The primitive the hot path leans on: one relaxed atomic add.
 void BM_Obs_CounterAdd(benchmark::State& state) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("swfomc_bench_total");

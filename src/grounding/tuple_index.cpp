@@ -52,18 +52,4 @@ TupleIndex::GroundAtom TupleIndex::AtomOf(prop::VarId variable) const {
   return GroundAtom{relation, std::move(args)};
 }
 
-std::string TupleIndex::NameOf(prop::VarId variable) const {
-  GroundAtom atom = AtomOf(variable);
-  std::string out = vocabulary_->name(atom.relation);
-  if (!atom.args.empty()) {
-    out += "(";
-    for (std::size_t i = 0; i < atom.args.size(); ++i) {
-      if (i > 0) out += ",";
-      out += std::to_string(atom.args[i]);
-    }
-    out += ")";
-  }
-  return out;
-}
-
 }  // namespace swfomc::grounding

@@ -2,7 +2,6 @@
 #define SWFOMC_GROUNDING_TUPLE_INDEX_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "logic/vocabulary.h"
@@ -34,9 +33,6 @@ class TupleIndex {
     std::vector<std::uint64_t> args;
   };
   GroundAtom AtomOf(prop::VarId variable) const;
-
-  /// Pretty name like "R(0,2)" for diagnostics.
-  std::string NameOf(prop::VarId variable) const;
 
  private:
   const logic::Vocabulary* vocabulary_;

@@ -10,12 +10,6 @@ namespace swfomc::io {
 
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// The `expect` check under governance: exact answers must match, bounds
 /// must bracket, an aborted point verifies nothing.
 bool PointMatchesExpected(const api::Engine::SweepPoint& point,
@@ -46,15 +40,6 @@ const numeric::BigRational* ExpectForPoint(const ModelRunReport& report,
   return nullptr;
 }
 
-void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
-                      runtime::StopReason stop_reason) {
-  json->Add("outcome", JsonValue::MakeString(api::ToString(outcome)));
-  if (stop_reason != runtime::StopReason::kNone) {
-    json->Add("stop_reason",
-              JsonValue::MakeString(runtime::ToString(stop_reason)));
-  }
-}
-
 // The `route` block: Auto's method and reason, and the polarity the
 // count ran in ("complement" when it counted ¬Φ and subtracted it from
 // the total weight).
@@ -68,6 +53,21 @@ JsonValue RouteJson(const api::RouteDecision& route, bool complemented) {
 }
 
 }  // namespace
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
+                      runtime::StopReason stop_reason) {
+  json->Add("outcome", JsonValue::MakeString(api::ToString(outcome)));
+  if (stop_reason != runtime::StopReason::kNone) {
+    json->Add("stop_reason",
+              JsonValue::MakeString(runtime::ToString(stop_reason)));
+  }
+}
 
 ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
                         std::string source) {

@@ -1,6 +1,7 @@
 #ifndef SWFOMC_IO_RUNNER_H_
 #define SWFOMC_IO_RUNNER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -204,6 +205,14 @@ EvalRunReport RunEval(const NnfDocument& document,
 EvalRunReport RunEval(const LiftedNnfDocument& document,
                       std::optional<std::uint64_t> domain_size = std::nullopt,
                       std::string source = "<input>");
+
+/// Steady-clock seconds elapsed since `start` (the reports' timings).
+double SecondsSince(std::chrono::steady_clock::time_point start);
+
+/// Adds the "outcome" field, and "stop_reason" unless it is kNone, to a
+/// JSON object (the governed-run fields of reports and serve results).
+void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
+                      runtime::StopReason stop_reason);
 
 /// JSON renderings of the reports (the `swfomc` output schema; see the
 /// README's "File formats and the swfomc CLI" section). All exact values

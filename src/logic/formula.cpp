@@ -1,6 +1,5 @@
 #include "logic/formula.h"
 
-#include <stdexcept>
 
 namespace swfomc::logic {
 
@@ -199,25 +198,6 @@ bool IsEqualityFree(const Formula& formula) {
   return true;
 }
 
-void CheckArities(const Formula& formula, const Vocabulary& vocabulary) {
-  if (formula->kind() == FormulaKind::kAtom) {
-    if (formula->relation() >= vocabulary.size()) {
-      throw std::invalid_argument("CheckArities: relation id out of range");
-    }
-    std::size_t expected = vocabulary.arity(formula->relation());
-    if (formula->arguments().size() != expected) {
-      throw std::invalid_argument(
-          "CheckArities: arity mismatch for " +
-          vocabulary.name(formula->relation()) + ": expected " +
-          std::to_string(expected) + ", got " +
-          std::to_string(formula->arguments().size()));
-    }
-  }
-  for (const Formula& child : formula->children()) {
-    CheckArities(child, vocabulary);
-  }
-}
-
 bool StructurallyEqual(const Formula& a, const Formula& b) {
   if (a.get() == b.get()) return true;
   if (a->kind() != b->kind()) return false;
@@ -229,14 +209,6 @@ bool StructurallyEqual(const Formula& a, const Formula& b) {
     if (!StructurallyEqual(a->children()[i], b->children()[i])) return false;
   }
   return true;
-}
-
-std::size_t FormulaSize(const Formula& formula) {
-  std::size_t size = 1;
-  for (const Formula& child : formula->children()) {
-    size += FormulaSize(child);
-  }
-  return size;
 }
 
 }  // namespace swfomc::logic

@@ -101,8 +101,8 @@ class FormulaNode {
 Formula True();
 Formula False();
 
-/// Atom R(args); arity is not checked here (the parser and CheckArities
-/// validate against a vocabulary).
+/// Atom R(args); arity is not checked here (the parser validates it
+/// against a vocabulary).
 Formula Atom(RelationId relation, std::vector<Term> arguments);
 /// Equality atom t1 = t2.
 Formula Equals(Term left, Term right);
@@ -144,15 +144,8 @@ bool InFragmentFOk(const Formula& formula, std::size_t k);
 /// True iff no equality atom occurs.
 bool IsEqualityFree(const Formula& formula);
 
-/// Validates that every atom's argument count matches the vocabulary
-/// arity; throws std::invalid_argument on mismatch.
-void CheckArities(const Formula& formula, const Vocabulary& vocabulary);
-
 /// Structural equality (same shape, same names; not logical equivalence).
 bool StructurallyEqual(const Formula& a, const Formula& b);
-
-/// Number of nodes in the AST.
-std::size_t FormulaSize(const Formula& formula);
 
 }  // namespace swfomc::logic
 

@@ -155,38 +155,6 @@ Formula RenameFreeVariable(const Formula& formula, const std::string& from,
   return Substitute(formula, {{from, Term::Var(to)}});
 }
 
-Formula EliminateImplications(const Formula& formula) {
-  switch (formula->kind()) {
-    case FormulaKind::kImplies:
-      return Or(Not(EliminateImplications(formula->child(0))),
-                EliminateImplications(formula->child(1)));
-    case FormulaKind::kIff: {
-      Formula a = EliminateImplications(formula->child(0));
-      Formula b = EliminateImplications(formula->child(1));
-      return And(Or(Not(a), b), Or(Not(b), a));
-    }
-    case FormulaKind::kNot:
-      return Not(EliminateImplications(formula->child()));
-    case FormulaKind::kAnd:
-    case FormulaKind::kOr: {
-      std::vector<Formula> children;
-      for (const Formula& child : formula->children()) {
-        children.push_back(EliminateImplications(child));
-      }
-      return formula->kind() == FormulaKind::kAnd ? And(std::move(children))
-                                                  : Or(std::move(children));
-    }
-    case FormulaKind::kForall:
-      return Forall(formula->variable(),
-                    EliminateImplications(formula->child()));
-    case FormulaKind::kExists:
-      return Exists(formula->variable(),
-                    EliminateImplications(formula->child()));
-    default:
-      return formula;
-  }
-}
-
 Formula ToNNF(const Formula& formula) { return NNFImpl(formula, false); }
 
 Formula RenameApart(const Formula& formula, std::size_t* counter) {

@@ -19,9 +19,6 @@ Formula Substitute(const Formula& formula,
 Formula SubstituteConstant(const Formula& formula, const std::string& variable,
                            std::uint64_t value);
 
-/// Rewrites => and <=> in terms of !, &, |.
-Formula EliminateImplications(const Formula& formula);
-
 /// Negation normal form: implications eliminated and negations pushed to
 /// atoms. Quantifiers and connectives are dualized as needed.
 Formula ToNNF(const Formula& formula);

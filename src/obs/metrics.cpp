@@ -7,17 +7,6 @@
 
 namespace swfomc::obs {
 
-namespace internal {
-
-std::size_t ThisThreadShard() {
-  static std::atomic<std::size_t> next{0};
-  thread_local std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return slot;
-}
-
-}  // namespace internal
-
 std::size_t Histogram::BucketIndex(std::uint64_t value) {
   if (value <= 1) return 0;
   // Smallest b with value <= 2^b, i.e. bit width of value - 1.
@@ -28,13 +17,11 @@ std::size_t Histogram::BucketIndex(std::uint64_t value) {
 
 Histogram::Snapshot Histogram::Take() const {
   Snapshot snapshot;
-  for (const Shard& shard : shards_) {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      snapshot.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-    snapshot.sum += shard.sum.load(std::memory_order_relaxed);
-    snapshot.count += shard.count.load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    snapshot.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
   }
+  snapshot.sum = sum_.load(std::memory_order_relaxed);
+  snapshot.count = count_.load(std::memory_order_relaxed);
   return snapshot;
 }
 

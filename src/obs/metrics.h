@@ -14,55 +14,27 @@
 // Process-wide metrics: counters, gauges, and log-bucketed histograms
 // behind a name-keyed registry. The design splits into a cold control
 // plane (registration, scrape — mutex-guarded, rare) and a hot data
-// plane (increments — a relaxed atomic add on a thread-local shard,
-// never a lock). Instruments are owned by the registry and handed out
-// as stable pointers; a null instrument pointer is the disabled state,
-// so callers guard with a single predictable branch and disabled
-// observability costs nothing else.
+// plane (increments — a relaxed atomic add, never a lock). Instruments
+// are owned by the registry and handed out as stable pointers; a null
+// instrument pointer is the disabled state, so callers guard with a
+// single predictable branch and disabled observability costs nothing
+// else.
 namespace swfomc::obs {
 
-namespace internal {
-
-// Shard count for striped instruments. A power of two sized to cover
-// the writers this codebase runs (serve's batch-evaluation pool plus the
-// calling threads); more threads than shards only means sharing, never
-// incorrectness.
-inline constexpr std::size_t kShards = 16;
-
-// Stable per-thread shard slot, assigned round-robin on first use.
-std::size_t ThisThreadShard();
-
-// One cacheline per shard so concurrent writers do not false-share.
-struct alignas(64) PaddedCount {
-  std::atomic<std::uint64_t> value{0};
-};
-
-}  // namespace internal
-
-// Monotone counter. Add() is a relaxed fetch_add on this thread's
-// shard; Value() sums the shards. Because shards only grow, the summed
-// value is monotone across scrapes even while writers are racing.
+// Monotone counter: a relaxed fetch_add, so a scrape racing writers
+// still reads a value that never goes backwards.
 class Counter {
  public:
   void Add(std::uint64_t n = 1) {
-    shards_[internal::ThisThreadShard()].value.fetch_add(
-        n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
-  std::uint64_t Value() const {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      total += shard.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  std::uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  std::array<internal::PaddedCount, internal::kShards> shards_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
-// Point-in-time signed value (queue depth, inflight requests). A
-// single atomic — gauges are read-modify-write from many threads, so
-// sharding would lose the "current value" meaning.
+// Point-in-time signed value (resident bytes, inflight requests).
 class Gauge {
  public:
   void Set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
@@ -77,8 +49,8 @@ class Gauge {
 // Log-bucketed histogram over non-negative integer samples (latencies
 // in microseconds, batch sizes). Bucket b holds samples <= 2^b, so the
 // boundaries cover [1, 2^62] with relative error bounded by 2x — ample
-// for latency percentiles. Record() touches one shard: bucket count,
-// sum and count, all relaxed.
+// for latency percentiles. Record() makes three relaxed adds: bucket
+// count, sum and count.
 class Histogram {
  public:
   // Buckets 0..61 have upper bounds 2^0..2^61; bucket 62 is +Inf.
@@ -91,10 +63,9 @@ class Histogram {
   }
 
   void Record(std::uint64_t value) {
-    Shard& shard = shards_[internal::ThisThreadShard()];
-    shard.buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(value, std::memory_order_relaxed);
-    shard.count.fetch_add(1, std::memory_order_relaxed);
+    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Aggregated view of one scrape. Taken bucket-by-bucket with relaxed
@@ -112,12 +83,9 @@ class Histogram {
   Snapshot Take() const;
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> count{0};
-  };
-  std::array<Shard, internal::kShards> shards_;
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> count_{0};
 };
 
 // Name-keyed instrument owner. Registration is idempotent: asking for

@@ -113,14 +113,6 @@ bool EvaluateProp(const PropFormula& formula,
   throw std::logic_error("EvaluateProp: unreachable");
 }
 
-std::size_t PropSize(const PropFormula& formula) {
-  std::size_t size = 1;
-  for (const PropFormula& child : formula->children()) {
-    size += PropSize(child);
-  }
-  return size;
-}
-
 std::string PropToString(const PropFormula& formula) {
   switch (formula->kind()) {
     case PropKind::kTrue: return "true";

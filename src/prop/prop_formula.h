@@ -51,9 +51,6 @@ std::uint32_t VariableUpperBound(const PropFormula& formula);
 bool EvaluateProp(const PropFormula& formula,
                   const std::vector<bool>& assignment);
 
-/// Number of nodes.
-std::size_t PropSize(const PropFormula& formula);
-
 /// Debug rendering, e.g. "(x0 & !(x1 | x2))".
 std::string PropToString(const PropFormula& formula);
 

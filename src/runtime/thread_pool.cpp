@@ -1,42 +1,14 @@
 #include "runtime/thread_pool.h"
 
-#include <utility>
+#include <algorithm>
 
 namespace swfomc::runtime {
 
-namespace {
-
-// Which pool deque the current thread owns: workers_ index + 1, or 0 for
-// every external thread (the shared deque). thread_local rather than a
-// member so nested pools on one thread stay well-defined — each pool
-// indexes its own deque vector with the same slot number.
-thread_local std::size_t current_slot = 0;
-
-}  // namespace
-
-ThreadPool::Metrics ThreadPool::Metrics::FromRegistry(
-    obs::MetricsRegistry* registry) {
-  Metrics metrics;
-  if (registry == nullptr) return metrics;
-  metrics.tasks_run = registry->GetCounter(
-      "swfomc_pool_tasks_run_total", "Tasks popped from the owner's deque");
-  metrics.tasks_stolen = registry->GetCounter(
-      "swfomc_pool_tasks_stolen_total", "Tasks stolen from another deque");
-  metrics.queue_depth = registry->GetGauge(
-      "swfomc_pool_queue_depth", "Tasks pushed but not yet started");
-  return metrics;
-}
-
-ThreadPool::ThreadPool(unsigned thread_count)
-    : ThreadPool(thread_count, Metrics{}) {}
-
-ThreadPool::ThreadPool(unsigned thread_count, Metrics metrics)
-    : metrics_(metrics) {
-  std::size_t workers = thread_count > 1 ? thread_count - 1 : 0;
-  deques_.resize(workers + 1);  // slot 0 is the external/shared deque
+ThreadPool::ThreadPool(unsigned thread_count) {
+  unsigned workers = thread_count > 1 ? thread_count - 1 : 0;
   workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
+  for (unsigned i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -55,128 +27,56 @@ unsigned ThreadPool::ResolveThreadCount(unsigned requested) {
   return hardware == 0 ? 1 : hardware;
 }
 
-void ThreadPool::Push(Task task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t slot = current_slot < deques_.size() ? current_slot : 0;
-    if (slot == 0) {
-      // External thread: spread tasks round-robin so workers start on
-      // distinct deques.
-      slot = deques_.size() > 1 ? 1 + next_victim_++ % (deques_.size() - 1)
-                                : 0;
-    }
-    deques_[slot].push_back(std::move(task));
-    ++pending_;
-  }
-  if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(1);
-  work_available_.notify_one();
+void ThreadPool::Run(std::size_t count,
+                     const std::function<void(std::size_t)>& fn) {
+  Job job{&fn, count, 0, 0, nullptr};
+  std::unique_lock<std::mutex> lock(mutex_);
+  queue_.push_back(&job);
+  work_available_.notify_all();
+  Drain(&job, lock);
+  // Every index is claimed and the job has left the queue, so no worker
+  // can enter it any more; wait for the ones still inside a call.
+  job_finished_.wait(lock, [&job] { return job.running == 0; });
+  if (job.error != nullptr) std::rethrow_exception(job.error);
 }
 
-bool ThreadPool::RunOneTask() {
-  Task task;
-  bool stolen = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (pending_ == 0) return false;
-    std::size_t own = current_slot < deques_.size() ? current_slot : 0;
-    if (!deques_[own].empty()) {
-      // Own deque: LIFO — resume the most recently forked (cache-warm)
-      // subproblem.
-      task = std::move(deques_[own].back());
-      deques_[own].pop_back();
-    } else {
-      // Steal: FIFO from another deque — take the oldest fork, which is
-      // the coarsest-grained work available.
-      for (std::size_t i = 1; i <= deques_.size(); ++i) {
-        std::size_t victim = (own + i) % deques_.size();
-        if (!deques_[victim].empty()) {
-          task = std::move(deques_[victim].front());
-          deques_[victim].pop_front();
-          stolen = victim != own;
-          break;
-        }
+void ThreadPool::Drain(Job* job, std::unique_lock<std::mutex>& lock) {
+  while (job->next < job->count) {
+    std::size_t index = job->next++;
+    if (job->next == job->count) {
+      queue_.erase(std::find(queue_.begin(), queue_.end(), job));
+    }
+    ++job->running;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      (*job->fn)(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    --job->running;
+    if (error != nullptr && job->error == nullptr) {
+      job->error = error;
+      if (job->next < job->count) {
+        job->next = job->count;  // skip the indices nobody started
+        queue_.erase(std::find(queue_.begin(), queue_.end(), job));
       }
     }
-    --pending_;
   }
-  if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Sub(1);
-  if (stolen) {
-    if (metrics_.tasks_stolen != nullptr) metrics_.tasks_stolen->Add(1);
-  } else if (metrics_.tasks_run != nullptr) {
-    metrics_.tasks_run->Add(1);
-  }
-  Execute(std::move(task));
-  return true;
+  // Notified under the lock: the caller's wait cannot return, and `job`
+  // cannot leave the caller's stack, before this thread lets go of it.
+  if (job->running == 0) job_finished_.notify_all();
 }
 
-void ThreadPool::Execute(Task task) {
-  std::exception_ptr error;
-  try {
-    task.fn();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  task.group->OnTaskDone(std::move(error));
-}
-
-void ThreadPool::WorkerLoop(std::size_t worker_index) {
-  current_slot = worker_index;
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    if (RunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(mutex_);
-    work_available_.wait(lock,
-                         [this] { return pending_ != 0 || shutting_down_; });
-    if (pending_ == 0 && shutting_down_) return;
+    work_available_.wait(
+        lock, [this] { return shutting_down_ || !queue_.empty(); });
+    if (queue_.empty()) return;
+    Drain(queue_.front(), lock);
   }
-}
-
-TaskGroup::~TaskGroup() {
-  try {
-    Wait();
-  } catch (...) {
-    // Destructor join: the exception already escaped a task and the owner
-    // never called Wait(); dropping it beats std::terminate.
-  }
-}
-
-void TaskGroup::Submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++outstanding_;
-  }
-  pool_->Push(ThreadPool::Task{std::move(fn), this});
-}
-
-void TaskGroup::Wait() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (outstanding_ == 0) break;
-    }
-    if (pool_->RunOneTask()) continue;
-    // Nothing runnable anywhere: the remaining tasks of this group are
-    // executing on other threads, and only this (blocked) thread could
-    // submit more to the group — so sleep until the count drains and be
-    // done. Work those tasks spawn belongs to nested groups, which help
-    // themselves on their own threads.
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_done_.wait(lock, [this] { return outstanding_ == 0; });
-    break;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (error_ != nullptr) {
-    std::exception_ptr error = std::exchange(error_, nullptr);
-    std::rethrow_exception(error);
-  }
-}
-
-void TaskGroup::OnTaskDone(std::exception_ptr error) {
-  // Notify *inside* the lock: the waiter may destroy this TaskGroup the
-  // moment it observes outstanding_ == 0 under the mutex, so an unlocked
-  // notify here would race the condition variable's destruction.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (error != nullptr && error_ == nullptr) error_ = std::move(error);
-  if (--outstanding_ == 0) all_done_.notify_all();
 }
 
 }  // namespace swfomc::runtime

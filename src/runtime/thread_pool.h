@@ -3,48 +3,28 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace swfomc::runtime {
 
-class TaskGroup;
-
-/// Fixed-size work-stealing thread pool for deterministic fork-join
-/// parallelism: per-worker deques (LIFO for the owner, FIFO for thieves),
-/// a caller that participates in the work instead of blocking, and no
-/// task ever dropped. The pool makes no ordering promises — callers that
-/// need determinism must combine results in a schedule-independent way
-/// (serve, the one user, writes each weight vector's value into its own
-/// slot of the response, so any schedule yields the same bytes).
+/// A fixed set of persistent worker threads behind one flat loop,
+/// ParallelFor. The pool makes no ordering promises — callers that need
+/// determinism must combine results in a schedule-independent way (serve,
+/// the one user, writes each weight vector's value into its own slot of
+/// the response, so any schedule yields the same bytes).
 ///
-/// The deques share one mutex: tasks in this codebase are coarse (one
-/// weight vector evaluated over a compiled circuit), so queue traffic is
-/// a few operations per vector and lock contention is unmeasurable.
+/// All hand-off state sits behind one mutex: the loop bodies in this
+/// codebase are coarse (one weight vector evaluated over a compiled
+/// circuit), so claiming an index costs far less than running it.
 class ThreadPool {
  public:
-  /// Spawns `thread_count - 1` workers; the thread calling
-  /// TaskGroup::Wait acts as the remaining worker. `thread_count` of 0 or
-  /// 1 spawns no workers at all — every task runs inline in Wait, which
-  /// keeps the sequential path allocation- and synchronization-free.
-  /// Observability hooks. All pointers may be null (the disabled
-  /// state); FromRegistry binds the pool's standard metric names. The
-  /// instruments must outlive the pool.
-  struct Metrics {
-    obs::Counter* tasks_run = nullptr;     // popped from the own deque
-    obs::Counter* tasks_stolen = nullptr;  // taken from another deque
-    obs::Gauge* queue_depth = nullptr;     // tasks pushed but not started
-    static Metrics FromRegistry(obs::MetricsRegistry* registry);
-  };
-
+  /// Spawns `thread_count - 1` workers; the thread calling ParallelFor
+  /// acts as the remaining one. `thread_count` of 0 or 1 spawns none.
   explicit ThreadPool(unsigned thread_count);
-  ThreadPool(unsigned thread_count, Metrics metrics);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -59,64 +39,45 @@ class ThreadPool {
   /// hardware", anything else is taken literally. Never returns 0.
   static unsigned ResolveThreadCount(unsigned requested);
 
- private:
-  friend class TaskGroup;
+  /// Runs fn(0), ..., fn(count - 1) on the workers and the calling thread
+  /// and returns once every call has finished. The first exception a call
+  /// throws is rethrown here; indices not yet started by then are skipped,
+  /// and the pool stays usable. Several threads may call ParallelFor at
+  /// once and share the workers. Without workers (or with fewer than two
+  /// indices) the loop runs inline: no thread, lock or allocation.
+  template <typename Fn>
+  void ParallelFor(std::size_t count, const Fn& fn) {
+    if (workers_.empty() || count < 2) {
+      for (std::size_t i = 0; i < count; ++i) fn(i);
+      return;
+    }
+    // A std::function over a reference_wrapper stores no copy of `fn`.
+    Run(count, std::cref(fn));
+  }
 
-  struct Task {
-    std::function<void()> fn;
-    TaskGroup* group = nullptr;
+ private:
+  /// One ParallelFor call in flight; it lives on the caller's stack. All
+  /// fields but `fn` and `count` are guarded by the pool's mutex.
+  struct Job {
+    const std::function<void(std::size_t)>* fn;
+    std::size_t count;
+    std::size_t next = 0;     // first index nobody has claimed yet
+    std::size_t running = 0;  // threads inside a call of this job
+    std::exception_ptr error;
   };
 
-  /// Pushes onto the current worker's own deque (back) when called from a
-  /// pool thread, else onto a round-robin victim.
-  void Push(Task task);
-  /// Pops one task (own deque back first, then steals from the fronts of
-  /// the others) and runs it. Returns false when every deque is empty.
-  bool RunOneTask();
-  void WorkerLoop(std::size_t worker_index);
-  static void Execute(Task task);
+  void Run(std::size_t count, const std::function<void(std::size_t)>& fn);
+  /// Claims and runs `job`'s indices until none is left. Entered and left
+  /// with `lock` held; drops it around each call.
+  void Drain(Job* job, std::unique_lock<std::mutex>& lock);
+  void WorkerLoop();
 
   std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::vector<std::deque<Task>> deques_;  // one per worker + one shared
-  std::size_t pending_ = 0;
-  std::size_t next_victim_ = 0;
+  std::condition_variable work_available_;  // queue_ grew or shutdown
+  std::condition_variable job_finished_;    // some job's running hit 0
+  std::vector<Job*> queue_;  // jobs with unclaimed indices, oldest first
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
-  Metrics metrics_;
-};
-
-/// One fork-join region. Submit() enqueues subtasks; Wait() returns once
-/// all of them (including tasks submitted by tasks) have finished,
-/// executing pending pool work while it waits — the "help-first" join
-/// that makes nested groups deadlock-free on a bounded pool. The first
-/// exception thrown by any task is captured and rethrown from Wait().
-///
-/// A TaskGroup is owned by exactly one thread; Submit and Wait must be
-/// called from that thread. Tasks themselves may create nested groups.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  /// Joins outstanding tasks; any pending exception is swallowed here, so
-  /// call Wait() explicitly unless the stack is already unwinding.
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  void Submit(std::function<void()> fn);
-  void Wait();
-
- private:
-  friend class ThreadPool;
-
-  void OnTaskDone(std::exception_ptr error);
-
-  ThreadPool* pool_;
-  std::mutex mutex_;
-  std::condition_variable all_done_;
-  std::size_t outstanding_ = 0;
-  std::exception_ptr error_;
 };
 
 }  // namespace swfomc::runtime

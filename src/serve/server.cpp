@@ -16,6 +16,7 @@
 
 #include "io/diagnostics.h"
 #include "io/model_format.h"
+#include "io/runner.h"
 #include "logic/printer.h"
 #include "runtime/budget.h"
 
@@ -23,14 +24,10 @@ namespace swfomc::serve {
 
 namespace {
 
+using io::AddOutcomeFields;
 using io::JsonValue;
+using io::SecondsSince;
 using numeric::BigRational;
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Per-entry bookkeeping beyond CompiledQuery::MemoryBytes: the key
 /// string, the list node, and the index slot (same estimation style as
@@ -82,15 +79,6 @@ JsonValue MakeError(const JsonValue* id, const std::string& message) {
   json.Add("status", JsonValue::MakeString("error"));
   json.Add("error", JsonValue::MakeString(message));
   return json;
-}
-
-void AddOutcomeFields(JsonValue* json, api::Outcome outcome,
-                      runtime::StopReason stop_reason) {
-  json->Add("outcome", JsonValue::MakeString(api::ToString(outcome)));
-  if (stop_reason != runtime::StopReason::kNone) {
-    json->Add("stop_reason",
-              JsonValue::MakeString(runtime::ToString(stop_reason)));
-  }
 }
 
 /// One governed direct count (the compile-aborted fallback and the
@@ -222,11 +210,7 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
 
   options_.num_threads =
       runtime::ThreadPool::ResolveThreadCount(options_.num_threads);
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(
-        options_.num_threads,
-        runtime::ThreadPool::Metrics::FromRegistry(&registry_));
-  }
+  pool_ = std::make_unique<runtime::ThreadPool>(options_.num_threads);
 }
 
 Server::~Server() = default;
@@ -580,15 +564,7 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
       }
       ReleaseArena(std::move(arena));
     };
-    if (pool_ != nullptr && vectors.size() > 1) {
-      runtime::TaskGroup group(pool_.get());
-      for (std::size_t i = 0; i < vectors.size(); ++i) {
-        group.Submit([&evaluate_one, i] { evaluate_one(i); });
-      }
-      group.Wait();
-    } else {
-      for (std::size_t i = 0; i < vectors.size(); ++i) evaluate_one(i);
-    }
+    pool_->ParallelFor(vectors.size(), evaluate_one);
   }
 
   JsonValue results_json = JsonValue::MakeArray();

@@ -182,8 +182,7 @@ class Server {
   ServerOptions options_;
 
   /// All server counters/gauges/histograms live here (ServerStats is a
-  /// snapshot of these instruments plus the cache levels); declared
-  /// before pool_ so the pool's instruments outlive it.
+  /// snapshot of these instruments plus the cache levels).
   mutable obs::MetricsRegistry registry_;
   /// Instrument pointers resolved once in the constructor.
   struct Instruments {
@@ -203,7 +202,9 @@ class Server {
   };
   Instruments m_;
 
-  std::unique_ptr<runtime::ThreadPool> pool_;  // set when num_threads > 1
+  /// Fans a request's weight vectors out; with num_threads 1 it has no
+  /// workers and the loop runs on the calling thread.
+  std::unique_ptr<runtime::ThreadPool> pool_;
 
   mutable std::mutex cache_mutex_;
   std::list<CacheEntry> lru_;  // most recently used at the front

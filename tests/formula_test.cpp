@@ -123,25 +123,12 @@ TEST_F(FormulaTest, IsEqualityFree) {
   EXPECT_TRUE(IsEqualityFree(Atom(u_, {Term::Var("x")})));
 }
 
-TEST_F(FormulaTest, CheckAritiesRejectsMismatch) {
-  Formula bad = Atom(r_, {Term::Var("x")});
-  EXPECT_THROW(CheckArities(bad, vocab_), std::invalid_argument);
-  Formula good = Atom(r_, {Term::Var("x"), Term::Var("y")});
-  EXPECT_NO_THROW(CheckArities(good, vocab_));
-}
-
 TEST_F(FormulaTest, StructurallyEqual) {
   Formula a = Forall("x", Atom(u_, {Term::Var("x")}));
   Formula b = Forall("x", Atom(u_, {Term::Var("x")}));
   Formula c = Forall("y", Atom(u_, {Term::Var("y")}));
   EXPECT_TRUE(StructurallyEqual(a, b));
   EXPECT_FALSE(StructurallyEqual(a, c));  // structural, not alpha-equivalence
-}
-
-TEST_F(FormulaTest, FormulaSize) {
-  Formula atom = Atom(u_, {Term::Var("x")});
-  EXPECT_EQ(FormulaSize(atom), 1u);
-  EXPECT_EQ(FormulaSize(Forall("x", Not(atom))), 3u);
 }
 
 TEST_F(FormulaTest, PrinterRoundTrippableRendering) {

@@ -24,8 +24,6 @@ TEST(TupleIndexTest, Bijection) {
     TupleIndex::GroundAtom atom = index.AtomOf(v);
     EXPECT_EQ(index.VariableOf(atom.relation, atom.args), v);
   }
-  EXPECT_EQ(index.NameOf(index.VariableOf(0, {1, 2})), "R(1,2)");
-  EXPECT_EQ(index.NameOf(index.VariableOf(2, {})), "P");
 }
 
 TEST(LineageTest, MatchesSectionTwoDefinition) {

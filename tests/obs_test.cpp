@@ -1,5 +1,5 @@
 // The observability subsystem's own contract: histogram bucket
-// geometry, shard aggregation, scrape-while-incrementing monotonicity
+// geometry, counts from many writers, scrape-while-incrementing monotonicity
 // (the property the lock-free design exists for — run under TSan in
 // CI), registry registration rules, the text exposition grammar, and
 // the JSONL trace format.
@@ -59,7 +59,7 @@ TEST(HistogramTest, SnapshotSumsAndQuantiles) {
 }
 
 TEST(CounterTest, AggregatesAcrossThreads) {
-  // Each thread lands on its own shard slot; Value() must see the union.
+  // Concurrent relaxed adds from many threads lose no increment.
   Counter counter;
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 10000;

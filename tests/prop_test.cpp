@@ -43,9 +43,8 @@ TEST(PropFormulaTest, VariableUpperBound) {
             10u);
 }
 
-TEST(PropFormulaTest, SizeAndToString) {
+TEST(PropFormulaTest, ToString) {
   PropFormula f = PropAnd(PropVar(0), PropNot(PropVar(1)));
-  EXPECT_EQ(PropSize(f), 4u);
   EXPECT_EQ(PropToString(f), "(x0 & !x1)");
 }
 

@@ -433,41 +433,47 @@ TEST(Serve, TcpRoundTripAndShutdown) {
 // produce correct counts with no data race between the cache, the arena
 // pool, and the stats counters.
 TEST(Serve, ConcurrentClientsShareCircuitsSafely) {
-  ServerOptions options;
-  options.max_circuits = 2;
-  Server server(options);
-  constexpr int kThreads = 4;
-  constexpr int kIterations = 25;
-  std::vector<std::thread> clients;
-  std::vector<int> failures(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&server, &failures, t] {
-      for (int i = 0; i < kIterations; ++i) {
-        // All threads share domain 3 (the hot circuit); the rotating
-        // domain 1/2 queries force evictions underneath it.
-        std::string hot =
-            R"js({"sentence": "forall x forall y S(x,y)", "domain": 3,
-                  "weights": [{"S": ["2", "1"]}, {"S": ["3", "1"]}]})js";
-        std::string churn =
-            R"js({"sentence": "forall x U(x)", "domain": )js" +
-            std::to_string(1 + (t + i) % 2) + "}";
-        JsonValue a = server.HandleLine(hot).json;
-        JsonValue b = server.HandleLine(churn).json;
-        if (a.At("status").string != "ok" ||
-            a.At("results").array[0].At("wfomc").string != "512" ||
-            a.At("results").array[1].At("wfomc").string != "19683" ||
-            b.At("status").string != "ok") {
-          ++failures[t];
+  // With 4 threads the clients' two-vector batches also share one pool's
+  // workers.
+  for (unsigned num_threads : {1u, 4u}) {
+    SCOPED_TRACE("num_threads " + std::to_string(num_threads));
+    ServerOptions options;
+    options.max_circuits = 2;
+    options.num_threads = num_threads;
+    Server server(options);
+    constexpr int kThreads = 4;
+    constexpr int kIterations = 25;
+    std::vector<std::thread> clients;
+    std::vector<int> failures(kThreads, 0);
+    for (int t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&server, &failures, t] {
+        for (int i = 0; i < kIterations; ++i) {
+          // All threads share domain 3 (the hot circuit); the rotating
+          // domain 1/2 queries force evictions underneath it.
+          std::string hot =
+              R"js({"sentence": "forall x forall y S(x,y)", "domain": 3,
+                    "weights": [{"S": ["2", "1"]}, {"S": ["3", "1"]}]})js";
+          std::string churn =
+              R"js({"sentence": "forall x U(x)", "domain": )js" +
+              std::to_string(1 + (t + i) % 2) + "}";
+          JsonValue a = server.HandleLine(hot).json;
+          JsonValue b = server.HandleLine(churn).json;
+          if (a.At("status").string != "ok" ||
+              a.At("results").array[0].At("wfomc").string != "512" ||
+              a.At("results").array[1].At("wfomc").string != "19683" ||
+              b.At("status").string != "ok") {
+            ++failures[t];
+          }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
+    ServerStats stats = server.Stats();
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(stats.requests,
+              static_cast<std::uint64_t>(2 * kThreads * kIterations));
   }
-  for (std::thread& client : clients) client.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
-  ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(stats.requests,
-            static_cast<std::uint64_t>(2 * kThreads * kIterations));
 }
 
 // First sample value of `name` in a Prometheus-style exposition text.

@@ -1,57 +1,78 @@
-// runtime::ThreadPool / TaskGroup: fork-join fan-out with nested groups,
-// exception propagation, the inline single-thread pool, and thread-count
+// runtime::ThreadPool::ParallelFor: every index runs exactly once,
+// exceptions reach the caller and leave the pool usable, the worker-less
+// pool runs inline, concurrent callers share the workers, and thread-count
 // resolution. Serve's batch evaluation is the pool's one user.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "runtime/thread_pool.h"
 
 namespace swfomc {
 namespace {
 
-TEST(ThreadPool, NestedGroupsAndExceptionPropagation) {
+TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
   runtime::ThreadPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4u);
-
-  // Fork-join fan-out with nested groups: 4 * 8 increments, all counted.
-  std::atomic<int> counter{0};
-  {
-    runtime::TaskGroup group(&pool);
-    for (int i = 0; i < 4; ++i) {
-      group.Submit([&pool, &counter] {
-        runtime::TaskGroup nested(&pool);
-        for (int j = 0; j < 8; ++j) {
-          nested.Submit([&counter] { ++counter; });
-        }
-        nested.Wait();
-      });
+  for (std::size_t count : {0u, 1u, 2u, 7u, 1000u}) {
+    std::vector<std::atomic<int>> runs(count);
+    pool.ParallelFor(count, [&runs](std::size_t i) { ++runs[i]; });
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i << " of " << count;
     }
-    group.Wait();
   }
-  EXPECT_EQ(counter.load(), 32);
-
-  // The first exception surfaces in Wait; the pool survives for reuse.
-  runtime::TaskGroup failing(&pool);
-  failing.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(failing.Wait(), std::runtime_error);
-
-  runtime::TaskGroup after(&pool);
-  after.Submit([&counter] { ++counter; });
-  after.Wait();
-  EXPECT_EQ(counter.load(), 33);
 }
 
-TEST(ThreadPool, SingleThreadPoolRunsTasksInline) {
+TEST(ThreadPool, ExceptionIsRethrownAndPoolIsReused) {
+  runtime::ThreadPool pool(4);
+  EXPECT_THROW(pool.ParallelFor(64,
+                                [](std::size_t i) {
+                                  if (i == 5) throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
+  std::atomic<int> runs{0};
+  pool.ParallelFor(64, [&runs](std::size_t) { ++runs; });
+  EXPECT_EQ(runs.load(), 64);
+}
+
+TEST(ThreadPool, SingleThreadPoolRunsOnTheCaller) {
   runtime::ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
-  int runs = 0;
-  runtime::TaskGroup group(&pool);
-  for (int i = 0; i < 5; ++i) group.Submit([&runs] { ++runs; });
-  group.Wait();
-  EXPECT_EQ(runs, 5);
+  std::vector<std::thread::id> ran_on;
+  pool.ParallelFor(5, [&ran_on](std::size_t) {
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(5, std::this_thread::get_id()));
+  EXPECT_THROW(pool.ParallelFor(
+                   3, [](std::size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareTheWorkers) {
+  runtime::ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 50;
+  constexpr std::size_t kCount = 16;
+  std::vector<int> failures(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &failures, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> runs(kCount);
+        pool.ParallelFor(kCount, [&runs](std::size_t i) { ++runs[i]; });
+        for (const std::atomic<int>& run : runs) {
+          if (run.load() != 1) ++failures[c];
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(failures[c], 0) << c;
 }
 
 TEST(ThreadPool, ResolveThreadCount) {

@@ -53,15 +53,6 @@ TEST(SubstituteTest, CaptureAvoidance) {
   EXPECT_EQ(free, (std::set<std::string>{"x"}));
 }
 
-TEST(EliminateImplicationsTest, RewritesBothConnectives) {
-  Vocabulary vocab;
-  Formula f = Parse("A => B", &vocab);
-  Formula g = EliminateImplications(f);
-  EXPECT_EQ(ToString(g, vocab), "!A | B");
-  Formula h = EliminateImplications(Parse("A <=> B", &vocab));
-  ExpectEquivalent(Parse("A <=> B", &vocab), h, vocab);
-}
-
 TEST(NNFTest, PushesNegationThroughConnectives) {
   Vocabulary vocab;
   Formula f = Parse("!(A & (B | !C))", &vocab);
