@@ -323,30 +323,15 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
   // Rejection evidence for the grounded fallback's reason line.
   std::string cq_obstacle;
 
-  // γ-acyclic CQ path: needs probability conversion, so w + w̄ != 0. It
-  // always counts Φ itself (CountsComplement).
+  // γ-acyclic CQ path: always counts Φ itself (CountsComplement).
   if (auto query = AsConjunctiveQuery(sentence, vocabulary_, &cq_obstacle)) {
-    std::string zero_total_relation;
-    for (const auto& atom : query->atoms()) {
-      logic::RelationId id = vocabulary_.Require(atom.relation);
-      if ((vocabulary_.positive_weight(id) + vocabulary_.negative_weight(id))
-              .IsZero()) {
-        zero_total_relation = atom.relation;
-        break;
-      }
-    }
-    if (!zero_total_relation.empty()) {
-      cq_obstacle = "conjunctive query but relation " + zero_total_relation +
-                    " has w + w̄ = 0";
-    } else if (cq::IsGammaAcyclic(cq::BuildHypergraph(*query))) {
+    if (cq::IsGammaAcyclic(cq::BuildHypergraph(*query))) {
       return RouteDecision{
           .method = Method::kGammaAcyclic,
           .reason = "existential conjunctive query with a gamma-acyclic "
                     "hypergraph (Theorem 3.6 evaluator, PTIME)"};
-    } else {
-      cq_obstacle = "conjunctive query but its hypergraph is not "
-                    "gamma-acyclic";
     }
+    cq_obstacle = "conjunctive query but its hypergraph is not gamma-acyclic";
   }
 
   std::optional<std::string_view> fo2_obstacle =

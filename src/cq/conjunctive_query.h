@@ -19,7 +19,8 @@ namespace swfomc::cq {
 /// own domain [n_i]; the standard semantics sets all n_i = n.
 ///
 /// Probabilities are per-relation tuple probabilities p_R ∈ [0,1] (the
-/// symmetric setting); WFOMC weights convert via p = w / (w + w̄).
+/// symmetric setting); GammaAcyclicWFOMC takes weight pairs (w, w̄)
+/// instead, with p = w / (w + w̄) where w + w̄ != 0.
 class ConjunctiveQuery {
  public:
   struct QueryAtom {

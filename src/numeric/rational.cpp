@@ -212,4 +212,16 @@ std::ostream& operator<<(std::ostream& os, const BigRational& value) {
   return os << value.ToString();
 }
 
+ScaledWeightPair ClearPairDenominators(const BigRational& positive,
+                                       const BigRational& negative) {
+  const BigInt& positive_den = positive.denominator();
+  const BigInt& negative_den = negative.denominator();
+  BigInt lcm =
+      positive_den * (negative_den / BigInt::Gcd(positive_den, negative_den));
+  return ScaledWeightPair{
+      .positive = positive.numerator() * (lcm / positive_den),
+      .negative = negative.numerator() * (lcm / negative_den),
+      .scale = std::move(lcm)};
+}
+
 }  // namespace swfomc::numeric

@@ -110,6 +110,20 @@ class BigRational {
   BigInt denominator_;
 };
 
+/// A weight pair (w, w̄) over its common denominator
+/// d = lcm(den w, den w̄) > 0: the integers w·d and w̄·d, signs kept.
+/// Zero has denominator 1, so an integer pair gets d = 1. Counters that
+/// pick exactly one weight of each pair per product term count in these
+/// integers and divide once by the product of the d's, instead of
+/// reducing a BigRational (a gcd) on every multiply.
+struct ScaledWeightPair {
+  BigInt positive;  // w·d
+  BigInt negative;  // w̄·d
+  BigInt scale;     // d
+};
+ScaledWeightPair ClearPairDenominators(const BigRational& positive,
+                                       const BigRational& negative);
+
 }  // namespace swfomc::numeric
 
 #endif  // SWFOMC_NUMERIC_RATIONAL_H_

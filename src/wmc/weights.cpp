@@ -11,15 +11,11 @@ numeric::BigInt ClearDenominators(const WeightMap& weights, prop::VarId count,
   BigInt scale(1);
   for (prop::VarId v = 0; v < count; ++v) {
     const VariableWeights& pair = weights.Get(v);
-    const BigInt& positive_den = pair.positive.denominator();
-    const BigInt& negative_den = pair.negative.denominator();
-    BigInt lcm = positive_den *
-                 (negative_den / BigInt::Gcd(positive_den, negative_den));
-    out[prop::MakeLit(v, true)] =
-        pair.positive.numerator() * (lcm / positive_den);
-    out[prop::MakeLit(v, false)] =
-        pair.negative.numerator() * (lcm / negative_den);
-    scale *= lcm;
+    numeric::ScaledWeightPair scaled =
+        numeric::ClearPairDenominators(pair.positive, pair.negative);
+    out[prop::MakeLit(v, true)] = std::move(scaled.positive);
+    out[prop::MakeLit(v, false)] = std::move(scaled.negative);
+    scale *= scaled.scale;
   }
   return scale;
 }

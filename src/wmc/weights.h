@@ -61,8 +61,9 @@ class WeightMap {
 
 /// Integer-scaled counting's weight table. For each variable v < count,
 /// writes w(v)·d_v to out[MakeLit(v, true)] and w̄(v)·d_v to
-/// out[MakeLit(v, false)], where d_v = lcm(den w, den w̄) > 0, and
-/// returns D = Π d_v. Scaled weights are integers carrying the signs of
+/// out[MakeLit(v, false)], where d_v = lcm(den w, den w̄) > 0 (one
+/// numeric::ClearPairDenominators call per variable), and returns
+/// D = Π d_v. Scaled weights are integers carrying the signs of
 /// w and w̄; integer pairs get d_v = 1. A sum whose every product term
 /// picks exactly one literal weight of each v < count is scaled by
 /// exactly D, so it runs in integer arithmetic (no gcd per operation)

@@ -107,5 +107,35 @@ INSTANTIATE_TEST_SUITE_P(
                       ChainCase{3, 3, 4}, ChainCase{3, 1, 5},
                       ChainCase{4, 2, 4}, ChainCase{5, 1, 3}));
 
+// Large domains at rational probabilities: the recurrence and the
+// weight-space evaluator must agree where the answers have hundreds of
+// digits, far past what the grounded oracles can reach.
+struct RationalChainCase {
+  std::size_t length;
+  std::uint64_t n;
+};
+
+class RationalChainSweep
+    : public ::testing::TestWithParam<RationalChainCase> {};
+
+TEST_P(RationalChainSweep, AgreesWithGammaEvaluator) {
+  const RationalChainCase& c = GetParam();
+  std::vector<BigRational> probabilities;
+  for (std::size_t i = 0; i < c.length; ++i) {
+    probabilities.push_back(i % 2 == 0 ? BigRational::Fraction(4, 7)
+                                       : BigRational::Fraction(5, 6));
+  }
+  ChainQuery chain(probabilities);
+  ConjunctiveQuery query = chain.ToConjunctiveQuery();
+  GammaEvaluator evaluator;
+  EXPECT_EQ(chain.Probability(c.n), evaluator.Probability(query, c.n));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LargeDomains, RationalChainSweep,
+    ::testing::Values(RationalChainCase{2, 8}, RationalChainCase{2, 12},
+                      RationalChainCase{3, 9}, RationalChainCase{3, 11},
+                      RationalChainCase{4, 10}, RationalChainCase{4, 12}));
+
 }  // namespace
 }  // namespace swfomc::cq

@@ -246,5 +246,24 @@ TEST(GammaAcyclicWfomcTest, MatchesGroundedWfomc) {
   }
 }
 
+TEST(GammaAcyclicWfomcTest, RepeatedVariableAtomMatchesGroundedWfomc) {
+  // R(x,x) constrains only the diagonal; the n² − n other tuples of R are
+  // free and count at w + w̄ each.
+  ConjunctiveQuery query = Q("R(x,x), T(x)");
+  std::map<std::string, std::pair<BigRational, BigRational>> weights{
+      {"R", {BigRational::Fraction(4, 7), BigRational::Fraction(7, 5)}},
+      {"T", {BigRational::Fraction(-1, 3), BigRational(2)}}};
+  logic::Vocabulary vocab;
+  vocab.AddRelation("R", 2, weights["R"].first, weights["R"].second);
+  vocab.AddRelation("T", 1, weights["T"].first, weights["T"].second);
+  logic::Formula sentence =
+      logic::ParseStrict("exists x (R(x,x) & T(x))", vocab);
+  for (std::uint64_t n = 0; n <= 3; ++n) {
+    EXPECT_EQ(GammaAcyclicWFOMC(query, n, weights),
+              grounding::GroundedWFOMC(sentence, vocab, n))
+        << n;
+  }
+}
+
 }  // namespace
 }  // namespace swfomc::cq

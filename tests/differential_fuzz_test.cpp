@@ -202,9 +202,23 @@ TEST(DifferentialFuzz, ConjunctiveQueriesMatchADirectCountOnEveryRoute) {
     std::uint64_t seed = base + offset;
     SCOPED_TRACE("seed=" + std::to_string(seed));
     RandomSentence random = MakeRandomGammaAcyclicSentence(seed, 2);
-    // Relations the query does not mention, one with w + w̄ = 0 and one
-    // 0-ary; the query's own weights keep w + w̄ != 0 so the γ-acyclic
-    // route applies.
+    // The query's own weights come from a pool with w + w̄ = 0, negative
+    // and zero weights and rational pairs: the γ-acyclic route counts in
+    // weight space, so it takes every pair. Dealt in turn, so the 8
+    // seeds use every pair of the pool.
+    const std::pair<BigRational, BigRational> kPool[] = {
+        {BigRational(1), BigRational(-1)},
+        {BigRational::Fraction(-2, 3), BigRational(2)},
+        {BigRational(0), BigRational::Fraction(3, 2)},
+        {BigRational::Fraction(4, 7), BigRational::Fraction(7, 5)},
+        {BigRational(2), BigRational(1)}};
+    for (logic::RelationId id = 0; id < random.vocabulary.size(); ++id) {
+      const auto& [w, w_bar] =
+          kPool[(random.vocabulary.size() * offset + id) % std::size(kPool)];
+      random.vocabulary.SetWeights(id, w, w_bar);
+    }
+    // Relations the query does not mention: a unary one with a negative
+    // weight and a 0-ary one with w + w̄ = 0.
     random.vocabulary.AddRelation("Z", 1, BigRational(-2), BigRational(3));
     random.vocabulary.AddRelation("P", 0, BigRational(1), BigRational(-1));
     Engine engine(random.vocabulary);

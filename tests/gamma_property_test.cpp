@@ -66,6 +66,32 @@ TEST_P(GammaSweep, EvaluatorMatchesSentenceGrounding) {
   }
 }
 
+TEST_P(GammaSweep, WeightedCountMatchesGroundedWfomc) {
+  // Weights need not be probabilities: rational, negative and zero
+  // weights and w + w̄ = 0 all count in weight space.
+  const std::pair<BigRational, BigRational> kPool[] = {
+      {BigRational::Fraction(4, 7), BigRational::Fraction(7, 5)},
+      {BigRational::Fraction(-1, 3), BigRational(2)},
+      {BigRational(0), BigRational::Fraction(5, 6)},
+      {BigRational(3), BigRational(0)},
+      {BigRational(1), BigRational(-1)},
+      {BigRational(-2), BigRational::Fraction(-5, 4)}};
+  ConjunctiveQuery query = MakeRandomTreeQuery(GetParam(), 3);
+  auto [sentence, vocab] = query.ToSentence();
+  std::mt19937_64 rng(GetParam() * 613);
+  std::map<std::string, std::pair<BigRational, BigRational>> weights;
+  for (const ConjunctiveQuery::QueryAtom& atom : query.atoms()) {
+    const auto& pair = kPool[rng() % std::size(kPool)];
+    weights[atom.relation] = pair;
+    vocab.SetWeights(vocab.Require(atom.relation), pair.first, pair.second);
+  }
+  for (std::uint64_t n = 0; n <= 2; ++n) {
+    EXPECT_EQ(GammaAcyclicWFOMC(query, n, weights),
+              grounding::GroundedWFOMC(sentence, vocab, n))
+        << query.ToString() << " at n=" << n;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, GammaSweep,
                          ::testing::Range<std::uint64_t>(1, 21));
 

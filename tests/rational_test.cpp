@@ -207,5 +207,42 @@ TEST(BigRationalTest, DivisionSelfAliasing) {
   ExpectCanonical(s);
 }
 
+// --- Clearing a weight pair's denominators --------------------------------
+
+void ExpectScaled(const BigRational& w, const BigRational& w_bar,
+                  std::int64_t positive, std::int64_t negative,
+                  std::int64_t scale) {
+  ScaledWeightPair scaled = ClearPairDenominators(w, w_bar);
+  EXPECT_EQ(scaled.positive, BigInt(positive)) << w << ", " << w_bar;
+  EXPECT_EQ(scaled.negative, BigInt(negative)) << w << ", " << w_bar;
+  EXPECT_EQ(scaled.scale, BigInt(scale)) << w << ", " << w_bar;
+}
+
+TEST(ClearPairDenominatorsTest, ScalesByTheLcmOfTheTwoDenominators) {
+  // lcm(4, 6) = 12, not 24: 1/4 → 3 and 5/6 → 10.
+  ExpectScaled(BigRational::Fraction(1, 4), BigRational::Fraction(5, 6), 3,
+               10, 12);
+  ExpectScaled(BigRational::Fraction(4, 7), BigRational::Fraction(7, 5), 20,
+               49, 35);
+}
+
+TEST(ClearPairDenominatorsTest, ZeroWeightHasDenominatorOne) {
+  ExpectScaled(BigRational(0), BigRational::Fraction(3, 5), 0, 3, 5);
+  ExpectScaled(BigRational::Fraction(-2, 9), BigRational(0), -2, 0, 9);
+  ExpectScaled(BigRational(0), BigRational(0), 0, 0, 1);
+}
+
+TEST(ClearPairDenominatorsTest, NegativeNumeratorsKeepTheirSign) {
+  ExpectScaled(BigRational::Fraction(-2, 3), BigRational::Fraction(-1, 6), -4,
+               -1, 6);
+  ExpectScaled(BigRational::Fraction(1, 2), BigRational::Fraction(-1, 3), 3,
+               -2, 6);
+}
+
+TEST(ClearPairDenominatorsTest, IntegerPairIsLeftAsIs) {
+  ExpectScaled(BigRational(1), BigRational(-1), 1, -1, 1);
+  ExpectScaled(BigRational(-3), BigRational(2), -3, 2, 1);
+}
+
 }  // namespace
 }  // namespace swfomc::numeric

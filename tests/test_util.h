@@ -209,8 +209,8 @@ inline RandomSentence MakeRandomFO2Sentence(std::uint64_t seed) {
 /// Random γ-acyclic conjunctive query *as a sentence*: the tree-query
 /// shape of MakeRandomTreeQuery (each atom shares exactly one variable
 /// with an earlier atom and introduces a fresh one), existentially closed
-/// over all variables, with random positive weights (w + w̄ != 0 so the
-/// γ-acyclic route is admissible) on a fresh vocabulary.
+/// over all variables, with random positive weights on a fresh
+/// vocabulary.
 inline RandomSentence MakeRandomGammaAcyclicSentence(std::uint64_t seed,
                                                      std::size_t atoms) {
   std::mt19937_64 rng(seed);
