@@ -8,13 +8,10 @@
 #include "cq/gamma_evaluator.h"
 #include "fo2/cell_algorithm.h"
 #include "grounding/grounded_wfomc.h"
-#include "grounding/lineage.h"
-#include "grounding/tuple_index.h"
 #include "logic/parser.h"
 #include "logic/transform.h"
 #include "nnf/circuit_builder.h"
 #include "numeric/combinatorics.h"
-#include "prop/tseitin.h"
 #include "reductions/spectrum.h"
 
 namespace swfomc::api {
@@ -70,10 +67,8 @@ std::optional<cq::ConjunctiveQuery> AsConjunctiveQuery(
 
 // The γ-acyclic evaluator's inputs, extracted once per call: the
 // conjunctive query plus each relation's weight pair, and the relations
-// the query does not mention. Shared by WFOMC and WFOMCSweep so their
-// fragment checks and weight handling cannot diverge. Throws
-// std::invalid_argument (prefixed with `who`) when the sentence is not a
-// conjunctive query.
+// the query does not mention. Throws std::invalid_argument (prefixed with
+// `who`) when the sentence is not a conjunctive query.
 struct GammaQueryInputs {
   cq::ConjunctiveQuery query;
   std::map<std::string, std::pair<BigRational, BigRational>> weights;
@@ -120,9 +115,7 @@ class ScopedUnitWeights {
  public:
   explicit ScopedUnitWeights(logic::Vocabulary* vocabulary)
       : vocabulary_(vocabulary), saved_(*vocabulary) {
-    for (logic::RelationId id = 0; id < vocabulary_->size(); ++id) {
-      vocabulary_->SetWeights(id, 1, 1);
-    }
+    vocabulary_->SetUnitWeights();
   }
   ~ScopedUnitWeights() { *vocabulary_ = std::move(saved_); }
 
@@ -138,8 +131,7 @@ class ScopedUnitWeights {
 // an exact count c becomes T − c and a bracket [L, U] becomes
 // [T − U, T − L], whose lower end is the reported value. An aborted
 // answer certifies nothing either way and stays aborted.
-template <typename Answer>
-void Complement(const BigRational& total, Answer* answer) {
+void Complement(const BigRational& total, Engine::SweepPoint* answer) {
   switch (answer->outcome) {
     case Outcome::kExact:
       answer->value = total - answer->value;
@@ -173,11 +165,11 @@ Outcome FromCounterOutcome(wmc::DpllCounter::CountOutcome outcome) {
   return Outcome::kAborted;
 }
 
-// Moves one grounded count into an Engine::Result or SweepPoint: the
-// outcome and stop reason, the value (exact, or the certified lower
-// bound; left zero when aborted) and, for kBounds, the bracket.
-template <typename Answer>
-void AssignCount(wmc::DpllCounter::CountResult counted, Answer* answer) {
+// Moves one grounded count into a sweep point: the outcome and stop
+// reason, the value (exact, or the certified lower bound; left zero when
+// aborted) and, for kBounds, the bracket.
+void AssignCount(wmc::DpllCounter::CountResult counted,
+                 Engine::SweepPoint* answer) {
   answer->outcome = FromCounterOutcome(counted.outcome);
   answer->stop_reason = counted.stop_reason;
   if (answer->outcome == Outcome::kBounds) {
@@ -353,41 +345,15 @@ RouteDecision Engine::ExplainRoute(const logic::Formula& sentence) const {
 Engine::Result Engine::WFOMC(const logic::Formula& sentence,
                              std::uint64_t domain_size, Method method,
                              const QueryOptions& query) {
-  if (method == Method::kAuto) method = Route(sentence);
-  const bool complement = CountsComplement(sentence, method);
-  QueryScope scope(options_, "wfomc", method, complement);
-  scope.span.Num("n", domain_size);
-  const Formula target = CountedSentence(sentence, complement);
-  Result result = [&]() -> Result {
-    Result result;
-    result.method = method;
-    switch (method) {
-      case Method::kLiftedFO2:
-        result.value = fo2::LiftedWFOMC(target, vocabulary_, domain_size);
-        return result;
-      case Method::kGammaAcyclic: {
-        result.value =
-            RequireGammaAcyclicQuery(sentence, vocabulary_, "Engine::WFOMC")
-                .Count(domain_size);
-        return result;
-      }
-      case Method::kGrounded: {
-        wmc::DpllCounter::Stats stats;
-        AssignCount(grounding::GroundedWFOMCBounded(
-                        target, vocabulary_, domain_size,
-                        CounterOptions(query, options_, scope), &stats),
-                    &result);
-        result.grounded_stats = stats;
-        return result;
-      }
-      case Method::kAuto:
-        break;
-    }
-    throw std::logic_error("Engine::WFOMC: unreachable");
-  }();
-  if (complement) Complement(vocabulary_.TotalWeight(domain_size), &result);
-  scope.span.Str("outcome", ToString(result.outcome));
-  return result;
+  SweepResult sweep =
+      CountRange(sentence, domain_size, domain_size, method, query);
+  SweepPoint& point = sweep.points.front();
+  return Result{.value = std::move(point.value),
+                .method = sweep.method,
+                .outcome = point.outcome,
+                .bounds = std::move(point.bounds),
+                .stop_reason = point.stop_reason,
+                .grounded_stats = std::move(point.grounded_stats)};
 }
 
 Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
@@ -401,10 +367,26 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
   if (n_hi - n_lo == std::numeric_limits<std::uint64_t>::max()) {
     throw std::invalid_argument("Engine::WFOMCSweep: range too large");
   }
+  return CountRange(sentence, n_lo, n_hi, method, query);
+}
+
+Engine::SweepResult Engine::CountRange(const logic::Formula& sentence,
+                                       std::uint64_t n_lo, std::uint64_t n_hi,
+                                       Method method,
+                                       const QueryOptions& query) {
+  // A one-point range is counted, traced and reported as a WFOMC call,
+  // whichever entry point asked for it.
+  const bool single_point = n_lo == n_hi;
+  const char* who = single_point ? "Engine::WFOMC" : "Engine::WFOMCSweep";
   if (method == Method::kAuto) method = Route(sentence);
   const bool complement = CountsComplement(sentence, method);
-  QueryScope scope(options_, "wfomc_sweep", method, complement);
-  scope.span.Num("n_lo", n_lo).Num("n_hi", n_hi);
+  QueryScope scope(options_, single_point ? "wfomc" : "wfomc_sweep", method,
+                   complement);
+  if (single_point) {
+    scope.span.Num("n", n_lo);
+  } else {
+    scope.span.Num("n_lo", n_lo).Num("n_hi", n_hi);
+  }
   const Formula target = CountedSentence(sentence, complement);
   SweepResult sweep;
   sweep.method = method;
@@ -415,10 +397,10 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
   switch (method) {
     case Method::kLiftedFO2: {
       // One compile, one Pascal-row table and one value column for the
-      // whole sweep; each point is one evaluation of the circuit. The
-      // circuit is compiled lazily at the first n >= 1 point, so a sweep
-      // that only touches n = 0 behaves exactly like the per-point WFOMC
-      // call (which counts n = 0 directly, without the normal form).
+      // whole range; each point is one evaluation of the circuit. The
+      // circuit is compiled lazily at the first n >= 1 point: the normal
+      // form preserves WFOMC only over non-empty domains, so n = 0 is
+      // counted directly.
       std::optional<nnf::LiftedCircuit> circuit;
       nnf::LiftedCircuit::Weights weights;
       numeric::BinomialTable binomials;
@@ -439,7 +421,7 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
     }
     case Method::kGammaAcyclic: {
       GammaQueryInputs inputs =
-          RequireGammaAcyclicQuery(sentence, vocabulary_, "Engine::WFOMCSweep");
+          RequireGammaAcyclicQuery(sentence, vocabulary_, who);
       for (SweepPoint& point : sweep.points) {
         point.value = inputs.Count(point.domain_size);
       }
@@ -451,15 +433,15 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
       wmc::DpllCounter::Options counter_options =
           CounterOptions(query, options_, scope);
       for (SweepPoint& point : sweep.points) {
-        AssignCount(grounding::GroundedWFOMCBounded(target, vocabulary_,
-                                                    point.domain_size,
-                                                    counter_options),
+        AssignCount(grounding::GroundedWFOMCBounded(
+                        target, vocabulary_, point.domain_size,
+                        counter_options, &point.grounded_stats.emplace()),
                     &point);
       }
       break;
     }
     case Method::kAuto:
-      throw std::logic_error("Engine::WFOMCSweep: unreachable");
+      throw std::logic_error(std::string(who) + ": unreachable");
   }
   for (SweepPoint& point : sweep.points) {
     if (complement) {
@@ -474,6 +456,7 @@ Engine::SweepResult Engine::WFOMCSweep(const logic::Formula& sentence,
       sweep.stop_reason = point.stop_reason;
     }
   }
+  if (single_point) scope.span.Str("outcome", ToString(sweep.outcome));
   return sweep;
 }
 
@@ -663,17 +646,14 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
   }
   std::uint64_t domain_size = *options.domain_size;
 
-  // The same grounding pipeline as Method::kGrounded, with the counter in
+  // The same grounded instance as Method::kGrounded, with the counter in
   // tracing mode: the count falls out of the compile for free, and the
   // circuit's variable layout matches TupleIndex exactly.
-  grounding::TupleIndex index(vocabulary_, domain_size);
-  prop::PropFormula lineage = grounding::GroundLineage(target, index);
-  prop::TseitinResult tseitin = prop::TseitinTransform(
-      lineage, static_cast<std::uint32_t>(index.TupleCount()));
-  wmc::WeightMap weights =
-      grounding::SymmetricGroundWeights(index, tseitin.cnf.variable_count);
+  grounding::GroundedInstance instance =
+      grounding::GroundInstance(target, vocabulary_, domain_size);
+  const grounding::TupleIndex& index = instance.index;
 
-  nnf::CircuitBuilder builder(tseitin.cnf.variable_count);
+  nnf::CircuitBuilder builder(instance.cnf.variable_count);
   CompiledQuery::Grounded grounded;
   wmc::DpllCounter::CountResult counted;
   {
@@ -682,8 +662,8 @@ CompileResult Engine::Compile(const logic::Formula& sentence,
     wmc::DpllCounter::Options counter_options =
         CounterOptions(query, options_, scope);
     counter_options.trace_sink = &builder;
-    wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
-                             counter_options);
+    wmc::DpllCounter counter(std::move(instance.cnf),
+                             std::move(instance.weights), counter_options);
     counted = counter.CountBounded();
     grounded.compile_stats = counter.stats();
   }

@@ -307,7 +307,9 @@ class Engine {
   };
 
   /// Symmetric WFOMC(Φ, n, w, w̄), governed by `query` (see
-  /// QueryOptions; the default is ungoverned).
+  /// QueryOptions; the default is ungoverned): the one-point sweep
+  /// WFOMCSweep(Φ, n, n), returned field for field as a Result. Its trace
+  /// span is "wfomc" with `n` and the outcome.
   Result WFOMC(const logic::Formula& sentence, std::uint64_t domain_size,
                Method method = Method::kAuto, const QueryOptions& query = {});
 
@@ -317,6 +319,9 @@ class Engine {
     Outcome outcome = Outcome::kExact;
     std::optional<BoundsResult> bounds;
     runtime::StopReason stop_reason = runtime::StopReason::kNone;
+    /// This point's DPLL search/cache counters on the grounded route, as
+    /// in Result::grounded_stats; unset on the lifted routes.
+    std::optional<wmc::DpllCounter::Stats> grounded_stats;
   };
   struct SweepResult {
     Method method = Method::kGrounded;
@@ -337,9 +342,12 @@ class Engine {
   ///   * γ-acyclic: the conjunctive query and its weight map are
   ///     extracted once;
   ///   * grounded: one DPLL count per point, in ascending n.
-  /// Results are bit-identical to calling WFOMC per point. Throws
-  /// std::invalid_argument when n_lo > n_hi. `query` governs the whole
-  /// sweep (one budget drains across every point).
+  /// Results are bit-identical to calling WFOMC per point, since WFOMC
+  /// is this sweep over [n, n]. Throws std::invalid_argument when
+  /// n_lo > n_hi. `query` governs the whole sweep (one budget drains
+  /// across every point). Its trace span is "wfomc_sweep" with `n_lo`
+  /// and `n_hi`, except that a one-point range is traced as the WFOMC
+  /// call it is ("wfomc" with `n`).
   SweepResult WFOMCSweep(const logic::Formula& sentence, std::uint64_t n_lo,
                          std::uint64_t n_hi, Method method = Method::kAuto,
                          const QueryOptions& query = {});
@@ -397,6 +405,14 @@ class Engine {
   RouteDecision ExplainRoute(const logic::Formula& sentence) const;
 
  private:
+  /// The one counting routine behind WFOMC and WFOMCSweep, over a valid
+  /// [n_lo, n_hi]: routes once, applies the polarity step, counts every
+  /// point on the chosen route, complements each point and folds their
+  /// outcomes into the sweep's.
+  SweepResult CountRange(const logic::Formula& sentence, std::uint64_t n_lo,
+                         std::uint64_t n_hi, Method method,
+                         const QueryOptions& query);
+
   logic::Vocabulary vocabulary_;
   Options options_;
 };

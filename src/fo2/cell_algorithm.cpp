@@ -6,29 +6,12 @@
 
 namespace swfomc::fo2 {
 
-using logic::RelationId;
 using numeric::BigRational;
 
 numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
                                         std::uint64_t domain_size,
                                         numeric::BinomialTable* binomials,
                                         CellStats* stats) {
-  if (domain_size == 0) {
-    // Over the empty domain the lineage of ∀x∀y ψ is `true`, so the count
-    // is the sum over the 0-ary predicates' assignments = Π_0-ary (w + w̄).
-    // NOTE: this is the WFOMC of the universal form itself; the normal-form
-    // construction only preserves the original sentence's WFOMC for n >= 1
-    // (quantifier pulling assumes a non-empty domain), which is why
-    // LiftedWFOMC routes n = 0 elsewhere.
-    BigRational result(1);
-    for (RelationId id = 0; id < form.vocabulary.size(); ++id) {
-      if (form.vocabulary.arity(id) == 0) {
-        result *= form.vocabulary.positive_weight(id) +
-                  form.vocabulary.negative_weight(id);
-      }
-    }
-    return result;
-  }
   nnf::LiftedCircuit circuit = CompileLifted(form, stats);
   nnf::LiftedCircuit::EvalStats eval;
   BigRational result = circuit.Evaluate(
@@ -62,9 +45,7 @@ numeric::BigInt LiftedFOMC(const logic::Formula& sentence,
                            const logic::Vocabulary& vocabulary,
                            std::uint64_t domain_size) {
   logic::Vocabulary unweighted = vocabulary;
-  for (RelationId id = 0; id < unweighted.size(); ++id) {
-    unweighted.SetWeights(id, 1, 1);
-  }
+  unweighted.SetUnitWeights();
   return LiftedWFOMC(sentence, unweighted, domain_size).ToInteger();
 }
 

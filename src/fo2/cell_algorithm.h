@@ -32,7 +32,10 @@ struct CellStats : LiftedCompileStats {
 /// (nnf::LiftedCircuit), over merged cells. Runtime is polynomial in n
 /// for a fixed sentence: O(n^{C-1}) terms with C a sentence-only
 /// constant. `binomials` is an optional caller-owned table, so a caller
-/// that counts many domain sizes builds each Pascal row once.
+/// that counts many domain sizes builds each Pascal row once. Requires
+/// n >= 1 and throws std::invalid_argument at n = 0: the normal form
+/// preserves WFOMC only over non-empty domains, so LiftedWFOMC counts the
+/// empty domain directly instead.
 numeric::BigRational CellAlgorithmWFOMC(const UniversalForm& form,
                                         std::uint64_t domain_size,
                                         numeric::BinomialTable* binomials,

@@ -1,6 +1,8 @@
 #include "grounding/grounded_wfomc.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "grounding/lineage.h"
 #include "logic/evaluate.h"
@@ -26,39 +28,46 @@ wmc::WeightMap SymmetricGroundWeights(const TupleIndex& index,
   return weights;
 }
 
-numeric::BigRational GroundedWFOMC(const logic::Formula& sentence,
-                                   const logic::Vocabulary& vocabulary,
-                                   std::uint64_t domain_size,
-                                   wmc::DpllCounter::Options options,
-                                   wmc::DpllCounter::Stats* stats) {
+GroundedInstance GroundInstance(const logic::Formula& sentence,
+                                const logic::Vocabulary& vocabulary,
+                                std::uint64_t domain_size) {
   TupleIndex index(vocabulary, domain_size);
   prop::PropFormula lineage = GroundLineage(sentence, index);
   prop::TseitinResult tseitin = prop::TseitinTransform(
       lineage, static_cast<std::uint32_t>(index.TupleCount()));
   wmc::WeightMap weights =
       SymmetricGroundWeights(index, tseitin.cnf.variable_count);
-  wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
-                           options);
-  BigRational result = counter.Count();
-  if (stats != nullptr) *stats = counter.stats();
-  return result;
+  return GroundedInstance{std::move(index), std::move(tseitin.cnf),
+                          std::move(weights)};
 }
 
 wmc::DpllCounter::CountResult GroundedWFOMCBounded(
     const logic::Formula& sentence, const logic::Vocabulary& vocabulary,
     std::uint64_t domain_size, wmc::DpllCounter::Options options,
     wmc::DpllCounter::Stats* stats) {
-  TupleIndex index(vocabulary, domain_size);
-  prop::PropFormula lineage = GroundLineage(sentence, index);
-  prop::TseitinResult tseitin = prop::TseitinTransform(
-      lineage, static_cast<std::uint32_t>(index.TupleCount()));
-  wmc::WeightMap weights =
-      SymmetricGroundWeights(index, tseitin.cnf.variable_count);
-  wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights),
-                           options);
+  GroundedInstance instance = GroundInstance(sentence, vocabulary, domain_size);
+  wmc::DpllCounter counter(std::move(instance.cnf),
+                           std::move(instance.weights), options);
   wmc::DpllCounter::CountResult result = counter.CountBounded();
   if (stats != nullptr) *stats = counter.stats();
   return result;
+}
+
+numeric::BigRational GroundedWFOMC(const logic::Formula& sentence,
+                                   const logic::Vocabulary& vocabulary,
+                                   std::uint64_t domain_size,
+                                   wmc::DpllCounter::Options options,
+                                   wmc::DpllCounter::Stats* stats) {
+  wmc::DpllCounter::CountResult result =
+      GroundedWFOMCBounded(sentence, vocabulary, domain_size, options, stats);
+  if (result.outcome != wmc::DpllCounter::CountOutcome::kExact) {
+    throw std::runtime_error(
+        std::string("GroundedWFOMC: budget exhausted before an exact count "
+                    "(stop reason: ") +
+        runtime::ToString(result.stop_reason) +
+        "); use GroundedWFOMCBounded() for anytime results");
+  }
+  return std::move(result.value);
 }
 
 numeric::BigInt GroundedFOMC(const logic::Formula& sentence,
@@ -66,9 +75,7 @@ numeric::BigInt GroundedFOMC(const logic::Formula& sentence,
                              std::uint64_t domain_size) {
   // Force weights (1,1) regardless of what the vocabulary carries.
   logic::Vocabulary unweighted = vocabulary;
-  for (logic::RelationId id = 0; id < unweighted.size(); ++id) {
-    unweighted.SetWeights(id, 1, 1);
-  }
+  unweighted.SetUnitWeights();
   BigRational count = GroundedWFOMC(sentence, unweighted, domain_size);
   return count.ToInteger();
 }
@@ -78,16 +85,13 @@ numeric::BigRational GroundedWFOMCAsymmetric(
     std::uint64_t domain_size,
     const std::function<wmc::VariableWeights(const TupleIndex&, prop::VarId)>&
         tuple_weights) {
-  TupleIndex index(vocabulary, domain_size);
-  prop::PropFormula lineage = GroundLineage(sentence, index);
-  prop::TseitinResult tseitin = prop::TseitinTransform(
-      lineage, static_cast<std::uint32_t>(index.TupleCount()));
-  wmc::WeightMap weights(tseitin.cnf.variable_count);
-  for (prop::VarId v = 0; v < index.TupleCount(); ++v) {
-    wmc::VariableWeights w = tuple_weights(index, v);
-    weights.Set(v, std::move(w.positive), std::move(w.negative));
+  GroundedInstance instance = GroundInstance(sentence, vocabulary, domain_size);
+  for (prop::VarId v = 0; v < instance.index.TupleCount(); ++v) {
+    wmc::VariableWeights w = tuple_weights(instance.index, v);
+    instance.weights.Set(v, std::move(w.positive), std::move(w.negative));
   }
-  wmc::DpllCounter counter(std::move(tseitin.cnf), std::move(weights));
+  wmc::DpllCounter counter(std::move(instance.cnf),
+                           std::move(instance.weights));
   return counter.Count();
 }
 
@@ -115,9 +119,7 @@ numeric::BigInt ExhaustiveFOMC(const logic::Formula& sentence,
                                const logic::Vocabulary& vocabulary,
                                std::uint64_t domain_size) {
   logic::Vocabulary unweighted = vocabulary;
-  for (logic::RelationId id = 0; id < unweighted.size(); ++id) {
-    unweighted.SetWeights(id, 1, 1);
-  }
+  unweighted.SetUnitWeights();
   return ExhaustiveWFOMC(sentence, unweighted, domain_size).ToInteger();
 }
 

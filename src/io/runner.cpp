@@ -101,23 +101,15 @@ ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options,
   query.budget = options.limits.Arm(&budget);
 
   auto start = std::chrono::steady_clock::now();
-  if (spec.IsSweep()) {
-    api::Engine::SweepResult sweep = engine.WFOMCSweep(
-        spec.sentence, spec.domain_lo, spec.domain_hi, method, query);
-    report.points = std::move(sweep.points);
-    report.outcome = sweep.outcome;
-    report.stop_reason = sweep.stop_reason;
-  } else {
-    api::Engine::Result result =
-        engine.WFOMC(spec.sentence, spec.domain_lo, method, query);
-    report.points.push_back(api::Engine::SweepPoint{
-        spec.domain_lo, std::move(result.value), result.outcome,
-        std::move(result.bounds), result.stop_reason});
-    report.outcome = result.outcome;
-    report.stop_reason = result.stop_reason;
-    report.grounded_stats = std::move(result.grounded_stats);
-  }
+  api::Engine::SweepResult sweep = engine.WFOMCSweep(
+      spec.sentence, spec.domain_lo, spec.domain_hi, method, query);
   report.elapsed_seconds = SecondsSince(start);
+  report.points = std::move(sweep.points);
+  report.outcome = sweep.outcome;
+  report.stop_reason = sweep.stop_reason;
+  if (!spec.IsSweep()) {
+    report.grounded_stats = std::move(report.points.front().grounded_stats);
+  }
 
   report.expected = spec.expect;
   report.point_expects = spec.point_expects;

@@ -65,7 +65,7 @@ struct ModelRunReport {
   api::Outcome outcome = api::Outcome::kExact;
   runtime::StopReason stop_reason = runtime::StopReason::kNone;
   /// DPLL counter statistics; present for single-point grounded runs
-  /// (sweeps share no single counter, so they report none).
+  /// (a sweep runs one search per point, so it reports none).
   std::optional<wmc::DpllCounter::Stats> grounded_stats;
   double elapsed_seconds = 0.0;
   std::optional<numeric::BigRational> expected;  // the plain `expect`
@@ -81,8 +81,8 @@ struct ModelRunReport {
   std::optional<std::uint64_t> first_failed_point;
 };
 
-/// Evaluates a parsed model through api::Engine (WFOMC for a point,
-/// WFOMCSweep for a range) and assembles the report. Throws
+/// Evaluates a parsed model through api::Engine::WFOMCSweep (a single
+/// domain size is the one-point sweep) and assembles the report. Throws
 /// std::invalid_argument when the model has no `domain` directive — a
 /// domain-less model is a compile-only workload.
 ModelRunReport RunModel(const ModelSpec& spec, const RunOptions& options = {},

@@ -38,6 +38,10 @@ void Vocabulary::SetWeights(RelationId id,
   relations_.at(id).negative_weight = std::move(negative_weight);
 }
 
+void Vocabulary::SetUnitWeights() {
+  for (RelationId id = 0; id < size(); ++id) SetWeights(id, 1, 1);
+}
+
 std::uint64_t Vocabulary::GroundTupleCount(std::uint64_t domain_size) const {
   std::uint64_t total = 0;
   for (const Relation& r : relations_) {

@@ -64,6 +64,9 @@ class Vocabulary {
   void SetWeights(RelationId id, numeric::BigRational positive_weight,
                   numeric::BigRational negative_weight);
 
+  /// Sets every relation's weights to (1, 1), turning WFOMC into FOMC.
+  void SetUnitWeights();
+
   /// |Tup(n)| = Σ_i n^{arity(R_i)}: the number of ground tuples over a
   /// domain of size n.
   std::uint64_t GroundTupleCount(std::uint64_t domain_size) const;

@@ -20,22 +20,6 @@ BigInt Binomial(std::uint64_t n, std::uint64_t k) {
   return result;
 }
 
-BigInt Binomial(const BigInt& n, std::uint64_t k) {
-  if (n.IsNegative()) {
-    throw std::domain_error("Binomial: negative upper index");
-  }
-  // Unconditional k > n guard: the old FitsInt64-gated check missed
-  // n in [2^63, 2^64) with k > n, where the falling factorial below
-  // picks up negative factors.
-  if (BigInt::FromUnsigned(k) > n) return BigInt(0);
-  BigInt result(1);
-  for (std::uint64_t i = 0; i < k; ++i) {
-    result *= n - BigInt::FromUnsigned(i);
-    result /= BigInt::FromUnsigned(i + 1);
-  }
-  return result;
-}
-
 BigInt Multinomial(std::uint64_t n, const std::vector<std::uint64_t>& parts) {
   std::uint64_t sum = 0;
   for (std::uint64_t p : parts) sum += p;

@@ -20,11 +20,6 @@ BigInt Factorial(std::uint64_t n);
 /// Binomial coefficient C(n, k); 0 when k > n.
 BigInt Binomial(std::uint64_t n, std::uint64_t k);
 
-/// Binomial coefficient with BigInt upper index (needed by the γ-acyclic
-/// evaluator, where rule (e) multiplies domain sizes). Computed as the
-/// falling factorial n(n-1)...(n-k+1) / k!.
-BigInt Binomial(const BigInt& n, std::uint64_t k);
-
 /// Multinomial coefficient n! / (parts[0]! * ... * parts[m-1]!).
 /// Requires sum(parts) == n (checked).
 BigInt Multinomial(std::uint64_t n, const std::vector<std::uint64_t>& parts);

@@ -93,13 +93,12 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
       governed_(options.budget != nullptr || options.cancel != nullptr ||
                 options.fault != nullptr),
       observed_(options.metrics != nullptr || options.trace != nullptr),
-      // A budget's memory ceiling caps the cache bytes too (the cache is
-      // the dominant allocation); the tighter of the two bounds wins.
+      // A budget's memory ceiling bounds the cache's resident bytes (the
+      // cache is the dominant allocation); eviction follows whichever of
+      // the entry and byte bounds binds first.
       cache_(options.max_cache_entries,
-             options.budget != nullptr
-                 ? std::min<std::size_t>(options.max_cache_bytes,
-                                         options.budget->max_memory_bytes())
-                 : options.max_cache_bytes) {
+             options.budget != nullptr ? options.budget->max_memory_bytes()
+                                       : ComponentCache::kUnboundedBytes) {
   weights.EnsureSize(cnf_.variable_count);
   // Clear denominators once: every term the search sums carries exactly
   // one weight factor per counted variable (a decision or implied

@@ -71,15 +71,12 @@ class DpllCounter {
     /// valid for all weight vectors — the returned count is still
     /// bit-identical to an untraced Count().
     TraceSink* trace_sink = nullptr;
-    /// Byte bound on the component cache's resident size (keys + integer
-    /// payloads + per-entry overhead); eviction is driven by whichever of
-    /// the entry and byte bounds binds first. When `budget` carries a
-    /// memory ceiling, the effective bound is the tighter of the two.
-    std::size_t max_cache_bytes = ComponentCache::kUnboundedBytes;
     /// Resource envelope for the search (not owned; may be shared across
     /// counters and threads). On exhaustion the search winds down
     /// cooperatively and CountBounded() reports bounds or an abort
-    /// instead of spinning. null = ungoverned.
+    /// instead of spinning. Its memory ceiling also bounds the component
+    /// cache's resident bytes (keys + integer payloads + per-entry
+    /// overhead). null = ungoverned.
     runtime::Budget* budget = nullptr;
     /// Cooperative cancellation (not owned). Polled once per decision;
     /// safe to cancel from another thread.

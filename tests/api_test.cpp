@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "closedforms/closed_forms.h"
+#include "io/json.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "runtime/budget.h"
 
 namespace swfomc::api {
 namespace {
@@ -224,6 +231,171 @@ TEST(EngineTest, AutoRoutingProducesSameValueAsExplicit) {
     Engine::Result result = engine.WFOMC(f, n);
     EXPECT_EQ(result.method, Method::kLiftedFO2);
     EXPECT_EQ(result.value.ToInteger(), closedforms::Table1FOMC(n)) << n;
+  }
+}
+
+// WFOMC(Φ, n) is the one-point sweep: every field of its Result matches
+// WFOMCSweep(Φ, n, n)'s only point (and the sweep's method and outcome).
+// A decision cap, when given, arms a fresh budget for each call.
+void ExpectWfomcIsOnePointSweep(Engine* engine, const logic::Formula& f,
+                                std::uint64_t n,
+                                std::optional<std::uint64_t> cap = {}) {
+  SCOPED_TRACE(n);
+  runtime::Budget point_budget;
+  runtime::Budget sweep_budget;
+  QueryOptions point_query;
+  QueryOptions sweep_query;
+  if (cap.has_value()) {
+    point_budget.SetMaxDecisions(*cap);
+    sweep_budget.SetMaxDecisions(*cap);
+    point_query.budget = &point_budget;
+    sweep_query.budget = &sweep_budget;
+  }
+  const Engine::Result result = engine->WFOMC(f, n, Method::kAuto, point_query);
+  const Engine::SweepResult sweep =
+      engine->WFOMCSweep(f, n, n, Method::kAuto, sweep_query);
+  ASSERT_EQ(sweep.points.size(), 1u);
+  const Engine::SweepPoint& point = sweep.points[0];
+  EXPECT_EQ(point.domain_size, n);
+  EXPECT_EQ(result.method, sweep.method);
+  EXPECT_EQ(result.value, point.value);
+  EXPECT_EQ(result.outcome, point.outcome);
+  EXPECT_EQ(result.outcome, sweep.outcome);
+  EXPECT_EQ(result.stop_reason, point.stop_reason);
+  EXPECT_EQ(result.stop_reason, sweep.stop_reason);
+  ASSERT_EQ(result.bounds.has_value(), point.bounds.has_value());
+  if (result.bounds.has_value()) {
+    EXPECT_EQ(result.bounds->lower, point.bounds->lower);
+    EXPECT_EQ(result.bounds->upper, point.bounds->upper);
+  }
+  EXPECT_EQ(result.grounded_stats.has_value(),
+            result.method == Method::kGrounded);
+  ASSERT_EQ(result.grounded_stats.has_value(),
+            point.grounded_stats.has_value());
+  if (result.grounded_stats.has_value()) {
+    const wmc::DpllCounter::Stats& a = *result.grounded_stats;
+    const wmc::DpllCounter::Stats& b = *point.grounded_stats;
+    EXPECT_EQ(a.decisions, b.decisions);
+    EXPECT_EQ(a.unit_propagations, b.unit_propagations);
+    EXPECT_EQ(a.component_splits, b.component_splits);
+    EXPECT_EQ(a.aborted_subtrees, b.aborted_subtrees);
+    EXPECT_EQ(a.cache_lookups, b.cache_lookups);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.cache_entries, b.cache_entries);
+    EXPECT_EQ(a.cache_collisions, b.cache_collisions);
+    EXPECT_EQ(a.cache_insertions, b.cache_insertions);
+    EXPECT_EQ(a.cache_evictions, b.cache_evictions);
+    EXPECT_EQ(a.cache_bytes, b.cache_bytes);
+  }
+}
+
+TEST(EngineTest, WfomcIsTheOnePointSweepOnEveryRoute) {
+  Engine engine{logic::Vocabulary{}};
+  const struct {
+    const char* text;
+    Method method;
+    bool complemented;
+  } cases[] = {
+      {"forall x exists y E(x,y)", Method::kLiftedFO2, false},
+      {"exists x forall y (U(x) | E(x,y))", Method::kLiftedFO2, true},
+      {"exists x exists y (E(x,y) & U(y))", Method::kGammaAcyclic, false},
+      {"forall x forall y forall z (E(x,y) | E(y,z) | E(z,x))",
+       Method::kGrounded, false},
+      {"exists x exists y exists z (E(x,y) & E(y,z) & E(z,x))",
+       Method::kGrounded, true},
+  };
+  std::vector<logic::Formula> sentences;
+  for (const auto& c : cases) sentences.push_back(engine.Parse(c.text));
+  logic::Vocabulary* vocabulary = engine.mutable_vocabulary();
+  vocabulary->SetWeights(vocabulary->Require("E"), BigRational(4, 7),
+                         BigRational(5, 6));
+  vocabulary->SetWeights(vocabulary->Require("U"), BigRational(2),
+                         BigRational(1, 3));
+  for (std::size_t i = 0; i < sentences.size(); ++i) {
+    SCOPED_TRACE(cases[i].text);
+    RouteDecision route = engine.ExplainRoute(sentences[i]);
+    ASSERT_EQ(route.method, cases[i].method);
+    ASSERT_EQ(route.complemented, cases[i].complemented);
+    for (std::uint64_t n = 0; n <= 3; ++n) {
+      ExpectWfomcIsOnePointSweep(&engine, sentences[i], n);
+    }
+  }
+}
+
+TEST(EngineTest, CappedGroundedWfomcIsTheOnePointSweep) {
+  Engine engine{logic::Vocabulary{}};
+  const logic::Formula triangle =
+      engine.Parse("exists x exists y exists z (E(x,y) & E(y,z) & E(z,x))");
+  logic::Vocabulary* vocabulary = engine.mutable_vocabulary();
+  vocabulary->SetWeights(vocabulary->Require("E"), BigRational(4, 7),
+                         BigRational(5, 6));
+  for (std::uint64_t cap : {0, 1, 3, 8}) {
+    SCOPED_TRACE(cap);
+    ExpectWfomcIsOnePointSweep(&engine, triangle, 4, cap);
+  }
+  runtime::Budget budget;
+  budget.SetMaxDecisions(3);
+  const Engine::Result capped =
+      engine.WFOMC(triangle, 4, Method::kAuto, {.budget = &budget});
+  EXPECT_EQ(capped.outcome, Outcome::kBounds);
+  EXPECT_EQ(capped.stop_reason, runtime::StopReason::kDecisions);
+}
+
+// The span of each entry point: its name and its fields after the common
+// timing keys, in order.
+std::vector<std::string> SpanFields(const std::string& jsonl,
+                                    std::string* name) {
+  std::istringstream lines(jsonl);
+  std::string line;
+  std::vector<std::string> fields;
+  while (std::getline(lines, line)) {
+    io::JsonValue record = io::ParseJson(line, "<trace>");
+    if (record.At("type").string != "span") continue;
+    *name = record.At("name").string;
+    for (const auto& [key, value] : record.object) {
+      if (key != "type" && key != "name" && key != "ts_us" &&
+          key != "dur_us") {
+        fields.push_back(key);
+      }
+    }
+  }
+  return fields;
+}
+
+// A point is traced as "wfomc" with n and the outcome, whether it comes
+// from WFOMC or a one-point WFOMCSweep (as `swfomc run` asks for a
+// single domain size); a range is traced as "wfomc_sweep".
+TEST(EngineTest, PointsAndRangesKeepTheirSpans) {
+  const std::vector<std::string> point_fields = {"query", "method",
+                                                 "polarity", "n", "outcome"};
+  const std::vector<std::string> sweep_fields = {"query", "method",
+                                                 "polarity", "n_lo", "n_hi"};
+  using Call = void (*)(Engine*, const char*);
+  const struct {
+    Call call;
+    const char* name;
+    const std::vector<std::string>* fields;
+  } calls[] = {
+      {[](Engine* e, const char* t) { e->WFOMC(e->Parse(t), 2); }, "wfomc",
+       &point_fields},
+      {[](Engine* e, const char* t) { e->WFOMCSweep(e->Parse(t), 2, 2); },
+       "wfomc", &point_fields},
+      {[](Engine* e, const char* t) { e->WFOMCSweep(e->Parse(t), 2, 3); },
+       "wfomc_sweep", &sweep_fields},
+  };
+  for (const char* text :
+       {"forall x exists y E(x,y)", "exists x exists y (E(x,y) & U(y))",
+        "exists x exists y exists z (E(x,y) & E(y,z) & E(z,x))"}) {
+    for (const auto& call : calls) {
+      SCOPED_TRACE(std::string(text) + " / " + call.name);
+      std::ostringstream out;
+      obs::TraceLog log(&out);
+      Engine engine{logic::Vocabulary{}, {.trace = &log}};
+      call.call(&engine, text);
+      std::string name;
+      EXPECT_EQ(SpanFields(out.str(), &name), *call.fields);
+      EXPECT_EQ(name, call.name);
+    }
   }
 }
 

@@ -145,6 +145,18 @@ TEST(LiftedWfomcTest, ZeroAryShannonExpansion) {
   }
 }
 
+TEST(LiftedWfomcTest, CellAlgorithmRejectsTheEmptyDomain) {
+  // The normal form preserves WFOMC only over non-empty domains, so the
+  // cell algorithm refuses n = 0 and LiftedWFOMC counts it directly.
+  logic::Vocabulary vocab;
+  vocab.AddRelation("U", 1, BigRational(2), BigRational(3));
+  logic::Formula f = logic::ParseStrict("exists x U(x)", vocab);
+  UniversalForm form = ToUniversalForm(f, vocab);
+  EXPECT_THROW(CellAlgorithmWFOMC(form, 0, nullptr), std::invalid_argument);
+  EXPECT_EQ(LiftedWFOMC(f, vocab, 0), BigRational(0));
+  EXPECT_EQ(CellAlgorithmWFOMC(form, 1, nullptr), BigRational(2));
+}
+
 TEST(LiftedWfomcTest, NegativeWeightsRoundTrip) {
   // Negative weights flow through the lifted path (needed by the MLN
   // reduction); verify against grounding.
