@@ -11,6 +11,10 @@
 //   BM_Numeric_RationalEager      a counter-shaped accumulation over
 //                                 BigRational, one gcd reduction per
 //                                 operation
+//   BM_Numeric_Gcd                the one reduction per γ-acyclic point:
+//                                 a count against Π D^tuples, by bits
+//   BM_Numeric_GcdFibonacci       consecutive Fibonacci numbers, where
+//                                 every Euclid quotient is 1
 //
 // RationalEager prices the canonical-rational arithmetic the counters
 // avoid by clearing denominators and counting in BigInt; SmallChain vs.
@@ -19,6 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -125,6 +130,37 @@ void BM_Numeric_RationalEager(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Numeric_RationalEager);
+
+// The reduction that ends every γ-acyclic point: weights 2/3 and 1/7
+// scale to a = 14 and b = 3 over D = 21, ∃x R(x) over n tuples counts
+// t^n − b^n with t = a + b, and the answer divides it by D^n.
+// range(0) = bits of D^n.
+void BM_Numeric_Gcd(benchmark::State& state) {
+  auto tuples = static_cast<std::uint64_t>(
+      static_cast<double>(state.range(0)) / std::log2(21.0));
+  BigInt count =
+      BigInt::Pow(BigInt(17), tuples) - BigInt::Pow(BigInt(3), tuples);
+  BigInt denominator = BigInt::Pow(BigInt(21), tuples);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::Gcd(count, denominator));
+  }
+}
+BENCHMARK(BM_Numeric_Gcd)->Arg(1024)->Arg(4096)->Arg(16384);
+
+// Consecutive Fibonacci numbers of about 3,500 bits: the longest
+// remainder sequence for their size, and every quotient is 1.
+void BM_Numeric_GcdFibonacci(benchmark::State& state) {
+  BigInt previous(0), current(1);
+  while (current.BitLength() < 3500) {
+    BigInt next = previous + current;
+    previous = std::move(current);
+    current = std::move(next);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::Gcd(current, previous));
+  }
+}
+BENCHMARK(BM_Numeric_GcdFibonacci);
 
 }  // namespace
 

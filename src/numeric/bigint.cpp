@@ -5,6 +5,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace swfomc::numeric {
 
@@ -16,6 +17,50 @@ constexpr std::size_t kKaratsubaThreshold = 32;
 
 void TrimZeros(std::vector<std::uint32_t>* limbs) {
   while (!limbs->empty() && limbs->back() == 0) limbs->pop_back();
+}
+
+std::uint64_t WordGcd(std::uint64_t x, std::uint64_t y) {
+  while (y != 0) {
+    std::uint64_t t = x % y;
+    x = y;
+    y = t;
+  }
+  return x;
+}
+
+// The value of a magnitude of at most two limbs.
+std::uint64_t Low64(std::span<const std::uint32_t> magnitude) {
+  std::uint64_t value = magnitude.empty() ? 0 : magnitude[0];
+  if (magnitude.size() > 1) {
+    value |= static_cast<std::uint64_t>(magnitude[1]) << 32;
+  }
+  return value;
+}
+
+// Bits [shift, shift + 32) of a magnitude.
+std::int64_t TopWord(std::span<const std::uint32_t> magnitude,
+                     std::size_t shift) {
+  std::size_t limb = shift / 32;
+  std::uint64_t low = limb < magnitude.size() ? magnitude[limb] : 0;
+  std::uint64_t high = limb + 1 < magnitude.size() ? magnitude[limb + 1] : 0;
+  return static_cast<std::int64_t>(((high << 32 | low) >> (shift % 32)) &
+                                   0xFFFFFFFFu);
+}
+
+// *out = a·u + b·v for |u| >= |v|, where the caller knows the result lies
+// in [0, u]. |a| and |b| are at most 2^32, so each column fits __int128.
+void LinearCombination(std::span<const std::uint32_t> u,
+                       std::span<const std::uint32_t> v, std::int64_t a,
+                       std::int64_t b, std::vector<std::uint32_t>* out) {
+  out->resize(u.size());
+  __int128 carry = 0;
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    carry += static_cast<__int128>(a) * u[i];
+    if (i < v.size()) carry += static_cast<__int128>(b) * v[i];
+    (*out)[i] = static_cast<std::uint32_t>(carry);
+    carry >>= 32;  // arithmetic: a negative column borrows from the next
+  }
+  TrimZeros(out);
 }
 
 }  // namespace
@@ -56,11 +101,7 @@ void BigInt::SetFromMagnitude(std::vector<std::uint32_t> magnitude,
                               bool negative) {
   TrimZeros(&magnitude);
   if (magnitude.size() <= 2) {
-    std::uint64_t value = magnitude.empty() ? 0 : magnitude[0];
-    if (magnitude.size() == 2) {
-      value |= static_cast<std::uint64_t>(magnitude[1]) << 32;
-    }
-    SetFromUnsignedMagnitude(value, negative);
+    SetFromUnsignedMagnitude(Low64(magnitude), negative);
     return;
   }
   limbs_ = std::move(magnitude);
@@ -75,10 +116,7 @@ void BigInt::MaybeDemote() {
     return;
   }
   if (limbs_.size() > 2) return;
-  std::uint64_t magnitude = limbs_[0];
-  if (limbs_.size() == 2) {
-    magnitude |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-  }
+  std::uint64_t magnitude = Low64(limbs_);
   if (negative_ ? magnitude > kTwo63 : magnitude >= kTwo63) return;
   bool negative = negative_;
   limbs_.clear();
@@ -586,24 +624,73 @@ BigInt BigInt::Pow(const BigInt& base, std::uint64_t exponent) {
 }
 
 BigInt BigInt::Gcd(BigInt a, BigInt b) {
-  while (true) {
-    if (a.IsInline() && b.IsInline()) {
-      // Single-word Euclid on magnitudes — the overwhelmingly common
-      // case for rational reduction in the counters.
-      std::uint64_t x = a.InlineMagnitude();
-      std::uint64_t y = b.InlineMagnitude();
-      while (y != 0) {
-        std::uint64_t t = x % y;
-        x = y;
-        y = t;
-      }
-      return FromUnsigned(x);
-    }
-    if (b.IsZero()) return a.Abs();
-    BigInt r = a % b;
-    a = std::move(b);
-    b = std::move(r);
+  if (a.IsInline() && b.IsInline()) {
+    // The overwhelmingly common case for rational reduction in the
+    // counters.
+    return FromUnsigned(WordGcd(a.InlineMagnitude(), b.InlineMagnitude()));
   }
+  std::uint32_t sa[2], sb[2];
+  MagnitudeSpan a_magnitude = a.MagnitudeView(sa);
+  MagnitudeSpan b_magnitude = b.MagnitudeView(sb);
+  if (CompareMagnitude(a_magnitude, b_magnitude) < 0) {
+    std::swap(a_magnitude, b_magnitude);
+  }
+  // u >= v throughout. All four buffers hold u's size, so a Lehmer step
+  // below never allocates (a division step does).
+  std::size_t size = a_magnitude.size();
+  std::vector<std::uint32_t> u, v, next_u, next_v, quotient;
+  for (std::vector<std::uint32_t>* buffer : {&u, &v, &next_u, &next_v}) {
+    buffer->reserve(size);
+  }
+  u.assign(a_magnitude.begin(), a_magnitude.end());
+  v.assign(b_magnitude.begin(), b_magnitude.end());
+  // Lehmer's algorithm while u needs more than one word: each outer step
+  // replays a run of Euclid quotient steps, found from the top 32 bits
+  // of u and v alone, as one pair of linear combinations of u and v.
+  while (u.size() > 2) {
+    if (v.empty()) {
+      BigInt result;
+      result.SetFromMagnitude(std::move(u), false);
+      return result;
+    }
+    std::size_t shift = (u.size() - 1) * 32 +
+                        static_cast<std::size_t>(std::bit_width(u.back())) -
+                        32;
+    std::int64_t u_top = TopWord(u, shift);
+    std::int64_t v_top = TopWord(v, shift);
+    // Cofactors: u_top = A·û + B·v̂ and v_top = C·û + D·v̂ for the
+    // original tops û and v̂. A quotient step is taken only while the
+    // quotients of the extreme ratios (û+A)/(v̂+C) and (û+B)/(v̂+D) agree,
+    // which makes it the quotient of the full numbers too. Every value
+    // stays within 2^32 in magnitude (Knuth, TAOCP 4.5.2, Algorithm L).
+    std::int64_t A = 1, B = 0, C = 0, D = 1;
+    while (v_top + C != 0 && v_top + D != 0) {
+      std::int64_t q = (u_top + A) / (v_top + C);
+      if (q != (u_top + B) / (v_top + D)) break;
+      std::int64_t t = A - q * C;
+      A = C;
+      C = t;
+      t = B - q * D;
+      B = D;
+      D = t;
+      t = u_top - q * v_top;
+      u_top = v_top;
+      v_top = t;
+    }
+    if (B == 0) {
+      // The top words cannot settle even the first quotient (it needs
+      // more than a word, or the tops tie): one long-division step.
+      DivModMagnitude(u, v, &quotient, &next_v);
+      u.swap(v);
+      v.swap(next_v);
+      continue;
+    }
+    LinearCombination(u, v, A, B, &next_u);
+    LinearCombination(u, v, C, D, &next_v);
+    u.swap(next_u);
+    v.swap(next_v);
+  }
+  return FromUnsigned(WordGcd(Low64(u), Low64(v)));
 }
 
 BigInt BigInt::ShiftLeft(std::size_t bits) const {

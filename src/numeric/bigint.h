@@ -16,7 +16,8 @@ namespace swfomc::numeric {
 /// labeled structures over a domain of size n), so every counting path in
 /// this library uses exact arbitrary-precision arithmetic. GMP is not a
 /// dependency; this is a from-scratch implementation with schoolbook
-/// multiplication, a Karatsuba fast path, and Knuth long division.
+/// multiplication, a Karatsuba fast path, Knuth long division, and
+/// Lehmer's gcd.
 ///
 /// Representation: a value that fits in int64 is stored *inline* in a
 /// single machine word (`small_`, with `limbs_` empty) — no heap
@@ -99,6 +100,16 @@ class BigInt {
   /// a^exponent with exponent >= 0 (throws std::domain_error otherwise).
   static BigInt Pow(const BigInt& base, std::uint64_t exponent);
   /// Greatest common divisor of |a| and |b| (non-negative result).
+  ///
+  /// Lehmer's algorithm (Knuth, TAOCP 4.5.2, Algorithm L): while the
+  /// larger operand needs more than one word, a run of Euclid quotient
+  /// steps is found from the top 32 bits of both operands alone and
+  /// applied as two linear combinations over the limbs, retiring about
+  /// 30 bits per O(limbs) pass; a run that cannot settle even its first
+  /// quotient takes one long-division step instead. Single-word Euclid
+  /// finishes. Cost O(n²) limb operations for n-limb operands, with
+  /// O(n) quotient steps done in one word each rather than one long
+  /// division each.
   static BigInt Gcd(BigInt a, BigInt b);
 
   /// Left shift by `bits` (multiplication by 2^bits).

@@ -238,6 +238,117 @@ TEST(BigIntTest, GcdBasics) {
             BigInt::Pow(BigInt(2), 60));
 }
 
+// Euclid's algorithm with one full division per quotient: slow, but
+// obviously right, so it is the oracle for Gcd.
+BigInt EuclidGcd(BigInt a, BigInt b) {
+  a = a.Abs();
+  b = b.Abs();
+  while (!b.IsZero()) {
+    BigInt r = a % b;
+    a = std::move(b);
+    b = std::move(r);
+  }
+  return a;
+}
+
+// A value of exactly `limbs` 32-bit limbs (0 limbs is zero).
+BigInt RandomLimbs(std::mt19937_64& rng, int limbs) {
+  BigInt value;
+  for (int i = 0; i < limbs; ++i) {
+    std::uint64_t limb = rng() & 0xFFFFFFFFu;
+    if (i == 0 && limb == 0) limb = 1;
+    value = value.ShiftLeft(32) + BigInt(static_cast<std::int64_t>(limb));
+  }
+  return value;
+}
+
+void ExpectGcdMatchesOracle(const BigInt& a, const BigInt& b) {
+  BigInt expected = EuclidGcd(a, b);
+  EXPECT_EQ(BigInt::Gcd(a, b), expected) << a << ", " << b;
+  EXPECT_EQ(BigInt::Gcd(b, a), expected) << b << ", " << a;
+  EXPECT_EQ(BigInt::Gcd(-a, b), expected) << -a << ", " << b;
+}
+
+TEST(BigIntTest, GcdMatchesEuclidOracle) {
+  std::mt19937_64 rng(20240529);
+  // Random pairs with a planted common factor, inline and heap sizes.
+  for (int trial = 0; trial < 400; ++trial) {
+    BigInt factor = RandomLimbs(rng, static_cast<int>(rng() % 21));
+    if (factor.IsZero()) factor = BigInt(1);
+    BigInt a = RandomLimbs(rng, 1 + static_cast<int>(rng() % 40)) * factor;
+    BigInt b = RandomLimbs(rng, 1 + static_cast<int>(rng() % 40)) * factor;
+    ExpectGcdMatchesOracle(a, b);
+  }
+
+  // Consecutive Fibonacci numbers make every quotient 1, the longest run
+  // of single steps the top words must agree on; gcd(F_m, F_n) =
+  // F_gcd(m, n) gives the answer without an oracle.
+  std::vector<BigInt> fibonacci = {BigInt(0), BigInt(1)};
+  while (fibonacci.back().BitLength() < 3500) {
+    fibonacci.push_back(fibonacci[fibonacci.size() - 1] +
+                        fibonacci[fibonacci.size() - 2]);
+  }
+  ASSERT_GT(fibonacci.size(), 5000u);
+  std::size_t last = fibonacci.size() - 1;
+  for (std::size_t k = 90; k < last; k += 97) {
+    EXPECT_EQ(BigInt::Gcd(fibonacci[k], fibonacci[k + 1]), BigInt(1)) << k;
+    EXPECT_EQ(BigInt::Gcd(fibonacci[k + 1], fibonacci[k]), BigInt(1)) << k;
+  }
+  ExpectGcdMatchesOracle(fibonacci[last], fibonacci[last - 1]);
+  EXPECT_EQ(BigInt::Gcd(fibonacci[4800], fibonacci[3600]), fibonacci[1200]);
+  EXPECT_EQ(BigInt::Gcd(fibonacci[4998], fibonacci[4284]), fibonacci[714]);
+  ExpectGcdMatchesOracle(fibonacci[1500] * fibonacci[700],
+                         fibonacci[1501] * fibonacci[700]);
+
+  // One inline operand and one heap operand, both orders.
+  BigInt heap = BigInt::Pow(BigInt(6), 80) * BigInt(1000003);
+  for (std::int64_t small : {std::int64_t{1}, std::int64_t{-6}, std::int64_t{1000003},
+                             std::int64_t{4294967296}, std::int64_t{999999999989},
+                             std::numeric_limits<std::int64_t>::max()}) {
+    ExpectGcdMatchesOracle(heap, BigInt(small));
+  }
+
+  // Values at ±2^63: INT64_MIN is inline, +2^63 is heap.
+  const BigInt min(std::numeric_limits<std::int64_t>::min());
+  const BigInt two63 = BigInt::FromUnsigned(std::uint64_t{1} << 63);
+  EXPECT_EQ(BigInt::Gcd(min, BigInt(0)), two63);
+  EXPECT_EQ(BigInt::Gcd(min, min), two63);
+  EXPECT_EQ(BigInt::Gcd(min, two63), two63);
+  EXPECT_EQ(BigInt::Gcd(-two63, two63.ShiftLeft(40)), two63);
+  EXPECT_EQ(BigInt::Gcd(min, BigInt(-12)), BigInt(4));
+  ExpectGcdMatchesOracle(min, BigInt::Pow(BigInt(2), 200) * BigInt(3));
+  ExpectGcdMatchesOracle(two63 + BigInt(1), BigInt::Pow(BigInt(3), 150));
+
+  // Zero, negative and equal operands.
+  BigInt big = BigInt::Pow(BigInt(10), 60) + BigInt(7);
+  EXPECT_EQ(BigInt::Gcd(big, BigInt(0)), big);
+  EXPECT_EQ(BigInt::Gcd(BigInt(0), -big), big);
+  EXPECT_EQ(BigInt::Gcd(big, big), big);
+  EXPECT_EQ(BigInt::Gcd(-big, big), big);
+  EXPECT_EQ(BigInt::Gcd(-big, -big), big);
+
+  // Top 32 bits equal: the first quotient is 1, but the top words cannot
+  // tell it from 0, so Gcd must take a full division step.
+  for (int trial = 0; trial < 50; ++trial) {
+    int limbs = 3 + static_cast<int>(rng() % 30);
+    BigInt top = RandomLimbs(rng, 1).ShiftLeft(32 * (limbs - 1));
+    BigInt a = top + RandomLimbs(rng, limbs - 1);
+    BigInt b = top + RandomLimbs(rng, limbs - 1);
+    ExpectGcdMatchesOracle(a, b);
+    ExpectGcdMatchesOracle(a * BigInt(1000003), b * BigInt(1000003));
+  }
+
+  // A γ-acyclic count against Π D^tuples, the one reduction per point
+  // of the γ-acyclic evaluator: weights 2/3 and 1/7 scale to a = 14 and
+  // b = 3 over D = 21, and ∃x R(x) over n tuples counts t^n − b^n with
+  // t = a + b. 7 divides t − b and n = 700, so the gcd is 7^2.
+  constexpr std::uint64_t kTuples = 700;
+  BigInt count = BigInt::Pow(BigInt(17), kTuples) -
+                 BigInt::Pow(BigInt(3), kTuples);
+  EXPECT_EQ(BigInt::Gcd(count, BigInt::Pow(BigInt(21), kTuples)), BigInt(49));
+  ExpectGcdMatchesOracle(count, BigInt::Pow(BigInt(21), kTuples));
+}
+
 TEST(BigIntTest, Shifts) {
   BigInt one(1);
   EXPECT_EQ(one.ShiftLeft(100).ToString(),

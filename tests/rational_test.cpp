@@ -2,6 +2,7 @@
 
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -205,6 +206,37 @@ TEST(BigRationalTest, DivisionSelfAliasing) {
   s -= s;
   EXPECT_TRUE(s.IsZero());
   ExpectCanonical(s);
+}
+
+TEST(BigRationalTest, LargeReductionRoundTripsCanonically) {
+  // Consecutive Fibonacci numbers are coprime, so x·g / y·g reduces to
+  // exactly x/y for any planted g; at thousands of bits each reduction
+  // runs the multi-limb gcd.
+  std::vector<BigInt> fibonacci = {BigInt(0), BigInt(1)};
+  while (fibonacci.size() < 3000) {
+    fibonacci.push_back(fibonacci[fibonacci.size() - 1] +
+                        fibonacci[fibonacci.size() - 2]);
+  }
+  const BigInt g = BigInt::Pow(BigInt(21), 400) * BigInt(1000003);
+  for (std::size_t k : {std::size_t{70}, std::size_t{700}, std::size_t{2998}}) {
+    const BigInt& x = fibonacci[k];
+    const BigInt& y = fibonacci[k + 1];
+    BigRational value(x * g, -(y * g));
+    ExpectCanonical(value);
+    EXPECT_EQ(value.numerator(), -x) << k;
+    EXPECT_EQ(value.denominator(), y) << k;
+    EXPECT_EQ(BigRational::FromString(value.ToString()), value) << k;
+    // Cross-cancelling multiply and divide land on the same canonical
+    // forms: (x·g/y) · (y/g) = x and (x/g) / (y/g) = x/y.
+    BigRational product(x * g, y);
+    product *= BigRational(y, g);
+    ExpectCanonical(product);
+    EXPECT_EQ(product, BigRational(x)) << k;
+    BigRational quotient(x, g);
+    quotient /= BigRational(y, g);
+    ExpectCanonical(quotient);
+    EXPECT_EQ(quotient, -value) << k;
+  }
 }
 
 // --- Clearing a weight pair's denominators --------------------------------
