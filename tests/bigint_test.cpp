@@ -302,9 +302,10 @@ TEST(BigIntTest, GcdMatchesEuclidOracle) {
 
   // One inline operand and one heap operand, both orders.
   BigInt heap = BigInt::Pow(BigInt(6), 80) * BigInt(1000003);
-  for (std::int64_t small : {std::int64_t{1}, std::int64_t{-6}, std::int64_t{1000003},
-                             std::int64_t{4294967296}, std::int64_t{999999999989},
-                             std::numeric_limits<std::int64_t>::max()}) {
+  const std::int64_t smalls[] = {1,          -6,           1000003,
+                                 4294967296, 999999999989,
+                                 std::numeric_limits<std::int64_t>::max()};
+  for (std::int64_t small : smalls) {
     ExpectGcdMatchesOracle(heap, BigInt(small));
   }
 
