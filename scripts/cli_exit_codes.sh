@@ -65,6 +65,7 @@ expect 64 "$bin" compile --out-dir "$workdir/nnf-dup" \
   "$workdir/a/same.model" "$workdir/b/same.model"     # basenames collide
 expect 64 "$bin" run --budget-ms x.model              # flag eats the operand
 expect 64 "$bin" run --budget-ms -5 x.model
+expect 64 "$bin" run --budget-ms 18446744073709551616 x.model  # 2^64
 expect 64 "$bin" run --max-memory 64q x.model         # bad size suffix
 expect 64 "$bin" run --on-budget=panic --budget-ms 5 x.model
 expect 64 "$bin" run --on-budget=error x.model        # needs a budget flag

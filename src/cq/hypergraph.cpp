@@ -14,22 +14,6 @@ std::set<std::string> Hypergraph::Nodes() const {
   return nodes;
 }
 
-std::string Hypergraph::ToString() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += edges_[i].name + ":{";
-    bool first = true;
-    for (const std::string& node : edges_[i].nodes) {
-      if (!first) out += ",";
-      out += node;
-      first = false;
-    }
-    out += "}";
-  }
-  return out + "}";
-}
-
 Hypergraph BuildHypergraph(const ConjunctiveQuery& query) {
   Hypergraph graph;
   for (const ConjunctiveQuery::QueryAtom& atom : query.atoms()) {

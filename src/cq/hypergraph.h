@@ -26,8 +26,6 @@ class Hypergraph {
 
   bool Empty() const { return edges_.empty(); }
 
-  std::string ToString() const;
-
  private:
   std::vector<Edge> edges_;
 };

@@ -20,24 +20,19 @@ namespace {
 using numeric::BigRational;
 using internal::LineToken;
 
-class CnfParser {
+class CnfParser : private internal::LineReader {
  public:
-  CnfParser(std::string_view text, std::string_view source)
-      : text_(text), source_(source) {}
+  using LineReader::LineReader;
 
   WeightedCnf Parse() {
-    internal::ForEachLine(text_, [&](std::size_t number,
-                                     std::string_view line) {
-      line_ = number;
-      ParseLine(line);
-    });
-    if (!saw_header_) Fail({line_, 1}, "missing 'p cnf VARS CLAUSES' header");
+    ReadLines([&](std::string_view line) { ParseLine(line); });
+    if (!saw_header_) Fail(AtEnd(), "missing 'p cnf VARS CLAUSES' header");
     if (!open_clause_.empty()) {
-      Fail({line_, 1},
+      Fail(AtEnd(),
            "truncated CNF: final clause is missing its terminating 0");
     }
     if (instance_.cnf.clauses.size() != declared_clauses_) {
-      Fail({line_, 1},
+      Fail(AtEnd(),
            "truncated CNF: header declares " +
                std::to_string(declared_clauses_) + " clauses but " +
                std::to_string(instance_.cnf.clauses.size()) + " were given");
@@ -46,12 +41,6 @@ class CnfParser {
   }
 
  private:
-  [[noreturn]] void Fail(Location location, const std::string& message) const {
-    throw ParseError(std::string(source_), location, message);
-  }
-
-  Location At(const LineToken& token) const { return {line_, token.column}; }
-
   void ParseLine(std::string_view line) {
     std::vector<LineToken> tokens = internal::Tokenize(line);
     if (tokens.empty()) return;
@@ -77,13 +66,13 @@ class CnfParser {
       Fail(At(tokens[0]), "malformed header (expected 'p cnf VARS CLAUSES')");
     }
     saw_header_ = true;
-    std::uint64_t variables = ParseUnsigned(tokens[2], "variable count");
+    std::uint64_t variables = Unsigned(tokens[2], "variable count");
     if (variables > std::numeric_limits<std::uint32_t>::max()) {
       Fail(At(tokens[2]), "variable count " + tokens[2].text +
                               " exceeds the supported maximum (2^32 - 1)");
     }
     instance_.cnf.variable_count = static_cast<std::uint32_t>(variables);
-    declared_clauses_ = ParseUnsigned(tokens[3], "clause count");
+    declared_clauses_ = Unsigned(tokens[3], "clause count");
     instance_.weights.EnsureSize(instance_.cnf.variable_count);
     // The declared count is untrusted; cap the speculative reserve so a
     // bogus header cannot demand gigabytes up front.
@@ -103,22 +92,22 @@ class CnfParser {
              "ambiguous trailing 0 (a terminated 'w LIT W' line or "
              "w̄ = 0?); write the zero weight as 0/1, and no terminator");
       }
-      std::uint64_t var = ParseUnsigned(tokens[1], "variable");
+      std::uint64_t var = Unsigned(tokens[1], "variable");
       prop::VarId id = RequireVariable(tokens[1], var);
-      SetWeight(tokens[1], id, /*positive=*/true, ParseRational(tokens[2]));
-      SetWeight(tokens[1], id, /*positive=*/false, ParseRational(tokens[3]));
+      SetWeight(tokens[1], id, /*positive=*/true, Rational(tokens[2]));
+      SetWeight(tokens[1], id, /*positive=*/false, Rational(tokens[3]));
       return;
     }
     if (tokens.size() == 3) {
       // w LIT W (MiniC2D style: the sign picks the side)
-      std::int64_t literal = ParseSigned(tokens[1], "literal");
+      std::int64_t literal = Signed(tokens[1], "literal");
       if (literal == 0) {
         Fail(At(tokens[1]), "weight literal must be nonzero");
       }
       std::uint64_t var =
           static_cast<std::uint64_t>(literal < 0 ? -literal : literal);
       prop::VarId id = RequireVariable(tokens[1], var);
-      SetWeight(tokens[1], id, literal > 0, ParseRational(tokens[2]));
+      SetWeight(tokens[1], id, literal > 0, Rational(tokens[2]));
       return;
     }
     // A trailing "0" after either form would be ambiguous (is `w 2 1/2 0`
@@ -160,7 +149,7 @@ class CnfParser {
 
   void ParseClauseTokens(const std::vector<LineToken>& tokens) {
     for (const LineToken& token : tokens) {
-      std::int64_t literal = ParseSigned(token, "literal");
+      std::int64_t literal = Signed(token, "literal");
       if (literal == 0) {
         if (instance_.cnf.clauses.size() == declared_clauses_) {
           Fail(At(token), "more clauses than the header's declared " +
@@ -177,21 +166,6 @@ class CnfParser {
     }
   }
 
-  std::uint64_t ParseUnsigned(const LineToken& token, const char* what) {
-    return internal::ParseUnsigned(source_, line_, token, what);
-  }
-
-  std::int64_t ParseSigned(const LineToken& token, const char* what) {
-    return internal::ParseSigned(source_, line_, token, what);
-  }
-
-  BigRational ParseRational(const LineToken& token) {
-    return internal::ParseRational(source_, line_, token);
-  }
-
-  std::string_view text_;
-  std::string_view source_;
-  std::size_t line_ = 1;
   WeightedCnf instance_;
   bool saw_header_ = false;
   std::size_t declared_clauses_ = 0;

@@ -19,23 +19,18 @@ using numeric::BigRational;
 using internal::LineToken;
 using internal::Tokenize;
 
-class ModelParser {
+class ModelParser : private internal::LineReader {
  public:
-  ModelParser(std::string_view text, std::string_view source)
-      : text_(text), source_(source) {}
+  using LineReader::LineReader;
 
   ModelSpec Parse() {
-    internal::ForEachLine(text_, [&](std::size_t number,
-                                     std::string_view line) {
-      line_ = number;
-      ParseLine(line);
-    });
+    ReadLines([&](std::string_view line) { ParseLine(line); });
     if (!saw_sentence_) {
-      Fail({line_, 1}, "missing required directive 'sentence'");
+      Fail(AtEnd(), "missing required directive 'sentence'");
     }
     if (!saw_domain_ &&
         (spec_.expect.has_value() || !point_expects_.empty())) {
-      Fail({line_, 1},
+      Fail(AtEnd(),
            "directive 'expect' needs a 'domain' directive (there is no "
            "domain size to expect a value at)");
     }
@@ -44,12 +39,6 @@ class ModelParser {
   }
 
  private:
-  [[noreturn]] void Fail(Location location, const std::string& message) const {
-    throw ParseError(std::string(source_), location, message);
-  }
-
-  Location At(const LineToken& token) const { return {line_, token.column}; }
-
   void ParseLine(std::string_view line) {
     // Comments run from '#' to end of line ('#' cannot occur inside any
     // directive operand, the FO syntax included).
@@ -122,7 +111,7 @@ class ModelParser {
     if (spec_.vocabulary.Find(name).has_value()) {
       Fail(At(tokens[1]), "duplicate predicate declaration '" + name + "'");
     }
-    spec_.vocabulary.AddRelation(name, ParseUnsigned(tokens[2], "arity"));
+    spec_.vocabulary.AddRelation(name, Unsigned(tokens[2], "arity"));
   }
 
   void ParseSentence(std::string_view line,
@@ -143,7 +132,7 @@ class ModelParser {
       spec_.sentence = logic::Parse(body, &spec_.vocabulary);
     } catch (const logic::SyntaxError& error) {
       // Map the parser's byte offset into this line's columns.
-      Fail({line_, start + error.offset() + 1}, error.what());
+      Fail({line_number(), start + error.offset() + 1}, error.what());
     } catch (const std::invalid_argument& error) {
       Fail(At(tokens[1]), error.what());
     }
@@ -162,8 +151,8 @@ class ModelParser {
     if (!weighted_.insert(*id).second) {
       Fail(At(tokens[1]), "duplicate weight for predicate '" + name + "'");
     }
-    BigRational positive = ParseRational(tokens[2]);
-    BigRational negative = ParseRational(tokens[3]);
+    BigRational positive = Rational(tokens[2]);
+    BigRational negative = Rational(tokens[3]);
     spec_.vocabulary.SetWeights(*id, std::move(positive), std::move(negative));
   }
 
@@ -175,13 +164,13 @@ class ModelParser {
     if (tokens.size() == 2) {
       RequireFirst(!spec_.expect.has_value(), tokens[0],
                    "duplicate 'expect' directive");
-      spec_.expect = ParseRational(tokens[1]);
+      spec_.expect = Rational(tokens[1]);
       return;
     }
     if (tokens.size() == 4 && tokens[2].text == "=") {
       PointExpect point;
-      point.domain_size = ParseUnsigned(tokens[1], "domain size");
-      point.value = ParseRational(tokens[3]);
+      point.domain_size = Unsigned(tokens[1], "domain size");
+      point.value = Rational(tokens[3]);
       point.location = At(tokens[1]);
       point_expects_.push_back(std::move(point));
       return;
@@ -234,14 +223,13 @@ class ModelParser {
     const std::string& text = tokens[1].text;
     std::size_t dots = text.find("..");
     if (dots == std::string::npos) {
-      spec_.domain_lo = spec_.domain_hi =
-          ParseUnsignedText(tokens[1], text, "domain size");
+      spec_.domain_lo = spec_.domain_hi = Unsigned(tokens[1], "domain size");
       return;
     }
     spec_.domain_lo =
-        ParseUnsignedText(tokens[1], text.substr(0, dots), "domain size");
+        Unsigned(tokens[1], text.substr(0, dots), "domain size");
     spec_.domain_hi =
-        ParseUnsignedText(tokens[1], text.substr(dots + 2), "domain size");
+        Unsigned(tokens[1], text.substr(dots + 2), "domain size");
     if (spec_.domain_lo > spec_.domain_hi) {
       Fail(At(tokens[1]), "empty domain range '" + text + "' (LO > HI)");
     }
@@ -254,28 +242,12 @@ class ModelParser {
     }
   }
 
-  std::uint64_t ParseUnsigned(const LineToken& token, const char* what) {
-    return internal::ParseUnsigned(source_, line_, token, what);
-  }
-
-  std::uint64_t ParseUnsignedText(const LineToken& token,
-                                  const std::string& text, const char* what) {
-    return internal::ParseUnsignedText(source_, line_, token, text, what);
-  }
-
-  BigRational ParseRational(const LineToken& token) {
-    return internal::ParseRational(source_, line_, token);
-  }
-
   struct PointExpect {
     std::uint64_t domain_size = 0;
     BigRational value;
     Location location;  // for range/duplicate diagnostics after parse
   };
 
-  std::string_view text_;
-  std::string_view source_;
-  std::size_t line_ = 1;
   ModelSpec spec_;
   bool saw_name_ = false;
   bool saw_sentence_ = false;

@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <limits>
+#include <ostream>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -17,35 +19,148 @@ namespace {
 using internal::LineToken;
 using numeric::BigRational;
 
-class NnfParser {
- public:
-  NnfParser(std::string_view text, std::string_view source)
-      : text_(text), source_(source) {}
+// What a circuit dialect's header line says: its tag, its usage for
+// diagnostics, and what the third count counts.
+struct CircuitHeader {
+  const char* tag;
+  const char* usage;
+  const char* symbol_count;
+};
 
-  NnfDocument Parse() {
-    internal::ForEachLine(text_, [&](std::size_t number,
-                                     std::string_view line) {
-      line_ = number;
-      ParseLine(line);
+// The line discipline both circuit dialects share: `c` comment lines
+// anywhere, a `<tag> V E X` header first, then document lines and node
+// lines, with node ids in file order, children preceding their parents
+// and the root last. A dialect parses only its own line kinds and
+// assembles its own document.
+template <typename Circuit>
+class CircuitReader : protected internal::LineReader {
+ protected:
+  using Node = typename Circuit::Node;
+  using NodeId = typename Circuit::NodeId;
+
+  CircuitReader(std::string_view text, std::string_view source,
+                CircuitHeader header)
+      : LineReader(text, source), header_(header) {}
+
+  // Hands the tokens of every line after the header to body(tokens).
+  template <typename BodyFn>
+  void ReadCircuitLines(BodyFn&& body) {
+    ReadLines([&](std::string_view line) {
+      std::vector<LineToken> tokens = internal::Tokenize(line);
+      if (tokens.empty() || tokens.front().text == "c") return;
+      if (!saw_header_) {
+        ParseHeader(tokens);
+        return;
+      }
+      if (tokens.front().text == header_.tag) {
+        Fail(At(tokens.front()),
+             std::string("duplicate '") + header_.tag + "' header");
+      }
+      body(tokens);
     });
-    if (!saw_header_) Fail({line_, 1}, "missing 'nnf V E n' header");
+    if (!saw_header_) {
+      Fail(AtEnd(), std::string("missing ") + header_.usage + " header");
+    }
+  }
+
+  // A line kind that may appear once, like `e` and `t`.
+  void RequireFirst(bool seen, const LineToken& head) const {
+    if (seen) Fail(At(head), "duplicate '" + head.text + "' line");
+  }
+
+  // Called before a node line adds its node.
+  void RequireNodeRoom(const LineToken& head) const {
+    if (nodes_.size() >= declared_nodes_) {
+      Fail(At(head),
+           "more nodes than the header's " + std::to_string(declared_nodes_));
+    }
+  }
+
+  // Reads `count c1 .. ccount` from tokens[from] on into node's children.
+  void ParseChildren(const std::vector<LineToken>& tokens, std::size_t from,
+                     Node* node) {
+    std::uint64_t count = Unsigned(tokens[from], "child count");
+    if (tokens.size() - from - 1 != count) {
+      Fail(At(tokens[from]),
+           "child count " + std::to_string(count) + " does not match the " +
+               std::to_string(tokens.size() - from - 1) +
+               " child id(s) on the line");
+    }
+    node->children_begin = static_cast<std::uint32_t>(edges_.size());
+    for (std::size_t i = from + 1; i < tokens.size(); ++i) {
+      std::uint64_t child = Unsigned(tokens[i], "child id");
+      if (child >= nodes_.size()) {
+        Fail(At(tokens[i]), "child " + std::to_string(child) +
+                                " does not precede its parent (node " +
+                                std::to_string(nodes_.size()) + ")");
+      }
+      edges_.push_back(static_cast<NodeId>(child));
+    }
+    node->children_end = static_cast<std::uint32_t>(edges_.size());
+  }
+
+  // The end-of-document checks against the header's V and E.
+  void CheckCounts() const {
     if (nodes_.size() != declared_nodes_) {
-      Fail({line_, 1},
-           "node count mismatch: header declares " +
-               std::to_string(declared_nodes_) + ", file has " +
-               std::to_string(nodes_.size()));
+      Fail(AtEnd(), "node count mismatch: header declares " +
+                        std::to_string(declared_nodes_) + ", file has " +
+                        std::to_string(nodes_.size()));
     }
     if (edges_.size() != declared_edges_) {
-      Fail({line_, 1},
-           "edge count mismatch: header declares " +
-               std::to_string(declared_edges_) + ", nodes reference " +
-               std::to_string(edges_.size()));
+      Fail(AtEnd(), "edge count mismatch: header declares " +
+                        std::to_string(declared_edges_) +
+                        ", nodes reference " + std::to_string(edges_.size()));
     }
+  }
+
+  NodeId root() const { return static_cast<NodeId>(nodes_.size() - 1); }
+
+  std::uint64_t declared_symbols_ = 0;  // the header's X
+  std::vector<Node> nodes_;
+  std::vector<NodeId> edges_;
+
+ private:
+  void ParseHeader(const std::vector<LineToken>& tokens) {
+    const LineToken& head = tokens.front();
+    if (head.text != header_.tag) {
+      Fail(At(head), std::string("expected ") + header_.usage +
+                         " header, found '" + head.text + "'");
+    }
+    RequireTokenCount(tokens, 4, "header");
+    declared_nodes_ = Unsigned(tokens[1], "node count");
+    declared_edges_ = Unsigned(tokens[2], "edge count");
+    declared_symbols_ = Unsigned(tokens[3], header_.symbol_count);
+    if (declared_nodes_ == 0) {
+      Fail(At(tokens[1]), "a circuit needs at least one node");
+    }
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+    if (declared_nodes_ > kMax || declared_edges_ > kMax ||
+        declared_symbols_ > kMax) {
+      Fail(At(head), "header counts exceed 2^32");
+    }
+    saw_header_ = true;
+  }
+
+  CircuitHeader header_;
+  bool saw_header_ = false;
+  std::uint64_t declared_nodes_ = 0;
+  std::uint64_t declared_edges_ = 0;
+};
+
+class NnfParser : private CircuitReader<nnf::Circuit> {
+ public:
+  NnfParser(std::string_view text, std::string_view source)
+      : CircuitReader(text, source,
+                      {"nnf", "'nnf V E n'", "variable count"}) {}
+
+  NnfDocument Parse() {
+    ReadCircuitLines(
+        [&](const std::vector<LineToken>& tokens) { ParseLine(tokens); });
+    CheckCounts();
     NnfDocument document;
     try {
-      document.circuit = nnf::Circuit(
-          variable_count_, std::move(nodes_), std::move(edges_),
-          static_cast<nnf::Circuit::NodeId>(declared_nodes_ - 1));
+      document.circuit = nnf::Circuit(variable_count(), std::move(nodes_),
+                                      std::move(edges_), root());
     } catch (const nnf::NonDecomposableAnd& error) {
       Fail({node_lines_[error.node], 1},
            "AND node " + std::to_string(error.node) +
@@ -53,7 +168,7 @@ class NnfParser {
                std::to_string(error.variable + 1));
     }
     document.weights = std::move(weights_);
-    document.weights.EnsureSize(variable_count_);
+    document.weights.EnsureSize(variable_count());
     if (complement_tuples_.has_value()) {
       document.circuit.SetComplement(*complement_tuples_);
     }
@@ -62,146 +177,66 @@ class NnfParser {
   }
 
  private:
-  [[noreturn]] void Fail(Location location, const std::string& message) {
-    internal::FailAt(source_, location, message);
-  }
-
-  void RequireTokenCount(const std::vector<LineToken>& tokens,
-                         std::size_t count, const char* what) {
-    if (tokens.size() < count) {
-      Fail({line_, tokens.back().column},
-           std::string(what) + ": expected " + std::to_string(count - 1) +
-               " value(s)");
-    }
-    if (tokens.size() > count) {
-      Fail({line_, tokens[count].column},
-           std::string("unexpected trailing token '") + tokens[count].text +
-               "' on " + what + " line");
-    }
+  std::uint32_t variable_count() const {
+    return static_cast<std::uint32_t>(declared_symbols_);
   }
 
   // A variable index in [1, n], returned 0-based.
   prop::VarId ParseVariable(const LineToken& token, const char* what) {
-    std::uint64_t value =
-        internal::ParseUnsigned(source_, line_, token, what);
-    if (value == 0 || value > variable_count_) {
-      Fail({line_, token.column},
-           std::string(what) + " " + token.text + " out of range [1, " +
-               std::to_string(variable_count_) + "]");
+    std::uint64_t value = Unsigned(token, what);
+    if (value == 0 || value > variable_count()) {
+      Fail(At(token), std::string(what) + " " + token.text +
+                          " out of range [1, " +
+                          std::to_string(variable_count()) + "]");
     }
     return static_cast<prop::VarId>(value - 1);
   }
 
-  void ParseChildren(const std::vector<LineToken>& tokens, std::size_t from,
-                     nnf::Circuit::Node* node) {
-    std::uint64_t count = internal::ParseUnsigned(source_, line_,
-                                                  tokens[from], "child count");
-    if (tokens.size() - from - 1 != count) {
-      Fail({line_, tokens[from].column},
-           "child count " + std::to_string(count) + " does not match the " +
-               std::to_string(tokens.size() - from - 1) +
-               " child id(s) on the line");
-    }
-    node->children_begin = static_cast<std::uint32_t>(edges_.size());
-    for (std::size_t i = from + 1; i < tokens.size(); ++i) {
-      std::uint64_t child =
-          internal::ParseUnsigned(source_, line_, tokens[i], "child id");
-      if (child >= nodes_.size()) {
-        Fail({line_, tokens[i].column},
-             "child " + std::to_string(child) +
-                 " does not precede its parent (node " +
-                 std::to_string(nodes_.size()) + ")");
-      }
-      edges_.push_back(static_cast<nnf::Circuit::NodeId>(child));
-    }
-    node->children_end = static_cast<std::uint32_t>(edges_.size());
-  }
-
-  void ParseLine(std::string_view line) {
-    std::vector<LineToken> tokens = internal::Tokenize(line);
-    if (tokens.empty() || tokens.front().text == "c") return;
+  void ParseLine(const std::vector<LineToken>& tokens) {
     const LineToken& head = tokens.front();
-    if (!saw_header_) {
-      if (head.text != "nnf") {
-        Fail({line_, head.column},
-             "expected 'nnf V E n' header, found '" + head.text + "'");
-      }
-      RequireTokenCount(tokens, 4, "header");
-      declared_nodes_ =
-          internal::ParseUnsigned(source_, line_, tokens[1], "node count");
-      declared_edges_ =
-          internal::ParseUnsigned(source_, line_, tokens[2], "edge count");
-      std::uint64_t variables = internal::ParseUnsigned(
-          source_, line_, tokens[3], "variable count");
-      if (declared_nodes_ == 0) {
-        Fail({line_, tokens[1].column}, "a circuit needs at least one node");
-      }
-      constexpr std::uint64_t kMax =
-          std::numeric_limits<std::uint32_t>::max();
-      if (declared_nodes_ > kMax || declared_edges_ > kMax ||
-          variables > kMax) {
-        Fail({line_, head.column}, "header counts exceed 2^32");
-      }
-      variable_count_ = static_cast<std::uint32_t>(variables);
-      weights_.EnsureSize(variable_count_);
-      saw_header_ = true;
-      return;
-    }
-    if (head.text == "nnf") {
-      Fail({line_, head.column}, "duplicate 'nnf' header");
-    }
     if (head.text == "w") {
       RequireTokenCount(tokens, 4, "weight line");
       prop::VarId variable = ParseVariable(tokens[1], "weight variable");
       if (weight_set_.size() <= variable) weight_set_.resize(variable + 1);
       if (weight_set_[variable]) {
-        Fail({line_, tokens[1].column},
+        Fail(At(tokens[1]),
              "weights of variable " + tokens[1].text + " set twice");
       }
       weight_set_[variable] = true;
-      weights_.Set(variable,
-                   internal::ParseRational(source_, line_, tokens[2]),
-                   internal::ParseRational(source_, line_, tokens[3]));
+      weights_.EnsureSize(variable_count());
+      weights_.Set(variable, Rational(tokens[2]), Rational(tokens[3]));
       return;
     }
     if (head.text == "e") {
       RequireTokenCount(tokens, 2, "expect line");
-      if (expect_.has_value()) {
-        Fail({line_, head.column}, "duplicate 'e' line");
-      }
-      expect_ = internal::ParseRational(source_, line_, tokens[1]);
+      RequireFirst(expect_.has_value(), head);
+      expect_ = Rational(tokens[1]);
       return;
     }
     if (head.text == "t") {
       RequireTokenCount(tokens, 2, "complement line");
-      if (complement_tuples_.has_value()) {
-        Fail({line_, head.column}, "duplicate 't' line");
-      }
-      std::uint64_t tuples = internal::ParseUnsigned(source_, line_, tokens[1],
-                                                     "tuple count");
-      if (tuples > variable_count_) {
-        Fail({line_, tokens[1].column},
-             "tuple count " + tokens[1].text + " exceeds the " +
-                 std::to_string(variable_count_) + " variables");
+      RequireFirst(complement_tuples_.has_value(), head);
+      std::uint64_t tuples = Unsigned(tokens[1], "tuple count");
+      if (tuples > variable_count()) {
+        Fail(At(tokens[1]), "tuple count " + tokens[1].text +
+                                " exceeds the " +
+                                std::to_string(variable_count()) +
+                                " variables");
       }
       complement_tuples_ = static_cast<std::uint32_t>(tuples);
       return;
     }
-    if (nodes_.size() >= declared_nodes_) {
-      Fail({line_, head.column},
-           "more nodes than the header's " + std::to_string(declared_nodes_));
-    }
-    node_lines_.push_back(line_);
+    RequireNodeRoom(head);
+    node_lines_.push_back(line_number());
     if (head.text == "L") {
       RequireTokenCount(tokens, 2, "literal node");
-      std::int64_t literal =
-          internal::ParseSigned(source_, line_, tokens[1], "literal");
+      std::int64_t literal = Signed(tokens[1], "literal");
       std::uint64_t magnitude =
           static_cast<std::uint64_t>(literal < 0 ? -literal : literal);
-      if (magnitude == 0 || magnitude > variable_count_) {
-        Fail({line_, tokens[1].column},
-             "literal " + tokens[1].text + " out of range [1, " +
-                 std::to_string(variable_count_) + "]");
+      if (magnitude == 0 || magnitude > variable_count()) {
+        Fail(At(tokens[1]), "literal " + tokens[1].text +
+                                " out of range [1, " +
+                                std::to_string(variable_count()) + "]");
       }
       nodes_.push_back(nnf::Circuit::Node{
           .kind = nnf::NodeKind::kLiteral,
@@ -210,9 +245,7 @@ class NnfParser {
       return;
     }
     if (head.text == "A") {
-      if (tokens.size() < 2) {
-        Fail({line_, head.column}, "AND node: missing child count");
-      }
+      if (tokens.size() < 2) Fail(At(head), "AND node: missing child count");
       nnf::Circuit::Node node{.kind = nnf::NodeKind::kAnd};
       ParseChildren(tokens, 1, &node);
       if (node.children_begin == node.children_end) {
@@ -223,15 +256,14 @@ class NnfParser {
     }
     if (head.text == "O") {
       if (tokens.size() < 3) {
-        Fail({line_, head.column},
+        Fail(At(head),
              "OR node: expected 'O decision-var child-count children...'");
       }
-      std::uint64_t decision =
-          internal::ParseUnsigned(source_, line_, tokens[1], "decision");
-      if (decision > variable_count_) {
-        Fail({line_, tokens[1].column},
-             "decision variable " + tokens[1].text + " out of range [0, " +
-                 std::to_string(variable_count_) + "]");
+      std::uint64_t decision = Unsigned(tokens[1], "decision");
+      if (decision > variable_count()) {
+        Fail(At(tokens[1]), "decision variable " + tokens[1].text +
+                                " out of range [0, " +
+                                std::to_string(variable_count()) + "]");
       }
       nnf::Circuit::Node node{.kind = nnf::NodeKind::kOr};
       node.decision = decision == 0
@@ -241,8 +273,7 @@ class NnfParser {
       if (node.children_begin == node.children_end) {
         // O j 0: the FALSE sentinel (c2d writes O 0 0).
         if (decision != 0) {
-          Fail({line_, tokens[1].column},
-               "a childless OR (FALSE) must use decision 0");
+          Fail(At(tokens[1]), "a childless OR (FALSE) must use decision 0");
         }
         node.kind = nnf::NodeKind::kFalse;
         node.decision = nnf::kNoDecision;
@@ -250,21 +281,10 @@ class NnfParser {
       nodes_.push_back(node);
       return;
     }
-    Fail({line_, head.column},
-         "unknown line '" + head.text +
-             "' (expected c, w, t, e, L, A, or O)");
+    Fail(At(head), "unknown line '" + head.text +
+                       "' (expected c, w, t, e, L, A, or O)");
   }
 
-  std::string_view text_;
-  std::string_view source_;
-  std::size_t line_ = 1;
-
-  bool saw_header_ = false;
-  std::uint64_t declared_nodes_ = 0;
-  std::uint64_t declared_edges_ = 0;
-  std::uint32_t variable_count_ = 0;
-  std::vector<nnf::Circuit::Node> nodes_;
-  std::vector<nnf::Circuit::NodeId> edges_;
   std::vector<std::size_t> node_lines_;  // the file line of each node
   wmc::WeightMap weights_;
   std::vector<bool> weight_set_;
@@ -272,44 +292,27 @@ class NnfParser {
   std::optional<BigRational> expect_;
 };
 
-// The lifted dialect's parser: same line discipline as NnfParser (ids in
-// file order, children precede parents, root last), with relation lines
-// instead of weight lines and the counting-node extension.
-class LiftedNnfParser {
+// The lifted dialect: relation lines instead of weight lines, and the
+// counting-node extension.
+class LiftedNnfParser : private CircuitReader<nnf::LiftedCircuit> {
  public:
   LiftedNnfParser(std::string_view text, std::string_view source)
-      : text_(text), source_(source) {}
+      : CircuitReader(text, source,
+                      {"lnnf", "'lnnf V E R'", "relation count"}) {}
 
   LiftedNnfDocument Parse() {
-    internal::ForEachLine(text_, [&](std::size_t number,
-                                     std::string_view line) {
-      line_ = number;
-      ParseLine(line);
-    });
-    if (!saw_header_) Fail({line_, 1}, "missing 'lnnf V E R' header");
-    if (relations_.size() != declared_relations_) {
-      Fail({line_, 1},
-           "relation count mismatch: header declares " +
-               std::to_string(declared_relations_) + ", file has " +
-               std::to_string(relations_.size()));
+    ReadCircuitLines(
+        [&](const std::vector<LineToken>& tokens) { ParseLine(tokens); });
+    if (relations_.size() != declared_symbols_) {
+      Fail(AtEnd(), "relation count mismatch: header declares " +
+                        std::to_string(declared_symbols_) + ", file has " +
+                        std::to_string(relations_.size()));
     }
-    if (nodes_.size() != declared_nodes_) {
-      Fail({line_, 1},
-           "node count mismatch: header declares " +
-               std::to_string(declared_nodes_) + ", file has " +
-               std::to_string(nodes_.size()));
-    }
-    if (edges_.size() != declared_edges_) {
-      Fail({line_, 1},
-           "edge count mismatch: header declares " +
-               std::to_string(declared_edges_) + ", nodes reference " +
-               std::to_string(edges_.size()));
-    }
+    CheckCounts();
     LiftedNnfDocument document;
     document.circuit = nnf::LiftedCircuit(
         std::move(relations_), std::move(constants_), std::move(nodes_),
-        std::move(edges_),
-        static_cast<nnf::LiftedCircuit::NodeId>(declared_nodes_ - 1));
+        std::move(edges_), root());
     if (complement_arities_.has_value()) {
       document.circuit.SetComplement(*std::move(complement_arities_));
     }
@@ -318,123 +321,42 @@ class LiftedNnfParser {
   }
 
  private:
-  [[noreturn]] void Fail(Location location, const std::string& message) {
-    internal::FailAt(source_, location, message);
-  }
-
-  void RequireTokenCount(const std::vector<LineToken>& tokens,
-                         std::size_t count, const char* what) {
-    if (tokens.size() < count) {
-      Fail({line_, tokens.back().column},
-           std::string(what) + ": expected " + std::to_string(count - 1) +
-               " value(s)");
-    }
-    if (tokens.size() > count) {
-      Fail({line_, tokens[count].column},
-           std::string("unexpected trailing token '") + tokens[count].text +
-               "' on " + what + " line");
-    }
-  }
-
-  void ParseChildren(const std::vector<LineToken>& tokens, std::size_t from,
-                     nnf::LiftedCircuit::Node* node) {
-    std::uint64_t count = internal::ParseUnsigned(source_, line_,
-                                                  tokens[from], "child count");
-    if (tokens.size() - from - 1 != count) {
-      Fail({line_, tokens[from].column},
-           "child count " + std::to_string(count) + " does not match the " +
-               std::to_string(tokens.size() - from - 1) +
-               " child id(s) on the line");
-    }
-    node->children_begin = static_cast<std::uint32_t>(edges_.size());
-    for (std::size_t i = from + 1; i < tokens.size(); ++i) {
-      std::uint64_t child =
-          internal::ParseUnsigned(source_, line_, tokens[i], "child id");
-      if (child >= nodes_.size()) {
-        Fail({line_, tokens[i].column},
-             "child " + std::to_string(child) +
-                 " does not precede its parent (node " +
-                 std::to_string(nodes_.size()) + ")");
-      }
-      edges_.push_back(static_cast<nnf::LiftedCircuit::NodeId>(child));
-    }
-    node->children_end = static_cast<std::uint32_t>(edges_.size());
-  }
-
-  void ParseLine(std::string_view line) {
-    std::vector<LineToken> tokens = internal::Tokenize(line);
-    if (tokens.empty() || tokens.front().text == "c") return;
+  void ParseLine(const std::vector<LineToken>& tokens) {
     const LineToken& head = tokens.front();
-    if (!saw_header_) {
-      if (head.text != "lnnf") {
-        Fail({line_, head.column},
-             "expected 'lnnf V E R' header, found '" + head.text + "'");
-      }
-      RequireTokenCount(tokens, 4, "header");
-      declared_nodes_ =
-          internal::ParseUnsigned(source_, line_, tokens[1], "node count");
-      declared_edges_ =
-          internal::ParseUnsigned(source_, line_, tokens[2], "edge count");
-      declared_relations_ = internal::ParseUnsigned(
-          source_, line_, tokens[3], "relation count");
-      if (declared_nodes_ == 0) {
-        Fail({line_, tokens[1].column}, "a circuit needs at least one node");
-      }
-      constexpr std::uint64_t kMax =
-          std::numeric_limits<std::uint32_t>::max();
-      if (declared_nodes_ > kMax || declared_edges_ > kMax ||
-          declared_relations_ > kMax) {
-        Fail({line_, head.column}, "header counts exceed 2^32");
-      }
-      saw_header_ = true;
-      return;
-    }
-    if (head.text == "lnnf") {
-      Fail({line_, head.column}, "duplicate 'lnnf' header");
-    }
     if (head.text == "r") {
       RequireTokenCount(tokens, 4, "relation line");
-      if (relations_.size() >= declared_relations_) {
-        Fail({line_, head.column},
-             "more relation lines than the header's " +
-                 std::to_string(declared_relations_));
+      if (relations_.size() >= declared_symbols_) {
+        Fail(At(head), "more relation lines than the header's " +
+                           std::to_string(declared_symbols_));
       }
       relations_.push_back(nnf::LiftedCircuit::Relation{
-          std::string(tokens[1].text),
-          internal::ParseRational(source_, line_, tokens[2]),
-          internal::ParseRational(source_, line_, tokens[3])});
+          tokens[1].text, Rational(tokens[2]), Rational(tokens[3])});
       return;
     }
     if (head.text == "e") {
       RequireTokenCount(tokens, 3, "expect line");
-      if (expect_.has_value()) {
-        Fail({line_, head.column}, "duplicate 'e' line");
-      }
-      std::uint64_t n = internal::ParseUnsigned(source_, line_, tokens[1],
-                                                "expect domain size");
+      RequireFirst(expect_.has_value(), head);
+      std::uint64_t n = Unsigned(tokens[1], "expect domain size");
       if (n == 0) {
-        Fail({line_, tokens[1].column},
+        Fail(At(tokens[1]),
              "expect domain size must be >= 1 (a lifted circuit is not "
              "valid at n = 0)");
       }
-      expect_ = {n, internal::ParseRational(source_, line_, tokens[2])};
+      expect_ = {n, Rational(tokens[2])};
       return;
     }
     if (head.text == "t") {
-      if (complement_arities_.has_value()) {
-        Fail({line_, head.column}, "duplicate 't' line");
-      }
-      if (tokens.size() - 1 > declared_relations_) {
-        Fail({line_, tokens[declared_relations_ + 1].column},
+      RequireFirst(complement_arities_.has_value(), head);
+      if (tokens.size() - 1 > declared_symbols_) {
+        Fail(At(tokens[declared_symbols_ + 1]),
              "more arities than the header's " +
-                 std::to_string(declared_relations_) + " relations");
+                 std::to_string(declared_symbols_) + " relations");
       }
       std::vector<std::size_t> arities;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        std::uint64_t arity =
-            internal::ParseUnsigned(source_, line_, tokens[i], "arity");
+        std::uint64_t arity = Unsigned(tokens[i], "arity");
         if (arity > 2) {
-          Fail({line_, tokens[i].column},
+          Fail(At(tokens[i]),
                "arity " + tokens[i].text +
                    " out of range [0, 2] (lifted circuits cover arity <= 2)");
         }
@@ -443,13 +365,10 @@ class LiftedNnfParser {
       complement_arities_ = std::move(arities);
       return;
     }
-    if (nodes_.size() >= declared_nodes_) {
-      Fail({line_, head.column},
-           "more nodes than the header's " + std::to_string(declared_nodes_));
-    }
+    RequireNodeRoom(head);
     if (head.text == "K") {
       RequireTokenCount(tokens, 2, "constant node");
-      BigRational value = internal::ParseRational(source_, line_, tokens[1]);
+      BigRational value = Rational(tokens[1]);
       std::string text = value.ToString();
       auto [it, inserted] = constant_slots_.emplace(
           text, static_cast<std::uint32_t>(constants_.size()));
@@ -460,14 +379,13 @@ class LiftedNnfParser {
     }
     if (head.text == "W") {
       RequireTokenCount(tokens, 2, "weight node");
-      std::int64_t reference = internal::ParseSigned(
-          source_, line_, tokens[1], "relation reference");
+      std::int64_t reference = Signed(tokens[1], "relation reference");
       std::uint64_t magnitude =
           static_cast<std::uint64_t>(reference < 0 ? -reference : reference);
-      if (magnitude == 0 || magnitude > declared_relations_) {
-        Fail({line_, tokens[1].column},
-             "relation reference " + tokens[1].text + " out of range [1, " +
-                 std::to_string(declared_relations_) + "]");
+      if (magnitude == 0 || magnitude > declared_symbols_) {
+        Fail(At(tokens[1]), "relation reference " + tokens[1].text +
+                                " out of range [1, " +
+                                std::to_string(declared_symbols_) + "]");
       }
       nodes_.push_back(nnf::LiftedCircuit::Node{
           .kind = nnf::LiftedCircuit::Kind::kWeight,
@@ -477,9 +395,8 @@ class LiftedNnfParser {
     }
     if (head.text == "A" || head.text == "O") {
       if (tokens.size() < 2) {
-        Fail({line_, head.column},
-             std::string(head.text == "A" ? "AND" : "OR") +
-                 " node: missing child count");
+        Fail(At(head), std::string(head.text == "A" ? "AND" : "OR") +
+                           " node: missing child count");
       }
       nnf::LiftedCircuit::Node node;
       node.kind = head.text == "A" ? nnf::LiftedCircuit::Kind::kAnd
@@ -490,17 +407,15 @@ class LiftedNnfParser {
     }
     if (head.text == "C") {
       if (tokens.size() < 3) {
-        Fail({line_, head.column},
+        Fail(At(head),
              "counting node: expected 'C cells child-count children...'");
       }
-      std::uint64_t cells =
-          internal::ParseUnsigned(source_, line_, tokens[1], "cell count");
+      std::uint64_t cells = Unsigned(tokens[1], "cell count");
       if (cells == 0) {
-        Fail({line_, tokens[1].column},
-             "counting node needs at least one cell");
+        Fail(At(tokens[1]), "counting node needs at least one cell");
       }
       if (cells > (std::uint64_t{1} << 20)) {
-        Fail({line_, tokens[1].column}, "cell count exceeds 2^20");
+        Fail(At(tokens[1]), "cell count exceeds 2^20");
       }
       nnf::LiftedCircuit::Node node;
       node.kind = nnf::LiftedCircuit::Kind::kCount;
@@ -509,7 +424,7 @@ class LiftedNnfParser {
       std::uint64_t expected = cells + cells * (cells + 1) / 2;
       std::uint64_t actual = node.children_end - node.children_begin;
       if (actual != expected) {
-        Fail({line_, tokens[1].column},
+        Fail(At(tokens[1]),
              "counting node over " + std::to_string(cells) +
                  " cells needs " + std::to_string(expected) +
                  " children (C + C(C+1)/2), got " + std::to_string(actual));
@@ -517,24 +432,13 @@ class LiftedNnfParser {
       nodes_.push_back(node);
       return;
     }
-    Fail({line_, head.column},
-         "unknown line '" + head.text +
-             "' (expected c, r, t, e, K, W, A, O, or C)");
+    Fail(At(head), "unknown line '" + head.text +
+                       "' (expected c, r, t, e, K, W, A, O, or C)");
   }
 
-  std::string_view text_;
-  std::string_view source_;
-  std::size_t line_ = 1;
-
-  bool saw_header_ = false;
-  std::uint64_t declared_nodes_ = 0;
-  std::uint64_t declared_edges_ = 0;
-  std::uint64_t declared_relations_ = 0;
   std::vector<nnf::LiftedCircuit::Relation> relations_;
   std::vector<BigRational> constants_;
   std::unordered_map<std::string, std::uint32_t> constant_slots_;
-  std::vector<nnf::LiftedCircuit::Node> nodes_;
-  std::vector<nnf::LiftedCircuit::NodeId> edges_;
   std::optional<std::vector<std::size_t>> complement_arities_;
   std::optional<std::pair<std::uint64_t, BigRational>> expect_;
 };
@@ -550,6 +454,14 @@ std::string HeaderToken(std::string_view text) {
     header = std::move(tokens.front().text);
   });
   return header;
+}
+
+// The tail of an inner node's line, shared by both dialects' printers:
+// `k c1 .. ck` and the newline.
+void PrintChildren(std::ostream& out, std::span<const std::uint32_t> children) {
+  out << children.size();
+  for (std::uint32_t child : children) out << " " << child;
+  out << "\n";
 }
 
 }  // namespace
@@ -591,24 +503,18 @@ std::string PrintNnf(const NnfDocument& document) {
             << "\n";
         break;
       }
-      case nnf::NodeKind::kAnd: {
-        std::span<const nnf::Circuit::NodeId> children = circuit.Children(id);
-        out << "A " << children.size();
-        for (nnf::Circuit::NodeId child : children) out << " " << child;
-        out << "\n";
+      case nnf::NodeKind::kAnd:
+        out << "A ";
+        PrintChildren(out, circuit.Children(id));
         break;
-      }
-      case nnf::NodeKind::kOr: {
-        std::span<const nnf::Circuit::NodeId> children = circuit.Children(id);
+      case nnf::NodeKind::kOr:
         out << "O "
             << (node.decision == nnf::kNoDecision
                     ? std::uint64_t{0}
                     : static_cast<std::uint64_t>(node.decision) + 1)
-            << " " << children.size();
-        for (nnf::Circuit::NodeId child : children) out << " " << child;
-        out << "\n";
+            << " ";
+        PrintChildren(out, circuit.Children(id));
         break;
-      }
     }
   }
   return out.str();
@@ -649,23 +555,14 @@ std::string PrintLiftedNnf(const LiftedNnfDocument& document) {
         break;
       }
       case nnf::LiftedCircuit::Kind::kAnd:
-      case nnf::LiftedCircuit::Kind::kOr: {
-        std::span<const nnf::LiftedCircuit::NodeId> children =
-            circuit.Children(id);
-        out << (node.kind == nnf::LiftedCircuit::Kind::kAnd ? "A " : "O ")
-            << children.size();
-        for (nnf::LiftedCircuit::NodeId child : children) out << " " << child;
-        out << "\n";
+      case nnf::LiftedCircuit::Kind::kOr:
+        out << (node.kind == nnf::LiftedCircuit::Kind::kAnd ? "A " : "O ");
+        PrintChildren(out, circuit.Children(id));
         break;
-      }
-      case nnf::LiftedCircuit::Kind::kCount: {
-        std::span<const nnf::LiftedCircuit::NodeId> children =
-            circuit.Children(id);
-        out << "C " << node.cells << " " << children.size();
-        for (nnf::LiftedCircuit::NodeId child : children) out << " " << child;
-        out << "\n";
+      case nnf::LiftedCircuit::Kind::kCount:
+        out << "C " << node.cells << " ";
+        PrintChildren(out, circuit.Children(id));
         break;
-      }
     }
   }
   return out.str();

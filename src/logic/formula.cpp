@@ -166,10 +166,6 @@ Formula Forall(std::initializer_list<std::string> variables, Formula body) {
   return Forall(std::vector<std::string>(variables), std::move(body));
 }
 
-Formula Exists(std::initializer_list<std::string> variables, Formula body) {
-  return Exists(std::vector<std::string>(variables), std::move(body));
-}
-
 std::set<std::string> FreeVariables(const Formula& formula) {
   std::set<std::string> bound, result;
   CollectFreeVariables(formula, &bound, &result);

@@ -123,9 +123,8 @@ Formula Exists(std::string variable, Formula body);
 /// Forall over several variables, outermost first.
 Formula Forall(const std::vector<std::string>& variables, Formula body);
 Formula Exists(const std::vector<std::string>& variables, Formula body);
-/// Brace-list forms: Forall({"x", "y"}, body).
+/// Brace-list form: Forall({"x", "y"}, body).
 Formula Forall(std::initializer_list<std::string> variables, Formula body);
-Formula Exists(std::initializer_list<std::string> variables, Formula body);
 
 /// Free variables of the formula, sorted.
 std::set<std::string> FreeVariables(const Formula& formula);

@@ -58,10 +58,6 @@ std::uint64_t Structure::Cardinality(RelationId relation) const {
   return result;
 }
 
-bool Structure::GetBit(std::uint64_t flat_index) const {
-  return bits_.at(flat_index);
-}
-
 void Structure::SetBit(std::uint64_t flat_index, bool value) {
   bits_.at(flat_index) = value;
 }

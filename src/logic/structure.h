@@ -37,7 +37,6 @@ class Structure {
   /// Flat addressing: every ground tuple across all relations has a unique
   /// index in [0, TupleCount()). Layout: relations in vocabulary order,
   /// tuples within a relation in mixed-radix order.
-  bool GetBit(std::uint64_t flat_index) const;
   void SetBit(std::uint64_t flat_index, bool value);
   /// Overwrites all tuple bits from the low bits of `encoded` (for
   /// exhaustive world enumeration; requires TupleCount() <= 64).

@@ -42,14 +42,9 @@ std::optional<std::uint64_t> Uint64FromJson(const JsonValue& value) {
       value.kind != JsonValue::Kind::kString) {
     return std::nullopt;
   }
-  const std::string& text = value.string;
-  if (text.empty()) return std::nullopt;
   std::uint64_t out = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (out > (~std::uint64_t{0} - digit) / 10) return std::nullopt;
-    out = out * 10 + digit;
+  if (io::ParseDecimal(value.string, &out) != io::DecimalError::kNone) {
+    return std::nullopt;
   }
   return out;
 }

@@ -240,6 +240,8 @@ TEST(ModelFormat, ErrorPathsReportLineAndColumn) {
                      "takes 3 operands");
   ExpectModelErrorAt("sentence exists x U(x)\nweight U 2,5 1\ndomain 1\n", 2,
                      10, "bad rational");
+  ExpectModelErrorAt("sentence exists x U(x)\nweight U 1/0 1\ndomain 1\n", 2,
+                     10, "zero denominator");
   // Domain.
   ExpectModelErrorAt("sentence true\ndomain -3\n", 2, 8, "bad domain size");
   ExpectModelErrorAt("sentence true\ndomain 5..2\n", 2, 8, "empty domain");
@@ -382,35 +384,13 @@ TEST(ModelFormat, RoundTripFuzz) {
 TEST(ModelFormat, MutationFuzzNeverCrashes) {
   // Random single-character mutations of a valid document must either
   // parse or throw ParseError — nothing else, and never a crash.
-  const std::string valid =
+  testutil::ExpectMutantsParseOrFail(
       "model demo\npredicate S 2\nsentence forall x exists y S(x,y)\n"
-      "weight S 1/2 -1\ndomain 1..4\nmethod auto\nexpect 343\n";
-  std::uint64_t base = testutil::FuzzBaseSeed(1);
-  std::mt19937_64 rng(base ^ 0x9e3779b97f4a7c15ull);
-  const std::string alphabet =
-      "abcdefgXYZ0123456789 .#/-_()&|!,\nqwS";
-  for (int i = 0; i < 300; ++i) {
-    std::string mutated = valid;
-    std::size_t edits = 1 + rng() % 3;
-    for (std::size_t e = 0; e < edits; ++e) {
-      std::size_t at = rng() % mutated.size();
-      switch (rng() % 3) {
-        case 0: mutated[at] = alphabet[rng() % alphabet.size()]; break;
-        case 1: mutated.erase(at, 1 + rng() % 3); break;
-        default:
-          mutated.insert(at, 1, alphabet[rng() % alphabet.size()]);
-      }
-      if (mutated.empty()) mutated = "x";
-    }
-    try {
-      ModelSpec spec = ParseModel(mutated, "mutated.model");
-      // Valid result: must still round-trip through the printer.
-      EXPECT_EQ(PrintModel(ParseModel(PrintModel(spec))), PrintModel(spec));
-    } catch (const ParseError& error) {
-      EXPECT_GE(error.location().line, 1u);
-      EXPECT_GE(error.location().column, 1u);
-    }
-  }
+      "weight S 1/2 -1\ndomain 1..4\nmethod auto\nexpect 343\n",
+      "abcdefgXYZ0123456789 .#/-_()&|!,\nqwS", 300,
+      [](const std::string& text) {
+        return PrintModel(ParseModel(text, "mutated.model"));
+      });
 }
 
 // --- Weighted CNF --------------------------------------------------------
@@ -451,6 +431,7 @@ TEST(CnfFormat, ErrorPathsReportLineAndColumn) {
   ExpectCnfErrorAt("p cnf 2 2\n1 0\n", 2, 1, "truncated CNF");
   ExpectCnfErrorAt("p cnf 2 1\n1 2\n", 2, 1, "terminating 0");
   ExpectCnfErrorAt("p cnf 2 1\nw 1 0.5 1\n1 0\n", 2, 5, "bad rational");
+  ExpectCnfErrorAt("p cnf 3 1\nw 1 1/0 3\n1 0\n", 2, 5, "zero denominator");
   ExpectCnfErrorAt("p cnf 2 1\nw 1 1 2 3\n1 0\n", 2, 1,
                    "malformed weight line");
   // A weight line ending in a bare 0 is ambiguous (terminated literal
@@ -463,6 +444,14 @@ TEST(CnfFormat, ErrorPathsReportLineAndColumn) {
   ExpectCnfErrorAt("p cnf 2 1\nw 1 1 1\nw 1 2 2\n1 0\n", 3, 3, "set twice");
   ExpectCnfErrorAt("p cnf 2 1\nw -1 2\nw -1 3\n1 0\n", 3, 3, "set twice");
   ExpectCnfErrorAt("p cnf 2 1\n1 - 0\n", 2, 3, "bad literal");
+}
+
+TEST(CnfFormat, MutationFuzzNeverCrashes) {
+  testutil::ExpectMutantsParseOrFail(
+      "c demo\np cnf 3 3\nw 1 1/2 3\nw -2 2\n1 -2 0\n2 3\n0\n-3 1 0\n",
+      "0123456789 -/\npcnfw", 2000, [](const std::string& text) {
+        return PrintWeightedCnf(ParseWeightedCnf(text, "mutated.cnf"));
+      });
 }
 
 TEST(CnfFormat, PrintIsAParserFixpoint) {

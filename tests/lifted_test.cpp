@@ -616,11 +616,20 @@ void ExpectLiftedErrorAt(const std::string& text, std::size_t line,
 TEST(LiftedNnfFormat, ErrorPositions) {
   ExpectLiftedErrorAt("K 1\n", 1, 1, "expected 'lnnf V E R' header");
   ExpectLiftedErrorAt("lnnf 1 0\nK 1\n", 1, 8, "expected 3 value(s)");
+  ExpectLiftedErrorAt("lnnf 1 0 0 9\nK 1\n", 1, 12,
+                      "unexpected trailing token '9' on header line");
   ExpectLiftedErrorAt("lnnf 0 0 0\n", 1, 6, "at least one node");
+  ExpectLiftedErrorAt("lnnf 1 0 4294967296\nK 1\n", 1, 1,
+                      "header counts exceed 2^32");
+  ExpectLiftedErrorAt("c only a comment\n", 1, 1,
+                      "missing 'lnnf V E R' header");
   ExpectLiftedErrorAt("lnnf 1 0 0\nlnnf 1 0 0\n", 2, 1, "duplicate 'lnnf'");
   ExpectLiftedErrorAt("lnnf 1 0 0\nr R 1 1\nK 1\n", 2, 1,
                       "more relation lines than the header's 0");
   ExpectLiftedErrorAt("lnnf 1 0 1\nK 1\n", 2, 1, "relation count mismatch");
+  ExpectLiftedErrorAt("lnnf 1 0 1\nr R 1/0 1\nK 1\n", 2, 5,
+                      "zero denominator");
+  ExpectLiftedErrorAt("lnnf 1 0 0\nK 1/0\n", 2, 3, "zero denominator");
   ExpectLiftedErrorAt("lnnf 1 0 0\nW 1\n", 2, 3, "out of range [1, 0]");
   ExpectLiftedErrorAt("lnnf 2 0 1\nr R 2 1\nW -2\nK 1\n", 3, 3,
                       "out of range [1, 1]");
@@ -652,6 +661,15 @@ TEST(LiftedNnfFormat, ErrorPositions) {
   ExpectLiftedErrorAt("lnnf 1 0 1\nr R 1 1\nt 1\nt 1\nK 1\n", 4, 1,
                       "duplicate 't'");
   ExpectLiftedErrorAt("lnnf 1 0 1\nr R 1 1\nt x\nK 1\n", 3, 3, "arity");
+}
+
+TEST(LiftedNnfFormat, MutationFuzzNeverCrashes) {
+  testutil::ExpectMutantsParseOrFail(
+      "c demo\nlnnf 7 6 1\nr U 2 1/3\nt 1\ne 3 5\nW 1\nW -1\nK 1\nK 1/2\n"
+      "O 2 0 1\nA 2 3 4\nC 1 2 5 2\n",
+      "0123456789 -/\nlnrteKWAOCU", 2000, [](const std::string& text) {
+        return io::PrintLiftedNnf(io::ParseLiftedNnf(text, "mutated.nnf"));
+      });
 }
 
 TEST(LiftedNnfFormat, HandWrittenCountingCircuitEvaluates) {

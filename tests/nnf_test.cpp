@@ -427,6 +427,9 @@ TEST(NnfFormat, ErrorPositions) {
   ExpectParseErrorAt("nnf 1 0\nL 1\n", 1, 7, "expected 3 value(s)");
   ExpectParseErrorAt("nnf 1 0 1 9\nL 1\n", 1, 11, "unexpected trailing token");
   ExpectParseErrorAt("nnf 0 0 1\n", 1, 5, "at least one node");
+  ExpectParseErrorAt("nnf 1 0 4294967296\nA 0\n", 1, 1,
+                     "header counts exceed 2^32");
+  ExpectParseErrorAt("c only a comment\n", 1, 1, "missing 'nnf V E n' header");
   ExpectParseErrorAt("nnf 1 0 1\nnnf 1 0 1\n", 2, 1, "duplicate 'nnf'");
   ExpectParseErrorAt("nnf 1 0 1\nL 2\n", 2, 3, "out of range");
   ExpectParseErrorAt("nnf 1 0 1\nL 0\n", 2, 3, "out of range");
@@ -441,6 +444,8 @@ TEST(NnfFormat, ErrorPositions) {
   ExpectParseErrorAt("nnf 1 0 1\nw 1 1 1\nw 1 2 2\nL 1\n", 3, 3,
                      "set twice");
   ExpectParseErrorAt("nnf 1 0 1\nw 2 1 1\nL 1\n", 2, 3, "out of range");
+  ExpectParseErrorAt("nnf 1 0 1\nw 1 1/0 1\nL 1\n", 2, 5, "zero denominator");
+  ExpectParseErrorAt("nnf 1 0 1\ne 1/0\nL 1\n", 2, 3, "zero denominator");
   ExpectParseErrorAt("nnf 1 0 1\ne 1\ne 2\nL 1\n", 3, 1, "duplicate 'e'");
   ExpectParseErrorAt("nnf 1 0 1\nL 1\nL 1\n", 3, 1, "more nodes");
   ExpectParseErrorAt("nnf 1 0 1\nO 1 0\n", 2, 3,
@@ -456,6 +461,15 @@ TEST(NnfFormat, ErrorPositions) {
   ExpectParseErrorAt("nnf 2 0 1\nL 1\n", 2, 1, "node count mismatch");
   ExpectParseErrorAt("nnf 1 5 1\nL 1\n", 2, 1, "edge count mismatch");
   ExpectParseErrorAt("nnf 2 0 1\nL 1", 2, 1, "node count mismatch");
+}
+
+TEST(NnfFormat, MutationFuzzNeverCrashes) {
+  testutil::ExpectMutantsParseOrFail(
+      "c demo\nnnf 5 4 2\nw 1 1/2 -3\nt 1\ne 7/2\nL 1\nL -1\nL 2\n"
+      "O 1 2 0 1\nA 2 3 2\n",
+      "0123456789 -/\nnLAOwetc", 2000, [](const std::string& text) {
+        return io::PrintNnf(io::ParseNnf(text, "mutated.nnf"));
+      });
 }
 
 TEST(NnfFormat, ParsesConstantsAndComments) {

@@ -200,6 +200,12 @@ TEST(Serve, RequestShapedProblemsAreErrorsNotCrashes) {
                   R"js({"sentence": "forall x U(x)", "domain": -3})js")
                 .At("status").string,
             "error");
+  JsonValue overflow = Query(
+      &server,
+      R"js({"sentence": "forall x U(x)", "domain": 18446744073709551616})js");
+  EXPECT_EQ(overflow.At("status").string, "error");
+  EXPECT_EQ(overflow.At("error").string,
+            "\"domain\" must be a non-negative integer");
   EXPECT_EQ(Query(&server,
                   R"js({"sentence": "forall x U(", "domain": 3})js")
                 .At("status").string,

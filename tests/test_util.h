@@ -1,9 +1,11 @@
 #ifndef SWFOMC_TESTS_TEST_UTIL_H_
 #define SWFOMC_TESTS_TEST_UTIL_H_
 
-// Shared seeded generators for the property suites and benchmark drivers.
-// Everything here is deterministic in the caller-supplied rng/seed so test
-// shards and reruns see identical instances.
+// Shared seeded generators and checks for the property suites. Everything
+// here is deterministic in the caller-supplied rng/seed so test shards and
+// reruns see identical instances.
+
+#include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "cq/conjunctive_query.h"
+#include "io/diagnostics.h"
 #include "logic/formula.h"
 #include "logic/vocabulary.h"
 #include "numeric/rational.h"
@@ -263,6 +266,44 @@ inline std::uint64_t FuzzBaseSeed(std::uint64_t default_seed) {
   const char* env = std::getenv("SWFOMC_FUZZ_SEED");
   if (env == nullptr || *env == '\0') return default_seed;
   return std::strtoull(env, nullptr, 10);
+}
+
+/// Mutation fuzz for a text reader. Each of `mutants` copies of `valid`
+/// gets one to three random edits — replace, erase or insert — drawing
+/// new characters from `alphabet`. `canonical(text)` parses a mutant and
+/// prints it back; it must either throw io::ParseError at a 1-based
+/// position or return a text that is its own fixpoint. Any other
+/// exception escapes and fails the calling test.
+template <typename Canonical>
+void ExpectMutantsParseOrFail(const std::string& valid,
+                              const std::string& alphabet, int mutants,
+                              Canonical canonical) {
+  std::uint64_t base = FuzzBaseSeed(1);
+  std::mt19937_64 rng(base ^ 0x9e3779b97f4a7c15ull);
+  for (int i = 0; i < mutants; ++i) {
+    std::string mutated = valid;
+    std::size_t edits = 1 + rng() % 3;
+    for (std::size_t e = 0; e < edits; ++e) {
+      std::size_t at = rng() % mutated.size();
+      switch (rng() % 3) {
+        case 0: mutated[at] = alphabet[rng() % alphabet.size()]; break;
+        case 1: mutated.erase(at, 1 + rng() % 3); break;
+        default:
+          mutated.insert(at, 1, alphabet[rng() % alphabet.size()]);
+      }
+      if (mutated.empty()) mutated = "x";
+    }
+    std::string once;
+    try {
+      once = canonical(mutated);
+    } catch (const io::ParseError& error) {
+      EXPECT_GE(error.location().line, 1u);
+      EXPECT_GE(error.location().column, 1u);
+      continue;
+    }
+    EXPECT_EQ(canonical(once), once)
+        << "base seed " << base << ", mutant:\n" << mutated;
+  }
 }
 
 }  // namespace swfomc::testutil

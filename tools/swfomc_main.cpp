@@ -46,6 +46,7 @@ namespace {
 
 using swfomc::api::Engine;
 using swfomc::api::Method;
+using swfomc::io::DecimalError;
 using swfomc::io::JsonValue;
 using swfomc::io::ModelSpec;
 using swfomc::io::NnfDocument;
@@ -118,20 +119,19 @@ int Fail(const std::string& message) {
 // (std::stoul would accept both).
 std::uint64_t ParseUint64Flag(const std::string& flag,
                               const std::string& text) {
-  if (text.empty()) throw UsageError(flag + " needs a value");
   std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
+  switch (swfomc::io::ParseDecimal(text, &value)) {
+    case DecimalError::kNone:
+      return value;
+    case DecimalError::kEmpty:
+      throw UsageError(flag + " needs a value");
+    case DecimalError::kNotDigit:
       throw UsageError("bad " + flag + " value '" + text +
                        "' (expected a non-negative integer)");
-    }
-    std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (~std::uint64_t{0} - digit) / 10) {
-      throw UsageError(flag + " value '" + text + "' is out of range");
-    }
-    value = value * 10 + digit;
+    case DecimalError::kOverflow:
+      break;
   }
-  return value;
+  throw UsageError(flag + " value '" + text + "' is out of range");
 }
 
 // A byte count with an optional k/m/g binary suffix (case-insensitive),
