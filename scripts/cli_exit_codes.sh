@@ -108,6 +108,10 @@ expect 2 "$bin" eval "$workdir/bad.nnf"
 printf 'nnf 2 2 1\nL 1\nA 2 0 0\n' > "$workdir/shared.nnf" # AND(x1, x1) is
 expect 2 "$bin" eval "$workdir/shared.nnf"              # not decomposable
 expect 2 "$bin" print "$workdir/shared.nnf"
+printf 'predicate S 64\nsentence true\ndomain 2\n' > "$workdir/arity64.model"
+expect 2 "$bin" run "$workdir/arity64.model"           # once answered 1
+printf 'sentence R(18446744073709551617)\ndomain 2\n' > "$workdir/bigconst.model"
+expect 2 "$bin" print "$workdir/bigconst.model"        # 2^64 + 1, once R(1)
 
 # 1: the count disagrees with the pinned expectation.
 printf 'sentence forall x R(x)\ndomain 1\nexpect 5\n' > "$workdir/wrong.model"

@@ -32,49 +32,14 @@ Formula FindInnermostQuantifier(const Formula& formula) {
   return nullptr;
 }
 
-Formula ReplaceNode(const Formula& formula, const Formula& target,
-                    const Formula& replacement) {
-  if (formula.get() == target.get()) return replacement;
-  if (formula->children().empty()) return formula;
-  std::vector<Formula> children;
-  children.reserve(formula->children().size());
-  bool changed = false;
-  for (const Formula& child : formula->children()) {
-    Formula mapped = ReplaceNode(child, target, replacement);
-    changed |= mapped.get() != child.get();
-    children.push_back(std::move(mapped));
-  }
-  if (!changed) return formula;
-  switch (formula->kind()) {
-    case FormulaKind::kNot:
-      return Not(children[0]);
-    case FormulaKind::kAnd:
-      return And(std::move(children));
-    case FormulaKind::kOr:
-      return Or(std::move(children));
-    case FormulaKind::kForall:
-      return Forall(formula->variable(), children[0]);
-    case FormulaKind::kExists:
-      return Exists(formula->variable(), children[0]);
-    default:
-      throw std::logic_error("fo2::ReplaceNode: unexpected node in NNF");
-  }
-}
-
-void CheckConstantsAbsent(const Formula& formula) {
-  if (formula->kind() == FormulaKind::kAtom ||
-      formula->kind() == FormulaKind::kEquality) {
-    for (const logic::Term& t : formula->arguments()) {
-      if (t.IsConstant()) {
-        throw std::invalid_argument(
-            "ToUniversalForm: domain constants are not supported on the "
-            "lifted FO2 path");
-      }
-    }
+bool ContainsConstant(const Formula& formula) {
+  for (const logic::Term& t : formula->arguments()) {
+    if (t.IsConstant()) return true;
   }
   for (const Formula& child : formula->children()) {
-    CheckConstantsAbsent(child);
+    if (ContainsConstant(child)) return true;
   }
+  return false;
 }
 
 // Renames the free variables of a quantifier-free matrix to {x, y}.
@@ -98,6 +63,17 @@ Formula CanonicalizeVariables(const Formula& matrix) {
 
 }  // namespace
 
+std::optional<std::string_view> LiftedObstacle(
+    const logic::Formula& sentence, const logic::Vocabulary& vocabulary) {
+  if (!logic::IsSentence(sentence)) return "not a sentence (free variables)";
+  if (!logic::InFragmentFOk(sentence, 2)) return "uses more than 2 variables";
+  if (vocabulary.MaxArity() > 2) {
+    return "vocabulary has a relation of arity > 2";
+  }
+  if (ContainsConstant(sentence)) return "contains constants";
+  return std::nullopt;
+}
+
 const std::string& UniversalForm::x() {
   static const std::string name = "x";
   return name;
@@ -110,19 +86,10 @@ const std::string& UniversalForm::y() {
 
 UniversalForm ToUniversalForm(const logic::Formula& sentence,
                               const logic::Vocabulary& vocabulary) {
-  if (!logic::IsSentence(sentence)) {
-    throw std::invalid_argument("ToUniversalForm: input has free variables");
+  if (std::optional<std::string_view> obstacle =
+          LiftedObstacle(sentence, vocabulary)) {
+    throw std::invalid_argument("ToUniversalForm: " + std::string(*obstacle));
   }
-  if (!logic::InFragmentFOk(sentence, 2)) {
-    throw std::invalid_argument(
-        "ToUniversalForm: sentence uses more than 2 distinct variables");
-  }
-  if (vocabulary.MaxArity() > 2) {
-    throw std::invalid_argument(
-        "ToUniversalForm: relation arity > 2 is not supported on the "
-        "lifted FO2 path (ground instead)");
-  }
-  CheckConstantsAbsent(sentence);
 
   UniversalForm result;
   result.vocabulary = vocabulary;
@@ -152,7 +119,7 @@ UniversalForm ToUniversalForm(const logic::Formula& sentence,
     for (const std::string& p : def.params) {
       args.push_back(logic::Term::Var(p));
     }
-    main = ReplaceNode(main, target, logic::Atom(def.relation, args));
+    main = logic::ReplaceNode(main, target, logic::Atom(def.relation, args));
   }
   // `main` is now variable-free (a combination of 0-ary atoms).
 

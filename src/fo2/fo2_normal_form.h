@@ -1,10 +1,24 @@
 #ifndef SWFOMC_FO2_FO2_NORMAL_FORM_H_
 #define SWFOMC_FO2_FO2_NORMAL_FORM_H_
 
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include "logic/formula.h"
 #include "logic/vocabulary.h"
 
 namespace swfomc::fo2 {
+
+/// The first check of the lifted fragment that the sentence fails, in
+/// order: a sentence (no free variables), in FO², over relations of arity
+/// <= 2, without domain constants. Returns the reason Engine reports when
+/// it routes away from the cell algorithm, or nullopt for a liftable
+/// sentence. Weight-independent: liftability is a property of the
+/// sentence and the vocabulary's arities alone. This is the one FO² test:
+/// the router asks it, and ToUniversalForm refuses what it names.
+std::optional<std::string_view> LiftedObstacle(
+    const logic::Formula& sentence, const logic::Vocabulary& vocabulary);
 
 /// The universal two-variable form every FO² sentence is reduced to before
 /// the cell algorithm runs: WFOMC(Φ, n, w, w̄) = WFOMC(∀x∀y ψ, n, w', w̄')
@@ -31,9 +45,8 @@ struct UniversalForm {
 ///      weights (1,-1));
 ///   4. conjunction of all ∀∀ matrices with variables renamed to {x, y}.
 ///
-/// Requirements (std::invalid_argument otherwise): the input is a sentence,
-/// uses at most 2 distinct variable names, relation arities are ≤ 2, and
-/// no domain constants occur. Equality atoms are allowed and survive into
+/// Throws std::invalid_argument("ToUniversalForm: " + obstacle) when
+/// LiftedObstacle names one. Equality atoms are allowed and survive into
 /// the matrix (the cell algorithm evaluates them natively, so Lemma 3.5 is
 /// not needed on this path).
 UniversalForm ToUniversalForm(const logic::Formula& sentence,

@@ -1,7 +1,6 @@
 #include "fo2/lifted_compiler.h"
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -229,28 +228,6 @@ NodeId EmitShannon(Builder* builder, const Formula& matrix,
 }
 
 }  // namespace
-
-std::optional<std::string_view> LiftedObstacle(
-    const logic::Formula& sentence, const logic::Vocabulary& vocabulary) {
-  if (!logic::IsSentence(sentence)) return "not a sentence (free variables)";
-  if (!logic::InFragmentFOk(sentence, 2)) return "uses more than 2 variables";
-  if (vocabulary.MaxArity() > 2) {
-    return "vocabulary has a relation of arity > 2";
-  }
-  // The same constant scan ToUniversalForm performs, without building the
-  // normal form, so routing stays cheap.
-  std::function<bool(const Formula&)> has_constant = [&](const Formula& f) {
-    for (const logic::Term& t : f->arguments()) {
-      if (t.IsConstant()) return true;
-    }
-    for (const Formula& child : f->children()) {
-      if (has_constant(child)) return true;
-    }
-    return false;
-  };
-  if (has_constant(sentence)) return "contains constants";
-  return std::nullopt;
-}
 
 bool CanCompileLifted(const logic::Formula& sentence,
                       const logic::Vocabulary& vocabulary) {

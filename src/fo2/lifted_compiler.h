@@ -2,8 +2,6 @@
 #define SWFOMC_FO2_LIFTED_COMPILER_H_
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "fo2/fo2_normal_form.h"
 #include "logic/formula.h"
@@ -21,15 +19,6 @@ struct LiftedCompileStats {
                                 // zero-ary Shannon branches
   std::size_t valid_cells = 0;  // cells whose diagonal satisfies ψ(x,x)
 };
-
-/// The first check of the lifted fragment that the sentence fails, in
-/// order: a sentence (no free variables), in FO², over relations of arity
-/// <= 2, without domain constants. Returns the reason Engine reports when
-/// it routes away from the cell algorithm, or nullopt for a liftable
-/// sentence. Weight-independent: liftability is a property of the
-/// sentence and the vocabulary's arities alone.
-std::optional<std::string_view> LiftedObstacle(
-    const logic::Formula& sentence, const logic::Vocabulary& vocabulary);
 
 /// True when CompileLifted accepts the sentence (no LiftedObstacle).
 bool CanCompileLifted(const logic::Formula& sentence,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "fo2/fo2_normal_form.h"
+#include "logic/transform.h"
 
 namespace swfomc::fo2 {
 
@@ -19,38 +20,13 @@ bool IsX(const logic::Term& term) { return term.name == UniversalForm::x(); }
 
 Formula SubstituteZeroAry(const Formula& formula, RelationId relation,
                           bool value) {
-  switch (formula->kind()) {
-    case FormulaKind::kAtom:
-      if (formula->relation() == relation && formula->arguments().empty()) {
-        return value ? logic::True() : logic::False();
-      }
-      return formula;
-    case FormulaKind::kTrue:
-    case FormulaKind::kFalse:
-    case FormulaKind::kEquality:
-      return formula;
-    default: {
-      std::vector<Formula> children;
-      children.reserve(formula->children().size());
-      for (const Formula& child : formula->children()) {
-        children.push_back(SubstituteZeroAry(child, relation, value));
-      }
-      switch (formula->kind()) {
-        case FormulaKind::kNot:
-          return Not(children[0]);
-        case FormulaKind::kAnd:
-          return And(std::move(children));
-        case FormulaKind::kOr:
-          return Or(std::move(children));
-        case FormulaKind::kImplies:
-          return Implies(children[0], children[1]);
-        case FormulaKind::kIff:
-          return Iff(children[0], children[1]);
-        default:
-          throw std::logic_error("SubstituteZeroAry: quantifier in matrix");
-      }
-    }
+  if (formula->kind() == FormulaKind::kAtom &&
+      formula->relation() == relation && formula->arguments().empty()) {
+    return value ? logic::True() : logic::False();
   }
+  return logic::MapChildren(formula, [&](const Formula& child) {
+    return SubstituteZeroAry(child, relation, value);
+  });
 }
 
 MatrixEvaluator::MatrixEvaluator(

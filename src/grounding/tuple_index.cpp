@@ -3,22 +3,25 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "numeric/combinatorics.h"
+
 namespace swfomc::grounding {
 
 TupleIndex::TupleIndex(const logic::Vocabulary& vocabulary,
                        std::uint64_t domain_size)
     : vocabulary_(&vocabulary), domain_size_(domain_size) {
+  // Variable ids are 32-bit, so the running total is checked before
+  // every add and can never wrap.
+  constexpr std::uint64_t kMaxTuples = 0xFFFFFFFFull;
   offsets_.reserve(vocabulary.size());
   for (logic::RelationId id = 0; id < vocabulary.size(); ++id) {
     offsets_.push_back(total_);
-    std::uint64_t count = 1;
-    for (std::size_t i = 0; i < vocabulary.arity(id); ++i) {
-      count *= domain_size_;
+    std::uint64_t count =
+        numeric::TupleCount(domain_size_, vocabulary.arity(id));
+    if (count > kMaxTuples - total_) {
+      throw std::invalid_argument("TupleIndex: too many ground tuples");
     }
     total_ += count;
-  }
-  if (total_ > 0xFFFFFFFFull) {
-    throw std::invalid_argument("TupleIndex: too many ground tuples");
   }
 }
 

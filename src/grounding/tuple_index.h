@@ -10,9 +10,11 @@
 namespace swfomc::grounding {
 
 /// Bijection between ground tuples Tup(n) and propositional variable ids.
-/// Layout matches logic::Structure: relations in vocabulary order, tuples
-/// within a relation in mixed-radix order with the first argument most
-/// significant. |Tup(n)| = Σ_i n^{arity(R_i)}.
+/// Layout matches logic::Structure, and both size each relation with
+/// numeric::TupleCount: relations in vocabulary order, tuples within a
+/// relation in mixed-radix order with the first argument most
+/// significant. |Tup(n)| = Σ_i n^{arity(R_i)}, at most 2^32 - 1 (the
+/// constructor throws std::invalid_argument beyond it).
 class TupleIndex {
  public:
   TupleIndex(const logic::Vocabulary& vocabulary, std::uint64_t domain_size);

@@ -2,38 +2,17 @@
 #define SWFOMC_IO_DIAGNOSTICS_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
-#include <string_view>
+
+#include "numeric/decimal.h"
 
 namespace swfomc::io {
 
-/// Why ParseDecimal rejected its text; kNone when it did not.
-enum class DecimalError { kNone, kEmpty, kNotDigit, kOverflow };
-
-/// Parses `text` as a decimal integer of at most `max` into *value:
-/// digits only, no sign and no spaces. The first fault from the left
-/// wins, so "12x99…9" is kNotDigit however long its tail. Every reader of
-/// counts, sizes and budgets — the text formats, the CLI's flags and the
-/// daemon's JSON fields — goes through here and words its own message.
-inline DecimalError ParseDecimal(
-    std::string_view text, std::uint64_t* value,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  if (text.empty()) return DecimalError::kEmpty;
-  std::uint64_t result = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return DecimalError::kNotDigit;
-    auto digit = static_cast<std::uint64_t>(c - '0');
-    // Checked before the multiply: the *10 itself can wrap past a
-    // post-hoc "smaller than before" test.
-    if (result > (max - digit) / 10) return DecimalError::kOverflow;
-    result = result * 10 + digit;
-  }
-  *value = result;
-  return DecimalError::kNone;
-}
+// The overflow-checked decimal parser lives in numeric, below logic, so
+// the FO lexer shares it; io's readers keep calling it by these names.
+using numeric::DecimalError;
+using numeric::ParseDecimal;
 
 /// A 1-based position inside a text document.
 struct Location {

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "numeric/decimal.h"
+
 namespace swfomc::logic {
 
 namespace {
@@ -96,15 +98,19 @@ class Lexer {
         break;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::uint64_t value = 0;
-      std::size_t start = pos_;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-        ++pos_;
+      std::size_t end = pos_;
+      while (end < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[end]))) {
+        ++end;
       }
-      current_ = {TokenKind::kNumber, std::string(text_.substr(start, pos_ - start)),
-                  value, start};
+      std::string_view digits = text_.substr(pos_, end - pos_);
+      std::uint64_t value = 0;
+      if (numeric::ParseDecimal(digits, &value) !=
+          numeric::DecimalError::kNone) {
+        Fail("number too large");  // at the number's first digit
+      }
+      current_ = {TokenKind::kNumber, std::string(digits), value, pos_};
+      pos_ = end;
       return;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {

@@ -3,18 +3,19 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "numeric/combinatorics.h"
+
 namespace swfomc::logic {
 
 Structure::Structure(const Vocabulary& vocabulary, std::uint64_t domain_size)
-    : vocabulary_(&vocabulary), domain_size_(domain_size) {
+    : vocabulary_(&vocabulary),
+      domain_size_(domain_size),
+      total_bits_(vocabulary.GroundTupleCount(domain_size)) {
   offsets_.reserve(vocabulary.size());
+  std::uint64_t offset = 0;
   for (RelationId id = 0; id < vocabulary.size(); ++id) {
-    offsets_.push_back(total_bits_);
-    std::uint64_t count = 1;
-    for (std::size_t i = 0; i < vocabulary.arity(id); ++i) {
-      count *= domain_size_;
-    }
-    total_bits_ += count;
+    offsets_.push_back(offset);
+    offset += RelationBitCount(id);
   }
   bits_.assign(total_bits_, false);
 }
@@ -31,11 +32,7 @@ std::uint64_t Structure::FlatIndex(
 }
 
 std::uint64_t Structure::RelationBitCount(RelationId relation) const {
-  std::uint64_t count = 1;
-  for (std::size_t i = 0; i < vocabulary_->arity(relation); ++i) {
-    count *= domain_size_;
-  }
-  return count;
+  return numeric::TupleCount(domain_size_, vocabulary_->arity(relation));
 }
 
 bool Structure::Get(RelationId relation,

@@ -12,9 +12,6 @@ Formula SubstituteImpl(const Formula& formula,
                        std::map<std::string, Term> substitution,
                        std::set<std::string>* avoid, std::size_t* counter) {
   switch (formula->kind()) {
-    case FormulaKind::kTrue:
-    case FormulaKind::kFalse:
-      return formula;
     case FormulaKind::kAtom:
     case FormulaKind::kEquality: {
       std::vector<Term> arguments = formula->arguments();
@@ -59,25 +56,10 @@ Formula SubstituteImpl(const Formula& formula,
                  ? Forall(bound, std::move(new_body))
                  : Exists(bound, std::move(new_body));
     }
-    default: {
-      std::vector<Formula> children;
-      children.reserve(formula->children().size());
-      bool changed = false;
-      for (const Formula& child : formula->children()) {
-        Formula mapped = SubstituteImpl(child, substitution, avoid, counter);
-        changed |= mapped.get() != child.get();
-        children.push_back(std::move(mapped));
-      }
-      if (!changed) return formula;
-      switch (formula->kind()) {
-        case FormulaKind::kNot: return Not(children[0]);
-        case FormulaKind::kAnd: return And(std::move(children));
-        case FormulaKind::kOr: return Or(std::move(children));
-        case FormulaKind::kImplies: return Implies(children[0], children[1]);
-        case FormulaKind::kIff: return Iff(children[0], children[1]);
-        default: throw std::logic_error("SubstituteImpl: unreachable");
-      }
-    }
+    default:
+      return MapChildren(formula, [&](const Formula& child) {
+        return SubstituteImpl(child, substitution, avoid, counter);
+      });
   }
 }
 
@@ -133,6 +115,39 @@ Formula NNFImpl(const Formula& formula, bool negated) {
 
 }  // namespace
 
+namespace internal {
+
+Formula WithChildren(const Formula& formula, std::vector<Formula> children) {
+  switch (formula->kind()) {
+    case FormulaKind::kNot:
+      return Not(children[0]);
+    case FormulaKind::kAnd:
+      return And(std::move(children));
+    case FormulaKind::kOr:
+      return Or(std::move(children));
+    case FormulaKind::kImplies:
+      return Implies(children[0], children[1]);
+    case FormulaKind::kIff:
+      return Iff(children[0], children[1]);
+    case FormulaKind::kForall:
+      return Forall(formula->variable(), children[0]);
+    case FormulaKind::kExists:
+      return Exists(formula->variable(), children[0]);
+    default:
+      return formula;  // a leaf has no children to rebuild over
+  }
+}
+
+}  // namespace internal
+
+Formula ReplaceNode(const Formula& formula, const Formula& target,
+                    const Formula& replacement) {
+  if (formula.get() == target.get()) return replacement;
+  return MapChildren(formula, [&](const Formula& child) {
+    return ReplaceNode(child, target, replacement);
+  });
+}
+
 Formula Substitute(const Formula& formula,
                    const std::map<std::string, Term>& substitution) {
   if (substitution.empty()) return formula;
@@ -169,25 +184,10 @@ Formula RenameApart(const Formula& formula, std::size_t* counter) {
                  ? Forall(fresh, std::move(body))
                  : Exists(fresh, std::move(body));
     }
-    case FormulaKind::kNot:
-      return Not(RenameApart(formula->child(), counter));
-    case FormulaKind::kAnd:
-    case FormulaKind::kOr: {
-      std::vector<Formula> children;
-      for (const Formula& child : formula->children()) {
-        children.push_back(RenameApart(child, counter));
-      }
-      return formula->kind() == FormulaKind::kAnd ? And(std::move(children))
-                                                  : Or(std::move(children));
-    }
-    case FormulaKind::kImplies:
-      return Implies(RenameApart(formula->child(0), counter),
-                     RenameApart(formula->child(1), counter));
-    case FormulaKind::kIff:
-      return Iff(RenameApart(formula->child(0), counter),
-                 RenameApart(formula->child(1), counter));
     default:
-      return formula;
+      return MapChildren(formula, [&](const Formula& child) {
+        return RenameApart(child, counter);
+      });
   }
 }
 
@@ -203,14 +203,10 @@ Formula PullQuantifiers(const Formula& formula,
           {formula->kind() == FormulaKind::kForall, formula->variable()});
       return PullQuantifiers(formula->child(), prefix);
     case FormulaKind::kAnd:
-    case FormulaKind::kOr: {
-      std::vector<Formula> children;
-      for (const Formula& child : formula->children()) {
-        children.push_back(PullQuantifiers(child, prefix));
-      }
-      return formula->kind() == FormulaKind::kAnd ? And(std::move(children))
-                                                  : Or(std::move(children));
-    }
+    case FormulaKind::kOr:
+      return MapChildren(formula, [&](const Formula& child) {
+        return PullQuantifiers(child, prefix);
+      });
     default:
       return formula;
   }

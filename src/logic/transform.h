@@ -3,11 +3,52 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logic/formula.h"
 
 namespace swfomc::logic {
+
+namespace internal {
+
+/// Rebuilds a connective or quantifier of `formula`'s kind (and bound
+/// variable) over `children` through the factories, so And/Or normalise
+/// as at construction. A leaf has no children and comes back as is.
+Formula WithChildren(const Formula& formula, std::vector<Formula> children);
+
+}  // namespace internal
+
+/// Applies `map` to each child of `formula` and rebuilds the same kind
+/// over the results: the one structural rewrite step every
+/// formula-to-formula transformation recurses through. Returns `formula`
+/// itself (the same pointer) when every child maps to itself, so an
+/// untouched subtree is shared, not copied; leaves always come back as is.
+template <typename Map>
+Formula MapChildren(const Formula& formula, Map&& map) {
+  const std::vector<Formula>& children = formula->children();
+  std::vector<Formula> mapped;  // filled from the first changed child on
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    Formula child = map(children[i]);
+    if (mapped.empty()) {
+      if (child.get() == children[i].get()) continue;
+      mapped.reserve(children.size());
+      mapped.assign(children.begin(), children.begin() + i);
+    }
+    mapped.push_back(std::move(child));
+  }
+  if (mapped.empty()) return formula;
+  return internal::WithChildren(formula, std::move(mapped));
+}
+
+/// Replaces every occurrence of `target`, matched by pointer identity,
+/// with `replacement`. Pointer-shared occurrences denote one subformula
+/// over the same named variables, so the rewrites that name a
+/// subformula by a fresh atom (Skolemization, negation removal, the Scott
+/// normal form) replace them all at once. Returns `formula` itself when
+/// `target` does not occur.
+Formula ReplaceNode(const Formula& formula, const Formula& target,
+                    const Formula& replacement);
 
 /// Replaces free occurrences of variables by terms. Substitution is
 /// capture-avoiding: bound variables that would capture a substituted term

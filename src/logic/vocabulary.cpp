@@ -1,5 +1,6 @@
 #include "logic/vocabulary.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace swfomc::logic {
@@ -45,7 +46,11 @@ void Vocabulary::SetUnitWeights() {
 std::uint64_t Vocabulary::GroundTupleCount(std::uint64_t domain_size) const {
   std::uint64_t total = 0;
   for (const Relation& r : relations_) {
-    total += numeric::TupleCount(domain_size, r.arity);
+    std::uint64_t count = numeric::TupleCount(domain_size, r.arity);
+    if (count > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw std::invalid_argument("GroundTupleCount: too many ground tuples");
+    }
+    total += count;
   }
   return total;
 }

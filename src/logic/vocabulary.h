@@ -68,7 +68,8 @@ class Vocabulary {
   void SetUnitWeights();
 
   /// |Tup(n)| = Σ_i n^{arity(R_i)}: the number of ground tuples over a
-  /// domain of size n.
+  /// domain of size n. Throws std::invalid_argument when it passes
+  /// 2^64 - 1.
   std::uint64_t GroundTupleCount(std::uint64_t domain_size) const;
 
   /// The arities and the weight pairs, in id order.

@@ -5,6 +5,7 @@
 #include "logic/evaluate.h"
 #include "logic/parser.h"
 #include "logic/structure.h"
+#include "numeric/combinatorics.h"
 
 namespace swfomc::mln {
 
@@ -49,12 +50,9 @@ numeric::BigRational MarkovLogicNetwork::BruteForceWeight(
         // Hard: every grounding must hold, i.e. the universal closure.
         std::uint64_t satisfied =
             logic::CountSatisfiedGroundings(world, constraint.formula);
-        std::uint64_t all = 1;
-        for (std::size_t i = 0;
-             i < logic::FreeVariables(constraint.formula).size(); ++i) {
-          all *= domain_size;
-        }
-        if (satisfied != all) {
+        if (satisfied !=
+            numeric::TupleCount(
+                domain_size, logic::FreeVariables(constraint.formula).size())) {
           hard_ok = false;
           break;
         }

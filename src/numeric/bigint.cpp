@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "numeric/decimal.h"
+
 namespace swfomc::numeric {
 
 namespace {
@@ -154,18 +156,20 @@ BigInt BigInt::FromString(std::string_view text) {
     start = 1;
   }
   if (start == text.size()) throw std::invalid_argument("BigInt: no digits");
+  // A decimal chunk of `text` (never empty), or "invalid digit".
+  auto digits = [&](std::size_t begin, std::size_t length) {
+    std::uint64_t value = 0;
+    if (ParseDecimal(text.substr(begin, length), &value) !=
+        DecimalError::kNone) {
+      throw std::invalid_argument("BigInt: invalid digit");
+    }
+    return value;
+  };
   if (text.size() - start <= 18) {
     // Up to 18 digits always fit: 10^18 < 2^63.
-    std::uint64_t value = 0;
-    for (std::size_t i = start; i < text.size(); ++i) {
-      char c = text[i];
-      if (c < '0' || c > '9') {
-        throw std::invalid_argument("BigInt: invalid digit");
-      }
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
     BigInt result;
-    result.SetFromUnsignedMagnitude(value, negative);
+    result.SetFromUnsignedMagnitude(digits(start, text.size() - start),
+                                    negative);
     return result;
   }
   std::vector<std::uint32_t> magnitude;
@@ -173,16 +177,10 @@ BigInt BigInt::FromString(std::string_view text) {
   std::size_t i = start;
   while (i < text.size()) {
     std::size_t chunk_len = std::min<std::size_t>(9, text.size() - i);
-    std::uint32_t chunk = 0;
+    std::uint64_t chunk = digits(i, chunk_len);
+    i += chunk_len;
     std::uint32_t chunk_base = 1;
-    for (std::size_t j = 0; j < chunk_len; ++j, ++i) {
-      char c = text[i];
-      if (c < '0' || c > '9') {
-        throw std::invalid_argument("BigInt: invalid digit");
-      }
-      chunk = chunk * 10 + static_cast<std::uint32_t>(c - '0');
-      chunk_base *= 10;
-    }
+    for (std::size_t j = 0; j < chunk_len; ++j) chunk_base *= 10;
     std::uint64_t carry = chunk;
     for (std::uint32_t& limb : magnitude) {
       std::uint64_t cur = static_cast<std::uint64_t>(limb) * chunk_base + carry;
@@ -256,18 +254,6 @@ double BigInt::ToDouble() const {
 BigInt BigInt::operator-() const {
   BigInt result = *this;
   result.NegateInPlace();
-  return result;
-}
-
-BigInt BigInt::Abs() const {
-  BigInt result = *this;
-  if (result.IsInline()) {
-    if (result.small_ < 0) result.NegateInPlace();
-  } else {
-    // A negative heap magnitude is >= 2^63 + 1; it stays heap when the
-    // sign is dropped, so the form remains canonical.
-    result.negative_ = false;
-  }
   return result;
 }
 
@@ -580,13 +566,6 @@ BigInt& BigInt::operator/=(const BigInt& other) {
   return *this;
 }
 
-BigInt& BigInt::operator%=(const BigInt& other) {
-  BigInt quotient, remainder;
-  DivMod(*this, other, &quotient, &remainder);
-  *this = std::move(remainder);
-  return *this;
-}
-
 void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                     BigInt* remainder) {
   if (b.IsZero()) throw std::domain_error("BigInt: division by zero");
@@ -691,32 +670,6 @@ BigInt BigInt::Gcd(BigInt a, BigInt b) {
     v.swap(next_v);
   }
   return FromUnsigned(WordGcd(Low64(u), Low64(v)));
-}
-
-BigInt BigInt::ShiftLeft(std::size_t bits) const {
-  if (IsZero() || bits == 0) return *this;
-  BigInt result;
-  if (IsInline() && bits < 64) {
-    std::uint64_t magnitude = InlineMagnitude();
-    if ((magnitude >> (64 - bits)) == 0) {
-      result.SetFromUnsignedMagnitude(magnitude << bits, small_ < 0);
-      return result;
-    }
-  }
-  std::uint32_t scratch[2];
-  MagnitudeSpan magnitude = MagnitudeView(scratch);
-  std::size_t limb_shift = bits / 32;
-  int bit_shift = static_cast<int>(bits % 32);
-  std::vector<std::uint32_t> out(magnitude.size() + limb_shift + 1, 0);
-  for (std::size_t i = 0; i < magnitude.size(); ++i) {
-    out[i + limb_shift] |= magnitude[i] << bit_shift;
-    if (bit_shift != 0) {
-      out[i + limb_shift + 1] |= static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(magnitude[i]) >> (32 - bit_shift));
-    }
-  }
-  result.SetFromMagnitude(std::move(out), IsNegative());
-  return result;
 }
 
 BigInt BigInt::ShiftRight(std::size_t bits) const {

@@ -78,19 +78,16 @@ class BigInt {
   double ToDouble() const;
 
   BigInt operator-() const;
-  BigInt Abs() const;
 
   BigInt& operator+=(const BigInt& other);
   BigInt& operator-=(const BigInt& other);
   BigInt& operator*=(const BigInt& other);
   BigInt& operator/=(const BigInt& other);
-  BigInt& operator%=(const BigInt& other);
 
   friend BigInt operator+(BigInt a, const BigInt& b) { return a += b; }
   friend BigInt operator-(BigInt a, const BigInt& b) { return a -= b; }
   friend BigInt operator*(BigInt a, const BigInt& b) { return a *= b; }
   friend BigInt operator/(BigInt a, const BigInt& b) { return a /= b; }
-  friend BigInt operator%(BigInt a, const BigInt& b) { return a %= b; }
 
   /// Simultaneous quotient and remainder; truncated division.
   /// Throws std::domain_error when divisor is zero.
@@ -112,8 +109,6 @@ class BigInt {
   /// division each.
   static BigInt Gcd(BigInt a, BigInt b);
 
-  /// Left shift by `bits` (multiplication by 2^bits).
-  BigInt ShiftLeft(std::size_t bits) const;
   /// Arithmetic right shift of the magnitude by `bits` (division of the
   /// magnitude by 2^bits, sign preserved; returns 0 if all bits shifted out).
   BigInt ShiftRight(std::size_t bits) const;

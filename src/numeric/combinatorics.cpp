@@ -1,5 +1,6 @@
 #include "numeric/combinatorics.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace swfomc::numeric {
@@ -88,8 +89,15 @@ const BigInt& BinomialTable::Get(std::uint64_t n, std::uint64_t k) {
 }
 
 std::uint64_t TupleCount(std::uint64_t domain_size, std::size_t arity) {
+  if (domain_size <= 1) return arity == 0 ? 1 : domain_size;
   std::uint64_t tuples = 1;
-  for (std::size_t i = 0; i < arity; ++i) tuples *= domain_size;
+  for (std::size_t i = 0; i < arity; ++i) {
+    // n >= 2, so this throws within 64 multiplies whatever the arity.
+    if (tuples > std::numeric_limits<std::uint64_t>::max() / domain_size) {
+      throw std::invalid_argument("TupleCount: too many ground tuples");
+    }
+    tuples *= domain_size;
+  }
   return tuples;
 }
 

@@ -39,7 +39,10 @@ BigInt CompositionCount(std::uint64_t total, std::size_t parts);
 
 /// n^arity: the ground tuples of an arity-`arity` relation on an
 /// n-element domain, with 0^0 = 1 (a 0-ary relation has one tuple even at
-/// n = 0).
+/// n = 0). The one n^arity loop: every tuple layout (grounding::TupleIndex,
+/// logic::Structure) and every n^k count sizes through it. Throws
+/// std::invalid_argument("... too many ground tuples") once the product
+/// passes 2^64 - 1, after at most 64 multiplies.
 std::uint64_t TupleCount(std::uint64_t domain_size, std::size_t arity);
 
 /// Per-relation weight pairs (w_i, w̄_i), indexed by relation id.

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "numeric/combinatorics.h"
-
 namespace swfomc::numeric {
 
 namespace {
@@ -20,29 +18,9 @@ Polynomial Polynomial::Constant(BigRational c) {
   return Polynomial({std::move(c)});
 }
 
-Polynomial Polynomial::Monomial(BigRational c, std::size_t degree) {
-  std::vector<BigRational> coefficients(degree + 1);
-  coefficients[degree] = std::move(c);
-  return Polynomial(std::move(coefficients));
-}
-
 const BigRational& Polynomial::Coefficient(std::size_t k) const {
   if (k >= coefficients_.size()) return kZero;
   return coefficients_[k];
-}
-
-BigRational Polynomial::Evaluate(const BigRational& x) const {
-  BigRational result;
-  for (std::size_t i = coefficients_.size(); i-- > 0;) {
-    result = result * x + coefficients_[i];
-  }
-  return result;
-}
-
-Polynomial Polynomial::operator-() const {
-  Polynomial result = *this;
-  for (BigRational& c : result.coefficients_) c = -c;
-  return result;
 }
 
 Polynomial& Polynomial::operator+=(const Polynomial& other) {
@@ -51,17 +29,6 @@ Polynomial& Polynomial::operator+=(const Polynomial& other) {
   }
   for (std::size_t i = 0; i < other.coefficients_.size(); ++i) {
     coefficients_[i] += other.coefficients_[i];
-  }
-  Trim();
-  return *this;
-}
-
-Polynomial& Polynomial::operator-=(const Polynomial& other) {
-  if (other.coefficients_.size() > coefficients_.size()) {
-    coefficients_.resize(other.coefficients_.size());
-  }
-  for (std::size_t i = 0; i < other.coefficients_.size(); ++i) {
-    coefficients_[i] -= other.coefficients_[i];
   }
   Trim();
   return *this;
@@ -108,51 +75,10 @@ Polynomial Polynomial::Interpolate(
   return result;
 }
 
-std::string Polynomial::ToString(const std::string& variable) const {
-  if (coefficients_.empty()) return "0";
-  std::string out;
-  for (std::size_t i = coefficients_.size(); i-- > 0;) {
-    const BigRational& c = coefficients_[i];
-    if (c.IsZero()) continue;
-    if (!out.empty()) {
-      out += c.Sign() < 0 ? " - " : " + ";
-    } else if (c.Sign() < 0) {
-      out += "-";
-    }
-    BigRational magnitude = c.Abs();
-    if (i == 0) {
-      out += magnitude.ToString();
-    } else {
-      if (!magnitude.IsOne()) out += magnitude.ToString() + "*";
-      out += variable;
-      if (i > 1) out += "^" + std::to_string(i);
-    }
-  }
-  if (out.empty()) out = "0";
-  return out;
-}
-
 void Polynomial::Trim() {
   while (!coefficients_.empty() && coefficients_.back().IsZero()) {
     coefficients_.pop_back();
   }
-}
-
-BigRational FiniteDifferenceAtZero(
-    const std::vector<BigRational>& values_at_multiples_of_step) {
-  if (values_at_multiples_of_step.empty()) {
-    throw std::invalid_argument("FiniteDifferenceAtZero: no values");
-  }
-  std::size_t k = values_at_multiples_of_step.size() - 1;
-  BigRational result;
-  for (std::size_t i = 0; i <= k; ++i) {
-    BigRational term(Binomial(static_cast<std::uint64_t>(k),
-                              static_cast<std::uint64_t>(i)));
-    term *= values_at_multiples_of_step[i];
-    if ((k - i) % 2 == 1) term = -term;
-    result += term;
-  }
-  return result;
 }
 
 }  // namespace swfomc::numeric

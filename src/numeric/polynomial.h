@@ -1,7 +1,7 @@
 #ifndef SWFOMC_NUMERIC_POLYNOMIAL_H_
 #define SWFOMC_NUMERIC_POLYNOMIAL_H_
 
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "numeric/rational.h"
@@ -16,8 +16,8 @@ namespace swfomc::numeric {
 ///     the relation weights and that an evaluation oracle at positive points
 ///     determines it everywhere (so negative weights add no hardness);
 ///   * Lemma 3.5 recovers WFOMC(Φ,n,w) as the degree-n coefficient of a
-///     degree-n² polynomial via n+1 oracle calls (finite differences or,
-///     equivalently, interpolation).
+///     degree-n² polynomial from oracle calls (the proof takes finite
+///     differences; Interpolate below recovers every coefficient at once).
 class Polynomial {
  public:
   /// The zero polynomial.
@@ -26,8 +26,6 @@ class Polynomial {
   explicit Polynomial(std::vector<BigRational> coefficients);
   /// The constant polynomial c.
   static Polynomial Constant(BigRational c);
-  /// The monomial c * x^degree.
-  static Polynomial Monomial(BigRational c, std::size_t degree);
 
   /// Degree; the zero polynomial has degree 0 by convention here.
   std::size_t Degree() const {
@@ -38,19 +36,11 @@ class Polynomial {
   /// Coefficient of x^k (0 beyond the degree).
   const BigRational& Coefficient(std::size_t k) const;
 
-  /// Horner evaluation.
-  BigRational Evaluate(const BigRational& x) const;
-
-  Polynomial operator-() const;
   Polynomial& operator+=(const Polynomial& other);
-  Polynomial& operator-=(const Polynomial& other);
   Polynomial& operator*=(const Polynomial& other);
 
   friend Polynomial operator+(Polynomial a, const Polynomial& b) {
     return a += b;
-  }
-  friend Polynomial operator-(Polynomial a, const Polynomial& b) {
-    return a -= b;
   }
   friend Polynomial operator*(Polynomial a, const Polynomial& b) {
     return a *= b;
@@ -68,22 +58,12 @@ class Polynomial {
   static Polynomial Interpolate(
       const std::vector<std::pair<BigRational, BigRational>>& points);
 
-  /// Human-readable rendering like "3*x^2 - 1/2*x + 7".
-  std::string ToString(const std::string& variable = "x") const;
-
  private:
   void Trim();
 
   // Low-to-high; invariant: no trailing zero coefficient.
   std::vector<BigRational> coefficients_;
 };
-
-/// The k-th forward finite difference at 0 with step `step`:
-/// Δ^k f(0) = Σ_i (-1)^{k-i} C(k,i) f(i*step). For a polynomial f of degree
-/// k with leading coefficient c and step 1, this equals c * k!. This is
-/// exactly the extraction step in the proof of Lemma 3.5.
-BigRational FiniteDifferenceAtZero(
-    const std::vector<BigRational>& values_at_multiples_of_step);
 
 }  // namespace swfomc::numeric
 

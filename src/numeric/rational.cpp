@@ -92,12 +92,6 @@ BigRational BigRational::operator-() const {
   return result;
 }
 
-BigRational BigRational::Abs() const {
-  BigRational result = *this;
-  result.numerator_ = result.numerator_.Abs();
-  return result;
-}
-
 BigRational BigRational::Inverse() const {
   if (IsZero()) throw std::domain_error("BigRational: inverse of zero");
   return BigRational(denominator_, numerator_);

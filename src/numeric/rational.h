@@ -54,7 +54,6 @@ class BigRational {
   const BigInt& ToInteger() const;
 
   BigRational operator-() const;
-  BigRational Abs() const;
   /// Multiplicative inverse; throws std::domain_error on zero.
   BigRational Inverse() const;
 

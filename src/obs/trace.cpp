@@ -106,21 +106,6 @@ TraceLog::Record& TraceLog::Record::Num(std::string_view key,
   return *this;
 }
 
-TraceLog::Record& TraceLog::Record::Num(std::string_view key,
-                                        std::int64_t value) {
-  if (log_ == nullptr) return *this;
-  AppendKey(&line_, key);
-  line_ += std::to_string(value);
-  return *this;
-}
-
-TraceLog::Record& TraceLog::Record::Bool(std::string_view key, bool value) {
-  if (log_ == nullptr) return *this;
-  AppendKey(&line_, key);
-  line_ += value ? "true" : "false";
-  return *this;
-}
-
 void TraceLog::Record::Emit() {
   TraceLog* log = std::exchange(log_, nullptr);
   if (log == nullptr) return;

@@ -59,8 +59,6 @@ class TraceLog {
 
     Record& Str(std::string_view key, std::string_view value);
     Record& Num(std::string_view key, std::uint64_t value);
-    Record& Num(std::string_view key, std::int64_t value);
-    Record& Bool(std::string_view key, bool value);
     void Emit();
 
    private:

@@ -19,19 +19,6 @@ bool CnfFormula::IsSatisfiedBy(const std::vector<bool>& assignment) const {
   return true;
 }
 
-std::string CnfFormula::ToString() const {
-  std::string out = "p cnf " + std::to_string(variable_count) + " " +
-                    std::to_string(clauses.size()) + "\n";
-  for (const Clause& clause : clauses) {
-    for (const Literal& literal : clause) {
-      if (!literal.positive) out += "-";
-      out += std::to_string(literal.variable + 1) + " ";
-    }
-    out += "0\n";
-  }
-  return out;
-}
-
 void NormalizeCnf(CnfFormula* cnf) {
   std::set<Clause> seen;
   std::vector<Clause> result;

@@ -35,9 +35,6 @@ struct CnfFormula {
 
   /// True iff the assignment satisfies every clause.
   bool IsSatisfiedBy(const std::vector<bool>& assignment) const;
-
-  /// DIMACS-style rendering for debugging.
-  std::string ToString() const;
 };
 
 /// Sorts literals within each clause, drops duplicate literals, drops

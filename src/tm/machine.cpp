@@ -49,22 +49,6 @@ CountingTuringMachine::Delta(int state, bool read_symbol) const {
   return delta_.at(static_cast<std::size_t>(state))[read_symbol ? 1 : 0];
 }
 
-std::string CountingTuringMachine::ToString() const {
-  std::string out = "TM(states=" + std::to_string(num_states_) +
-                    ", tapes=" + std::to_string(num_tapes_) + ")\n";
-  for (int q = 0; q < num_states_; ++q) {
-    for (int s = 0; s <= 1; ++s) {
-      for (const Transition& t : delta_[static_cast<std::size_t>(q)][s]) {
-        out += "  d(q" + std::to_string(q) + "," + std::to_string(s) +
-               ") -> (q" + std::to_string(t.next_state) + "," +
-               std::to_string(t.write ? 1 : 0) + "," +
-               (t.move == Move::kLeft ? "L" : "R") + ")\n";
-      }
-    }
-  }
-  return out;
-}
-
 CountingTuringMachine AlwaysAcceptMachine() {
   CountingTuringMachine machine(1, 1, {0}, 0, {0});
   for (bool symbol : {false, true}) {

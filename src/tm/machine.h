@@ -45,8 +45,6 @@ class CountingTuringMachine {
 
   const std::vector<Transition>& Delta(int state, bool read_symbol) const;
 
-  std::string ToString() const;
-
  private:
   int num_states_;
   int num_tapes_;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "logic/transform.h"
 #include "numeric/polynomial.h"
 
 namespace swfomc::transforms {
@@ -12,39 +13,12 @@ using logic::Formula;
 using logic::FormulaKind;
 
 Formula ReplaceEquality(const Formula& formula, logic::RelationId e_id) {
-  switch (formula->kind()) {
-    case FormulaKind::kEquality:
-      return logic::Atom(e_id, formula->arguments());
-    case FormulaKind::kTrue:
-    case FormulaKind::kFalse:
-    case FormulaKind::kAtom:
-      return formula;
-    default: {
-      std::vector<Formula> children;
-      children.reserve(formula->children().size());
-      for (const Formula& child : formula->children()) {
-        children.push_back(ReplaceEquality(child, e_id));
-      }
-      switch (formula->kind()) {
-        case FormulaKind::kNot:
-          return Not(children[0]);
-        case FormulaKind::kAnd:
-          return And(std::move(children));
-        case FormulaKind::kOr:
-          return Or(std::move(children));
-        case FormulaKind::kImplies:
-          return Implies(children[0], children[1]);
-        case FormulaKind::kIff:
-          return Iff(children[0], children[1]);
-        case FormulaKind::kForall:
-          return Forall(formula->variable(), children[0]);
-        case FormulaKind::kExists:
-          return Exists(formula->variable(), children[0]);
-        default:
-          throw std::logic_error("ReplaceEquality: unreachable");
-      }
-    }
+  if (formula->kind() == FormulaKind::kEquality) {
+    return logic::Atom(e_id, formula->arguments());
   }
+  return logic::MapChildren(formula, [&](const Formula& child) {
+    return ReplaceEquality(child, e_id);
+  });
 }
 
 }  // namespace

@@ -22,32 +22,6 @@ Formula FindNegation(const Formula& formula) {
   return nullptr;
 }
 
-Formula ReplaceNode(const Formula& formula, const Formula& target,
-                    const Formula& replacement) {
-  if (formula.get() == target.get()) return replacement;
-  if (formula->children().empty()) return formula;
-  std::vector<Formula> children;
-  children.reserve(formula->children().size());
-  bool changed = false;
-  for (const Formula& child : formula->children()) {
-    Formula mapped = ReplaceNode(child, target, replacement);
-    changed |= mapped.get() != child.get();
-    children.push_back(std::move(mapped));
-  }
-  if (!changed) return formula;
-  switch (formula->kind()) {
-    case FormulaKind::kNot:
-      return Not(children[0]);
-    case FormulaKind::kAnd:
-      return And(std::move(children));
-    case FormulaKind::kOr:
-      return Or(std::move(children));
-    default:
-      throw std::logic_error(
-          "RemoveNegations: unexpected node in quantifier-free NNF matrix");
-  }
-}
-
 }  // namespace
 
 RewriteResult RemoveNegations(const logic::Formula& sentence,
@@ -92,7 +66,7 @@ RewriteResult RemoveNegations(const logic::Formula& sentence,
     Formula a_atom = logic::Atom(a_id, args);
     Formula b_atom = logic::Atom(b_id, args);
 
-    matrix = ReplaceNode(matrix, negation, a_atom);
+    matrix = logic::ReplaceNode(matrix, negation, a_atom);
     // Δ-matrix from Eq. (7): (ψ ∨ A) ∧ (A ∨ B) ∧ (ψ ∨ B). Its free
     // variables are among the existing prefix, so all Δs share the prefix.
     delta_conjuncts.push_back(logic::And(std::vector<Formula>{

@@ -23,43 +23,6 @@ Formula FindInnermostExists(const Formula& formula) {
   return nullptr;
 }
 
-// Replaces occurrences of `target` (by pointer identity) with
-// `replacement`. Pointer-shared occurrences denote the same formula of the
-// same named variables, so replacing all of them with one Skolem atom is
-// sound (they share one guard sentence).
-Formula ReplaceNode(const Formula& formula, const Formula& target,
-                    const Formula& replacement) {
-  if (formula.get() == target.get()) return replacement;
-  if (formula->children().empty()) return formula;
-  std::vector<Formula> children;
-  children.reserve(formula->children().size());
-  bool changed = false;
-  for (const Formula& child : formula->children()) {
-    Formula mapped = ReplaceNode(child, target, replacement);
-    changed |= mapped.get() != child.get();
-    children.push_back(std::move(mapped));
-  }
-  if (!changed) return formula;
-  switch (formula->kind()) {
-    case FormulaKind::kNot:
-      return Not(children[0]);
-    case FormulaKind::kAnd:
-      return And(std::move(children));
-    case FormulaKind::kOr:
-      return Or(std::move(children));
-    case FormulaKind::kImplies:
-      return Implies(children[0], children[1]);
-    case FormulaKind::kIff:
-      return Iff(children[0], children[1]);
-    case FormulaKind::kForall:
-      return Forall(formula->variable(), children[0]);
-    case FormulaKind::kExists:
-      return Exists(formula->variable(), children[0]);
-    default:
-      throw std::logic_error("ReplaceNode: unreachable");
-  }
-}
-
 }  // namespace
 
 RewriteResult Skolemize(const logic::Formula& sentence,
@@ -107,7 +70,9 @@ RewriteResult Skolemize(const logic::Formula& sentence,
     Formula sk_atom = logic::Atom(sk_id, args);
     Formula body = target->child();
 
-    current = ReplaceNode(current, target, z_atom);
+    // Pointer-shared occurrences of the target share one guard sentence,
+    // so one Z atom soundly replaces them all.
+    current = logic::ReplaceNode(current, target, z_atom);
     // ∀ params ∀ v (Z ∨ ¬ψ) ∧ (Sk ∨ ¬ψ), then ∀ params (Z ∨ Sk). The
     // re-normalized ¬ψ may surface fresh existentials; later rounds
     // eliminate them.

@@ -1,5 +1,7 @@
 #include "numeric/combinatorics.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace swfomc::numeric {
@@ -136,6 +138,18 @@ TEST(CompositionTest, ZeroParts) {
     return true;
   });
   EXPECT_EQ(calls, 0u);
+}
+
+TEST(TupleCountTest, CheckedPower) {
+  EXPECT_EQ(TupleCount(0, 0), 1u);  // a 0-ary relation has one tuple
+  EXPECT_EQ(TupleCount(0, 3), 0u);
+  EXPECT_EQ(TupleCount(1, 5'000'000'000), 1u);
+  EXPECT_EQ(TupleCount(3, 4), 81u);
+  EXPECT_EQ(TupleCount(2, 63), std::uint64_t{1} << 63);
+  EXPECT_EQ(TupleCount(UINT64_MAX, 1), UINT64_MAX);
+  EXPECT_THROW(TupleCount(2, 64), std::invalid_argument);
+  EXPECT_THROW(TupleCount(2, 5'000'000'000), std::invalid_argument);
+  EXPECT_THROW(TupleCount(std::uint64_t{1} << 32, 2), std::invalid_argument);
 }
 
 }  // namespace

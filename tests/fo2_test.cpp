@@ -4,6 +4,10 @@
 
 #include "fo2/cell_algorithm.h"
 
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "fo2/fo2_normal_form.h"
@@ -56,6 +60,25 @@ TEST(UniversalFormTest, RejectsConstantsAndFreeVariables) {
   EXPECT_THROW(ToUniversalForm(with_const, vocab), std::invalid_argument);
   logic::Formula open = logic::Parse("R(x,y)", &vocab);
   EXPECT_THROW(ToUniversalForm(open, vocab), std::invalid_argument);
+}
+
+TEST(UniversalFormTest, RefusesWhatLiftedObstacleNames) {
+  // ToUniversalForm has no fragment check of its own: its message is the
+  // router's reason.
+  const char* outside[] = {"R(x,y)", "forall x forall y forall z R(x,y,z)",
+                           "forall x T(x,x,x)", "forall x R(x,0)"};
+  for (const char* text : outside) {
+    logic::Vocabulary vocab;
+    logic::Formula f = logic::Parse(text, &vocab);
+    std::optional<std::string_view> obstacle = LiftedObstacle(f, vocab);
+    ASSERT_TRUE(obstacle.has_value()) << text;
+    try {
+      ToUniversalForm(f, vocab);
+      FAIL() << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(error.what(), "ToUniversalForm: " + std::string(*obstacle));
+    }
+  }
 }
 
 // The decisive property test: lifted == grounded for a basket of FO²

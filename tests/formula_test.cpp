@@ -1,5 +1,7 @@
 #include "logic/formula.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "logic/printer.h"
@@ -44,6 +46,18 @@ TEST_F(FormulaTest, VocabularyGroundTupleCount) {
   EXPECT_EQ(vocab_.GroundTupleCount(1), 3u);
   EXPECT_EQ(vocab_.GroundTupleCount(0), 1u);  // only the 0-ary tuple
   EXPECT_EQ(vocab_.MaxArity(), 2u);
+}
+
+TEST(VocabularyTest, GroundTupleCountThrowsOnOverflow) {
+  Vocabulary vocab;
+  vocab.AddRelation("R", 63);
+  EXPECT_EQ(vocab.GroundTupleCount(2), std::uint64_t{1} << 63);
+  vocab.AddRelation("S", 63);  // 2^63 + 2^63 = 2^64: one past the range
+  EXPECT_THROW(vocab.GroundTupleCount(2), std::invalid_argument);
+  EXPECT_EQ(vocab.GroundTupleCount(1), 2u);
+  Vocabulary wide;
+  wide.AddRelation("W", 64);  // 2^64 itself once wrapped to 0
+  EXPECT_THROW(wide.GroundTupleCount(2), std::invalid_argument);
 }
 
 TEST_F(FormulaTest, VocabularyFreshName) {

@@ -202,5 +202,23 @@ TEST(GroundedWFOMCTest, StatsReporting) {
   EXPECT_GT(stats.decisions + stats.unit_propagations, 0u);
 }
 
+TEST(TupleIndexTest, TooManyTuplesThrowsPromptly) {
+  // n^arity past 2^64 - 1 once wrapped (2^64 to 0, so the index held one
+  // tuple), and arity 5,000,000,000 looped for seconds before answering.
+  for (std::size_t arity : {std::size_t{33}, std::size_t{63},
+                            std::size_t{64}, std::size_t{5'000'000'000}}) {
+    logic::Vocabulary vocab;
+    vocab.AddRelation("S", arity);
+    EXPECT_THROW(TupleIndex(vocab, 2), std::invalid_argument) << arity;
+  }
+  // The 32-bit running total binds across relations too.
+  logic::Vocabulary vocab;
+  vocab.AddRelation("R", 31);
+  vocab.AddRelation("S", 31);
+  EXPECT_EQ(TupleIndex(vocab, 1).TupleCount(), 2u);
+  EXPECT_THROW(TupleIndex(vocab, 2), std::invalid_argument);
+  EXPECT_EQ(TupleIndex(logic::Vocabulary(), 2).TupleCount(), 0u);
+}
+
 }  // namespace
 }  // namespace swfomc::grounding

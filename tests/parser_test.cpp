@@ -167,5 +167,22 @@ TEST(ParserTest, UnderscoreAndPrimedVariables) {
   EXPECT_EQ(f->arguments()[1], Term::Var("y'"));
 }
 
+TEST(ParserTest, ConstantPast64BitsIsAPositionedError) {
+  Vocabulary vocab;
+  // 2^64 - 1 is the largest constant.
+  Formula max = Parse("R(18446744073709551615)", &vocab);
+  EXPECT_EQ(max->arguments()[0], Term::Const(UINT64_MAX));
+  // 2^64 + 1 once wrapped to R(1); it now fails at its first digit.
+  try {
+    Parse("R(x) | R(18446744073709551617)", &vocab);
+    FAIL() << "2^64 + 1 parsed";
+  } catch (const SyntaxError& error) {
+    EXPECT_EQ(error.offset(), 9u);
+    EXPECT_NE(std::string(error.what()).find("number too large"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 }  // namespace
 }  // namespace swfomc::logic

@@ -69,13 +69,6 @@ TEST(CnfTest, NormalizeDropsTautologiesAndDuplicates) {
   EXPECT_EQ(cnf.clauses[0].size(), 2u);
 }
 
-TEST(CnfTest, DimacsRendering) {
-  CnfFormula cnf;
-  cnf.variable_count = 2;
-  cnf.clauses = {{{0, true}, {1, false}}};
-  EXPECT_EQ(cnf.ToString(), "p cnf 2 1\n1 -2 0\n");
-}
-
 // Tseitin must preserve the *number of models projected onto original
 // variables* — each original model extends uniquely.
 TEST(TseitinTest, CountPreservation) {

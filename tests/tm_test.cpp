@@ -138,7 +138,8 @@ void ExpectEncodingIdentity(const CountingTuringMachine& machine,
   BigInt expected = numeric::Factorial(n) *
                     CountAcceptingComputations(machine, n, epochs);
   EXPECT_EQ(fomc, expected)
-      << machine.ToString() << " n=" << n << " epochs=" << epochs;
+      << "states=" << machine.num_states() << " n=" << n
+      << " epochs=" << epochs;
 }
 
 TEST(EncoderTest, SentenceIsFO3) {

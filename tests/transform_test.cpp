@@ -1,5 +1,7 @@
 #include "logic/transform.h"
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "logic/evaluate.h"
@@ -168,6 +170,72 @@ TEST(RenameFreeVariableTest, OnlyFreeOccurrences) {
   Formula f = Parse("R(x) & exists x S(x)", &vocab);
   Formula g = RenameFreeVariable(f, "x", "z");
   EXPECT_EQ(ToString(g, vocab), "R(z) & exists x. S(x)");
+}
+
+TEST(ReplaceNodeTest, ReplacesEveryPointerSharedOccurrence) {
+  Vocabulary vocab;
+  Formula shared = Parse("exists y R(x,y)", &vocab);
+  Formula other = Parse("exists y R(x,y)", &vocab);  // equal, not shared
+  Formula u = Parse("U(x)", &vocab);
+  Formula f = Forall("x", And({shared, Or(u, shared), Not(other)}));
+  Formula z = Atom(vocab.AddRelation("Z", 1), {Term::Var("x")});
+  Formula g = ReplaceNode(f, shared, z);
+  EXPECT_EQ(ToString(g, vocab),
+            "forall x. (Z(x) & (U(x) | Z(x)) & !(exists y. R(x,y)))");
+  // The untouched subtrees are shared with the input, not copied.
+  const Formula& conjunction = g->child();
+  EXPECT_EQ(conjunction->child(1)->child(0), u);
+  EXPECT_EQ(conjunction->child(2), f->child()->child(2));
+}
+
+TEST(ReplaceNodeTest, AbsentTargetReturnsTheSamePointer) {
+  Vocabulary vocab;
+  Formula f = Parse("forall x (U(x) => exists y R(x,y))", &vocab);
+  Formula absent = Parse("U(x)", &vocab);  // structurally present only
+  EXPECT_EQ(ReplaceNode(f, absent, True()), f);
+  EXPECT_EQ(ReplaceNode(f, f, absent), absent);
+}
+
+TEST(MapChildrenTest, RebuildsEveryConnectiveAndQuantifier) {
+  Vocabulary vocab;
+  Formula f = Parse(
+      "forall x ((U(x) => V(x)) & exists y (U(y) <=> !V(y)) & (U(x) | V(x)))",
+      &vocab);
+  RelationId w = vocab.AddRelation("W", 1);
+  RelationId u = vocab.Require("U");
+  // Renames U to W wherever it occurs, through every node kind.
+  std::function<Formula(const Formula&)> rename = [&](const Formula& g) {
+    if (g->kind() == FormulaKind::kAtom && g->relation() == u) {
+      return Atom(w, g->arguments());
+    }
+    return MapChildren(g, rename);
+  };
+  Formula g = rename(f);
+  EXPECT_EQ(ToString(g, vocab),
+            "forall x. ((W(x) => V(x)) & exists y. (W(y) <=> !V(y)) & "
+            "(W(x) | V(x)))");
+  EXPECT_EQ(g->kind(), FormulaKind::kForall);
+  EXPECT_EQ(g->child()->child(0)->kind(), FormulaKind::kImplies);
+  EXPECT_EQ(g->child()->child(1)->kind(), FormulaKind::kExists);
+  EXPECT_EQ(g->child()->child(1)->child()->kind(), FormulaKind::kIff);
+  // An identity map rebuilds nothing.
+  Formula same = MapChildren(f, [](const Formula& child) { return child; });
+  EXPECT_EQ(same, f);
+  // A leaf has no children and comes back as is.
+  Formula atom = Parse("U(x)", &vocab);
+  EXPECT_EQ(MapChildren(atom, [](const Formula&) { return True(); }), atom);
+}
+
+TEST(MapChildrenTest, AndOrNormaliseAsAtConstruction) {
+  Vocabulary vocab;
+  Formula f = Parse("U(x) & (V(x) | P)", &vocab);
+  RelationId p = vocab.Require("P");
+  std::function<Formula(const Formula&)> set_p = [&](const Formula& g) {
+    if (g->kind() == FormulaKind::kAtom && g->relation() == p) return True();
+    return MapChildren(g, set_p);
+  };
+  // V(x) | true is true, and U(x) & true is U(x).
+  EXPECT_EQ(set_p(f), f->child(0));
 }
 
 }  // namespace

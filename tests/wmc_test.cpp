@@ -77,8 +77,7 @@ TEST(DpllCounterTest, MatchesBruteForceUnweightedRandom) {
     CnfFormula cnf = RandomCnf(&rng, 6, 3 + rng() % 8, 3);
     WeightMap weights(6);
     BigRational expected = BruteForceWMC(cnf, weights);
-    EXPECT_EQ(CountWeightedModels(cnf, weights), expected)
-        << cnf.ToString();
+    EXPECT_EQ(CountWeightedModels(cnf, weights), expected) << "trial " << trial;
   }
 }
 
@@ -88,8 +87,7 @@ TEST(DpllCounterTest, MatchesBruteForcePositiveWeights) {
     CnfFormula cnf = RandomCnf(&rng, 6, 2 + rng() % 8, 3);
     WeightMap weights = RandomWeights(&rng, 6, /*allow_negative=*/false);
     BigRational expected = BruteForceWMC(cnf, weights);
-    EXPECT_EQ(CountWeightedModels(cnf, weights), expected)
-        << cnf.ToString();
+    EXPECT_EQ(CountWeightedModels(cnf, weights), expected) << "trial " << trial;
   }
 }
 
@@ -100,8 +98,7 @@ TEST(DpllCounterTest, MatchesBruteForceNegativeWeights) {
     CnfFormula cnf = RandomCnf(&rng, 6, 2 + rng() % 8, 3);
     WeightMap weights = RandomWeights(&rng, 6, /*allow_negative=*/true);
     BigRational expected = BruteForceWMC(cnf, weights);
-    EXPECT_EQ(CountWeightedModels(cnf, weights), expected)
-        << cnf.ToString();
+    EXPECT_EQ(CountWeightedModels(cnf, weights), expected) << "trial " << trial;
   }
 }
 
@@ -186,7 +183,7 @@ TEST(DpllCounterTest, MatchesBruteForceLargerSeededRandom) {
     CnfFormula cnf = RandomCnf(&rng, 10, 8 + rng() % 16, 2 + rng() % 3);
     WeightMap weights = RandomWeights(&rng, 10, /*allow_negative=*/true);
     BigRational expected = BruteForceWMC(cnf, weights);
-    EXPECT_EQ(CountWeightedModels(cnf, weights), expected) << cnf.ToString();
+    EXPECT_EQ(CountWeightedModels(cnf, weights), expected) << "trial " << trial;
   }
 }
 
@@ -409,7 +406,7 @@ void ExpectScaledCountsMatchBruteForce(const CnfFormula& cnf,
     DpllCounter::Options options;
     if (traced) options.trace_sink = &builder;
     DpllCounter counter(cnf, weights, options);
-    EXPECT_EQ(counter.Count(), expected) << cnf.ToString();
+    EXPECT_EQ(counter.Count(), expected);
     if (traced) {
       EXPECT_EQ(builder.Finish().Evaluate(weights), expected);
     }
@@ -679,7 +676,7 @@ TEST(DpllSatTest, AgreesWithCountOnRandomInstances) {
     CnfFormula cnf = RandomCnf(&rng, 5, 4 + rng() % 10, 2);
     bool sat = DpllCounter::IsSatisfiable(cnf);
     BigRational count = CountWeightedModels(cnf, WeightMap(5));
-    EXPECT_EQ(sat, !count.IsZero()) << cnf.ToString();
+    EXPECT_EQ(sat, !count.IsZero()) << "trial " << trial;
   }
 }
 
