@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/trace.h"
+
 namespace swfomc::io {
 
 JsonValue JsonValue::MakeBool(bool value) {
@@ -81,24 +83,7 @@ bool JsonValue::Has(const std::string& key) const {
 std::string EscapeJson(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  obs::AppendJsonEscaped(&out, text);
   return out;
 }
 
@@ -125,7 +110,7 @@ void DumpTo(const JsonValue& value, int indent, int depth, std::string* out) {
       return;
     case JsonValue::Kind::kString:
       out->push_back('"');
-      *out += EscapeJson(value.string);
+      obs::AppendJsonEscaped(out, value.string);
       out->push_back('"');
       return;
     case JsonValue::Kind::kArray: {

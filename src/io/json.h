@@ -62,7 +62,8 @@ struct JsonValue {
 /// input.
 JsonValue ParseJson(std::string_view text, std::string_view source = "");
 
-/// JSON string escaping (quotes not included).
+/// JSON string escaping (quotes not included): obs::AppendJsonEscaped
+/// into a fresh string.
 std::string EscapeJson(std::string_view text);
 
 }  // namespace swfomc::io

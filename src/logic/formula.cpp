@@ -172,18 +172,14 @@ std::set<std::string> FreeVariables(const Formula& formula) {
   return result;
 }
 
-std::set<std::string> AllVariables(const Formula& formula) {
-  std::set<std::string> result;
-  CollectVariables(formula, &result);
-  return result;
-}
-
 bool IsSentence(const Formula& formula) {
   return FreeVariables(formula).empty();
 }
 
 bool InFragmentFOk(const Formula& formula, std::size_t k) {
-  return AllVariables(formula).size() <= k;
+  std::set<std::string> names;
+  CollectVariables(formula, &names);
+  return names.size() <= k;
 }
 
 bool IsEqualityFree(const Formula& formula) {

@@ -129,15 +129,12 @@ Formula Forall(std::initializer_list<std::string> variables, Formula body);
 /// Free variables of the formula, sorted.
 std::set<std::string> FreeVariables(const Formula& formula);
 
-/// All distinct logical variable names appearing (bound or free). The size
-/// of this set bounds membership in FO^k — the paper's FO² and FO³
-/// fragments count *distinct names*, with reuse allowed (Appendix B).
-std::set<std::string> AllVariables(const Formula& formula);
-
 /// True iff the formula is a sentence (no free variables).
 bool IsSentence(const Formula& formula);
 
-/// True iff the formula uses at most k distinct variable names (FO^k).
+/// True iff the formula uses at most k distinct variable names, bound or
+/// free (FO^k). The paper's FO² and FO³ fragments count *distinct names*,
+/// with reuse allowed (Appendix B).
 bool InFragmentFOk(const Formula& formula, std::size_t k);
 
 /// True iff no equality atom occurs.

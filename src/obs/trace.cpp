@@ -5,11 +5,7 @@
 
 namespace swfomc::obs {
 
-namespace {
-
-// Minimal JSON string escaping (obs is a leaf module, so it cannot use
-// io::EscapeJson): quote, backslash, and control characters.
-void AppendEscaped(std::string* out, std::string_view value) {
+void AppendJsonEscaped(std::string* out, std::string_view value) {
   for (char c : value) {
     switch (c) {
       case '"': *out += "\\\""; break;
@@ -30,9 +26,11 @@ void AppendEscaped(std::string* out, std::string_view value) {
   }
 }
 
+namespace {
+
 void AppendKey(std::string* line, std::string_view key) {
   *line += ",\"";
-  AppendEscaped(line, key);
+  AppendJsonEscaped(line, key);
   *line += "\":";
 }
 
@@ -78,7 +76,7 @@ TraceLog::Record::Record(TraceLog* log, const char* type,
     : log_(log) {
   line_ = "{\"ts_us\":" + std::to_string(ts_us) + ",\"type\":\"" + type +
           "\",\"name\":\"";
-  AppendEscaped(&line_, name);
+  AppendJsonEscaped(&line_, name);
   line_ += '"';
 }
 
@@ -93,7 +91,7 @@ TraceLog::Record& TraceLog::Record::Str(std::string_view key,
   if (log_ == nullptr) return *this;
   AppendKey(&line_, key);
   line_ += '"';
-  AppendEscaped(&line_, value);
+  AppendJsonEscaped(&line_, value);
   line_ += '"';
   return *this;
 }
@@ -121,7 +119,7 @@ TraceLog::Span::Span(TraceLog* log, std::string_view name,
                      std::uint64_t start_us)
     : log_(log), start_us_(start_us) {
   line_ = "\"name\":\"";
-  AppendEscaped(&line_, name);
+  AppendJsonEscaped(&line_, name);
   line_ += '"';
 }
 
@@ -145,7 +143,7 @@ TraceLog::Span& TraceLog::Span::Str(std::string_view key,
   if (log_ == nullptr) return *this;
   AppendKey(&line_, key);
   line_ += '"';
-  AppendEscaped(&line_, value);
+  AppendJsonEscaped(&line_, value);
   line_ += '"';
   return *this;
 }

@@ -26,6 +26,11 @@
 // request/compile cadence, not the per-decision hot path.
 namespace swfomc::obs {
 
+/// Appends `value` to *out as the body of a JSON string (no quotes):
+/// quote, backslash and control characters are escaped, every other byte
+/// is copied as is. The one JSON escaper; io::EscapeJson wraps it.
+void AppendJsonEscaped(std::string* out, std::string_view value);
+
 class TraceLog {
  public:
   // Writes to a caller-owned stream (not owned, must outlive the log).

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "logic/transform.h"
+#include "numeric/combinatorics.h"
 #include "numeric/polynomial.h"
 
 namespace swfomc::transforms {
@@ -41,8 +42,10 @@ EqualityRemovalResult RemoveEquality(const logic::Formula& sentence,
 numeric::BigRational WFOMCViaEqualityRemoval(
     const logic::Formula& sentence, const logic::Vocabulary& vocabulary,
     std::uint64_t domain_size, const WfomcOracle& oracle) {
+  // Sized before the first oracle call: n^2 past 2^64 - 1 throws here
+  // instead of wrapping to a tiny degree.
+  std::uint64_t degree = numeric::TupleCount(domain_size, 2);
   EqualityRemovalResult rewrite = RemoveEquality(sentence, vocabulary);
-  std::uint64_t degree = domain_size * domain_size;
   std::vector<std::pair<numeric::BigRational, numeric::BigRational>> points;
   points.reserve(degree + 1);
   for (std::uint64_t z = 0; z <= degree; ++z) {

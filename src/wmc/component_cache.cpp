@@ -24,7 +24,7 @@ void ComponentCache::EvictOldest() {
     if (victim == entries_.end() || victim->second.token != slot.token) {
       continue;
     }
-    bytes_ -= victim->second.bytes;
+    bytes_ -= victim->second.bytes();
     entries_.erase(victim);
     ++evictions_;
     return;
@@ -44,7 +44,7 @@ void ComponentCache::CompactOrderQueue() {
 }
 
 void ComponentCache::Insert(ComponentKey key, std::uint64_t hash,
-                            numeric::BigInt value) {
+                            numeric::BigInt value, TraceSink::NodeId node) {
   if (max_entries_ == 0 || max_bytes_ == 0) return;
   std::size_t entry_bytes = EntryBytes(key, value);
   // A single entry bigger than the whole byte bound would force evicting
@@ -60,9 +60,10 @@ void ComponentCache::Insert(ComponentKey key, std::uint64_t hash,
     // the entry at the back of the eviction order: it is the newest entry
     // now, and the overflow loop below must victimize the *oldest* ones,
     // never the entry this very call just paid to store.
-    bytes_ -= it->second.bytes;
+    bytes_ -= it->second.bytes();
     std::uint64_t token = ++next_token_;
-    it->second = Entry{std::move(key), std::move(value), entry_bytes, token};
+    it->second =
+        Entry{std::move(key), CachedCount{std::move(value), node}, token};
     bytes_ += entry_bytes;
     insertion_order_.push_back(OrderSlot{hash, token});
     CompactOrderQueue();
@@ -75,8 +76,8 @@ void ComponentCache::Insert(ComponentKey key, std::uint64_t hash,
   }
   std::uint64_t token = ++next_token_;
   insertion_order_.push_back(OrderSlot{hash, token});
-  entries_.emplace(hash,
-                   Entry{std::move(key), std::move(value), entry_bytes, token});
+  entries_.emplace(
+      hash, Entry{std::move(key), CachedCount{std::move(value), node}, token});
   bytes_ += entry_bytes;
 }
 

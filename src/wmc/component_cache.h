@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "numeric/bigint.h"
+#include "wmc/trace.h"
 
 namespace swfomc::wmc {
 
@@ -40,14 +41,17 @@ inline constexpr std::uint64_t ComponentHashFinalize(std::uint64_t hash) {
 /// 64-bit hash of a packed signature.
 std::uint64_t HashComponentKey(const ComponentKey& key);
 
-/// Bounded hashed memo table for component counts: entries are addressed
-/// by the 64-bit hash, the packed key is stored alongside the value to
-/// resolve collisions exactly, and both the entry count and the resident
-/// bytes are bounded — inserting past either bound evicts the oldest
-/// entries (FIFO over *insertion or refresh* time: an entry replaced in
-/// place counts as fresh and moves to the back of the eviction queue, so
-/// a just-refreshed entry can never be evicted by its own insertion's
-/// overflow handling). Unsynchronized: each DpllCounter owns one.
+/// The DPLL counter's component memo: a hashed table from packed
+/// component keys to their counts and, while tracing, the circuit node
+/// each count was first emitted as. Entries are addressed by the 64-bit
+/// hash, the packed key is stored alongside to resolve collisions
+/// exactly, and both the entry count and the resident bytes may be
+/// bounded — inserting past either bound evicts the oldest entries (FIFO
+/// over *insertion or refresh* time: an entry replaced in place counts as
+/// fresh and moves to the back of the eviction queue, so a just-refreshed
+/// entry can never be evicted by its own insertion's overflow handling).
+/// A tracing counter leaves both bounds open, so its hits always resolve
+/// to a node. Unsynchronized: each DpllCounter owns one.
 ///
 /// Byte accounting covers what the cache actually owns per entry: the
 /// packed key's word buffer, the BigInt payload's limb buffer, and a
@@ -61,23 +65,29 @@ std::uint64_t HashComponentKey(const ComponentKey& key);
 ///   size() <= insertions - evictions (replacement inserts keep size flat).
 class ComponentCache {
  public:
-  static constexpr std::size_t kUnboundedBytes = ~std::size_t{0};
+  /// What an entry memoizes: the component's count, and its circuit node
+  /// (TraceSink::kNoNode when the counter is not tracing).
+  struct CachedCount {
+    numeric::BigInt value;
+    TraceSink::NodeId node = TraceSink::kNoNode;
+  };
+
+  static constexpr std::size_t kUnbounded = ~std::size_t{0};
   /// Estimated fixed cost of one entry beyond its variable-size buffers:
-  /// the unordered_map node (hash key, Entry struct, bucket link) plus
-  /// the insertion-order slot (hash + refresh token).
+  /// the unordered_map node (hash key, key + CachedCount + refresh token,
+  /// bucket link) plus the insertion-order slot (hash + refresh token).
   static constexpr std::size_t kEntryOverheadBytes =
       sizeof(std::uint64_t) * 3 + sizeof(void*) * 2 + sizeof(ComponentKey) +
-      sizeof(numeric::BigInt) + sizeof(std::size_t) * 2;
+      sizeof(CachedCount) + sizeof(std::uint64_t);
 
   explicit ComponentCache(std::size_t max_entries,
-                          std::size_t max_bytes = kUnboundedBytes);
+                          std::size_t max_bytes = kUnbounded);
 
-  /// Returns the cached count for `key`, or nullptr on a miss. A hash
-  /// match with a different stored key counts as a collision and a miss.
-  /// The pointer is valid until the next Insert. Defined inline: this is
-  /// the hottest call in the whole counter (~1 probe per search node).
-  const numeric::BigInt* Lookup(const ComponentKey& key,
-                                std::uint64_t hash) {
+  /// Returns the entry for `key`, or nullptr on a miss. A hash match with
+  /// a different stored key counts as a collision and a miss. The pointer
+  /// is valid until the next Insert. Defined inline: this is the hottest
+  /// call in the whole counter (~1 probe per search node).
+  const CachedCount* Lookup(const ComponentKey& key, std::uint64_t hash) {
     ++lookups_;
     auto it = entries_.find(hash);
     if (it == entries_.end()) return nullptr;
@@ -86,9 +96,12 @@ class ComponentCache {
       return nullptr;
     }
     ++hits_;
-    return &it->second.value;
+    return &it->second.count;
   }
-  void Insert(ComponentKey key, std::uint64_t hash, numeric::BigInt value);
+  void Insert(ComponentKey key, std::uint64_t hash, numeric::BigInt value,
+              TraceSink::NodeId node = TraceSink::kNoNode);
+  /// Drops every entry and zeroes every counter; the bounds stay.
+  void Clear() { *this = ComponentCache(max_entries_, max_bytes_); }
 
   std::size_t size() const { return entries_.size(); }
   /// Resident bytes currently accounted to entries (keys + integer limb
@@ -101,7 +114,8 @@ class ComponentCache {
   std::uint64_t insertions() const { return insertions_; }
   std::uint64_t evictions() const { return evictions_; }
 
-  /// Bytes accounted to one (key, value) pair if it were an entry.
+  /// Bytes accounted to one (key, value) pair if it were an entry. Stored
+  /// keys and values never change, so removal recomputes the same figure.
   static std::size_t EntryBytes(const ComponentKey& key,
                                 const numeric::BigInt& value) {
     return key.capacity() * sizeof(std::uint32_t) + value.HeapBytes() +
@@ -111,11 +125,12 @@ class ComponentCache {
  private:
   struct Entry {
     ComponentKey key;
-    numeric::BigInt value;
-    std::size_t bytes;  // EntryBytes at insertion, so removal balances
+    CachedCount count;
     /// Matches exactly one insertion_order_ slot; a replacement bumps the
     /// token and enqueues a fresh slot, orphaning the old one.
     std::uint64_t token;
+
+    std::size_t bytes() const { return EntryBytes(key, count.value); }
   };
 
   struct OrderSlot {

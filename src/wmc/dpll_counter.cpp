@@ -24,6 +24,9 @@ using prop::VarId;
 // decision.
 constexpr std::uint64_t kLiveFlushInterval = 4096;
 
+// Entry bound of the counting memo; the oldest entries are evicted past it.
+constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 20;
+
 }  // namespace
 
 /// Interval-tracking product/sum over two BigInt tracks. While every
@@ -93,12 +96,15 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
       governed_(options.budget != nullptr || options.cancel != nullptr ||
                 options.fault != nullptr),
       observed_(options.metrics != nullptr || options.trace != nullptr),
-      // A budget's memory ceiling bounds the cache's resident bytes (the
-      // cache is the dominant allocation); eviction follows whichever of
-      // the entry and byte bounds binds first.
-      cache_(options.max_cache_entries,
-             options.budget != nullptr ? options.budget->max_memory_bytes()
-                                       : ComponentCache::kUnboundedBytes) {
+      // A budget's memory ceiling bounds the counting memo's resident
+      // bytes (the memo is the dominant allocation); eviction follows
+      // whichever of the entry and byte bounds binds first. A tracing memo
+      // is unbounded: a hit must return the node of the first computation.
+      cache_(options.trace_sink != nullptr ? ComponentCache::kUnbounded
+                                           : kMaxCacheEntries,
+             options.trace_sink == nullptr && options.budget != nullptr
+                 ? options.budget->max_memory_bytes()
+                 : ComponentCache::kUnbounded) {
   weights.EnsureSize(cnf_.variable_count);
   // Clear denominators once: every term the search sums carries exactly
   // one weight factor per counted variable (a decision or implied
@@ -194,9 +200,7 @@ numeric::BigRational DpllCounter::Count() {
 
 DpllCounter::CountResult DpllCounter::CountBounded() {
   stats_ = Stats{};
-  SnapshotCacheBaseline();
-  trace_cache_.clear();
-  trace_cache_stats_ = Stats{};
+  cache_.Clear();
   stop_ = runtime::StopReason::kNone;
   TraceSink* sink = options_.trace_sink;
   TraceSink::NodeId trace_root = TraceSink::kNoNode;
@@ -286,51 +290,19 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
   return out;
 }
 
-void DpllCounter::SnapshotCacheBaseline() {
-  cache_baseline_.cache_lookups = cache_.lookups();
-  cache_baseline_.cache_hits = cache_.hits();
-  cache_baseline_.cache_collisions = cache_.collisions();
-  cache_baseline_.cache_insertions = cache_.insertions();
-  cache_baseline_.cache_evictions = cache_.evictions();
-}
-
 void DpllCounter::FinalizeStats() {
-  // Per-invocation cache deltas go to the live registry on scope exit,
-  // after whichever branch below fills them in.
-  struct PublishCache {
-    DpllCounter* self;
-    ~PublishCache() {
-      if (self->live_.cache_lookups == nullptr) return;
-      self->live_.cache_lookups->Add(self->stats_.cache_lookups);
-      self->live_.cache_hits->Add(self->stats_.cache_hits);
-      self->live_.cache_insertions->Add(self->stats_.cache_insertions);
-      self->live_.cache_evictions->Add(self->stats_.cache_evictions);
-    }
-  } publish{this};
-  if (tracing()) {
-    // The trace memo replaced the component cache for this Count(); its
-    // counters are already per-invocation (the memo is rebuilt each call)
-    // and nothing is ever collided out or evicted.
-    stats_.cache_lookups = trace_cache_stats_.cache_lookups;
-    stats_.cache_hits = trace_cache_stats_.cache_hits;
-    stats_.cache_insertions = trace_cache_stats_.cache_insertions;
-    stats_.cache_entries = trace_cache_.size();
-    return;
-  }
-  // Deltas against the Count()-entry baseline, so repeated Count() calls
-  // report per-invocation counters even though the cache (and its
-  // cumulative totals) persist across calls. cache_entries is a level,
-  // not a counter, and stays absolute.
-  stats_.cache_lookups = cache_.lookups() - cache_baseline_.cache_lookups;
-  stats_.cache_hits = cache_.hits() - cache_baseline_.cache_hits;
+  stats_.cache_lookups = cache_.lookups();
+  stats_.cache_hits = cache_.hits();
   stats_.cache_entries = cache_.size();
-  stats_.cache_collisions =
-      cache_.collisions() - cache_baseline_.cache_collisions;
-  stats_.cache_insertions =
-      cache_.insertions() - cache_baseline_.cache_insertions;
-  stats_.cache_evictions =
-      cache_.evictions() - cache_baseline_.cache_evictions;
+  stats_.cache_collisions = cache_.collisions();
+  stats_.cache_insertions = cache_.insertions();
+  stats_.cache_evictions = cache_.evictions();
   stats_.cache_bytes = cache_.bytes();
+  if (live_.cache_lookups == nullptr) return;
+  live_.cache_lookups->Add(stats_.cache_lookups);
+  live_.cache_hits->Add(stats_.cache_hits);
+  live_.cache_insertions->Add(stats_.cache_insertions);
+  live_.cache_evictions->Add(stats_.cache_evictions);
 }
 
 DpllCounter::NodeResult DpllCounter::CountResidual(
@@ -413,46 +385,13 @@ DpllCounter::NodeResult DpllCounter::CountComponents(
 DpllCounter::NodeResult DpllCounter::CountComponentCached(
     SearchContext* ctx, const Component& component,
     TraceSink::NodeId* trace_node) {
-  if (trace_node != nullptr) {
-    // Tracing: the unbounded trace memo stands in for the component
-    // cache (a hit must hand back the node of the first computation),
-    // and the single-clause closed form is skipped — branching emits the
-    // clause's decision chain through the generic machinery instead.
-    PackKey(ctx, component);
-    ++trace_cache_stats_.cache_lookups;
-    auto it = trace_cache_.find(ctx->key_scratch);
-    if (it != trace_cache_.end()) {
-      ++trace_cache_stats_.cache_hits;
-      *trace_node = it->second.node;
-      return NodeResult{it->second.value, BigInt(), true};
-    }
-    // Copy the scratch key out before recursing (nested lookups reuse it).
-    ComponentKey key = ctx->key_scratch;
-    NodeResult result = BranchOnComponent(ctx, component, trace_node);
-    if (!result.exact) {
-      // A stopped trace is unusable; the placeholder FALSE node keeps the
-      // circuit well-formed while CountBounded() reports kAborted, and a
-      // bracketed value must never enter the memo (hits would replay it
-      // as exact).
-      *trace_node = options_.trace_sink->False();
-      return result;
-    }
-    if (options_.fault != nullptr &&
-        options_.fault->Count(runtime::FaultPoint::Site::kCacheInsert)) {
-      RequestStop(options_.fault->reason());
-      return result;  // the value stays exact; the *next* decision stops
-    }
-    trace_cache_.emplace(std::move(key),
-                         TraceEntry{result.value, *trace_node});
-    ++trace_cache_stats_.cache_insertions;
-    return result;
-  }
   // A single-clause component has the closed form
   //   Π_v (w_v + w̄_v)  −  Π_{lit} weight(¬lit)
   // (all assignments minus the one falsifying the clause); computing it
   // beats both branching and a cache round-trip, and such components are
-  // the bulk of what Tseitin-encoded lineages shatter into.
-  if (component.clauses.size() == 1) {
+  // the bulk of what Tseitin-encoded lineages shatter into. Tracing skips
+  // it: branching emits the clause's decision chain instead.
+  if (!tracing() && component.clauses.size() == 1) {
     BigInt all(1);
     BigInt falsifying(1);
     for (Lit lit : compact_.Clause(component.clauses.front())) {
@@ -464,26 +403,35 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
     all -= falsifying;
     return NodeResult{std::move(all), BigInt(), true};
   }
-  if (!options_.use_cache) return BranchOnComponent(ctx, component, nullptr);
+  if (!options_.use_cache) {
+    return BranchOnComponent(ctx, component, trace_node);
+  }
   std::uint64_t hash = PackKey(ctx, component);
-  if (const BigInt* hit = cache_.Lookup(ctx->key_scratch, hash)) {
-    return NodeResult{*hit, BigInt(), true};
+  if (const ComponentCache::CachedCount* hit =
+          cache_.Lookup(ctx->key_scratch, hash)) {
+    if (trace_node != nullptr) *trace_node = hit->node;
+    return NodeResult{hit->value, BigInt(), true};
   }
   // Copy the scratch key out before recursing (nested lookups reuse it).
   ComponentKey key = ctx->key_scratch;
-  NodeResult result = BranchOnComponent(ctx, component, nullptr);
+  NodeResult result = BranchOnComponent(ctx, component, trace_node);
   // Only exact values may be cached: a key determines its exact count,
   // but says nothing about where a budget cut the subtree off.
-  if (result.exact) {
-    if (options_.fault != nullptr &&
-        options_.fault->Count(runtime::FaultPoint::Site::kCacheInsert)) {
-      // Simulated allocation failure on this insertion: skip the insert
-      // and stop the search; the already-computed value is still exact.
-      RequestStop(options_.fault->reason());
-    } else {
-      cache_.Insert(std::move(key), hash, result.value);
-    }
+  if (!result.exact) {
+    // A stopped trace is unusable; the placeholder FALSE node keeps the
+    // circuit well-formed while CountBounded() reports kAborted.
+    if (trace_node != nullptr) *trace_node = options_.trace_sink->False();
+    return result;
   }
+  if (options_.fault != nullptr &&
+      options_.fault->Count(runtime::FaultPoint::Site::kCacheInsert)) {
+    // Simulated allocation failure on this insertion: skip the insert
+    // and stop the search; the already-computed value is still exact.
+    RequestStop(options_.fault->reason());
+    return result;
+  }
+  cache_.Insert(std::move(key), hash, result.value,
+                trace_node != nullptr ? *trace_node : TraceSink::kNoNode);
   return result;
 }
 

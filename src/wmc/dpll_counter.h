@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "numeric/rational.h"
@@ -31,12 +30,13 @@ namespace swfomc::wmc {
 /// occurrence lists, and backtracking unwinds the assignment trail —
 /// clauses are never copied during search. Residual components are
 /// discovered by DFS over the occurrence lists restricted to unassigned
-/// variables and memoized in a bounded hashed component cache.
+/// variables and memoized in one hashed component cache, which starts
+/// empty at every count.
 ///
 /// The search is strictly sequential, like Cachet and sharpSAT: one
 /// trail, one scratch context and one unsynchronized cache per counter,
 /// so the count, the Stats and a traced circuit are deterministic
-/// functions of the CNF, the weights, the options and the cache's state.
+/// functions of the CNF, the weights and the options.
 /// Components found at a decision node are variable-disjoint subproblems
 /// whose counts multiply; they are counted one after another.
 ///
@@ -59,24 +59,24 @@ class DpllCounter {
     /// Split residual formulas into variable-disjoint components and count
     /// them independently.
     bool use_components = true;
-    /// Memoize component counts keyed by their packed signature.
+    /// Memoize component counts (and, while tracing, their circuit
+    /// nodes) keyed by their packed signature. Untraced, the memo holds
+    /// at most 2^20 entries, the oldest evicted first.
     bool use_cache = true;
-    /// Cache entry bound; the oldest entries are evicted past it.
-    std::size_t max_cache_entries = std::size_t{1} << 20;
     /// When set, Count() emits its search DAG into the sink as a d-DNNF
-    /// circuit (see wmc/trace.h). Tracing replaces the bounded component
-    /// cache with an unbounded trace memo (cache hits must stay
-    /// resolvable to circuit nodes), skips the single-clause closed form,
-    /// and disables every zero-weight pruning shortcut so the circuit is
-    /// valid for all weight vectors — the returned count is still
-    /// bit-identical to an untraced Count().
+    /// circuit (see wmc/trace.h). While tracing, the component cache never
+    /// evicts (a hit must return the circuit node of the first
+    /// computation), and the single-clause closed form and every
+    /// zero-weight pruning shortcut are off so the circuit is valid for
+    /// all weight vectors — the returned count is still bit-identical to
+    /// an untraced Count().
     TraceSink* trace_sink = nullptr;
     /// Resource envelope for the search (not owned; may be shared across
     /// counters and threads). On exhaustion the search winds down
     /// cooperatively and CountBounded() reports bounds or an abort
-    /// instead of spinning. Its memory ceiling also bounds the component
-    /// cache's resident bytes (keys + integer payloads + per-entry
-    /// overhead). null = ungoverned.
+    /// instead of spinning. When not tracing, its memory ceiling also
+    /// bounds the component cache's resident bytes (keys + integer
+    /// payloads + per-entry overhead). null = ungoverned.
     runtime::Budget* budget = nullptr;
     /// Cooperative cancellation (not owned). Polled once per decision;
     /// safe to cancel from another thread.
@@ -113,9 +113,11 @@ class DpllCounter {
     std::uint64_t cache_collisions = 0;
     std::uint64_t cache_insertions = 0;
     std::uint64_t cache_evictions = 0;
-    /// Resident bytes in the component cache after Count() (level, not a
-    /// counter; 0 in tracing mode).
+    /// Resident bytes in the component cache after Count() (a level, not
+    /// a counter), traced or not.
     std::uint64_t cache_bytes = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
   /// How a governed count ended.
@@ -157,9 +159,9 @@ class DpllCounter {
   /// search is allowed replaces a bracket with mass it contains.
   CountResult CountBounded();
 
-  /// Search and cache counters, finalized on every return path of
-  /// Count(). Deterministic: the same CNF, weights, options and cache
-  /// state give the same counters on every run. They satisfy
+  /// Search and cache counters of the last Count(), finalized on every
+  /// return path. Deterministic: the same CNF, weights and options give
+  /// the same counters on every run, repeated counts included. They satisfy
   /// cache_hits <= cache_lookups and cache_evictions <= cache_insertions.
   const Stats& stats() const { return stats_; }
 
@@ -301,11 +303,9 @@ class DpllCounter {
   // 64-bit hash.
   std::uint64_t PackKey(SearchContext* ctx, const Component& component);
 
-  // Publishes cache counters into stats_; called on every Count() return.
-  // The cache itself persists across Count() calls, so counters are
-  // reported relative to the baseline snapshotted at Count() entry —
-  // stats() always describes exactly one Count() invocation.
-  void SnapshotCacheBaseline();
+  // Publishes the cache's counters into stats_ and the live registry;
+  // called on every Count() return. The cache starts empty at every
+  // Count(), so its counters describe exactly one invocation.
   void FinalizeStats();
 
   // Publishes the search-counter deltas to the live registry and emits
@@ -348,28 +348,12 @@ class DpllCounter {
   // The stop requested for the current Count(); kNone while running.
   runtime::StopReason stop_ = runtime::StopReason::kNone;
   Stats stats_;
+  // Cleared at every Count(); its entries carry circuit nodes while
+  // tracing.
   ComponentCache cache_;
-  // Cache counter values at Count() entry (see FinalizeStats).
-  Stats cache_baseline_;
 
   // Search state, rebuilt by Count().
   prop::CompactCnf compact_;
-
-  // Tracing state (rebuilt per Count()): the unbounded trace memo plays
-  // the component cache's role — a hit must return the circuit node of
-  // the first computation, so entries can never be evicted — and its
-  // counters feed the cache_* Stats fields in tracing mode.
-  struct TraceEntry {
-    numeric::BigInt value;
-    TraceSink::NodeId node = TraceSink::kNoNode;
-  };
-  struct TraceKeyHash {
-    std::size_t operator()(const ComponentKey& key) const {
-      return static_cast<std::size_t>(HashComponentKey(key));
-    }
-  };
-  std::unordered_map<ComponentKey, TraceEntry, TraceKeyHash> trace_cache_;
-  Stats trace_cache_stats_;
 };
 
 /// One-shot convenience.

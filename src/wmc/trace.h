@@ -23,7 +23,7 @@ namespace swfomc::wmc {
 /// every zero-weight shortcut (skipped branches, zero-factor early
 /// returns, the single-clause closed form), so the same circuit evaluates
 /// correctly under *any* weight vector, not just the one it was counted
-/// with. Tracing forces the search sequential.
+/// with.
 class TraceSink {
  public:
   using NodeId = std::uint32_t;

@@ -218,5 +218,23 @@ TEST(EqualityRemovalTest, EqualityFreeSentencePassesThrough) {
   EXPECT_EQ(direct, recovered);
 }
 
+TEST(EqualityRemovalTest, OverflowingDegreeThrowsBeforeAnyOracleCall) {
+  // At n = 2^32 the interpolation degree n^2 passes 2^64 - 1; it must
+  // throw up front rather than wrap to 0 and interpolate from one point.
+  logic::Vocabulary vocab = WeightedVocab();
+  logic::Formula f =
+      logic::ParseStrict("forall x forall y (R(x,y) | x = y)", vocab);
+  int calls = 0;
+  EXPECT_THROW(WFOMCViaEqualityRemoval(
+                   f, vocab, std::uint64_t{1} << 32,
+                   [&calls](const logic::Formula&, const logic::Vocabulary&,
+                            std::uint64_t) {
+                     ++calls;
+                     return BigRational(1);
+                   }),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0);
+}
+
 }  // namespace
 }  // namespace swfomc::transforms

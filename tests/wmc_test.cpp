@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "grounding/grounded_wfomc.h"
+#include "io/nnf_format.h"
 #include "logic/parser.h"
 #include "nnf/circuit_builder.h"
 #include "prop/compact_cnf.h"
@@ -229,16 +230,22 @@ TEST(DpllCounterTest, CacheSoundnessOnGroundedLineage) {
   }
 }
 
-TEST(DpllCounterTest, CacheHitsOnRepeatedSuffixChains) {
-  // A path (x_i | x_{i+1}): branching at the frontier leaves suffix
-  // chains that recur across branches, so the component cache must score
-  // hits; the count is the Fibonacci number F(18) = 2584.
+// The path x0 | x1, x1 | x2, .., x14 | x15: F(18) = 2584 models, with
+// suffix chains that recur across branches (cache hits).
+CnfFormula PathCnf() {
   CnfFormula cnf;
   cnf.variable_count = 16;
   for (VarId v = 0; v + 1 < 16; ++v) {
     cnf.clauses.push_back({Literal{v, true}, Literal{VarId(v + 1), true}});
   }
-  DpllCounter counter(cnf, WeightMap(16));
+  return cnf;
+}
+
+TEST(DpllCounterTest, CacheHitsOnRepeatedSuffixChains) {
+  // A path (x_i | x_{i+1}): branching at the frontier leaves suffix
+  // chains that recur across branches, so the component cache must score
+  // hits; the count is the Fibonacci number F(18) = 2584.
+  DpllCounter counter(PathCnf(), WeightMap(16));
   EXPECT_EQ(counter.Count(), BigRational(2584));
   EXPECT_GT(counter.stats().cache_hits, 0u);
   EXPECT_GT(counter.stats().cache_entries, 0u);
@@ -256,41 +263,70 @@ TEST(DpllCounterTest, StatsReportCacheActivityOnGroundedLineage) {
   EXPECT_EQ(stats.cache_evictions, 0u);  // far below the entry bound
 }
 
-TEST(DpllCounterTest, CacheEntryBoundEvicts) {
-  // With a tiny bound the counter must stay exact and record evictions.
-  CnfFormula cnf;
-  cnf.variable_count = 16;
-  for (VarId v = 0; v + 1 < 16; ++v) {
-    cnf.clauses.push_back({Literal{v, true}, Literal{VarId(v + 1), true}});
-  }
+TEST(DpllCounterTest, CacheMemoryCeilingEvicts) {
+  // A budget's memory ceiling (the path behind --max-memory) bounds the
+  // counting memo: with room for about one entry the counter must stay
+  // exact and record evictions.
+  runtime::Budget budget;
+  budget.SetMaxMemoryBytes(256);
   DpllCounter::Options options;
-  options.max_cache_entries = 2;
-  DpllCounter counter(cnf, WeightMap(16), options);
+  options.budget = &budget;
+  DpllCounter counter(PathCnf(), WeightMap(16), options);
   EXPECT_EQ(counter.Count(), BigRational(2584));
-  EXPECT_LE(counter.stats().cache_entries, 2u);
+  EXPECT_LE(counter.stats().cache_bytes, 256u);
   EXPECT_GT(counter.stats().cache_evictions, 0u);
 }
 
+// Counts `cnf` in tracing mode under `options` and returns the circuit's
+// .nnf text; *stats receives the counter's stats.
+std::string TracedNnf(const CnfFormula& cnf, DpllCounter::Options options,
+                      DpllCounter::Stats* stats) {
+  nnf::CircuitBuilder builder(cnf.variable_count);
+  options.trace_sink = &builder;
+  WeightMap weights(cnf.variable_count);
+  DpllCounter counter(cnf, weights, options);
+  EXPECT_EQ(counter.CountBounded().outcome,
+            DpllCounter::CountOutcome::kExact);
+  *stats = counter.stats();
+  return io::PrintNnf(io::NnfDocument{builder.Finish(), weights, {}});
+}
+
+TEST(DpllCounterTest, TracingMemoNeverEvictsAndReportsItsBytes) {
+  // The ceiling that evicts in CacheMemoryCeilingEvicts binds only the
+  // counting memo: a traced hit must return the node of the first
+  // computation, so the traced memo keeps every entry and emits the same
+  // circuit as an ungoverned trace. Its bytes are reported all the same.
+  DpllCounter::Stats free_stats;
+  std::string free_nnf = TracedNnf(PathCnf(), {}, &free_stats);
+  runtime::Budget budget;
+  budget.SetMaxMemoryBytes(256);
+  DpllCounter::Options capped;
+  capped.budget = &budget;
+  DpllCounter::Stats capped_stats;
+  std::string capped_nnf = TracedNnf(PathCnf(), capped, &capped_stats);
+  EXPECT_EQ(capped_nnf, free_nnf);
+  EXPECT_EQ(capped_stats.cache_evictions, 0u);
+  EXPECT_GT(capped_stats.cache_hits, 0u);
+  EXPECT_EQ(capped_stats.cache_entries, free_stats.cache_entries);
+  EXPECT_GT(capped_stats.cache_bytes, 256u);
+  EXPECT_EQ(capped_stats.cache_bytes, free_stats.cache_bytes);
+}
+
 TEST(DpllCounterTest, RepeatedCountReportsPerInvocationStats) {
-  // The cache persists across Count() calls but stats() must describe
-  // exactly one invocation: the second run answers its top-level
-  // components straight from the warm cache, so it reports fresh lookups
-  // with zero insertions — not the cumulative totals of both runs.
-  CnfFormula cnf;
-  cnf.variable_count = 16;
-  for (VarId v = 0; v + 1 < 16; ++v) {
-    cnf.clauses.push_back({Literal{v, true}, Literal{VarId(v + 1), true}});
+  // Every Count() starts on an empty memo, so a second count on the same
+  // counter repeats the first one exactly — answer and stats alike.
+  for (bool traced : {false, true}) {
+    SCOPED_TRACE("traced=" + std::to_string(traced));
+    nnf::CircuitBuilder builder(16);
+    DpllCounter::Options options;
+    if (traced) options.trace_sink = &builder;
+    DpllCounter counter(PathCnf(), WeightMap(16), options);
+    EXPECT_EQ(counter.Count(), BigRational(2584));
+    DpllCounter::Stats first = counter.stats();
+    EXPECT_GT(first.cache_insertions, 0u);
+    EXPECT_EQ(counter.Count(), BigRational(2584));
+    EXPECT_EQ(counter.stats(), first);
   }
-  DpllCounter counter(cnf, WeightMap(16));
-  EXPECT_EQ(counter.Count(), BigRational(2584));
-  DpllCounter::Stats first = counter.stats();
-  EXPECT_GT(first.cache_insertions, 0u);
-  EXPECT_EQ(counter.Count(), BigRational(2584));
-  DpllCounter::Stats second = counter.stats();
-  EXPECT_GT(second.cache_lookups, 0u);
-  EXPECT_LT(second.cache_lookups, first.cache_lookups);
-  EXPECT_EQ(second.cache_insertions, 0u);  // warm cache: nothing recomputed
-  EXPECT_LE(second.cache_hits, second.cache_lookups);
 }
 
 // --- Denominator clearing ------------------------------------------------
@@ -438,13 +474,9 @@ TEST(DpllCounterTest, WeightsPastVariableCountStayOutOfTheScale) {
 }
 
 TEST(DpllCounterTest, RepeatedCountOnRationalWeightsIsStable) {
-  // The cache persists across Count() calls and holds scaled payloads; a
-  // second count served from it must divide back to the same value.
-  CnfFormula cnf;
-  cnf.variable_count = 16;
-  for (VarId v = 0; v + 1 < 16; ++v) {
-    cnf.clauses.push_back({Literal{v, true}, Literal{VarId(v + 1), true}});
-  }
+  // The cache holds scaled payloads and is refilled by every Count(); a
+  // second count must divide back to the same value.
+  CnfFormula cnf = PathCnf();
   std::mt19937_64 rng(50);
   WeightMap weights = NonCoprimeWeights(&rng, 16, /*allow_negative=*/true);
   BigRational expected = BruteForceWMC(cnf, weights);
@@ -527,7 +559,7 @@ TEST(ComponentCacheTest, LookupInsertAndCollisionHandling) {
   EXPECT_EQ(cache.Lookup(a, hash), nullptr);
   cache.Insert(a, hash, BigInt(7));
   ASSERT_NE(cache.Lookup(a, hash), nullptr);
-  EXPECT_EQ(*cache.Lookup(a, hash), BigInt(7));
+  EXPECT_EQ(cache.Lookup(a, hash)->value, BigInt(7));
   // Same hash, different key: counts a collision, reads as a miss.
   EXPECT_EQ(cache.Lookup(b, hash), nullptr);
   EXPECT_EQ(cache.collisions(), 1u);
@@ -619,7 +651,7 @@ TEST(ComponentCacheTest, ByteOverflowAfterRefreshEvictsOthersNotItself) {
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.Lookup(b, hash_b), nullptr);
   ASSERT_NE(cache.Lookup(a, hash_a), nullptr);
-  EXPECT_EQ(*cache.Lookup(a, hash_a), big);
+  EXPECT_EQ(cache.Lookup(a, hash_a)->value, big);
   EXPECT_LE(cache.bytes(), max_bytes);
 }
 
