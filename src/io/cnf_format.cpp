@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -67,9 +66,11 @@ class CnfParser : private internal::LineReader {
     }
     saw_header_ = true;
     std::uint64_t variables = Unsigned(tokens[2], "variable count");
-    if (variables > std::numeric_limits<std::uint32_t>::max()) {
+    // Literals are 2v + sign in 32 bits (prop::Lit), and the search
+    // indexes the literal space [0, 2·count], which must fit one too.
+    if (variables > (std::uint64_t{1} << 31) - 1) {
       Fail(At(tokens[2]), "variable count " + tokens[2].text +
-                              " exceeds the supported maximum (2^32 - 1)");
+                              " exceeds the supported maximum (2^31 - 1)");
     }
     instance_.cnf.variable_count = static_cast<std::uint32_t>(variables);
     declared_clauses_ = Unsigned(tokens[3], "clause count");
@@ -162,7 +163,7 @@ class CnfParser : private internal::LineReader {
       std::uint64_t var =
           static_cast<std::uint64_t>(literal < 0 ? -literal : literal);
       prop::VarId id = RequireVariable(token, var);
-      open_clause_.push_back(prop::Literal{id, literal > 0});
+      open_clause_.push_back(prop::MakeLit(id, literal > 0));
     }
   }
 
@@ -203,8 +204,9 @@ std::string PrintWeightedCnf(const WeightedCnf& instance) {
         << "\n";
   }
   for (const prop::Clause& clause : instance.cnf.clauses) {
-    for (const prop::Literal& literal : clause) {
-      out << (literal.positive ? "" : "-") << (literal.variable + 1) << " ";
+    for (prop::Lit lit : clause) {
+      out << (prop::LitPositive(lit) ? "" : "-") << (prop::LitVariable(lit) + 1)
+          << " ";
     }
     out << "0\n";
   }

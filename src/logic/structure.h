@@ -46,7 +46,8 @@ class Structure {
   /// tuples of w_R and absent tuples of w̄_R.
   numeric::BigRational Weight() const;
 
-  /// Index arithmetic exposed for the grounding module.
+  /// Index arithmetic of the flat layout above. grounding::TupleIndex
+  /// keeps its own copy of this layout; structure_test checks this one.
   std::uint64_t FlatIndex(RelationId relation,
                           const std::vector<std::uint64_t>& args) const;
   std::uint64_t RelationOffset(RelationId relation) const {

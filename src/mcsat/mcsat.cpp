@@ -14,7 +14,6 @@ namespace {
 
 using numeric::BigRational;
 using prop::Clause;
-using prop::Literal;
 using prop::PropFormula;
 using prop::PropKind;
 
@@ -33,7 +32,7 @@ void DistributeToClauses(const PropFormula& formula, bool negated,
       if (!negated) out->push_back(Clause{});
       return;
     case PropKind::kVar:
-      out->push_back(Clause{Literal{formula->variable(), !negated}});
+      out->push_back(Clause{prop::MakeLit(formula->variable(), !negated)});
       return;
     case PropKind::kNot:
       DistributeToClauses(formula->child(), !negated, out);

@@ -8,12 +8,14 @@ namespace swfomc::mcsat {
 namespace {
 
 using prop::Clause;
-using prop::Literal;
+using prop::Lit;
+using prop::LitPositive;
+using prop::LitVariable;
 using prop::VarId;
 
 bool ClauseSatisfied(const Clause& clause, const std::vector<bool>& assignment) {
-  for (const Literal& l : clause) {
-    if (assignment[l.variable] == l.positive) return true;
+  for (Lit l : clause) {
+    if (assignment[LitVariable(l)] == LitPositive(l)) return true;
   }
   return false;
 }
@@ -24,8 +26,8 @@ WalkSat::WalkSat(prop::CnfFormula cnf, Options options, std::uint64_t seed)
     : cnf_(std::move(cnf)), options_(options), rng_(seed) {
   occurrences_.resize(cnf_.variable_count);
   for (std::size_t i = 0; i < cnf_.clauses.size(); ++i) {
-    for (const Literal& l : cnf_.clauses[i]) {
-      occurrences_[l.variable].push_back(i);
+    for (Lit l : cnf_.clauses[i]) {
+      occurrences_[LitVariable(l)].push_back(i);
     }
   }
 }
@@ -39,9 +41,9 @@ std::uint64_t WalkSat::BreakCount(const std::vector<bool>& assignment,
     const Clause& clause = cnf_.clauses[index];
     bool this_satisfies = false;
     bool other_satisfies = false;
-    for (const Literal& l : clause) {
-      if (assignment[l.variable] == l.positive) {
-        if (l.variable == variable) {
+    for (Lit l : clause) {
+      if (assignment[LitVariable(l)] == LitPositive(l)) {
+        if (LitVariable(l) == variable) {
           this_satisfies = true;
         } else {
           other_satisfies = true;
@@ -99,15 +101,15 @@ std::optional<std::vector<bool>> WalkSat::Run(double sa_probability,
         cnf_.clauses[unsatisfied[rng_() % unsatisfied.size()]];
     VarId chosen;
     if (coin(rng_) < options_.noise) {
-      chosen = clause[rng_() % clause.size()].variable;
+      chosen = LitVariable(clause[rng_() % clause.size()]);
     } else {
-      chosen = clause[0].variable;
+      chosen = LitVariable(clause[0]);
       std::uint64_t best = BreakCount(assignment, chosen);
-      for (const Literal& l : clause) {
-        std::uint64_t breaks = BreakCount(assignment, l.variable);
+      for (Lit l : clause) {
+        std::uint64_t breaks = BreakCount(assignment, LitVariable(l));
         if (breaks < best) {
           best = breaks;
-          chosen = l.variable;
+          chosen = LitVariable(l);
         }
       }
     }

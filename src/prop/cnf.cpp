@@ -8,8 +8,8 @@ namespace swfomc::prop {
 bool CnfFormula::IsSatisfiedBy(const std::vector<bool>& assignment) const {
   for (const Clause& clause : clauses) {
     bool satisfied = false;
-    for (const Literal& literal : clause) {
-      if (assignment.at(literal.variable) == literal.positive) {
+    for (Lit lit : clause) {
+      if (assignment.at(LitVariable(lit)) == LitPositive(lit)) {
         satisfied = true;
         break;
       }
@@ -27,8 +27,8 @@ void NormalizeCnf(CnfFormula* cnf) {
     clause.erase(std::unique(clause.begin(), clause.end()), clause.end());
     bool tautology = false;
     for (std::size_t i = 0; i + 1 < clause.size(); ++i) {
-      if (clause[i].variable == clause[i + 1].variable &&
-          clause[i].positive != clause[i + 1].positive) {
+      // Sorted, so v's two literals are adjacent: 2v, then 2v + 1.
+      if (clause[i + 1] == NegateLit(clause[i])) {
         tautology = true;
         break;
       }

@@ -9,24 +9,20 @@
 
 namespace swfomc::prop {
 
-/// A literal: positive (variable, true) or negative (variable, false).
-struct Literal {
-  VarId variable;
-  bool positive;
+/// A literal, encoded as lit = 2·variable + (positive ? 1 : 0): it fits a
+/// machine word, negation is one XOR, literals index occurrence lists
+/// directly, and literals sort by variable, the negative one first.
+using Lit = std::uint32_t;
 
-  Literal Negated() const { return Literal{variable, !positive}; }
-
-  friend bool operator==(const Literal& a, const Literal& b) {
-    return a.variable == b.variable && a.positive == b.positive;
-  }
-  friend bool operator<(const Literal& a, const Literal& b) {
-    if (a.variable != b.variable) return a.variable < b.variable;
-    return a.positive < b.positive;
-  }
-};
+constexpr Lit MakeLit(VarId variable, bool positive) {
+  return (variable << 1) | static_cast<Lit>(positive ? 1 : 0);
+}
+constexpr VarId LitVariable(Lit lit) { return lit >> 1; }
+constexpr bool LitPositive(Lit lit) { return (lit & 1u) != 0; }
+constexpr Lit NegateLit(Lit lit) { return lit ^ 1u; }
 
 /// A clause: a disjunction of literals.
-using Clause = std::vector<Literal>;
+using Clause = std::vector<Lit>;
 
 /// A CNF formula over variables [0, variable_count).
 struct CnfFormula {

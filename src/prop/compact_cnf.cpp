@@ -6,10 +6,9 @@ CompactCnf CompactCnf::Build(const CnfFormula& cnf) {
   CompactCnf compact;
   compact.variable_count_ = cnf.variable_count;
 
-  // Spell the clause type explicitly: inside this member scope the
-  // unqualified name `Clause` finds the accessor, not the alias.
+  // Qualified: inside this member scope a bare `Clause` is the accessor.
   std::size_t total_literals = 0;
-  for (const std::vector<Literal>& clause : cnf.clauses) {
+  for (const prop::Clause& clause : cnf.clauses) {
     total_literals += clause.size();
   }
 
@@ -17,10 +16,9 @@ CompactCnf CompactCnf::Build(const CnfFormula& cnf) {
   compact.clause_begin_.clear();
   compact.clause_begin_.reserve(cnf.clauses.size() + 1);
   compact.clause_begin_.push_back(0);
-  for (const std::vector<Literal>& clause : cnf.clauses) {
-    for (const Literal& literal : clause) {
-      compact.literals_.push_back(MakeLit(literal.variable, literal.positive));
-    }
+  for (const prop::Clause& clause : cnf.clauses) {
+    compact.literals_.insert(compact.literals_.end(), clause.begin(),
+                             clause.end());
     compact.clause_begin_.push_back(
         static_cast<std::uint32_t>(compact.literals_.size()));
   }

@@ -9,19 +9,6 @@
 
 namespace swfomc::prop {
 
-/// Compact literal encoding: lit = 2·variable + (positive ? 1 : 0). The
-/// solver-facing twin of `Literal`, chosen so a literal fits a machine
-/// word, negation is one XOR, and literals index occurrence lists
-/// directly.
-using Lit = std::uint32_t;
-
-constexpr Lit MakeLit(VarId variable, bool positive) {
-  return (variable << 1) | static_cast<Lit>(positive ? 1 : 0);
-}
-constexpr VarId LitVariable(Lit lit) { return lit >> 1; }
-constexpr bool LitPositive(Lit lit) { return (lit & 1u) != 0; }
-constexpr Lit NegateLit(Lit lit) { return lit ^ 1u; }
-
 /// Flat (CSR) view of a CNF formula: every clause's literals live in one
 /// contiguous array addressed by offsets, plus per-literal occurrence
 /// lists (literal -> clauses containing it). Built once per solve; search
@@ -32,8 +19,8 @@ class CompactCnf {
   CompactCnf() = default;
 
   /// Flattens `cnf` (ideally normalized first — see NormalizeCnf) into the
-  /// compact form. Empty clauses are kept; callers that treat them as
-  /// immediate UNSAT should check before building.
+  /// compact form. Empty clauses are kept; wmc::Trail reports one as a
+  /// conflict at the root.
   static CompactCnf Build(const CnfFormula& cnf);
 
   std::uint32_t variable_count() const { return variable_count_; }

@@ -14,10 +14,10 @@ class Encoder {
 
   // Returns a literal equivalent to the subformula, adding defining
   // clauses for any fresh auxiliary variable.
-  Literal Encode(const PropFormula& node) {
+  Lit Encode(const PropFormula& node) {
     auto it = cache_.find(node.get());
     if (it != cache_.end()) return it->second;
-    Literal result = EncodeUncached(node);
+    Lit result = EncodeUncached(node);
     cache_.emplace(node.get(), result);
     return result;
   }
@@ -25,35 +25,35 @@ class Encoder {
   std::uint32_t next_var() const { return next_var_; }
 
  private:
-  Literal EncodeUncached(const PropFormula& node) {
+  Lit EncodeUncached(const PropFormula& node) {
     switch (node->kind()) {
       case PropKind::kVar:
-        return Literal{node->variable(), true};
+        return MakeLit(node->variable(), true);
       case PropKind::kNot:
-        return Encode(node->child()).Negated();
+        return NegateLit(Encode(node->child()));
       case PropKind::kAnd:
       case PropKind::kOr: {
-        std::vector<Literal> child_literals;
+        std::vector<Lit> child_literals;
         child_literals.reserve(node->children().size());
         for (const PropFormula& child : node->children()) {
           child_literals.push_back(Encode(child));
         }
-        Literal aux{next_var_++, true};
+        Lit aux = MakeLit(next_var_++, true);
         if (node->kind() == PropKind::kAnd) {
           // aux <=> AND(children): (!aux | c_i) for all i, and
           // (aux | !c_1 | ... | !c_k).
           Clause big{aux};
-          for (const Literal& c : child_literals) {
-            cnf_->clauses.push_back({aux.Negated(), c});
-            big.push_back(c.Negated());
+          for (Lit c : child_literals) {
+            cnf_->clauses.push_back({NegateLit(aux), c});
+            big.push_back(NegateLit(c));
           }
           cnf_->clauses.push_back(std::move(big));
         } else {
           // aux <=> OR(children): (aux | !c_i) for all i, and
           // (!aux | c_1 | ... | c_k).
-          Clause big{aux.Negated()};
-          for (const Literal& c : child_literals) {
-            cnf_->clauses.push_back({aux, c.Negated()});
+          Clause big{NegateLit(aux)};
+          for (Lit c : child_literals) {
+            cnf_->clauses.push_back({aux, NegateLit(c)});
             big.push_back(c);
           }
           cnf_->clauses.push_back(std::move(big));
@@ -71,7 +71,7 @@ class Encoder {
 
   CnfFormula* cnf_;
   std::uint32_t next_var_;
-  std::unordered_map<const PropNode*, Literal> cache_;
+  std::unordered_map<const PropNode*, Lit> cache_;
 };
 
 }  // namespace
@@ -89,7 +89,7 @@ TseitinResult TseitinTransform(const PropFormula& formula,
     return result;
   }
   Encoder encoder(&result.cnf, original_variable_count);
-  Literal root = encoder.Encode(formula);
+  Lit root = encoder.Encode(formula);
   result.cnf.clauses.push_back({root});
   result.cnf.variable_count = encoder.next_var();
   return result;

@@ -76,6 +76,15 @@ JsonValue MakeError(const JsonValue* id, const std::string& message) {
   return json;
 }
 
+/// The reply to "quit" and "shutdown".
+JsonValue MakeBye(const JsonValue* id) {
+  JsonValue json = JsonValue::MakeObject();
+  if (id != nullptr) json.Add("id", *id);
+  json.Add("status", JsonValue::MakeString("ok"));
+  json.Add("bye", JsonValue::MakeBool(true));
+  return json;
+}
+
 /// One governed direct count (the compile-aborted fallback and the
 /// "direct" mode): a fresh engine and a fresh budget per weight vector,
 /// so every vector gets the full envelope and certified bounds where the
@@ -234,12 +243,7 @@ Server::Reply Server::HandleLine(std::string_view line) {
   if (cmd != nullptr && cmd->kind == JsonValue::Kind::kString &&
       (cmd->string == "quit" || cmd->string == "shutdown")) {
     if (cmd->string == "shutdown") shutdown_requested_ = true;
-    reply.json = JsonValue::MakeObject();
-    if (const JsonValue* id = FindMember(request, "id")) {
-      reply.json.Add("id", *id);
-    }
-    reply.json.Add("status", JsonValue::MakeString("ok"));
-    reply.json.Add("bye", JsonValue::MakeBool(true));
+    reply.json = MakeBye(FindMember(request, "id"));
     reply.quit = true;
     return reply;
   }
@@ -266,13 +270,7 @@ io::JsonValue Server::HandleRequest(const io::JsonValue& request) {
   }
   if (cmd == "stats") return finish(HandleStats(id), false);
   if (cmd == "metrics") return finish(HandleMetrics(id), false);
-  if (cmd == "quit" || cmd == "shutdown") {
-    JsonValue json = JsonValue::MakeObject();
-    if (id != nullptr) json.Add("id", *id);
-    json.Add("status", JsonValue::MakeString("ok"));
-    json.Add("bye", JsonValue::MakeBool(true));
-    return finish(std::move(json), false);
-  }
+  if (cmd == "quit" || cmd == "shutdown") return finish(MakeBye(id), false);
   if (cmd != "query") {
     return finish(MakeError(id, "unknown command '" + cmd + "'"), true);
   }
@@ -523,43 +521,38 @@ io::JsonValue Server::HandleQuery(const io::JsonValue& request) {
               "stop_reason",
               JsonValue::MakeString(runtime::ToString(compiled.stop_reason)));
         }
-        response.Add("cached", JsonValue::MakeBool(false));
         direct_all();
-        JsonValue results_json = JsonValue::MakeArray();
-        for (JsonValue& entry : results) {
-          results_json.array.push_back(std::move(entry));
-        }
-        response.Add("results", std::move(results_json));
-        response.Add("elapsed_seconds",
-                     JsonValue::MakeNumber(SecondsSince(start)));
-        return response;
+      } else {
+        query = std::make_shared<const api::CompiledQuery>(
+            std::move(*compiled.compiled));
+        CacheInsert(key, query);
       }
-      query = std::make_shared<const api::CompiledQuery>(
-          std::move(*compiled.compiled));
-      CacheInsert(key, query);
     }
     response.Add("cached", JsonValue::MakeBool(cached));
-    response.Add("kind",
-                 JsonValue::MakeString(api::ToString(query->kind())));
+    // Null only when a stopped compile degraded to direct counts above.
+    if (query != nullptr) {
+      response.Add("kind",
+                   JsonValue::MakeString(api::ToString(query->kind())));
 
-    auto evaluate_one = [&](std::size_t i) {
-      if (!vectors[i].error.empty()) {
-        results[i] = MakeError(nullptr, vectors[i].error);
-        return;
-      }
-      std::unique_ptr<nnf::Circuit::EvalArena> arena = AcquireArena();
-      try {
-        BigRational value =
-            query->Evaluate(*domain, vectors[i].reweights, arena.get());
-        JsonValue entry = JsonValue::MakeObject();
-        entry.Add("wfomc", JsonValue::MakeString(value.ToString()));
-        results[i] = std::move(entry);
-      } catch (const std::exception& error) {
-        results[i] = MakeError(nullptr, error.what());
-      }
-      ReleaseArena(std::move(arena));
-    };
-    pool_->ParallelFor(vectors.size(), evaluate_one);
+      auto evaluate_one = [&](std::size_t i) {
+        if (!vectors[i].error.empty()) {
+          results[i] = MakeError(nullptr, vectors[i].error);
+          return;
+        }
+        std::unique_ptr<nnf::Circuit::EvalArena> arena = AcquireArena();
+        try {
+          BigRational value =
+              query->Evaluate(*domain, vectors[i].reweights, arena.get());
+          JsonValue entry = JsonValue::MakeObject();
+          entry.Add("wfomc", JsonValue::MakeString(value.ToString()));
+          results[i] = std::move(entry);
+        } catch (const std::exception& error) {
+          results[i] = MakeError(nullptr, error.what());
+        }
+        ReleaseArena(std::move(arena));
+      };
+      pool_->ParallelFor(vectors.size(), evaluate_one);
+    }
   }
 
   JsonValue results_json = JsonValue::MakeArray();

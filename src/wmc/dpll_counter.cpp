@@ -11,7 +11,6 @@ namespace {
 
 using numeric::BigInt;
 using numeric::BigRational;
-using prop::Clause;
 using prop::Lit;
 using prop::LitVariable;
 using prop::MakeLit;
@@ -26,6 +25,11 @@ constexpr std::uint64_t kLiveFlushInterval = 4096;
 
 // Entry bound of the counting memo; the oldest entries are evicted past it.
 constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 20;
+
+prop::CompactCnf Flatten(prop::CnfFormula cnf) {
+  prop::NormalizeCnf(&cnf);
+  return prop::CompactCnf::Build(cnf);
+}
 
 }  // namespace
 
@@ -91,7 +95,7 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights)
 
 DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
                          Options options)
-    : cnf_(std::move(cnf)),
+    : compact_(Flatten(std::move(cnf))),
       options_(options),
       governed_(options.budget != nullptr || options.cancel != nullptr ||
                 options.fault != nullptr),
@@ -104,19 +108,24 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
                                            : kMaxCacheEntries,
              options.trace_sink == nullptr && options.budget != nullptr
                  ? options.budget->max_memory_bytes()
-                 : ComponentCache::kUnbounded) {
-  weights.EnsureSize(cnf_.variable_count);
+                 : ComponentCache::kUnbounded),
+      trail_(&compact_),
+      variable_stamp_(compact_.variable_count(), 0),
+      clause_mark_(compact_.clause_count()),
+      score_stamp_(compact_.variable_count(), 0),
+      score_(compact_.variable_count(), 0) {
+  const VarId variable_count = compact_.variable_count();
+  weights.EnsureSize(variable_count);
   // Clear denominators once: every term the search sums carries exactly
   // one weight factor per counted variable (a decision or implied
   // literal, a free (w + w̄), the single-clause closed form, or the
   // [0, Π(w + w̄)] bracket), so the scaled search totals weight_scale_ ×
   // the count and runs in BigInt. Entries past variable_count are never
   // read and stay out of the scale.
-  literal_weight_.resize(2 * std::size_t{cnf_.variable_count});
-  weight_scale_ =
-      ClearDenominators(weights, cnf_.variable_count, literal_weight_);
-  total_weight_.reserve(cnf_.variable_count);
-  for (VarId v = 0; v < cnf_.variable_count; ++v) {
+  literal_weight_.resize(2 * std::size_t{variable_count});
+  weight_scale_ = ClearDenominators(weights, variable_count, literal_weight_);
+  total_weight_.reserve(variable_count);
+  for (VarId v = 0; v < variable_count; ++v) {
     total_weight_.push_back(literal_weight_[MakeLit(v, true)] +
                             literal_weight_[MakeLit(v, false)]);
   }
@@ -144,42 +153,30 @@ DpllCounter::DpllCounter(prop::CnfFormula cnf, WeightMap weights,
   }
 }
 
-void DpllCounter::FlushLiveStats(SearchContext* ctx) {
-  const Stats& now = ctx->stats;
-  Stats& last = ctx->flushed;
+void DpllCounter::FlushLiveStats() {
   if (live_.decisions != nullptr) {
-    live_.decisions->Add(now.decisions - last.decisions);
-    live_.propagations->Add(now.unit_propagations - last.unit_propagations);
-    live_.component_splits->Add(now.component_splits - last.component_splits);
+    live_.decisions->Add(stats_.decisions - flushed_.decisions);
+    live_.propagations->Add(stats_.unit_propagations -
+                            flushed_.unit_propagations);
+    live_.component_splits->Add(stats_.component_splits -
+                                flushed_.component_splits);
   }
-  last = now;
+  flushed_ = stats_;
   if (options_.trace != nullptr &&
       options_.trace->SampledQuery(options_.trace_query_id)) {
     options_.trace->Event("dpll_progress")
         .Num("query", options_.trace_query_id)
-        .Num("decisions", now.decisions)
-        .Num("propagations", now.unit_propagations)
-        .Num("splits", now.component_splits);
+        .Num("decisions", stats_.decisions)
+        .Num("propagations", stats_.unit_propagations)
+        .Num("splits", stats_.component_splits);
   }
 }
 
-void DpllCounter::InitContext(SearchContext* ctx) const {
-  ctx->epoch = 0;
-  ctx->variable_stamp.assign(cnf_.variable_count, 0);
-  ctx->clause_mark.assign(compact_.clause_count(), ClauseMark{});
-  ctx->score_stamp.assign(cnf_.variable_count, 0);
-  ctx->score.assign(cnf_.variable_count, 0);
-  ctx->node_scratch.clear();
-  ctx->scratch_depth = 0;
-  ctx->dfs_stack.clear();
-}
-
-DpllCounter::NodeScratch* DpllCounter::AcquireScratch(
-    SearchContext* ctx) const {
-  if (ctx->scratch_depth == ctx->node_scratch.size()) {
-    ctx->node_scratch.push_back(std::make_unique<NodeScratch>());
+DpllCounter::NodeScratch* DpllCounter::AcquireScratch() {
+  if (scratch_depth_ == node_scratch_.size()) {
+    node_scratch_.push_back(std::make_unique<NodeScratch>());
   }
-  NodeScratch* scratch = ctx->node_scratch[ctx->scratch_depth++].get();
+  NodeScratch* scratch = node_scratch_[scratch_depth_++].get();
   scratch->components.clear();
   scratch->free_variables.clear();
   scratch->remaining.clear();
@@ -200,35 +197,27 @@ numeric::BigRational DpllCounter::Count() {
 
 DpllCounter::CountResult DpllCounter::CountBounded() {
   stats_ = Stats{};
-  cache_.Clear();
+  flushed_ = Stats{};
+  governance_ticks_ = 0;
   stop_ = runtime::StopReason::kNone;
+  cache_.Clear();
+  trail_.UndoTo(0);
   TraceSink* sink = options_.trace_sink;
   TraceSink::NodeId trace_root = TraceSink::kNoNode;
-  SearchContext root;
-  // The counting core; root's counters and the cache's are folded into
-  // stats_ on exit no matter which path returns. In tracing mode the
-  // zero-weight early returns are disabled — a weight-induced zero is
-  // not UNSAT, and the circuit must stay valid for other weight vectors.
+  // The counting core; the cache's counters are folded into stats_ on
+  // exit no matter which path returns. In tracing mode the zero-weight
+  // early returns are disabled — a weight-induced zero is not UNSAT, and
+  // the circuit must stay valid for other weight vectors.
   NodeResult result = [&]() -> NodeResult {
-    prop::NormalizeCnf(&cnf_);
-    for (const Clause& clause : cnf_.clauses) {
-      if (clause.empty()) {
-        if (sink != nullptr) trace_root = sink->False();
-        return NodeResult{};
-      }
-    }
-    compact_ = prop::CompactCnf::Build(cnf_);
-    InitContext(&root);
-    root.trail.emplace(&compact_);
-
-    if (!root.trail->PropagateExistingUnits(&root.stats.unit_propagations)) {
+    // False on an empty clause, before anything is propagated.
+    if (!trail_.PropagateExistingUnits(&stats_.unit_propagations)) {
       if (sink != nullptr) trace_root = sink->False();
       return NodeResult{};
     }
     std::vector<TraceSink::NodeId> children;
     BoundsAccumulator result;
     result.SetOne();
-    for (Lit lit : root.trail->assignments()) {
+    for (Lit lit : trail_.assignments()) {
       const BigInt& weight = literal_weight_[lit];
       if (!weight.IsOne()) result.Multiply(weight);
       if (sink != nullptr) children.push_back(sink->Literal(lit));
@@ -236,9 +225,9 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     if (result.IsZero() && sink == nullptr) return NodeResult{};
 
     std::vector<VarId> candidates;
-    candidates.reserve(cnf_.variable_count);
-    for (VarId v = 0; v < cnf_.variable_count; ++v) {
-      if (root.trail->IsAssigned(v)) continue;
+    candidates.reserve(compact_.variable_count());
+    for (VarId v = 0; v < compact_.variable_count(); ++v) {
+      if (trail_.IsAssigned(v)) continue;
       if (compact_.Mentions(v)) {
         candidates.push_back(v);
       } else {
@@ -252,13 +241,12 @@ DpllCounter::CountResult DpllCounter::CountBounded() {
     for (std::uint32_t c = 0; c < compact_.clause_count(); ++c) {
       all_clauses[c] = c;
     }
-    result.Multiply(CountResidual(&root, candidates, all_clauses,
+    result.Multiply(CountResidual(candidates, all_clauses,
                                   sink != nullptr ? &children : nullptr));
     if (sink != nullptr) trace_root = sink->And(children);
     return result.Finish();
   }();
-  stats_ = root.stats;  // search counters; FinalizeStats adds the cache's
-  if (observed_) FlushLiveStats(&root);
+  if (observed_) FlushLiveStats();
   FinalizeStats();
   if (sink != nullptr) sink->Root(trace_root);
 
@@ -306,14 +294,13 @@ void DpllCounter::FinalizeStats() {
 }
 
 DpllCounter::NodeResult DpllCounter::CountResidual(
-    SearchContext* ctx, const std::vector<VarId>& candidates,
+    const std::vector<VarId>& candidates,
     const std::vector<std::uint32_t>& parent_clauses,
     std::vector<TraceSink::NodeId>* trace_children) {
-  NodeScratch* scratch = AcquireScratch(ctx);
+  NodeScratch* scratch = AcquireScratch();
   std::vector<Component>& components = scratch->components;
   std::vector<VarId>& free_variables = scratch->free_variables;
-  FindComponents(ctx, candidates, parent_clauses, &components,
-                 &free_variables);
+  FindComponents(candidates, parent_clauses, &components, &free_variables);
 
   BoundsAccumulator result;
   result.SetOne();
@@ -344,26 +331,26 @@ DpllCounter::NodeResult DpllCounter::CountResidual(
       std::sort(merged.clauses.begin(), merged.clauses.end());
       TraceSink::NodeId node = TraceSink::kNoNode;
       result.Multiply(CountComponentCached(
-          ctx, merged, trace_children != nullptr ? &node : nullptr));
+          merged, trace_children != nullptr ? &node : nullptr));
       if (trace_children != nullptr) trace_children->push_back(node);
     } else {
-      if (components.size() > 1) ++ctx->stats.component_splits;
-      result.Multiply(CountComponents(ctx, components, trace_children));
+      if (components.size() > 1) ++stats_.component_splits;
+      result.Multiply(CountComponents(components, trace_children));
     }
   }
   // Recycle the id-span buffers for later search nodes.
   for (Component& component : components) {
     component.variables.clear();
     component.clauses.clear();
-    ctx->component_pool.push_back(std::move(component));
+    component_pool_.push_back(std::move(component));
   }
   components.clear();
-  ReleaseScratch(ctx);
+  ReleaseScratch();
   return result.Finish();
 }
 
 DpllCounter::NodeResult DpllCounter::CountComponents(
-    SearchContext* ctx, const std::vector<Component>& components,
+    const std::vector<Component>& components,
     std::vector<TraceSink::NodeId>* trace_children) {
   // Tracing must visit every component even after a zero factor — the
   // AND node needs all its children.
@@ -372,7 +359,7 @@ DpllCounter::NodeResult DpllCounter::CountComponents(
   for (const Component& component : components) {
     TraceSink::NodeId node = TraceSink::kNoNode;
     result.Multiply(CountComponentCached(
-        ctx, component, trace_children != nullptr ? &node : nullptr));
+        component, trace_children != nullptr ? &node : nullptr));
     if (trace_children != nullptr) {
       trace_children->push_back(node);
     } else if (result.IsZero()) {
@@ -383,8 +370,7 @@ DpllCounter::NodeResult DpllCounter::CountComponents(
 }
 
 DpllCounter::NodeResult DpllCounter::CountComponentCached(
-    SearchContext* ctx, const Component& component,
-    TraceSink::NodeId* trace_node) {
+    const Component& component, TraceSink::NodeId* trace_node) {
   // A single-clause component has the closed form
   //   Π_v (w_v + w̄_v)  −  Π_{lit} weight(¬lit)
   // (all assignments minus the one falsifying the clause); computing it
@@ -396,7 +382,7 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
     BigInt falsifying(1);
     for (Lit lit : compact_.Clause(component.clauses.front())) {
       VarId v = LitVariable(lit);
-      if (ctx->trail->IsAssigned(v)) continue;
+      if (trail_.IsAssigned(v)) continue;
       all *= total_weight_[v];
       falsifying *= literal_weight_[NegateLit(lit)];
     }
@@ -404,17 +390,17 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
     return NodeResult{std::move(all), BigInt(), true};
   }
   if (!options_.use_cache) {
-    return BranchOnComponent(ctx, component, trace_node);
+    return BranchOnComponent(component, trace_node);
   }
-  std::uint64_t hash = PackKey(ctx, component);
+  std::uint64_t hash = PackKey(component);
   if (const ComponentCache::CachedCount* hit =
-          cache_.Lookup(ctx->key_scratch, hash)) {
+          cache_.Lookup(key_scratch_, hash)) {
     if (trace_node != nullptr) *trace_node = hit->node;
     return NodeResult{hit->value, BigInt(), true};
   }
   // Copy the scratch key out before recursing (nested lookups reuse it).
-  ComponentKey key = ctx->key_scratch;
-  NodeResult result = BranchOnComponent(ctx, component, trace_node);
+  ComponentKey key = key_scratch_;
+  NodeResult result = BranchOnComponent(component, trace_node);
   // Only exact values may be cached: a key determines its exact count,
   // but says nothing about where a budget cut the subtree off.
   if (!result.exact) {
@@ -435,7 +421,7 @@ DpllCounter::NodeResult DpllCounter::CountComponentCached(
   return result;
 }
 
-runtime::StopReason DpllCounter::CheckStop(SearchContext* ctx) {
+runtime::StopReason DpllCounter::CheckStop() {
   if (stop_ != runtime::StopReason::kNone) return stop_;
   if (options_.fault != nullptr &&
       options_.fault->Count(runtime::FaultPoint::Site::kDecision)) {
@@ -453,7 +439,7 @@ runtime::StopReason DpllCounter::CheckStop(SearchContext* ctx) {
     // fires before any decision.
     runtime::StopReason reason = options_.budget->ChargeDecisions(1);
     if (reason == runtime::StopReason::kNone &&
-        (ctx->governance_ticks++ & 63) == 0) {
+        (governance_ticks_++ & 63) == 0) {
       reason = options_.budget->CheckDeadline();
     }
     if (reason != runtime::StopReason::kNone) {
@@ -469,34 +455,32 @@ void DpllCounter::RequestStop(runtime::StopReason reason) {
 }
 
 DpllCounter::NodeResult DpllCounter::BracketComponent(
-    SearchContext* ctx, const Component& component) {
-  ++ctx->stats.aborted_subtrees;
+    const Component& component) {
+  ++stats_.aborted_subtrees;
   // Every total assignment of the component's unassigned variables has
   // weight <= Π (w + w̄), and with non-negative weights the sum over the
   // satisfying subset is sandwiched in [0, that product].
   BigInt upper(1);
   for (VarId v : component.variables) {
-    if (!ctx->trail->IsAssigned(v)) upper *= total_weight_[v];
+    if (!trail_.IsAssigned(v)) upper *= total_weight_[v];
   }
   return NodeResult{BigInt(0), std::move(upper), false};
 }
 
 DpllCounter::NodeResult DpllCounter::BranchOnComponent(
-    SearchContext* ctx, const Component& component,
-    TraceSink::NodeId* trace_node) {
+    const Component& component, TraceSink::NodeId* trace_node) {
   // The per-decision governance checkpoint: once a stop is requested, the
   // whole remaining subtree collapses to
   // its bracket and the recursion unwinds without further decisions.
-  if (governed_ && CheckStop(ctx) != runtime::StopReason::kNone) {
-    return BracketComponent(ctx, component);
+  if (governed_ && CheckStop() != runtime::StopReason::kNone) {
+    return BracketComponent(component);
   }
-  VarId variable = PickBranchVariable(ctx, component);
-  ++ctx->stats.decisions;
-  if (observed_ &&
-      (ctx->stats.decisions & (kLiveFlushInterval - 1)) == 0) {
-    FlushLiveStats(ctx);
+  VarId variable = PickBranchVariable(component);
+  ++stats_.decisions;
+  if (observed_ && (stats_.decisions & (kLiveFlushInterval - 1)) == 0) {
+    FlushLiveStats();
   }
-  NodeScratch* scratch = AcquireScratch(ctx);
+  NodeScratch* scratch = AcquireScratch();
   BoundsAccumulator total;
   BoundsAccumulator term;
   // Circuit children of the decision OR; conflicting branches contribute
@@ -508,11 +492,11 @@ DpllCounter::NodeResult DpllCounter::BranchOnComponent(
     // A zero-weight branch carries factor 0 — but only for *these*
     // weights, so tracing must still explore it for the circuit.
     if (weight.IsZero() && trace_node == nullptr) continue;
-    std::size_t mark = ctx->trail->Mark();
-    if (ctx->trail->AssignAndPropagate(MakeLit(variable, value),
-                                       &ctx->stats.unit_propagations)) {
+    std::size_t mark = trail_.Mark();
+    if (trail_.AssignAndPropagate(MakeLit(variable, value),
+                                  &stats_.unit_propagations)) {
       term.Set(weight);
-      const std::vector<Lit>& trail = ctx->trail->assignments();
+      const std::vector<Lit>& trail = trail_.assignments();
       if (trace_node != nullptr) {
         branch_children.clear();
         // The decision literal itself (trail[mark]) plus its implications.
@@ -529,9 +513,9 @@ DpllCounter::NodeResult DpllCounter::BranchOnComponent(
         remaining.clear();
         remaining.reserve(component.variables.size());
         for (VarId v : component.variables) {
-          if (!ctx->trail->IsAssigned(v)) remaining.push_back(v);
+          if (!trail_.IsAssigned(v)) remaining.push_back(v);
         }
-        term.Multiply(CountResidual(ctx, remaining, component.clauses,
+        term.Multiply(CountResidual(remaining, component.clauses,
                                     trace_node != nullptr ? &branch_children
                                                           : nullptr));
       }
@@ -540,60 +524,57 @@ DpllCounter::NodeResult DpllCounter::BranchOnComponent(
         or_children.push_back(options_.trace_sink->And(branch_children));
       }
     }
-    ctx->trail->UndoTo(mark);
+    trail_.UndoTo(mark);
   }
   if (trace_node != nullptr) {
     *trace_node = options_.trace_sink->Or(variable, or_children);
   }
-  ReleaseScratch(ctx);
+  ReleaseScratch();
   return total.Finish();
 }
 
-void DpllCounter::BumpEpoch(SearchContext* ctx) const {
-  if (++ctx->epoch == 0) {  // wraparound: wipe every stamp and restart
-    std::fill(ctx->variable_stamp.begin(), ctx->variable_stamp.end(), 0);
-    std::fill(ctx->clause_mark.begin(), ctx->clause_mark.end(),
-              ClauseMark{});
-    std::fill(ctx->score_stamp.begin(), ctx->score_stamp.end(), 0);
-    ctx->epoch = 1;
+void DpllCounter::BumpEpoch() {
+  if (++epoch_ == 0) {  // wraparound: wipe every stamp and restart
+    std::fill(variable_stamp_.begin(), variable_stamp_.end(), 0);
+    std::fill(clause_mark_.begin(), clause_mark_.end(), ClauseMark{});
+    std::fill(score_stamp_.begin(), score_stamp_.end(), 0);
+    epoch_ = 1;
   }
 }
 
 void DpllCounter::FindComponents(
-    SearchContext* ctx, const std::vector<VarId>& candidates,
+    const std::vector<VarId>& candidates,
     const std::vector<std::uint32_t>& parent_clauses,
     std::vector<Component>* components, std::vector<VarId>* free_variables) {
-  BumpEpoch(ctx);
-  std::vector<VarId>& stack = ctx->dfs_stack;
+  BumpEpoch();
   for (VarId seed : candidates) {
-    if (ctx->variable_stamp[seed] == ctx->epoch) continue;
-    ctx->variable_stamp[seed] = ctx->epoch;
+    if (variable_stamp_[seed] == epoch_) continue;
+    variable_stamp_[seed] = epoch_;
     Component component;
-    if (!ctx->component_pool.empty()) {
-      component = std::move(ctx->component_pool.back());
-      ctx->component_pool.pop_back();
+    if (!component_pool_.empty()) {
+      component = std::move(component_pool_.back());
+      component_pool_.pop_back();
     }
     std::uint32_t component_index =
         static_cast<std::uint32_t>(components->size());
     bool has_clauses = false;
-    stack.assign(1, seed);
-    while (!stack.empty()) {
-      VarId v = stack.back();
-      stack.pop_back();
+    dfs_stack_.assign(1, seed);
+    while (!dfs_stack_.empty()) {
+      VarId v = dfs_stack_.back();
+      dfs_stack_.pop_back();
       component.variables.push_back(v);
       for (std::uint32_t clause : compact_.VariableOccurrences(v)) {
-        ClauseMark& mark = ctx->clause_mark[clause];
-        if (mark.stamp == ctx->epoch) continue;
-        if (ctx->trail->ClauseSatisfied(clause)) continue;
-        mark = ClauseMark{ctx->epoch, component_index};
+        ClauseMark& mark = clause_mark_[clause];
+        if (mark.stamp == epoch_) continue;
+        if (trail_.ClauseSatisfied(clause)) continue;
+        mark = ClauseMark{epoch_, component_index};
         has_clauses = true;
         for (Lit lit : compact_.Clause(clause)) {
           VarId other = LitVariable(lit);
-          if (ctx->variable_stamp[other] == ctx->epoch) continue;
-          ctx->variable_stamp[other] = ctx->epoch;
-          if (ctx->trail->IsAssigned(other)) continue;  // stamped, not
-                                                        // visited
-          stack.push_back(other);
+          if (variable_stamp_[other] == epoch_) continue;
+          variable_stamp_[other] = epoch_;
+          if (trail_.IsAssigned(other)) continue;  // stamped, not visited
+          dfs_stack_.push_back(other);
         }
       }
     }
@@ -602,7 +583,7 @@ void DpllCounter::FindComponents(
       // in this residual and contributes (w + w̄) directly.
       free_variables->push_back(seed);
       component.variables.clear();
-      ctx->component_pool.push_back(std::move(component));
+      component_pool_.push_back(std::move(component));
     } else {
       components->push_back(std::move(component));
     }
@@ -612,49 +593,45 @@ void DpllCounter::FindComponents(
   // clause to its component in ascending id order, so cache signatures
   // are canonical without any per-component sort.
   for (std::uint32_t clause : parent_clauses) {
-    if (ctx->clause_mark[clause].stamp == ctx->epoch) {
-      (*components)[ctx->clause_mark[clause].component].clauses.push_back(
-          clause);
+    if (clause_mark_[clause].stamp == epoch_) {
+      (*components)[clause_mark_[clause].component].clauses.push_back(clause);
     }
   }
 }
 
-prop::VarId DpllCounter::PickBranchVariable(SearchContext* ctx,
-                                            const Component& component) {
+prop::VarId DpllCounter::PickBranchVariable(const Component& component) {
   // Dynamic literal-occurrence scores over the current component: branch
   // on the variable constrained by the most active clauses, ties to the
   // smallest id. (Weighting shorter clauses higher was tried and measured
   // strictly worse on the grounded-lineage workloads.)
-  BumpEpoch(ctx);
+  BumpEpoch();
   VarId best = component.variables.front();
   std::uint64_t best_score = 0;
   for (std::uint32_t clause : component.clauses) {
     for (Lit lit : compact_.Clause(clause)) {
       VarId v = LitVariable(lit);
-      if (ctx->trail->IsAssigned(v)) continue;
-      if (ctx->score_stamp[v] != ctx->epoch) {
-        ctx->score_stamp[v] = ctx->epoch;
-        ctx->score[v] = 0;
+      if (trail_.IsAssigned(v)) continue;
+      if (score_stamp_[v] != epoch_) {
+        score_stamp_[v] = epoch_;
+        score_[v] = 0;
       }
-      ++ctx->score[v];
-      if (ctx->score[v] > best_score ||
-          (ctx->score[v] == best_score && v < best)) {
+      ++score_[v];
+      if (score_[v] > best_score || (score_[v] == best_score && v < best)) {
         best = v;
-        best_score = ctx->score[v];
+        best_score = score_[v];
       }
     }
   }
   return best;
 }
 
-std::uint64_t DpllCounter::PackKey(SearchContext* ctx,
-                                   const Component& component) {
-  ComponentKey& key = ctx->key_scratch;
+std::uint64_t DpllCounter::PackKey(const Component& component) {
+  ComponentKey& key = key_scratch_;
   key.clear();
   std::uint64_t state = ComponentHashInit();
   for (std::uint32_t clause : component.clauses) {
     for (Lit lit : compact_.Clause(clause)) {
-      if (!ctx->trail->IsAssigned(LitVariable(lit))) {
+      if (!trail_.IsAssigned(LitVariable(lit))) {
         key.push_back(lit);
         state = ComponentHashStep(state, lit);
       }
@@ -666,12 +643,7 @@ std::uint64_t DpllCounter::PackKey(SearchContext* ctx,
 }
 
 bool DpllCounter::IsSatisfiable(const prop::CnfFormula& cnf) {
-  prop::CnfFormula normalized = cnf;
-  prop::NormalizeCnf(&normalized);
-  for (const Clause& clause : normalized.clauses) {
-    if (clause.empty()) return false;
-  }
-  prop::CompactCnf compact = prop::CompactCnf::Build(normalized);
+  prop::CompactCnf compact = Flatten(cnf);
   Trail trail(&compact);
   std::uint64_t propagations = 0;
   if (!trail.PropagateExistingUnits(&propagations)) return false;

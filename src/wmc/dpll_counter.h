@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "numeric/rational.h"
@@ -25,18 +24,20 @@ namespace swfomc::wmc {
 /// stand-in for the #SAT oracle the paper's reductions assume, and the
 /// engine behind the grounded (non-lifted) WFOMC baseline.
 ///
-/// Internally the search is trail-based: the CNF is flattened once into a
-/// CompactCnf, conditioning updates per-clause counters through
-/// occurrence lists, and backtracking unwinds the assignment trail —
-/// clauses are never copied during search. Residual components are
-/// discovered by DFS over the occurrence lists restricted to unassigned
-/// variables and memoized in one hashed component cache, which starts
-/// empty at every count.
+/// Internally the search is trail-based: the constructor normalizes the
+/// CNF and flattens it once into a CompactCnf (the counter keeps no other
+/// copy), conditioning updates per-clause counters through occurrence
+/// lists, and backtracking unwinds the assignment trail — clauses are
+/// never copied during search. Residual components are discovered by DFS
+/// over the occurrence lists restricted to unassigned variables and
+/// memoized in one hashed component cache, which starts empty at every
+/// count.
 ///
-/// The search is strictly sequential, like Cachet and sharpSAT: one
-/// trail, one scratch context and one unsynchronized cache per counter,
-/// so the count, the Stats and a traced circuit are deterministic
-/// functions of the CNF, the weights and the options.
+/// The search is strictly sequential, like Cachet and sharpSAT. Its state
+/// is the counter's own members: one trail, one set of epoch-stamped
+/// scratch and buffer pools, and one unsynchronized cache. So the count,
+/// the Stats and a traced circuit are deterministic functions of the CNF,
+/// the weights and the options.
 /// Components found at a decision node are variable-disjoint subproblems
 /// whose counts multiply; they are counted one after another.
 ///
@@ -145,6 +146,9 @@ class DpllCounter {
 
   DpllCounter(prop::CnfFormula cnf, WeightMap weights);
   DpllCounter(prop::CnfFormula cnf, WeightMap weights, Options options);
+  // The trail points into the counter's own flattened CNF.
+  DpllCounter(const DpllCounter&) = delete;
+  DpllCounter& operator=(const DpllCounter&) = delete;
 
   /// Weighted model count; deterministic and exact. Throws
   /// std::runtime_error if a governed run stops before the count is exact
@@ -207,49 +211,12 @@ class DpllCounter {
     bool exact = true;
   };
 
-  /// The search state of one Count(): its trail, its epoch-stamped
-  /// scratch, and its counters, rebuilt at every Count().
-  struct SearchContext {
-    std::optional<Trail> trail;
-    Stats stats;
-    // Search counters already pushed to the live metrics registry;
-    // FlushLiveStats publishes stats - flushed and advances this.
-    Stats flushed;
-    // Tick counter amortizing the deadline check (the clock is
-    // read every 64 decisions, starting with the first).
-    std::uint64_t governance_ticks = 0;
-
-    // Epoch-stamped scratch for FindComponents / PickBranchVariable, so
-    // neither allocates per search node. 32-bit epochs keep the stamp
-    // arrays cache-friendly; on wraparound they are wiped and the epoch
-    // restarts (BumpEpoch).
-    std::uint32_t epoch = 0;
-    std::vector<std::uint32_t> variable_stamp;
-    std::vector<ClauseMark> clause_mark;
-    std::vector<std::uint32_t> score_stamp;
-    std::vector<std::uint64_t> score;
-
-    // Buffer pools: component id-spans and cache keys are recycled
-    // across search nodes instead of reallocated.
-    std::vector<Component> component_pool;
-    ComponentKey key_scratch;
-
-    // Depth-indexed node scratch (AcquireScratch/ReleaseScratch) and the
-    // component-DFS work stack, both reused across all search nodes.
-    std::vector<std::unique_ptr<NodeScratch>> node_scratch;
-    std::size_t scratch_depth = 0;
-    std::vector<prop::VarId> dfs_stack;
-  };
-
-  // Prepares a context against the current compact_ (fresh trail unless
-  // the caller moves a snapshot in afterwards).
-  void InitContext(SearchContext* ctx) const;
-  void BumpEpoch(SearchContext* ctx) const;
+  void BumpEpoch();
   // Borrows the scratch entry for the current recursion depth (growing
   // the pool on first descent); ReleaseScratch must be called once per
   // acquire, on frame exit.
-  NodeScratch* AcquireScratch(SearchContext* ctx) const;
-  void ReleaseScratch(SearchContext* ctx) const { --ctx->scratch_depth; }
+  NodeScratch* AcquireScratch();
+  void ReleaseScratch() { --scratch_depth_; }
 
   // Weighted count of the residual formula over `candidates` (unassigned
   // variables) and `parent_clauses` (sorted ids of the clauses that could
@@ -261,47 +228,41 @@ class DpllCounter {
   // residual/component entry points append the circuit nodes of their
   // factors to *trace_children, the per-component ones write their node
   // to *trace_node.
-  NodeResult CountResidual(
-      SearchContext* ctx, const std::vector<prop::VarId>& candidates,
-      const std::vector<std::uint32_t>& parent_clauses,
-      std::vector<TraceSink::NodeId>* trace_children);
+  NodeResult CountResidual(const std::vector<prop::VarId>& candidates,
+                           const std::vector<std::uint32_t>& parent_clauses,
+                           std::vector<TraceSink::NodeId>* trace_children);
   // Multiplies the component counts, in component order.
-  NodeResult CountComponents(
-      SearchContext* ctx, const std::vector<Component>& components,
-      std::vector<TraceSink::NodeId>* trace_children);
-  NodeResult CountComponentCached(SearchContext* ctx,
-                                  const Component& component,
+  NodeResult CountComponents(const std::vector<Component>& components,
+                             std::vector<TraceSink::NodeId>* trace_children);
+  NodeResult CountComponentCached(const Component& component,
                                   TraceSink::NodeId* trace_node);
-  NodeResult BranchOnComponent(SearchContext* ctx,
-                               const Component& component,
+  NodeResult BranchOnComponent(const Component& component,
                                TraceSink::NodeId* trace_node);
 
   // Governance checkpoint, one call per decision: observes an already-
   // requested stop, fires the fault point, polls the cancel token, and
   // charges the budget (decision cap exactly; deadline every 64 ticks).
   // kNone means keep searching. Only called when governed_.
-  runtime::StopReason CheckStop(SearchContext* ctx);
+  runtime::StopReason CheckStop();
   // Records a stop reason for the rest of the search; the first wins.
   void RequestStop(runtime::StopReason reason);
   // The [0, Π unassigned (w + w̄)] bracket standing in for `component`'s
   // abandoned subtree.
-  NodeResult BracketComponent(SearchContext* ctx, const Component& component);
+  NodeResult BracketComponent(const Component& component);
 
   // Partitions `candidates` into connected components and isolated
   // (constraint-free) variables via DFS over the occurrence lists. Each
   // component's clause list is assembled by one sweep over
   // `parent_clauses`, inheriting its sorted order — no per-component
   // sort.
-  void FindComponents(SearchContext* ctx,
-                      const std::vector<prop::VarId>& candidates,
+  void FindComponents(const std::vector<prop::VarId>& candidates,
                       const std::vector<std::uint32_t>& parent_clauses,
                       std::vector<Component>* components,
                       std::vector<prop::VarId>* free_variables);
-  prop::VarId PickBranchVariable(SearchContext* ctx,
-                                 const Component& component);
-  // Packs the component's signature into ctx->key_scratch and returns its
+  prop::VarId PickBranchVariable(const Component& component);
+  // Packs the component's signature into key_scratch_ and returns its
   // 64-bit hash.
-  std::uint64_t PackKey(SearchContext* ctx, const Component& component);
+  std::uint64_t PackKey(const Component& component);
 
   // Publishes the cache's counters into stats_ and the live registry;
   // called on every Count() return. The cache starts empty at every
@@ -312,11 +273,12 @@ class DpllCounter {
   // one progress trace event (when sampled). Called every 4096 decisions
   // and once at the end of the search; never
   // called when observability is off (observed_ == false).
-  void FlushLiveStats(SearchContext* ctx);
+  void FlushLiveStats();
 
   bool tracing() const { return options_.trace_sink != nullptr; }
 
-  prop::CnfFormula cnf_;
+  // The normalized, flattened CNF; built once, by the constructor.
+  prop::CompactCnf compact_;
   // Cleared weights indexed by Lit, and their per-variable sums w + w̄
   // (see the constructor): every value the search computes or caches is
   // weight_scale_ = Π d_v times its true count.
@@ -345,15 +307,44 @@ class DpllCounter {
   // Non-negative weights make the [0, mass] bracket certified. With
   // negative weights a stop degrades to kAborted.
   bool bounds_sound_ = true;
+
+  // Search state. CountBounded() resets what a count reads (counters,
+  // stop, cache, trail); the scratch below is reused across counts.
+  //
   // The stop requested for the current Count(); kNone while running.
   runtime::StopReason stop_ = runtime::StopReason::kNone;
   Stats stats_;
+  // Search counters already pushed to the live metrics registry;
+  // FlushLiveStats publishes stats_ - flushed_ and advances this.
+  Stats flushed_;
+  // Tick counter amortizing the deadline check (the clock is read every
+  // 64 decisions, starting with the first).
+  std::uint64_t governance_ticks_ = 0;
   // Cleared at every Count(); its entries carry circuit nodes while
   // tracing.
   ComponentCache cache_;
+  Trail trail_;
 
-  // Search state, rebuilt by Count().
-  prop::CompactCnf compact_;
+  // Epoch-stamped scratch for FindComponents / PickBranchVariable, so
+  // neither allocates per search node. 32-bit epochs keep the stamp
+  // arrays cache-friendly; on wraparound they are wiped and the epoch
+  // restarts (BumpEpoch).
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> variable_stamp_;
+  std::vector<ClauseMark> clause_mark_;
+  std::vector<std::uint32_t> score_stamp_;
+  std::vector<std::uint64_t> score_;
+
+  // Buffer pools: component id-spans and cache keys are recycled across
+  // search nodes instead of reallocated.
+  std::vector<Component> component_pool_;
+  ComponentKey key_scratch_;
+
+  // Depth-indexed node scratch (AcquireScratch/ReleaseScratch) and the
+  // component-DFS work stack, both reused across all search nodes.
+  std::vector<std::unique_ptr<NodeScratch>> node_scratch_;
+  std::size_t scratch_depth_ = 0;
+  std::vector<prop::VarId> dfs_stack_;
 };
 
 /// One-shot convenience.

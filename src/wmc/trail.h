@@ -48,7 +48,8 @@ class Trail {
 
   /// Seeds propagation from clauses that are unit in the formula itself
   /// (used once at the root; decisions handle everything afterwards).
-  /// Returns false on conflict, including a pre-existing empty clause.
+  /// Returns false on conflict. An empty clause is one, reported before
+  /// anything is assigned or counted into `*propagations`.
   bool PropagateExistingUnits(std::uint64_t* propagations);
 
   /// Unassigns every trail literal above `mark`, restoring all counters.

@@ -283,7 +283,7 @@ TEST(BudgetBounds, GovernedBracketsArePinnedExactly) {
   for (const auto& clause : kClauses) {  // DIMACS-style: ±(variable + 1)
     prop::Clause& out = instance.cnf.clauses.emplace_back();
     for (int lit : clause) {
-      out.push_back(prop::Literal{prop::VarId(std::abs(lit) - 1), lit > 0});
+      out.push_back(prop::MakeLit(prop::VarId(std::abs(lit) - 1), lit > 0));
     }
   }
   instance.weights = wmc::WeightMap(16);

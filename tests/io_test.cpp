@@ -408,7 +408,7 @@ TEST(CnfFormat, ParsesWeightsAndClauses) {
   EXPECT_EQ(instance.cnf.variable_count, 4u);
   ASSERT_EQ(instance.cnf.clauses.size(), 3u);
   EXPECT_EQ(instance.cnf.clauses[1],
-            (prop::Clause{{2, true}, {3, true}}));
+            (prop::Clause{prop::MakeLit(2, true), prop::MakeLit(3, true)}));
   EXPECT_EQ(instance.weights.Get(0).positive, BigRational::Fraction(1, 2));
   EXPECT_EQ(instance.weights.Get(0).negative, BigRational::Fraction(3, 2));
   EXPECT_EQ(instance.weights.Get(1).positive, BigRational(1));
@@ -423,8 +423,11 @@ TEST(CnfFormat, ErrorPathsReportLineAndColumn) {
   ExpectCnfErrorAt("p dnf 2 1\n1 0\n", 1, 1, "malformed header");
   ExpectCnfErrorAt("p cnf 2 1\np cnf 2 1\n", 2, 1, "duplicate 'p' header");
   ExpectCnfErrorAt("p cnf x 1\n", 1, 7, "bad variable count");
-  // Counts beyond the 32-bit literal encoding are rejected, not wrapped.
+  // Counts beyond the 32-bit literal encoding are rejected, not wrapped:
+  // 2^31 variables already need literal 2^32 - 1 and a 2^32 literal space.
   ExpectCnfErrorAt("p cnf 4294967297 1\n1 0\n", 1, 7,
+                   "exceeds the supported maximum");
+  ExpectCnfErrorAt("p cnf 2147483648 1\n1 0\n", 1, 7,
                    "exceeds the supported maximum");
   ExpectCnfErrorAt("p cnf 2 1\n1 3 0\n", 2, 3, "out of range");
   ExpectCnfErrorAt("p cnf 2 1\n1 0\n2 0\n", 3, 3, "more clauses");
@@ -468,16 +471,18 @@ TEST(CnfFormat, PlainDimacsCornerCases) {
   WeightedCnf commented = ParseWeightedCnf(
       "c a comment\n\np cnf 2 2\nc interleaved\n1 2 0\n\n-1 0\n");
   ASSERT_EQ(commented.cnf.clauses.size(), 2u);
-  EXPECT_EQ(commented.cnf.clauses[1], (prop::Clause{{0, false}}));
+  EXPECT_EQ(commented.cnf.clauses[1],
+            (prop::Clause{prop::MakeLit(0, false)}));
   // The unweighted rendering is plain DIMACS.
   EXPECT_EQ(PrintWeightedCnf(commented), "p cnf 2 2\n1 2 0\n-1 0\n");
   // An empty clause (a bare terminator) survives a round trip.
   WeightedCnf with_empty;
   with_empty.cnf.variable_count = 5;
-  with_empty.cnf.clauses = {{{0, true}, {4, false}},
-                            {{1, false}, {2, true}, {3, true}},
+  with_empty.cnf.clauses = {{prop::MakeLit(0, true), prop::MakeLit(4, false)},
+                            {prop::MakeLit(1, false), prop::MakeLit(2, true),
+                             prop::MakeLit(3, true)},
                             {},
-                            {{4, true}}};
+                            {prop::MakeLit(4, true)}};
   with_empty.weights = wmc::WeightMap(5);
   EXPECT_EQ(ParseWeightedCnf(PrintWeightedCnf(with_empty)).cnf.clauses,
             with_empty.cnf.clauses);

@@ -18,7 +18,6 @@ namespace {
 using numeric::BigRational;
 using prop::Clause;
 using prop::CnfFormula;
-using prop::Literal;
 
 CnfFormula MakeCnf(std::uint32_t variables,
                    std::vector<std::vector<int>> clauses) {
@@ -28,8 +27,8 @@ CnfFormula MakeCnf(std::uint32_t variables,
   for (const auto& clause : clauses) {
     Clause c;
     for (int lit : clause) {
-      c.push_back(Literal{static_cast<prop::VarId>(std::abs(lit) - 1),
-                          lit > 0});
+      c.push_back(prop::MakeLit(static_cast<prop::VarId>(std::abs(lit) - 1),
+                                lit > 0));
     }
     cnf.clauses.push_back(std::move(c));
   }

@@ -295,7 +295,7 @@ TEST(Compile, DegenerateFormulas) {
   // A unit clause: root propagation, literal factor times free factor.
   prop::CnfFormula unit;
   unit.variable_count = 2;
-  unit.clauses.push_back({prop::Literal{0, true}});
+  unit.clauses.push_back({prop::MakeLit(0, true)});
   WeightMap unit_weights(2);
   unit_weights.Set(0, BigRational(5), BigRational(11));
   unit_weights.Set(1, BigRational(2), BigRational(3));

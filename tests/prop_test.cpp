@@ -51,7 +51,7 @@ TEST(PropFormulaTest, ToString) {
 TEST(CnfTest, IsSatisfiedBy) {
   CnfFormula cnf;
   cnf.variable_count = 2;
-  cnf.clauses = {{{0, true}, {1, false}}};  // x0 | !x1
+  cnf.clauses = {{MakeLit(0, true), MakeLit(1, false)}};  // x0 | !x1
   EXPECT_TRUE(cnf.IsSatisfiedBy({true, true}));
   EXPECT_TRUE(cnf.IsSatisfiedBy({false, false}));
   EXPECT_FALSE(cnf.IsSatisfiedBy({false, true}));
@@ -60,10 +60,11 @@ TEST(CnfTest, IsSatisfiedBy) {
 TEST(CnfTest, NormalizeDropsTautologiesAndDuplicates) {
   CnfFormula cnf;
   cnf.variable_count = 2;
-  cnf.clauses = {{{0, true}, {0, false}},          // tautology
-                 {{1, true}, {0, true}},           // kept
-                 {{0, true}, {1, true}},           // duplicate of above
-                 {{1, true}, {1, true}, {0, true}}};  // dup literal + dup
+  cnf.clauses = {
+      {MakeLit(0, true), MakeLit(0, false)},                    // tautology
+      {MakeLit(1, true), MakeLit(0, true)},                     // kept
+      {MakeLit(0, true), MakeLit(1, true)},                     // duplicate
+      {MakeLit(1, true), MakeLit(1, true), MakeLit(0, true)}};  // dup + dup
   NormalizeCnf(&cnf);
   EXPECT_EQ(cnf.clauses.size(), 1u);
   EXPECT_EQ(cnf.clauses[0].size(), 2u);
@@ -115,7 +116,7 @@ TEST(TseitinTest, SingleLiteralNeedsNoAuxiliaries) {
   EXPECT_EQ(t.cnf.variable_count, 2u);
   ASSERT_EQ(t.cnf.clauses.size(), 1u);
   EXPECT_EQ(t.cnf.clauses[0].size(), 1u);
-  EXPECT_FALSE(t.cnf.clauses[0][0].positive);
+  EXPECT_FALSE(LitPositive(t.cnf.clauses[0][0]));
 }
 
 TEST(TseitinTest, SharedSubformulaEncodedOnce) {

@@ -39,7 +39,10 @@ inline prop::CnfFormula RandomCnf(std::mt19937_64* rng,
     std::size_t len = 1 + (*rng)() % max_len;
     prop::Clause clause;
     for (std::size_t j = 0; j < len; ++j) {
-      clause.push_back(prop::Literal{var_dist(*rng), ((*rng)() & 1) != 0});
+      // Two statements: the variable is drawn before the polarity.
+      prop::VarId variable = var_dist(*rng);
+      bool positive = ((*rng)() & 1) != 0;
+      clause.push_back(prop::MakeLit(variable, positive));
     }
     cnf.clauses.push_back(std::move(clause));
   }

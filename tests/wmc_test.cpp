@@ -22,7 +22,7 @@ namespace {
 using numeric::BigInt;
 using numeric::BigRational;
 using prop::CnfFormula;
-using prop::Literal;
+using prop::MakeLit;
 using prop::PropFormula;
 using prop::VarId;
 using testutil::RandomCnf;
@@ -53,12 +53,28 @@ TEST(DpllCounterTest, EmptyClauseMeansZero) {
   cnf.clauses = {{}};
   WeightMap weights(2);
   EXPECT_EQ(CountWeightedModels(cnf, weights), BigRational(0));
+  // The root conflict comes before any propagation or search, traced or
+  // not, even when a unit clause precedes the empty one: every counter
+  // stays zero.
+  CnfFormula after_unit = cnf;
+  after_unit.clauses = {{MakeLit(0, true)}, {}};
+  for (const CnfFormula& input : {cnf, after_unit}) {
+    for (bool traced : {false, true}) {
+      nnf::CircuitBuilder builder(input.variable_count);
+      DpllCounter::Options options;
+      if (traced) options.trace_sink = &builder;
+      DpllCounter counter(input, weights, options);
+      EXPECT_EQ(counter.Count(), BigRational(0));
+      EXPECT_EQ(counter.stats(), DpllCounter::Stats{})
+          << input.clauses.size() << " clauses, traced " << traced;
+    }
+  }
 }
 
 TEST(DpllCounterTest, UnitClauseForcesValue) {
   CnfFormula cnf;
   cnf.variable_count = 2;
-  cnf.clauses = {{Literal{0, true}}};
+  cnf.clauses = {{MakeLit(0, true)}};
   WeightMap weights(2);
   weights.Set(0, BigRational(3), BigRational(5));
   // x0 forced true (weight 3), x1 free (1+1).
@@ -68,7 +84,7 @@ TEST(DpllCounterTest, UnitClauseForcesValue) {
 TEST(DpllCounterTest, ContradictoryUnitsGiveZero) {
   CnfFormula cnf;
   cnf.variable_count = 1;
-  cnf.clauses = {{Literal{0, true}}, {Literal{0, false}}};
+  cnf.clauses = {{MakeLit(0, true)}, {MakeLit(0, false)}};
   EXPECT_EQ(CountWeightedModels(cnf, WeightMap(1)), BigRational(0));
 }
 
@@ -106,7 +122,7 @@ TEST(DpllCounterTest, MatchesBruteForceNegativeWeights) {
 TEST(DpllCounterTest, ZeroWeightsHandled) {
   CnfFormula cnf;
   cnf.variable_count = 2;
-  cnf.clauses = {{Literal{0, true}, Literal{1, true}}};
+  cnf.clauses = {{MakeLit(0, true), MakeLit(1, true)}};
   WeightMap weights(2);
   weights.Set(0, BigRational(0), BigRational(1));
   weights.Set(1, BigRational(2), BigRational(0));
@@ -137,8 +153,8 @@ TEST(DpllCounterTest, ComponentDecompositionFires) {
   // Two disjoint clauses must split into components.
   CnfFormula cnf;
   cnf.variable_count = 4;
-  cnf.clauses = {{Literal{0, true}, Literal{1, true}},
-                 {Literal{2, true}, Literal{3, true}}};
+  cnf.clauses = {{MakeLit(0, true), MakeLit(1, true)},
+                 {MakeLit(2, true), MakeLit(3, true)}};
   DpllCounter counter(cnf, WeightMap(4));
   EXPECT_EQ(counter.Count(), BigRational(9));
   EXPECT_GE(counter.stats().component_splits, 1u);
@@ -149,7 +165,7 @@ TEST(DpllCounterTest, CacheHitsOnRepeatedComponents) {
   CnfFormula cnf;
   cnf.variable_count = 12;
   for (VarId v = 0; v < 12; v += 2) {
-    cnf.clauses.push_back({Literal{v, true}, Literal{VarId(v + 1), true}});
+    cnf.clauses.push_back({MakeLit(v, true), MakeLit(VarId(v + 1), true)});
   }
   DpllCounter counter(cnf, WeightMap(12));
   EXPECT_EQ(counter.Count(), BigRational(3 * 3 * 3 * 3 * 3 * 3));
@@ -236,7 +252,7 @@ CnfFormula PathCnf() {
   CnfFormula cnf;
   cnf.variable_count = 16;
   for (VarId v = 0; v + 1 < 16; ++v) {
-    cnf.clauses.push_back({Literal{v, true}, Literal{VarId(v + 1), true}});
+    cnf.clauses.push_back({MakeLit(v, true), MakeLit(VarId(v + 1), true)});
   }
   return cnf;
 }
@@ -493,8 +509,8 @@ TEST(DpllCounterTest, GovernedRationalBoundsBracketTheExactCount) {
   // first decision brackets the count by [0, Π(w + w̄)].
   CnfFormula chain;
   chain.variable_count = 3;
-  chain.clauses = {{Literal{0, true}, Literal{1, true}},
-                   {Literal{1, true}, Literal{2, true}}};
+  chain.clauses = {{MakeLit(0, true), MakeLit(1, true)},
+                   {MakeLit(1, true), MakeLit(2, true)}};
   WeightMap chain_weights(3);
   chain_weights.Set(0, BigRational::Fraction(1, 4), BigRational::Fraction(5, 6));
   chain_weights.Set(1, BigRational::Fraction(3, 8), BigRational(2));
@@ -671,9 +687,9 @@ TEST(CompactCnfTest, LiteralEncodingRoundTrip) {
 TEST(CompactCnfTest, OccurrenceListsMatchClauses) {
   CnfFormula cnf;
   cnf.variable_count = 3;
-  cnf.clauses = {{Literal{0, true}, Literal{1, false}},
-                 {Literal{1, false}, Literal{2, true}},
-                 {Literal{0, true}}};
+  cnf.clauses = {{MakeLit(0, true), MakeLit(1, false)},
+                 {MakeLit(1, false), MakeLit(2, true)},
+                 {MakeLit(0, true)}};
   prop::CompactCnf compact = prop::CompactCnf::Build(cnf);
   EXPECT_EQ(compact.clause_count(), 3u);
   EXPECT_EQ(compact.ClauseSize(0), 2u);
@@ -692,14 +708,23 @@ TEST(CompactCnfTest, OccurrenceListsMatchClauses) {
 TEST(DpllSatTest, SatisfiabilityBasics) {
   CnfFormula sat;
   sat.variable_count = 2;
-  sat.clauses = {{Literal{0, true}, Literal{1, true}},
-                 {Literal{0, false}}};
+  sat.clauses = {{MakeLit(0, true), MakeLit(1, true)},
+                 {MakeLit(0, false)}};
   EXPECT_TRUE(DpllCounter::IsSatisfiable(sat));
 
   CnfFormula unsat;
   unsat.variable_count = 1;
-  unsat.clauses = {{Literal{0, true}}, {Literal{0, false}}};
+  unsat.clauses = {{MakeLit(0, true)}, {MakeLit(0, false)}};
   EXPECT_FALSE(DpllCounter::IsSatisfiable(unsat));
+
+  CnfFormula empty_clause;
+  empty_clause.variable_count = 2;
+  empty_clause.clauses = {{MakeLit(0, true), MakeLit(1, true)}, {}};
+  EXPECT_FALSE(DpllCounter::IsSatisfiable(empty_clause));
+
+  CnfFormula no_clauses;
+  no_clauses.variable_count = 2;
+  EXPECT_TRUE(DpllCounter::IsSatisfiable(no_clauses));
 }
 
 TEST(DpllSatTest, AgreesWithCountOnRandomInstances) {
